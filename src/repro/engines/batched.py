@@ -162,15 +162,21 @@ def _node_metrics(
     ``node_tiles=None`` runs the dense whole-plane expressions (the exact
     op sequence the engine always used); otherwise the same reductions
     stream over node tiles with ``scratch`` bounded to ``(tile, B)``.
-    Min/max reductions decompose over tiles exactly; sums accumulate per
-    tile, which is exact whenever the summed values are integral (every
-    discrete rounding) and accumulation-accurate for the continuous
-    ``identity`` process.  Totals are always computed — they feed the
-    conservation check — but stored only when requested.
+    Min/max reductions decompose over tiles exactly.  Sums add per-tile
+    partials into a running total, which regroups the additions: the
+    result equals the dense sum exactly only while every partial sum is
+    exactly representable — integral loads under a discrete rounding, with
+    totals below ``2**53`` (``2**24`` in float32).  The potential
+    ``(x - target)**2`` is non-integral whenever a target is fractional
+    (a non-divisible total, non-uniform speeds, ``config.targets``), and
+    so are the loads of the continuous ``identity`` process; those sums
+    agree with the dense ones to accumulation accuracy only.  Totals are
+    always computed — they feed the conservation check — but stored only
+    when requested.
     """
     n = load.shape[0]
-    values: Dict[str, np.ndarray] = {}
     if node_tiles is None:
+        values: Dict[str, np.ndarray] = {}
         dev = np.subtract(load, targets, out=scratch)
         if "max_minus_avg" in fields:
             values["max_minus_avg"] = dev.max(axis=0)
@@ -213,17 +219,20 @@ def _node_metrics(
         if "min_load" in fields:
             np.minimum(mload, tile_load.min(axis=0), out=mload)
         totals += tile_load.sum(axis=0)
-    if "max_minus_avg" in fields:
-        values["max_minus_avg"] = mx
-    if "min_minus_avg" in fields:
-        values["min_minus_avg"] = mn
-    if "potential_per_node" in fields:
-        values["potential_per_node"] = pot / n
-    if "min_load" in fields:
-        values["min_load"] = mload
-    if "total_load" in fields:
-        values["total_load"] = totals
-    return values, totals
+    return _metric_values(fields, n, mx, mn, pot, mload, totals)
+
+
+def _metric_values(fields, n: int, mx, mn, pot, mload, totals) -> tuple:
+    """The requested node metrics from their per-replica reductions
+    (``pot`` is the sum of squared deviations), plus the totals."""
+    reduced = {
+        "max_minus_avg": mx,
+        "min_minus_avg": mn,
+        "potential_per_node": pot / n,
+        "min_load": mload,
+        "total_load": totals,
+    }
+    return {k: v for k, v in reduced.items() if k in fields}, totals
 
 _FRAC_TOL = 1e-9  # matches repro.core.rounding
 
@@ -498,6 +507,10 @@ class _BatchedHandle:
             self.kernel = resolve_kernel(config, m)
         if self.kernel is not None:
             ensure_warm(self.kernel)
+        #: record rounds (metrics, transients, traffic) through the
+        #: provider too.  Single-replica runs stay on numpy: numpy sums a
+        #: single (rows, 1) column pairwise, the providers row by row.
+        self.kern_records = self.kernel is not None and B > 1
         #: static record columns actually computed (dynamic runs ignore this)
         self.fields = resolve_record_fields(config.record_fields)
         #: whether any record round needs the transient/traffic pass
@@ -595,9 +608,10 @@ class _BatchedHandle:
             # Flat buffers of the compiled provider: edge endpoints, the
             # incidence CSR (captured before tiling drops self.D — the
             # compiled apply replays csr_matvecs' per-row accumulation
-            # order), per-node speeds, and the dtype-pinned constants
-            # [0, 1, frac_tol] so no float literal enters the kernels at a
-            # foreign precision.
+            # order; W shares D's structure, so it needs no copy), per-node
+            # speeds, and the dtype-pinned constants [0, 1, frac_tol, 0.5]
+            # so no float literal enters the kernels at a foreign
+            # precision.
             self.kern_eu = np.ascontiguousarray(eu, dtype=np.int32)
             self.kern_ev = np.ascontiguousarray(ev, dtype=np.int32)
             self.inc_indptr = np.ascontiguousarray(self.D.indptr, dtype=np.int64)
@@ -607,7 +621,13 @@ class _BatchedHandle:
                 None if self.uniform_speeds
                 else np.ascontiguousarray(self.speeds_col.ravel())
             )
-            self.kern_consts = np.array([0.0, 1.0, self.frac_tol], dtype=dtype)
+            self.kern_consts = np.array(
+                [0.0, 1.0, self.frac_tol, 0.5], dtype=dtype
+            )
+            # Record-pass outputs (see repro.kernels): the metric rows, a
+            # second stack for per-tile partials, and the info rows.
+            self.kern_rec = np.empty((2, 6, B), dtype=dtype)
+            self.kern_info = np.empty((2, B), dtype=dtype)
             self.kern_beta = np.ones(B, dtype=dtype)
             self.kern_bm1 = np.zeros(B, dtype=dtype)
             if np.isscalar(self.alphas):
@@ -1112,7 +1132,17 @@ class BatchedVectorEngine(Engine):
 
         # -- step info (transients / traffic), then apply ------------------
         if want_info:
-            if h.tile:
+            if h.kern_records:
+                # One serial CSR walk: transients, traffic and the apply,
+                # bit-identical to the numpy branches below.
+                info = h.kern_info
+                h.kernel.apply_info(
+                    h.inc_indptr, h.inc_edges, h.inc_signs, act, load, info,
+                    h.kern_consts,
+                )
+                h.last_min_transient = info[0].copy()
+                h.last_traffic = info[1].copy()
+            elif h.tile:
                 absf = np.abs(act, out=h.mb2)
                 h.last_traffic = absf.sum(axis=0)
                 mins = np.full(h.n_replicas, np.inf, dtype=h.dtype)
@@ -1621,6 +1651,13 @@ class BatchedVectorEngine(Engine):
         """Per-replica max local load difference of the current loads."""
         if h.topo.m_edges == 0:
             return np.zeros(h.n_replicas)
+        if h.kernel is not None:
+            out = h.kern_rec[0]
+            h.kernel.record_metrics(
+                h.load, h.targets, 0, 0, h.kern_eu, h.kern_ev,
+                0, h.topo.m_edges, out, h.kern_consts,
+            )
+            return out[5].copy()
         if h.tile:
             return _tiled_mld(
                 h.load, h.topo.edge_u, h.topo.edge_v, h.edge_tiles,
@@ -1661,6 +1698,31 @@ class BatchedVectorEngine(Engine):
                 f"{h.totals0[b]} -> {totals[b]}"
             )
 
+    def _kernel_node_metrics(self, h: _BatchedHandle, want_mld: bool) -> tuple:
+        """:func:`_node_metrics` (plus the max local difference when
+        ``want_mld``) through the provider's serial record pass.
+
+        One call per node tile, the first also walking every edge; the
+        partial sums add into the running totals tile by tile, exactly as
+        the tiled numpy reductions do.
+        """
+        n, m = h.topo.n, h.topo.m_edges
+        out, part = h.kern_rec
+        for k, (a, b) in enumerate(h.node_tiles if h.tile else [(0, n)]):
+            h.kernel.record_metrics(
+                h.load, h.targets, a, b, h.kern_eu, h.kern_ev,
+                0, m if want_mld and k == 0 else 0, part if k else out,
+                h.kern_consts,
+            )
+            if k:
+                np.maximum(out[0], part[0], out=out[0])
+                np.minimum(out[1], part[1], out=out[1])
+                np.add(out[2], part[2], out=out[2])
+                np.minimum(out[3], part[3], out=out[3])
+                np.add(out[4], part[4], out=out[4])
+        values, totals = _metric_values(h.fields, n, *out[:5].copy())
+        return values, totals, out[5].copy() if want_mld else None
+
     def _record_current(self, h: _BatchedHandle) -> None:
         """Append the requested Section VI metrics of the current state."""
         if h.churn_plan is not None:
@@ -1668,17 +1730,23 @@ class BatchedVectorEngine(Engine):
             return
         load = h.load
         fields = h.fields
-        scratch = h.ts1 if h.tile else h.nb1
-        values, totals = _node_metrics(
-            load, h.targets, fields, scratch, h.node_tiles if h.tile else None
-        )
+        want_mld = "max_local_diff" in fields
+        if h.kern_records:
+            values, totals, mld = self._kernel_node_metrics(h, want_mld)
+        else:
+            scratch = h.ts1 if h.tile else h.nb1
+            values, totals = _node_metrics(
+                load, h.targets, fields, scratch,
+                h.node_tiles if h.tile else None,
+            )
+            mld = self._mld(h) if want_mld else None
         if "min_transient" in fields:
             values["min_transient"] = h.last_min_transient
         if "round_traffic" in fields:
             values["round_traffic"] = h.last_traffic
-        if "max_local_diff" in fields:
-            h.last_mld = self._mld(h)
-            values["max_local_diff"] = h.last_mld
+        if want_mld:
+            h.last_mld = mld
+            values["max_local_diff"] = mld
         if h.rec_stats is not None:
             h.rec_stats.update(h.round_index, values)
         else:

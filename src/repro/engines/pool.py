@@ -75,7 +75,7 @@ from .base import (
     resolve_workers,
 )
 from .batched import BatchedVectorEngine
-from .sharded import ShardedEngine, _start_method, _wants_staleness
+from .sharded import ShardedEngine, _wants_staleness, _worker_context
 from .staleness import StalenessEngine
 
 import multiprocessing
@@ -362,7 +362,7 @@ class ShardedWorkerPool:
             self._reset()
         if self._procs:
             return
-        ctx = multiprocessing.get_context(_start_method())
+        ctx = _worker_context()
         package_root = os.path.dirname(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         )

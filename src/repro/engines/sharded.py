@@ -45,8 +45,10 @@ Worker lifecycle
 Workers are plain ``multiprocessing`` pool processes.  The payload per
 shard is ``(Topology, EngineConfig, loads_shard, dynamic)`` — everything
 pickles, so the engine is **spawn-safe**; the start method defaults to
-``fork`` where available (no interpreter restart) and can be forced with
-the ``REPRO_SHARDED_START`` environment variable (``spawn`` /
+``fork`` where available (no interpreter restart), switches to
+``forkserver`` once the process has loaded a compiled kernel provider
+whose OpenMP runtime a forked child would deadlock in, and can be forced
+with the ``REPRO_SHARDED_START`` environment variable (``spawn`` /
 ``forkserver`` / ``fork``).  A single-shard plan (one worker, or ``B <=
 3`` — the >= 2-column shard floor caps the shard count at ``B // 2``)
 runs inline in the parent — no process is spawned, but the exact same
@@ -79,6 +81,7 @@ import numpy as np
 from ..core.churn import resolve_churn
 from ..exceptions import ConfigurationError
 from ..graphs.topology import Topology
+from ..kernels import fork_unsafe_loaded
 
 from .base import (
     Engine,
@@ -120,15 +123,42 @@ _DEFAULT_START = (
 
 
 def _start_method() -> str:
-    """The configured start method (``REPRO_SHARDED_START`` overrides)."""
-    method = os.environ.get("REPRO_SHARDED_START", _DEFAULT_START)
+    """Start method of shard and pool workers — the one policy for both.
+
+    ``REPRO_SHARDED_START`` wins.  Otherwise :data:`_DEFAULT_START`,
+    except that ``fork`` becomes ``forkserver`` (``spawn`` where that is
+    missing) once this process has loaded a compiled provider
+    (:func:`repro.kernels.fork_unsafe_loaded`): a libgomp that has run a
+    parallel region in the parent hangs the first one a forked child
+    enters.  Processes that never load such a provider keep ``fork``.
+    """
     known = multiprocessing.get_all_start_methods()
+    method = os.environ.get("REPRO_SHARDED_START")
+    if method is None:
+        method = _DEFAULT_START
+        if method == "fork" and fork_unsafe_loaded():
+            method = "forkserver" if "forkserver" in known else "spawn"
     if method not in known:
         raise ConfigurationError(
             f"REPRO_SHARDED_START={method!r} is not available here; "
             f"known: {known}"
         )
     return method
+
+
+#: What a forkserver imports once, before it forks any worker: the engines
+#: with numpy and scipy, so each worker starts warm (no compiled provider
+#: loads with them).  ``__main__`` is multiprocessing's own default.
+_FORKSERVER_PRELOAD = ["__main__", "repro.engines.pool"]
+
+
+def _worker_context():
+    """The multiprocessing context of shard and pool workers."""
+    method = _start_method()
+    ctx = multiprocessing.get_context(method)
+    if method == "forkserver":
+        ctx.set_forkserver_preload(_FORKSERVER_PRELOAD)
+    return ctx
 
 
 def _init_worker(package_root: str) -> None:
@@ -296,7 +326,7 @@ class ShardedEngine(Engine):
         """Execute the shard plan and merge the per-shard record batches."""
         if len(payloads) == 1:
             return merge_record_batches([_run_shard(payloads[0])])
-        ctx = multiprocessing.get_context(_start_method())
+        ctx = _worker_context()
         package_root = os.path.dirname(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         )

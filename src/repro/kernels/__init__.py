@@ -1,13 +1,15 @@
 """Compiled kernel tier for the discrete edge-wise hot loop.
 
 The batched engine's discrete rounds are dominated by elementwise numpy
-passes over ``(m, B)`` planes (schedule, round, token dispatch, apply).
-This package provides *fused* single-pass implementations of those four
-kernels behind one provider API, selected by ``EngineConfig.kernel``:
+passes over ``(m, B)`` planes (schedule, round, token dispatch, apply),
+and its record rounds by axis-0 reductions over ``(n, B)`` planes whose
+inner loops are only ``B`` wide.  This package provides *fused*
+single-pass implementations of both behind one provider API, selected by
+``EngineConfig.kernel``:
 
-* ``"numba"`` — ``@njit(parallel=True, cache=True)`` kernels
-  (:mod:`._numba`), available when numba is installed (the ``[compiled]``
-  pip extra);
+* ``"numba"`` — ``@njit(cache=True)`` kernels, ``parallel=True`` for the
+  round passes (:mod:`._numba`), available when numba is installed (the
+  ``[compiled]`` pip extra);
 * ``"cffi"`` — the same kernels as C compiled once through cffi with the
   system compiler (:mod:`._cffi`), cached on disk;
 * ``"python"`` — a pure numpy/python reference provider (:mod:`._python`)
@@ -22,12 +24,16 @@ CSR accumulation order, and the stochastic roundings consume uniforms
 pre-drawn from the same per-replica
 :func:`~repro.engines.base.rounding_stream` numpy generators in the same
 order (the provider compiles the expensive scatter, not the sampling).
+The record reductions are serial and add every sum in row order in the
+array dtype — numpy's order for an axis-0 sum over a C-contiguous
+``(rows, B)`` plane with ``B > 1``.  For ``B == 1`` numpy sums pairwise
+instead, so the engine keeps single-replica record rounds on numpy.
 The contract is enforced by ``tests/engines/test_compiled.py``.
 
 Provider API (all arrays C-contiguous, loads/flows ``(n, B)``/``(m, B)``
-in the engine's dtype; ``consts = [0.0, 1.0, frac_tol]`` in that dtype
-so no float literal ever enters the kernels at a foreign precision; the
-edge/adjacency index arrays ``eu``/``ev``/``adj_edges``/``edges`` are
+in the engine's dtype; ``consts = [0.0, 1.0, frac_tol, 0.5]`` in that
+dtype so no float literal ever enters the kernels at a foreign precision;
+the edge/adjacency index arrays ``eu``/``ev``/``adj_edges``/``edges`` are
 **int32** — half the index traffic of the memory-bound large-n runs —
 while ``indptr``/``counts``/``totals``/``uoff`` stay int64 and
 ``adj_signs`` is int8):
@@ -54,6 +60,22 @@ while ``indptr``/``counts``/``totals``/``uoff`` stay int64 and
 * ``apply_flows(indptr, edges, signs, act, load)`` — the incidence
   accumulation ``load[i] += sum(signs * act[edges])`` replaying scipy's
   ``csr_matvecs`` per-row sequential order.
+* ``record_metrics(load, targets, lo, hi, eu, ev, elo, ehi, out,
+  consts)`` — one serial pass writing the ``(6, B)`` rows of ``out``:
+  max and min of ``load - targets``, the sum of its squares, min load and
+  total over the nodes ``[lo, hi)``, then max ``|x_u - x_v|`` over the
+  edges ``[elo, ehi)``.  ``targets`` is a ``(1, B)`` row, an ``(n, 1)``
+  column or an ``(n, B)`` plane, broadcast against ``load`` through its
+  row and column strides; an empty range leaves its rows as they were,
+  so the engine calls it per node tile and adds the partial sums into
+  its running totals.
+* ``apply_info(indptr, edges, signs, act, load, info, consts)`` — the
+  ``apply_flows`` walk of a record round: ``delta = D @ act`` and
+  ``outgoing = W @ |act|`` each from zero in CSR order, ``info[0]`` the
+  min transient ``load - (outgoing - delta) * 0.5``, ``info[1]`` the
+  traffic ``sum |act|`` in edge order, and ``load <- load + delta``.
+
+Neither record entry point allocates ``(n, B)`` or ``(m, B)`` scratch.
 """
 
 from __future__ import annotations
@@ -73,6 +95,7 @@ __all__ = [
     "KERNEL_CHOICES",
     "ROUNDING_CODES",
     "ensure_warm",
+    "fork_unsafe_loaded",
     "get_provider",
     "kernel_blockers",
     "resolve_kernel",
@@ -148,6 +171,17 @@ def get_provider(name: str):
             provider = None
     _PROVIDERS[name] = provider
     return provider
+
+
+def fork_unsafe_loaded() -> bool:
+    """Whether this process has loaded a compiled provider.
+
+    Compiled loops run on a threading runtime (OpenMP), which, once it has
+    run a parallel region, deadlocks in a ``fork`` child that enters one
+    again, so the worker pools stop using ``fork`` from then on (see
+    ``repro.engines.sharded._start_method``).
+    """
+    return any(p is not None and p.compiled for p in _PROVIDERS.values())
 
 
 def kernel_blockers(config, m_edges: int) -> List[str]:
@@ -243,9 +277,9 @@ def _warm_provider(provider) -> None:
     """Exercise every provider entry point on a tiny two-node problem.
 
     Triggers JIT/compilation outside any measured loop (both dtypes, all
-    rounding codes, all schedule modes, the excess passes and the apply
-    pass).  The warm-up draws no engine randomness — every buffer is
-    built locally.
+    rounding codes, all schedule modes, the excess passes, the apply
+    pass and the record passes).  The warm-up draws no engine randomness
+    — every buffer is built locally.
     """
     eu = np.array([0], dtype=np.int32)
     ev = np.array([1], dtype=np.int32)
@@ -254,7 +288,7 @@ def _warm_provider(provider) -> None:
     adj_edges = np.array([0, 0], dtype=np.int32)
     adj_signs = np.array([1, -1], dtype=np.int8)
     for dtype in (np.float64, np.float32):
-        consts = np.array([0.0, 1.0, 1e-9], dtype=dtype)
+        consts = np.array([0.0, 1.0, 1e-9, 0.5], dtype=dtype)
         load = np.array([[7.5], [2.0]], dtype=dtype)
         speeds = np.array([1.0, 2.0], dtype=dtype)
         flows = np.zeros((1, 1), dtype=dtype)
@@ -283,6 +317,15 @@ def _warm_provider(provider) -> None:
             adj_edges, adj_signs, 1, 1, fsg, counts, udraws, uoff, act, consts,
         )
         provider.apply_flows(indptr, edges, signs, act, load.copy())
+        for targets in (load[:1], load):
+            provider.record_metrics(
+                load, targets, 0, 2, eu, ev, 0, 1,
+                np.empty((6, 1), dtype=dtype), consts,
+            )
+        provider.apply_info(
+            indptr, edges, signs, act, load.copy(),
+            np.empty((2, 1), dtype=dtype), consts,
+        )
 
 
 def ensure_warm(provider) -> None:

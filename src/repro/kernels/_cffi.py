@@ -1,6 +1,6 @@
 """C provider of the kernel API, compiled once through cffi.
 
-The four kernels are instantiated for float64 and float32 from one
+The kernels are instantiated for float64 and float32 from one
 template and built with the system C compiler into a module cached under
 ``src/repro/kernels/_cache/`` (override with ``REPRO_KERNEL_CACHE``; a
 temp directory is the fallback when the package directory is read-only).
@@ -13,7 +13,8 @@ bit-identity contract with the numpy tier (``-ffast-math`` is out of the
 question for the same reason).  ``-fopenmp`` is attempted and dropped if
 the toolchain lacks it; the parallel pragmas are over edges/nodes with
 static schedules, so thread count never affects results (each iteration
-owns its output row).
+owns its output row).  The record-round reductions (``record_metrics``,
+``apply_info``) are serial, so their sums keep one fixed order.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ void apply_flows_@S@(
     long long n, long long B, const long long *indptr,
     const int *edges, const @R@ *signs,
     const @R@ *act, @R@ *load);
+void record_metrics_@S@(
+    long long B, const @R@ *load, const @R@ *targets, long long trow,
+    long long tcol, long long lo, long long hi, const int *eu, const int *ev,
+    long long elo, long long ehi, @R@ *out, const @R@ *consts);
+void apply_info_@S@(
+    long long n, long long B, long long m, const long long *indptr,
+    const int *edges, const @R@ *signs,
+    const @R@ *act, @R@ *load, @R@ *info, const @R@ *consts);
 """
 
 _BODY_TEMPLATE = r"""
@@ -290,6 +299,108 @@ void apply_flows_@S@(
         }
     }
 }
+
+/* Record-round reductions.  Serial on purpose: every sum accumulates in
+   node (or edge) order in the array dtype — the order of numpy's axis-0
+   reductions over a C-contiguous (rows, B > 1) plane — so thread count
+   can never change a recorded value. */
+
+void record_metrics_@S@(
+    long long B, const @R@ *load, const @R@ *targets, long long trow,
+    long long tcol, long long lo, long long hi, const int *eu, const int *ev,
+    long long elo, long long ehi, @R@ *out, const @R@ *consts)
+{
+    /* out rows: max dev, min dev, sum dev^2, min load, total over nodes
+       [lo, hi); max |x_u - x_v| over edges [elo, ehi).  An empty range
+       leaves its rows untouched. */
+    const @R@ zero = consts[0];
+    @R@ *mx = out, *mn = out + B, *sq = out + 2 * B;
+    @R@ *ml = out + 3 * B, *tot = out + 4 * B, *mld = out + 5 * B;
+    long long i, e, b;
+    if (hi > lo) {
+        for (b = 0; b < B; b++) {
+            const @R@ d = load[lo * B + b] - targets[lo * trow + b * tcol];
+            mx[b] = d;
+            mn[b] = d;
+            sq[b] = zero;
+            ml[b] = load[lo * B + b];
+            tot[b] = zero;
+        }
+        for (i = lo; i < hi; i++) {
+            const @R@ *x = load + i * B;
+            const @R@ *t = targets + i * trow;
+            for (b = 0; b < B; b++) {
+                const @R@ v = x[b];
+                const @R@ d = v - t[b * tcol];
+                mx[b] = (d > mx[b]) ? d : mx[b];
+                mn[b] = (d < mn[b]) ? d : mn[b];
+                sq[b] = sq[b] + d * d;
+                ml[b] = (v < ml[b]) ? v : ml[b];
+                tot[b] = tot[b] + v;
+            }
+        }
+    }
+    if (ehi > elo) {
+        for (b = 0; b < B; b++) {
+            mld[b] = @FABS@(load[(long long)eu[elo] * B + b]
+                            - load[(long long)ev[elo] * B + b]);
+        }
+        for (e = elo; e < ehi; e++) {
+            const @R@ *xu = load + (long long)eu[e] * B;
+            const @R@ *xv = load + (long long)ev[e] * B;
+            for (b = 0; b < B; b++) {
+                const @R@ a = @FABS@(xu[b] - xv[b]);
+                mld[b] = (a > mld[b]) ? a : mld[b];
+            }
+        }
+    }
+}
+
+void apply_info_@S@(
+    long long n, long long B, long long m, const long long *indptr,
+    const int *edges, const @R@ *signs,
+    const @R@ *act, @R@ *load, @R@ *info, const @R@ *consts)
+{
+    /* info rows: min transient load - (sum|act| - delta) * 0.5 over nodes,
+       traffic sum|act| over edges.  delta and sum|act| start from zero and
+       add in CSR order, as the numpy tier's D @ act and W @ |act| do, and
+       the load then takes load + delta. */
+    const @R@ zero = consts[0];
+    const @R@ half = consts[3];
+    @R@ delta[B > 0 ? B : 1];
+    @R@ outg[B > 0 ? B : 1];
+    @R@ *mn = info, *traffic = info + B;
+    long long i, j, e, b;
+    for (i = 0; i < n; i++) {
+        for (b = 0; b < B; b++) {
+            delta[b] = zero;
+            outg[b] = zero;
+        }
+        for (j = indptr[i]; j < indptr[i + 1]; j++) {
+            const @R@ s = signs[j];
+            const @R@ *row = act + (long long)edges[j] * B;
+            for (b = 0; b < B; b++) {
+                delta[b] = delta[b] + s * row[b];
+                outg[b] = outg[b] + @FABS@(row[b]);
+            }
+        }
+        for (b = 0; b < B; b++) {
+            const @R@ x = load[i * B + b];
+            const @R@ t = x - (outg[b] - delta[b]) * half;
+            mn[b] = (i == 0 || t < mn[b]) ? t : mn[b];
+            load[i * B + b] = x + delta[b];
+        }
+    }
+    for (b = 0; b < B; b++) {
+        traffic[b] = zero;
+    }
+    for (e = 0; e < m; e++) {
+        const @R@ *row = act + e * B;
+        for (b = 0; b < B; b++) {
+            traffic[b] = traffic[b] + @FABS@(row[b]);
+        }
+    }
+}
 """
 
 _VARIANTS = {
@@ -459,6 +570,60 @@ class CffiKernels:
             n, B, self._p(indptr, "long long *"),
             self._p(edges, "int *"), self._p(signs, r),
             self._p(act, r), self._p(load, r),
+        )
+        return load
+
+    @staticmethod
+    def _check(ok: bool, what: str) -> None:
+        """Refuse a buffer the C side would index out of bounds."""
+        if not ok:
+            raise ValueError(f"cffi kernel argument: {what}")
+
+    def _check_buffers(self, dtype, ints, reals) -> None:
+        for a in ints:
+            self._check(a.dtype == np.int32 and a.flags.c_contiguous,
+                        "index arrays must be C-contiguous int32")
+        for a in reals:
+            self._check(a.dtype == dtype and a.flags.c_contiguous,
+                        f"arrays must be C-contiguous {dtype}")
+
+    def record_metrics(
+        self, load, targets, lo, hi, eu, ev, elo, ehi, out, consts,
+    ):
+        dtype = load.dtype
+        r = self._real(dtype)
+        n, B = load.shape
+        rows, cols = targets.shape
+        self._check_buffers(dtype, (eu, ev), (load, targets, out, consts))
+        self._check(rows in (1, n) and cols in (1, B), "targets shape")
+        self._check(out.shape == (6, B) and consts.size >= 4, "out/consts shape")
+        self._check(0 <= lo <= hi <= n, "node range")
+        self._check(0 <= elo <= ehi <= min(eu.size, ev.size), "edge range")
+        self._fn("record_metrics", dtype)(
+            B, self._p(load, r), self._p(targets, r),
+            cols if rows > 1 else 0, 1 if cols > 1 else 0, int(lo), int(hi),
+            self._p(eu, "int *"), self._p(ev, "int *"), int(elo), int(ehi),
+            self._p(out, r), self._p(consts, r),
+        )
+        return out
+
+    def apply_info(self, indptr, edges, signs, act, load, info, consts):
+        dtype = load.dtype
+        r = self._real(dtype)
+        n, B = load.shape
+        self._check_buffers(dtype, (edges,), (signs, act, load, info, consts))
+        self._check(
+            indptr.dtype == np.int64 and indptr.size == n + 1
+            and edges.size == signs.size == indptr[-1],
+            "incidence CSR shape",
+        )
+        self._check(act.shape[1] == B and info.shape == (2, B)
+                    and consts.size >= 4, "act/info/consts shape")
+        self._fn("apply_info", dtype)(
+            n, B, act.shape[0], self._p(indptr, "long long *"),
+            self._p(edges, "int *"), self._p(signs, r),
+            self._p(act, r), self._p(load, r), self._p(info, r),
+            self._p(consts, r),
         )
         return load
 

@@ -3,7 +3,8 @@
 Module-level ``@njit(parallel=True, cache=True)`` kernels mirroring the C
 provider line for line: ``prange`` over edges (round) / nodes (counts,
 apply) with each iteration owning its output row, and a serial token
-dispatch (it consumes one shared uniform stream).  ``cache=True`` keeps
+dispatch (it consumes one shared uniform stream) and record-round
+reductions (their sums keep one fixed order).  ``cache=True`` keeps
 recompiles out of warm processes; every float literal comes in through
 the ``consts`` array so float32 runs never promote through a python
 float.  Optional arrays (``speeds``, ``uni``, ``fsg``) arrive as 0-size
@@ -160,6 +161,82 @@ def _apply_flows(indptr, edges, signs, act, load):
     return load
 
 
+# Record-round reductions: serial, so every sum adds in node (or edge)
+# order in the array dtype, the order of numpy's axis-0 reductions over a
+# C-contiguous (rows, B > 1) plane.
+
+
+@njit(cache=True)
+def _record_metrics(
+    load, targets, trow, tcol, lo, hi, eu, ev, elo, ehi, out, consts,
+):
+    B = load.shape[1]
+    zero = consts[0]
+    if hi > lo:
+        for b in range(B):
+            d = load[lo, b] - targets[lo * trow, b * tcol]
+            out[0, b] = d
+            out[1, b] = d
+            out[2, b] = zero
+            out[3, b] = load[lo, b]
+            out[4, b] = zero
+        for i in range(lo, hi):
+            for b in range(B):
+                v = load[i, b]
+                d = v - targets[i * trow, b * tcol]
+                if d > out[0, b]:
+                    out[0, b] = d
+                if d < out[1, b]:
+                    out[1, b] = d
+                out[2, b] = out[2, b] + d * d
+                if v < out[3, b]:
+                    out[3, b] = v
+                out[4, b] = out[4, b] + v
+    if ehi > elo:
+        for b in range(B):
+            out[5, b] = np.abs(load[eu[elo], b] - load[ev[elo], b])
+        for e in range(elo, ehi):
+            # not u/v: numba gives a name one type, and v is a load above
+            ue = eu[e]
+            ve = ev[e]
+            for b in range(B):
+                a = np.abs(load[ue, b] - load[ve, b])
+                if a > out[5, b]:
+                    out[5, b] = a
+    return out
+
+
+@njit(cache=True)
+def _apply_info(indptr, edges, signs, act, load, info, consts):
+    n, B = load.shape
+    zero = consts[0]
+    half = consts[3]
+    delta = np.empty(B, dtype=load.dtype)
+    outg = np.empty(B, dtype=load.dtype)
+    for i in range(n):
+        for b in range(B):
+            delta[b] = zero
+            outg[b] = zero
+        for j in range(indptr[i], indptr[i + 1]):
+            s = signs[j]
+            e = edges[j]
+            for b in range(B):
+                delta[b] = delta[b] + s * act[e, b]
+                outg[b] = outg[b] + np.abs(act[e, b])
+        for b in range(B):
+            x = load[i, b]
+            t = x - (outg[b] - delta[b]) * half
+            if i == 0 or t < info[0, b]:
+                info[0, b] = t
+            load[i, b] = x + delta[b]
+    for b in range(B):
+        info[1, b] = zero
+    for k in range(act.shape[0]):
+        for b in range(B):
+            info[1, b] = info[1, b] + np.abs(act[k, b])
+    return load
+
+
 class NumbaKernels:
     """Provider wrapper substituting 0-size sentinels for None arrays."""
 
@@ -199,6 +276,18 @@ class NumbaKernels:
 
     def apply_flows(self, indptr, edges, signs, act, load):
         return _apply_flows(indptr, edges, signs, act, load)
+
+    def record_metrics(
+        self, load, targets, lo, hi, eu, ev, elo, ehi, out, consts,
+    ):
+        rows, cols = targets.shape
+        return _record_metrics(
+            load, targets, int(rows > 1), int(cols > 1), lo, hi, eu, ev,
+            elo, ehi, out, consts,
+        )
+
+    def apply_info(self, indptr, edges, signs, act, load, info, consts):
+        return _apply_info(indptr, edges, signs, act, load, info, consts)
 
 
 def make_provider() -> NumbaKernels:

@@ -149,6 +149,49 @@ class PythonKernels:
             load[i] = acc
         return load
 
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _running_sum(x, zero):
+        """Per-column sum of ``x`` added row by row from ``zero`` — the
+        compiled providers' order (``np.add.accumulate`` is sequential,
+        where ``x.sum(axis=0)`` goes pairwise for a single column)."""
+        head = np.full((1, x.shape[1]), zero, dtype=x.dtype)
+        return np.add.accumulate(np.concatenate([head, x]), axis=0)[-1]
+
+    def record_metrics(
+        self, load, targets, lo, hi, eu, ev, elo, ehi, out, consts,
+    ):
+        if hi > lo:
+            x = load[lo:hi]
+            dev = x - (targets[lo:hi] if targets.shape[0] > 1 else targets)
+            out[0] = dev.max(axis=0)
+            out[1] = dev.min(axis=0)
+            out[2] = self._running_sum(dev * dev, consts[0])
+            out[3] = x.min(axis=0)
+            out[4] = self._running_sum(x, consts[0])
+        if ehi > elo:
+            diff = load[eu[elo:ehi]] - load[ev[elo:ehi]]
+            out[5] = np.abs(diff).max(axis=0)
+        return out
+
+    def apply_info(self, indptr, edges, signs, act, load, info, consts):
+        n, B = load.shape
+        delta = np.empty_like(load)
+        outgoing = np.empty_like(load)
+        absf = np.abs(act)
+        for i in range(n):
+            d = np.full(B, consts[0], dtype=load.dtype)
+            o = d.copy()
+            for j in range(int(indptr[i]), int(indptr[i + 1])):
+                d = d + signs[j] * act[edges[j]]
+                o = o + absf[edges[j]]
+            delta[i] = d
+            outgoing[i] = o
+        info[0] = (load - (outgoing - delta) * consts[3]).min(axis=0)
+        info[1] = self._running_sum(absf, consts[0])
+        np.add(load, delta, out=load)
+        return load
+
 
 def make_provider() -> PythonKernels:
     return PythonKernels()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,47 @@ from repro import (
     star,
     torus_2d,
 )
+
+
+#: Seconds one test may run before the watchdog dumps every thread's
+#: traceback and exits the session.
+TEST_DEADLINE_S = 300.0
+
+_WATCHDOG_FILE = pytest.StashKey()
+
+
+def pytest_configure(config):
+    # Output capture is suspended here, so fd 2 is the real stderr: the
+    # watchdog writes to a copy of it, past the capture of the hung test.
+    config.stash[_WATCHDOG_FILE] = os.fdopen(os.dup(2), "w")
+
+
+def pytest_unconfigure(config):
+    config.stash[_WATCHDOG_FILE].close()
+
+
+@pytest.fixture(autouse=True)
+def _hang_watchdog(pytestconfig):
+    """Turn a hung test into a traceback and a failed run, instead of a
+    silent stall until the CI job's own timeout."""
+    faulthandler.dump_traceback_later(
+        TEST_DEADLINE_S, exit=True, file=pytestconfig.stash[_WATCHDOG_FILE]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def fork_workers(monkeypatch):
+    """Keep the ``fork`` start method for shard and pool workers even
+    after another test has loaded a compiled provider in this process.
+
+    For tests whose workers run only the numpy tier, which never enters
+    an OpenMP region, so forking stays safe and keeps being tested.
+    """
+    from repro.engines import sharded
+
+    monkeypatch.setattr(sharded, "fork_unsafe_loaded", lambda: False)
 
 
 @pytest.fixture

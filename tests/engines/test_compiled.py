@@ -13,6 +13,7 @@ every machine.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from dataclasses import replace
 from numpy.random import default_rng
 
@@ -323,6 +324,240 @@ class TestProviderCross:
                 outs.append((act, fsg))
             np.testing.assert_array_equal(outs[0][0], outs[1][0])
             np.testing.assert_array_equal(outs[0][1], outs[1][1])
+
+
+def _incidence(topo, dtype):
+    """The engine's incidence CSR ``D`` as the provider's flat arrays."""
+    m = topo.m_edges
+    ar = np.arange(m)
+    D = sp.coo_matrix(
+        (
+            np.concatenate([-np.ones(m), np.ones(m)]).astype(dtype),
+            (np.concatenate([topo.edge_u, topo.edge_v]), np.concatenate([ar, ar])),
+        ),
+        shape=(topo.n, m),
+    ).tocsr()
+    return D, D.indptr.astype(np.int64), D.indices.astype(np.int32), D.data
+
+
+def _consts(dtype):
+    return np.array([0.0, 1.0, 1e-9, 0.5], dtype=dtype)
+
+
+class TestRecordProviders:
+    """``record_metrics`` / ``apply_info``: every provider against python,
+    and python against the numpy expressions the engine replaces."""
+
+    N, M = RR.n, RR.m_edges
+    EU = RR.edge_u.astype(np.int32)
+    EV = RR.edge_v.astype(np.int32)
+    #: (lo, hi, elo, ehi): whole run, node tiles with and without edges,
+    #: an edges-only call (the engine's max-local-difference pass)
+    RANGES = [(0, N, 0, M), (0, 13, 0, M), (13, 29, 0, 0), (29, N, 0, 0),
+              (0, 0, 0, M), (7, 8, 11, 12)]
+
+    @staticmethod
+    def _data(dtype, B, seed=23):
+        rng = default_rng(seed)
+        # fractional values: every sum below depends on its order
+        load = rng.normal(60.0, 45.0, (RR.n, B)).astype(dtype)
+        plane = rng.normal(60.0, 5.0, (RR.n, B)).astype(dtype)
+        act = rng.normal(0.0, 4.0, (RR.m_edges, B)).astype(dtype)
+        return load, plane, act
+
+    @pytest.mark.parametrize("kernel", PROVIDERS)
+    @pytest.mark.parametrize("B", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_record_metrics_matches_python(self, dtype, B, kernel):
+        if kernel == "python":
+            pytest.skip("python is the baseline")
+        other = kernels.get_provider(kernel)
+        base = kernels.get_provider("python")
+        load, plane, _ = self._data(dtype, B)
+        for targets in (plane[:1].copy(), plane[:, :1].copy(), plane):
+            for lo, hi, elo, ehi in self.RANGES:
+                outs = []
+                for prov in (base, other):
+                    out = np.full((6, B), 7.0, dtype=dtype)
+                    prov.record_metrics(
+                        load, targets, lo, hi, self.EU, self.EV, elo, ehi,
+                        out, _consts(dtype),
+                    )
+                    outs.append(out)
+                np.testing.assert_array_equal(outs[0], outs[1])
+                # an empty range leaves its rows untouched
+                if hi == lo:
+                    assert (outs[1][:5] == 7.0).all()
+                if ehi == elo:
+                    assert (outs[1][5] == 7.0).all()
+
+    @pytest.mark.parametrize("kernel", PROVIDERS)
+    @pytest.mark.parametrize("B", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_apply_info_matches_python(self, dtype, B, kernel):
+        if kernel == "python":
+            pytest.skip("python is the baseline")
+        other = kernels.get_provider(kernel)
+        base = kernels.get_provider("python")
+        load, _, act = self._data(dtype, B)
+        _, indptr, edges, signs = _incidence(RR, dtype)
+        outs = []
+        for prov in (base, other):
+            x = load.copy()
+            info = np.full((2, B), 7.0, dtype=dtype)
+            prov.apply_info(indptr, edges, signs, act, x, info, _consts(dtype))
+            outs.append((x, info))
+        np.testing.assert_array_equal(outs[0][0], outs[1][0])
+        np.testing.assert_array_equal(outs[0][1], outs[1][1])
+
+    @pytest.mark.skipif(
+        kernels.get_provider("cffi") is None, reason="cffi unavailable"
+    )
+    def test_cffi_refuses_out_of_bounds_buffers(self):
+        prov = kernels.get_provider("cffi")
+        load, plane, act = self._data(np.float64, 4)
+        out = np.empty((6, 4))
+        c = _consts(np.float64)
+        bad_calls = [
+            (load, plane, 0, self.N + 1, 0, 0, out),  # node range
+            (load, plane, 0, 0, 0, self.M + 1, out),  # edge range
+            (load, plane[:5], 0, 1, 0, 0, out),  # targets rows
+            (load, plane, 0, 1, 0, 0, out[:5]),  # out rows
+            (load.astype(np.float32), plane, 0, 1, 0, 0, out),  # dtype
+            (np.asfortranarray(load), plane, 0, 1, 0, 0, out),  # layout
+        ]
+        for x, t, lo, hi, elo, ehi, o in bad_calls:
+            with pytest.raises(ValueError, match="cffi kernel argument"):
+                prov.record_metrics(x, t, lo, hi, self.EU, self.EV, elo, ehi, o, c)
+        _, indptr, edges, signs = _incidence(RR, np.float64)
+        with pytest.raises(ValueError, match="cffi kernel argument"):
+            prov.apply_info(indptr[:-1], edges, signs, act, load, np.empty((2, 4)), c)
+        with pytest.raises(ValueError, match="cffi kernel argument"):
+            prov.apply_info(indptr, edges, signs, act, load, np.empty((2, 3)), c)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_python_matches_numpy_expressions(self, dtype):
+        # B > 1: numpy's axis-0 sums add row by row, the providers' order.
+        B = 4
+        prov = kernels.get_provider("python")
+        load, plane, act = self._data(dtype, B)
+        for targets in (plane[:1].copy(), plane[:, :1].copy(), plane):
+            out = np.empty((6, B), dtype=dtype)
+            prov.record_metrics(
+                load, targets, 0, self.N, self.EU, self.EV, 0, self.M, out,
+                _consts(dtype),
+            )
+            dev = load - targets
+            np.testing.assert_array_equal(out[0], dev.max(axis=0))
+            np.testing.assert_array_equal(out[1], dev.min(axis=0))
+            np.testing.assert_array_equal(out[2], (dev * dev).sum(axis=0))
+            np.testing.assert_array_equal(out[3], load.min(axis=0))
+            np.testing.assert_array_equal(out[4], load.sum(axis=0))
+            np.testing.assert_array_equal(
+                out[5], np.abs(load[self.EU] - load[self.EV]).max(axis=0)
+            )
+        D, indptr, edges, signs = _incidence(RR, dtype)
+        W = abs(D)
+        delta = D @ act
+        outgoing = W @ np.abs(act)
+        x = load.copy()
+        info = np.empty((2, B), dtype=dtype)
+        prov.apply_info(indptr, edges, signs, act, x, info, _consts(dtype))
+        np.testing.assert_array_equal(x, load + delta)
+        np.testing.assert_array_equal(
+            info[0], (load - (outgoing - delta) * 0.5).min(axis=0)
+        )
+        np.testing.assert_array_equal(info[1], np.abs(act).sum(axis=0))
+
+
+class TestRecordRounds:
+    """Record columns the compiled record pass fills, against numpy."""
+
+    @staticmethod
+    def _check(cfg, kernel, topo=TORUS, loads=None):
+        eng = make_engine("batched")
+        loads = _batch(topo) if loads is None else loads
+        for tile in (None, 11):
+            c = replace(cfg, tile_size=tile)
+            ref = eng.run_batch(topo, c, loads)
+            got = eng.run_batch(topo, replace(c, kernel=kernel), loads)
+            _assert_same_batch(ref, got)
+
+    @pytest.mark.parametrize("kernel", PROVIDERS)
+    @pytest.mark.parametrize("rounding", ["floor", "randomized-excess"])
+    def test_fractional_targets(self, rounding, kernel):
+        # non-integral targets make the potential a non-integral sum
+        loads = _batch(TORUS)
+        targets = np.full(TORUS.n, loads[0].sum() / TORUS.n)
+        targets[::5] += 0.37
+        targets[1::5] -= 0.37
+        cfg = EngineConfig(
+            scheme="sos", beta=1.7, rounding=rounding, rounds=20,
+            record_every=3, seed=3, targets=targets,
+        )
+        self._check(cfg, kernel, loads=loads)
+
+    @pytest.mark.parametrize("kernel", PROVIDERS)
+    @pytest.mark.parametrize(
+        "fields",
+        [("potential_per_node",), ("max_minus_avg", "round_traffic"),
+         ("min_transient", "max_local_diff"), ("total_load", "min_load")],
+    )
+    def test_trimmed_record_fields(self, fields, kernel):
+        cfg = EngineConfig(
+            scheme="sos", beta=1.7, rounding="randomized-excess", rounds=20,
+            record_every=4, seed=3, record_fields=fields,
+        )
+        self._check(cfg, kernel)
+
+    @pytest.mark.parametrize("kernel", PROVIDERS)
+    @pytest.mark.parametrize(
+        "fields", [None, ("max_minus_avg",)], ids=["fresh-mld", "own-mld"]
+    )
+    def test_local_diff_switch(self, fields, kernel):
+        # The switch reads the recorded max local difference when the round
+        # recorded it, and runs its own pass otherwise.
+        cfg = EngineConfig(
+            scheme="sos", beta=1.8, rounding="randomized-excess", rounds=40,
+            record_every=1, seed=4, switch=("local-diff", 60.0, 5),
+            record_fields=fields,
+        )
+        eng = make_engine("batched")
+        loads = _batch(TORUS)
+        ref = eng.run_batch(TORUS, cfg, loads)
+        assert ((ref.switched_at > 0) & (ref.switched_at < 40)).any()
+        self._check(cfg, kernel, loads=loads)
+
+    @pytest.mark.parametrize("kernel", PROVIDERS)
+    @pytest.mark.parametrize("tile", [None, 11])
+    def test_step_protocol(self, tile, kernel):
+        # step() computes the transient/traffic info pass every round.
+        cfg = EngineConfig(
+            scheme="sos", beta=1.7, rounding="randomized-excess", rounds=12,
+            record_every=4, seed=6, tile_size=tile,
+        )
+        loads = _batch(TORUS)
+        eng = make_engine("batched")
+        hs = [eng.prepare(TORUS, replace(cfg, kernel=k), loads)
+              for k in ("numpy", kernel)]
+        for _ in range(cfg.rounds):
+            a, b = (eng.step(h) for h in hs)
+            for field in ("loads", "flows", "min_transient", "traffic"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        _assert_same_batch(eng.metrics(hs[0]), eng.metrics(hs[1]))
+
+    @pytest.mark.parametrize("kernel", PROVIDERS)
+    def test_float32_totals_above_2_24(self, kernel):
+        # float32 sums of these totals round: the order is part of the result
+        loads = _batch(TORUS, total=3.0e7)
+        loads[1:] *= 3.0e5  # 100 tokens -> 3e7, still exact in float32
+        cfg = EngineConfig(
+            scheme="sos", beta=1.7, rounding="floor", rounds=20,
+            record_every=2, seed=3, precision="float32",
+        )
+        ref = make_engine("batched").run_batch(TORUS, cfg, loads)
+        assert (ref.columns["total_load"] > 2**24).all()
+        self._check(cfg, kernel, loads=loads)
 
 
 @pytest.mark.parametrize("kernel", PROVIDERS)

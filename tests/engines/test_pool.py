@@ -27,6 +27,9 @@ from repro.engines import (
 from repro.engines.batched import BatchedVectorEngine
 from repro.engines.pool import _execute_task, _write_shared
 
+# Every worker here runs the numpy tier: keep testing the fork start.
+pytestmark = pytest.mark.usefixtures("fork_workers")
+
 TOPO = torus_2d(6, 6)
 ROUNDINGS = [
     "ceil", "floor", "identity", "nearest", "randomized-excess",

@@ -11,13 +11,19 @@ batch position or shard assignment.
 """
 
 import math
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro import ConfigurationError, point_load, random_load, torus_2d
+import repro
+from repro import ConfigurationError, kernels, point_load, random_load, torus_2d
 from repro.core.records import StreamingStats
 from repro.engines import (
     EngineConfig,
@@ -29,8 +35,13 @@ from repro.engines import (
     resolve_workers,
     rounding_stream,
 )
+from repro.engines import sharded
 from repro.engines.sharded import _run_shard, _start_method
 from repro.graphs import random_regular_strict
+
+# Every in-process worker here runs the numpy tier: keep testing the fork
+# start (the compiled-provider case runs in its own subprocess below).
+pytestmark = pytest.mark.usefixtures("fork_workers")
 
 TORUS = torus_2d(8, 9)
 RR = random_regular_strict(36, 4, rng=np.random.default_rng(7))
@@ -450,6 +461,81 @@ class TestStartMethods:
     def test_default_start_method_known(self):
         if "REPRO_SHARDED_START" not in os.environ:
             assert _start_method() in ("fork", "spawn")
+
+    def test_fork_unsafe_provider_leaves_fork(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SHARDED_START", raising=False)
+        monkeypatch.setattr(sharded, "fork_unsafe_loaded", lambda: True)
+        assert _start_method() in ("forkserver", "spawn")
+
+    def test_env_override_beats_provider_policy(self, monkeypatch):
+        monkeypatch.setattr(sharded, "fork_unsafe_loaded", lambda: True)
+        for method in ("spawn", "fork"):
+            if method in multiprocessing.get_all_start_methods():
+                monkeypatch.setenv("REPRO_SHARDED_START", method)
+                assert _start_method() == method
+
+    def test_fork_unsafe_loaded_reads_the_provider_cache(self, monkeypatch):
+        class Fake:
+            def __init__(self, compiled):
+                self.compiled = compiled
+
+        monkeypatch.setattr(kernels, "_PROVIDERS", {"cffi": None})
+        assert not kernels.fork_unsafe_loaded()
+        monkeypatch.setitem(kernels._PROVIDERS, "python", Fake(False))
+        assert not kernels.fork_unsafe_loaded()
+        monkeypatch.setitem(kernels._PROVIDERS, "numba", Fake(True))
+        assert kernels.fork_unsafe_loaded()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods()
+        or kernels.get_provider("cffi") is None,
+        reason="needs fork and the cffi provider",
+    )
+    def test_workers_after_openmp_kernel_do_not_hang(self):
+        """An OpenMP region in the parent, then sharded and pooled
+        workers running the same kernels: forked children would hang in
+        libgomp, so the run must pick another start method and finish."""
+        script = textwrap.dedent("""
+            from dataclasses import replace
+            import numpy as np
+            from repro import point_load, torus_2d
+            from repro.engines import EngineConfig, ShardedWorkerPool, make_engine
+            from repro.engines.sharded import _start_method
+
+            topo = torus_2d(6, 6)
+            loads = np.tile(point_load(topo, 3600.0), (4, 1))
+            cfg = EngineConfig(rounding="floor", rounds=6, kernel="cffi")
+            ref = make_engine("batched").run_batch(topo, cfg, loads)
+            assert _start_method() != "fork", _start_method()
+
+            def same(results):
+                got = np.stack([r.final_state.load for r in results])
+                assert np.array_equal(ref.final_loads, got)
+
+            sharded = make_engine("sharded")
+            same(sharded.run(topo, replace(cfg, workers=2), loads))
+            with ShardedWorkerPool(workers=2) as pool:
+                same(sharded.run(topo, replace(cfg, workers=2, pool=pool), loads))
+            print("ok")
+        """)
+        env = dict(os.environ)
+        env.pop("REPRO_SHARDED_START", None)
+        env["OMP_NUM_THREADS"] = "2"  # a real thread team, even on one core
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # Own session, so a timeout can kill the hung workers as well.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("sharded/pooled workers hung after an OpenMP kernel")
+        assert proc.returncode == 0, err
+        assert out.strip().endswith("ok")
 
 
 class TestEnsembleIntegration:
