@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+from importlib import metadata
 
 import numpy as np
 
@@ -37,15 +39,50 @@ def _jsonable(value):
     return value
 
 
+def _version(package: str):
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
+
+
+def provenance() -> dict:
+    """What produced an artifact: the commit, the cores this process may
+    run on, the numeric library versions and the bench scale."""
+    try:
+        sha = subprocess.run(
+            ["git", "-C", REPO_ROOT, "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count()
+    return {
+        "git_sha": sha,
+        "usable_cores": cores,
+        "numpy": np.__version__,
+        "scipy": _version("scipy"),
+        "cffi": _version("cffi"),
+        "scale": os.environ.get("REPRO_BENCH_SCALE", "ci"),
+    }
+
+
 def write_bench_json(name: str, payload: dict) -> str:
     """Write one machine-readable bench summary to ``BENCH_<name>.json``.
 
     Every bench routes its summary through this helper so downstream PRs
     (and the CI artifact upload) get a uniform perf trajectory at the repo
-    root instead of scraping stdout.  Returns the path written.
+    root instead of scraping stdout.  The summary is stamped with its
+    :func:`provenance` under ``"provenance"``.  Returns the path written.
     """
     path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(
+            _jsonable({**payload, "provenance": provenance()}),
+            fh, indent=2, sort_keys=True,
+        )
         fh.write("\n")
     return path

@@ -488,10 +488,7 @@ def _cmd_simulate(args) -> int:
         faults=args.faults,
         churn=args.churn,
     )
-    try:
-        config.validate()
-    except ConfigurationError as exc:
-        raise SystemExit(f"invalid configuration: {exc}")
+    config.validate()
     print(
         f"graph={built.key} n={built.n} lambda={built.lam:.6f} "
         f"beta={built.beta:.6f} scheme={args.scheme} rounding={args.rounding} "
@@ -502,26 +499,20 @@ def _cmd_simulate(args) -> int:
         return _simulate_sweep(args, built, config)
     if args.arrivals is not None:
         return _simulate_dynamic(args, built, config)
-    # Engine-level rejections (per-backend knob guards, latency-bucket
-    # quantisation, ...) surface at prepare time — exit as cleanly as the
-    # validate() failures above.
-    try:
-        if args.replicas > 1:
-            ensemble = replica_ensemble(
-                built.topo,
-                config,
-                n_replicas=args.replicas,
-                average_load=args.avg_load,
-                engine=args.engine,
-            )
-            for key in sorted(ensemble.stats):
-                print(f"  {key} = {ensemble.stats[key]:.4g}")
-            result = ensemble.results[0]
-        else:
-            initial = point_load(built.topo, args.avg_load * built.topo.n)
-            result = make_engine(args.engine).run(built.topo, config, initial)[0]
-    except ConfigurationError as exc:
-        raise SystemExit(f"invalid configuration: {exc}")
+    if args.replicas > 1:
+        ensemble = replica_ensemble(
+            built.topo,
+            config,
+            n_replicas=args.replicas,
+            average_load=args.avg_load,
+            engine=args.engine,
+        )
+        for key in sorted(ensemble.stats):
+            print(f"  {key} = {ensemble.stats[key]:.4g}")
+        result = ensemble.results[0]
+    else:
+        initial = point_load(built.topo, args.avg_load * built.topo.n)
+        result = make_engine(args.engine).run(built.topo, config, initial)[0]
     import math
 
     final = result.records[-1]
@@ -620,20 +611,28 @@ def _cmd_render(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :class:`ConfigurationError` from any layer (flag specs, config
+    validation, an engine's prepare-time guards) exits with
+    ``invalid configuration: ...`` instead of a traceback.
+    """
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        for name in list_experiments():
-            print(name)
-        return 0
-    if args.command == "table1":
-        return _cmd_table1(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "render":
-        return _cmd_render(args)
+    try:
+        if args.command == "list":
+            for name in list_experiments():
+                print(name)
+            return 0
+        if args.command == "table1":
+            return _cmd_table1(args)
+        if args.command == "figure":
+            return _cmd_figure(args)
+        if args.command == "simulate":
+            return _cmd_simulate(args)
+        if args.command == "render":
+            return _cmd_render(args)
+    except ConfigurationError as exc:
+        raise SystemExit(f"invalid configuration: {exc}")
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

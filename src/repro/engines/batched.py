@@ -101,28 +101,173 @@ def _tiles(total: int, tile: int) -> List[tuple]:
     return [(a, min(a + tile, total)) for a in range(0, max(total, 0), tile)]
 
 
-def _token_uniforms(
-    rngs: List[np.random.Generator], tok_slot: np.ndarray, B: int, dtype
-) -> np.ndarray:
-    """Per-token uniforms, each drawn from its replica's own stream.
+def _small_uint(limit: int):
+    """The narrowest unsigned dtype holding ``0..limit`` (int64 past uint16)."""
+    for dtype in (np.uint8, np.uint16):
+        if limit <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
-    ``tok_slot`` indexes node-major flattened ``(rows, B)`` sender slots,
-    so the tokens of replica ``b`` appear in ascending node order; drawing
-    replica ``b``'s uniforms from ``rngs[b]`` in exactly that order makes
-    the consumption independent of the batch composition (other replicas
-    never touch stream ``b``) *and* of the tile split (consecutive
-    ``Generator.random`` calls continue one stream).
+
+class _TokenScratch:
+    """Token-sized buffers, grown on demand and reused across rounds.
+
+    A fresh per-round temporary of a few hundred KiB is returned to the
+    OS when freed and faulted in again next round; a reused buffer is
+    faulted in once.  Buffers carry 25% slack, so a round only slightly
+    larger than the last one reuses them too.
     """
-    if B == 1:
-        return rngs[0].random(tok_slot.size, dtype=dtype)
-    cols = tok_slot % B
-    order = np.argsort(cols, kind="stable")  # group by replica, node order kept
-    counts = np.bincount(cols, minlength=B)
-    target = np.empty(tok_slot.size, dtype=dtype)
-    target[order] = np.concatenate(
-        [rng.random(int(c), dtype=dtype) for rng, c in zip(rngs, counts)]
+
+    def __init__(self) -> None:
+        self._bufs: Dict[str, np.ndarray] = {}
+
+    def get(self, name: str, size: int, dtype) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size + size // 4 + 64, dtype=dtype)
+        return buf[:size]
+
+    def arange(self, size: int) -> np.ndarray:
+        buf = self._bufs.get("arange")
+        if buf is None or buf.size < size:
+            buf = self._bufs["arange"] = np.arange(size)
+        return buf[:size]
+
+
+def _draw_grouped(rngs: List[np.random.Generator], counts, out: np.ndarray) -> None:
+    """Fill ``out`` replica after replica with ``counts[b]`` uniforms of
+    ``rngs[b]``.  A zero count draws nothing, so every stream advances by
+    exactly its own replica's token count, whatever the batch around it."""
+    off = 0
+    for rng, cnt in zip(rngs, counts):
+        cnt = int(cnt)
+        if cnt:
+            rng.random(dtype=out.dtype, out=out[off : off + cnt])
+            off += cnt
+
+
+def _excess_token_slots(
+    src: np.ndarray,
+    slot_take,
+    tiles: List[tuple],
+    planes: np.ndarray,
+    rngs: List[np.random.Generator],
+    frac_tol: float,
+    scratch: _TokenScratch,
+) -> Optional[tuple]:
+    """Dispatch the excess tokens of every sender (Observation 1).
+
+    ``src`` is a ``(rows, B)`` outgoing-fraction plane whose padding rows
+    are zero; ``slot_take[j][i]`` is the row of node ``i``'s ``j``-th
+    outgoing slot (a padding row past its degree).  Per node tile, the
+    slot fractions are gathered into ``dmax`` cumulative planes (``planes``
+    holds ``(dmax, >= tile, B)``), whose last plane is the surplus ``r``;
+    each sender emits ``c = ceil(r - frac_tol)`` tokens, and each token
+    draws one uniform scaled to ``[0, c)`` and lands on the first slot
+    whose cumulative fraction exceeds it, or stays home past ``r``.  A
+    zero-width slot can never strictly contain a draw, so sub-tolerance
+    fuzz needs no cleanup.
+
+    Replica ``b``'s tokens draw from ``rngs[b]`` in node order, tile after
+    tile, so the tile split and the batch around a replica never change
+    its stream.  Returns each moved token's padded slot ``node * dmax + j``
+    and its replica column, node-major, or None when no token moved; the
+    caller maps slots onto its edges or arcs.
+    """
+    dmax = len(slot_take)
+    B = src.shape[1]
+    dtype = src.dtype
+    pos_dtype = _small_uint(dmax)
+    slots: List[np.ndarray] = []
+    cols: List[np.ndarray] = []
+    # Every gather index is in range; mode="clip" keeps np.take from
+    # buffering ``out`` as the default mode="raise" does.
+    for a, b in tiles:
+        k = b - a
+        pl = planes[:, :k]
+        np.take(src, slot_take[0][a:b], axis=0, out=pl[0], mode="clip")
+        for j in range(1, dmax):
+            np.take(src, slot_take[j][a:b], axis=0, out=pl[j], mode="clip")
+            np.add(pl[j], pl[j - 1], out=pl[j])
+        # c is exactly 0 (well, -0.0) for senders with no surplus.
+        c = scratch.get("budget", k * B, dtype)
+        np.subtract(pl[dmax - 1].ravel(), frac_tol, out=c)
+        np.ceil(c, out=c)
+        counts = scratch.get("counts", k * B, np.int64)
+        np.copyto(counts, c, casting="unsafe")
+        tok = np.repeat(scratch.arange(k * B), counts)
+        T = tok.size
+        if T == 0:
+            continue
+        target = scratch.get("target", T, dtype)
+        gather = scratch.get("gather", T, dtype)
+        key = scratch.get("key", T, _small_uint(B - 1))  # replica column
+        np.remainder(tok, B, out=key, casting="unsafe")
+        if B == 1:
+            _draw_grouped(rngs, (T,), target)
+        else:
+            # Tokens are node-major; a stable sort on the small column key
+            # (a radix sort for 8/16-bit keys) groups them by replica with
+            # node order kept, and each replica's uniforms land there.
+            order = np.argsort(key, kind="stable")
+            _draw_grouped(rngs, counts.reshape(k, B).sum(axis=0), gather)
+            target[order] = gather
+        np.multiply(target, np.take(c, tok, out=gather, mode="clip"), out=target)
+        # slot index = number of cumulative planes <= target
+        pos = scratch.get("pos", T, pos_dtype)
+        np.less_equal(
+            np.take(pl[0].ravel(), tok, out=gather, mode="clip"), target, out=pos
+        )
+        le = scratch.get("le", T, np.bool_)
+        for j in range(1, dmax):
+            np.take(pl[j].ravel(), tok, out=gather, mode="clip")
+            np.add(pos, np.less_equal(gather, target, out=le), out=pos)
+        moved = np.flatnonzero(np.less(pos, dmax, out=le))  # the rest stay home
+        if moved.size:
+            node = tok[moved]
+            np.floor_divide(node, B, out=node)
+            node += a
+            node *= dmax
+            node += pos[moved]
+            slots.append(node)
+            cols.append(key[moved])
+    if not slots:
+        return None
+    if len(slots) == 1:
+        return slots[0], cols[0]
+    return np.concatenate(slots), np.concatenate(cols)
+
+
+def _padded_adjacency(topo: Topology) -> tuple:
+    """``(dmax, adj_edges, slot_dirs)``: node ``i``'s ``j``-th incident edge
+    (``m`` past its degree) and its direction (+1 when ``i`` is the edge's
+    ``u`` endpoint, -1 when it is ``v``, 0 for padding), ``(n, dmax)``."""
+    n, m = topo.n, topo.m_edges
+    dmax = int(topo.degrees.max())
+    adj_edges = np.full((n, dmax), m, dtype=np.int64)
+    slot_dirs = np.zeros((n, dmax))
+    idx_node = np.repeat(np.arange(n), topo.degrees)
+    pos_in_row = np.arange(idx_node.size) - topo.adj_indptr[idx_node]
+    adj_edges[idx_node, pos_in_row] = topo.adj_edge_ids
+    slot_dirs[idx_node, pos_in_row] = np.where(
+        idx_node < topo.adj_indices, 1.0, -1.0
     )
-    return target
+    return dmax, adj_edges, slot_dirs
+
+
+def _slot_take(adj_edges: np.ndarray, slot_dirs: np.ndarray, m: int) -> list:
+    """Outgoing-fraction gather rows per slot plane: a slot routes to the P
+    block (positive fsg) when the node is the edge's u endpoint, to the N
+    block (negative fsg) when it is v, and to the always-zero padding row
+    otherwise."""
+    return [
+        np.where(
+            slot_dirs[:, j] > 0,
+            adj_edges[:, j],
+            np.where(slot_dirs[:, j] < 0, adj_edges[:, j] + (m + 1), m),
+        )
+        for j in range(adj_edges.shape[1])
+    ]
 
 
 def _tiled_mld(
@@ -685,20 +830,11 @@ class _BatchedHandle:
         # -- padded adjacency for the excess-token machinery ------------
         if config.rounding == "randomized-excess" and m:
             cached_adj = op_cache.get("adj") if op_cache is not None else None
-            if cached_adj is not None:
-                dmax, adj_edges, slot_dirs = cached_adj
-            else:
-                dmax = int(topo.degrees.max())
-                adj_edges = np.full((n, dmax), m, dtype=np.int64)
-                slot_dirs = np.zeros((n, dmax))
-                idx_node = np.repeat(np.arange(n), topo.degrees)
-                pos_in_row = np.arange(idx_node.size) - topo.adj_indptr[idx_node]
-                adj_edges[idx_node, pos_in_row] = topo.adj_edge_ids
-                slot_dirs[idx_node, pos_in_row] = np.where(
-                    idx_node < topo.adj_indices, 1.0, -1.0
-                )
+            if cached_adj is None:
+                cached_adj = _padded_adjacency(topo)
                 if op_cache is not None:
-                    op_cache["adj"] = (dmax, adj_edges, slot_dirs)
+                    op_cache["adj"] = cached_adj
+            dmax, adj_edges, slot_dirs = cached_adj
             self.dmax = dmax
             self.adj_edges_flat = adj_edges.ravel()
             if self.kernel is not None:
@@ -711,40 +847,24 @@ class _BatchedHandle:
                 self.kern_counts = np.empty((n, B), dtype=np.int64)
                 self.kern_totals = np.empty(B, dtype=np.int64)
                 self.kern_uoff = np.empty(B + 1, dtype=np.int64)
-                self.kern_uni_flat = None  # grown on demand, reused across rounds
             else:
                 self.slot_dirs_flat = slot_dirs.ravel()
                 cached_take = (
                     op_cache.get("slot_take") if op_cache is not None else None
                 )
-                if cached_take is not None:
-                    self.slot_take = cached_take
-                else:
-                    # Outgoing-fraction gather indices per slot plane: a slot
-                    # routes to the P block (positive fsg) when the node is the
-                    # edge's u endpoint, to the N block (negative fsg) when it
-                    # is v, and to the always-zero padding row otherwise.
-                    self.slot_take = [
-                        np.where(
-                            slot_dirs[:, j] > 0,
-                            adj_edges[:, j],
-                            np.where(
-                                slot_dirs[:, j] < 0, adj_edges[:, j] + (m + 1), m
-                            ),
-                        )
-                        for j in range(dmax)
-                    ]
+                if cached_take is None:
+                    cached_take = _slot_take(adj_edges, slot_dirs, m)
                     if op_cache is not None:
-                        op_cache["slot_take"] = self.slot_take
+                        op_cache["slot_take"] = cached_take
+                self.slot_take = cached_take
                 # P/N blocks: rows [0, m) positive parts, row m zero padding,
                 # rows [m+1, 2m+1) negative parts, row 2m+1 zero padding.
                 self.pn = np.zeros((2 * (m + 1), B), dtype=dtype)
                 # cumulative outgoing fractions per slot plane: (dmax, n, B)
-                # dense, or lazily (dmax, tile, B) when the run is tiled —
-                # the dominant scratch allocation of large-n discrete runs.
+                # dense, or (dmax, tile, B) when the run is tiled — the
+                # dominant scratch allocation of large-n discrete runs.
                 plane_rows = self.tile if self.tile else n
                 self.cum_planes = np.empty((dmax, plane_rows, B), dtype=dtype)
-                self.slot_arange = np.arange(plane_rows * B)
 
         # -- targets ----------------------------------------------------
         if config.targets is not None:
@@ -824,6 +944,9 @@ class _BatchedHandle:
             self.nb2 = np.empty((n, B), dtype=dtype)
             self.nb3 = np.empty((n, B), dtype=dtype)
             self.nb4 = np.empty((n, B), dtype=dtype)
+        #: token-sized scratch of the excess dispatch (the compiled tier's
+        #: uniforms), reused across rounds
+        self.tokens = _TokenScratch()
         # One spawned rounding stream per replica, keyed by the replica's
         # identity (config.replica_keys, default its global batch index) —
         # trajectories never depend on the batch composition.
@@ -1035,31 +1158,12 @@ class BatchedVectorEngine(Engine):
             h.E_alpha = _scaled_e(1.0)
             h.E_alpha_beta = _scaled_e(beta_scale)
         if config.rounding == "randomized-excess" and m:
-            dmax = int(topo.degrees.max())
-            adj_edges = np.full((n, dmax), m, dtype=np.int64)
-            slot_dirs = np.zeros((n, dmax))
-            idx_node = np.repeat(np.arange(n), topo.degrees)
-            pos_in_row = np.arange(idx_node.size) - topo.adj_indptr[idx_node]
-            adj_edges[idx_node, pos_in_row] = topo.adj_edge_ids
-            slot_dirs[idx_node, pos_in_row] = np.where(
-                idx_node < topo.adj_indices, 1.0, -1.0
-            )
-            h.dmax = dmax
+            h.dmax, adj_edges, slot_dirs = _padded_adjacency(topo)
             h.adj_edges_flat = adj_edges.ravel()
             h.slot_dirs_flat = slot_dirs.ravel()
-            h.slot_take = [
-                np.where(
-                    slot_dirs[:, j] > 0,
-                    adj_edges[:, j],
-                    np.where(
-                        slot_dirs[:, j] < 0, adj_edges[:, j] + (m + 1), m
-                    ),
-                )
-                for j in range(dmax)
-            ]
+            h.slot_take = _slot_take(adj_edges, slot_dirs, m)
             h.pn = np.zeros((2 * (m + 1), B), dtype=dtype)
-            h.cum_planes = np.empty((dmax, n, B), dtype=dtype)
-            h.slot_arange = np.arange(n * B)
+            h.cum_planes = np.empty((h.dmax, n, B), dtype=dtype)
         h.mb1 = np.empty((m, B), dtype=dtype)
         h.mb2 = np.empty((m, B), dtype=dtype)
         h.mb3 = np.empty((m, B), dtype=dtype)
@@ -1267,22 +1371,10 @@ class BatchedVectorEngine(Engine):
             np.cumsum(per_replica, out=h.kern_uoff[1:])
             total = int(h.kern_uoff[B])
             if total:
-                # Persistent uniform buffer, streams drawn straight into
-                # their slices (a zero-count draw consumes nothing, so the
-                # stream order matches the numpy tier's token_uniforms).
-                buf = h.kern_uni_flat
-                if buf is None or buf.size < total:
-                    buf = h.kern_uni_flat = np.empty(
-                        total + total // 4 + 64, dtype=h.dtype
-                    )
-                uni_flat = buf[:total]
-                for b, rng in enumerate(h.rngs):
-                    cnt = int(per_replica[b])
-                    if cnt:
-                        rng.random(
-                            dtype=h.dtype,
-                            out=uni_flat[h.kern_uoff[b] : h.kern_uoff[b] + cnt],
-                        )
+                # Streams drawn straight into their slices of a reused
+                # buffer, in the numpy tier's consumption order.
+                uni_flat = h.tokens.get("uniforms", total, h.dtype)
+                _draw_grouped(h.rngs, per_replica, uni_flat)
                 kern.excess_dispatch(
                     h.kern_adj_edges, h.kern_adj_signs, h.dmax, m, fsg,
                     h.kern_counts, uni_flat, h.kern_uoff, h.act,
@@ -1330,14 +1422,11 @@ class BatchedVectorEngine(Engine):
         Floor every flow, pool each sender's fractional parts ``r``, then
         dispatch ``ceil(r)`` excess tokens, each landing on outgoing edge
         ``j`` with probability ``{Yhat_j} / ceil(r)`` and staying home
-        otherwise (Observation 1).  No per-round sorting: the signed
-        fractional parts are routed through the topology's fixed padded
-        adjacency into ``max_degree`` dense cumulative planes, whose last
-        plane *is* the surplus ``r``; every token then draws one uniform
-        scaled to ``[0, c)`` and finds its slot by comparing against the
-        planes.  A zero-width slot (no outgoing fraction) can never strictly
-        contain a draw, so sub-``1e-9`` float fuzz needs no explicit cleanup
-        here; ``c`` uses the same tolerance as the reference rounding.
+        otherwise (Observation 1).  The signed fractional parts are routed
+        through the topology's fixed padded adjacency; the one dispatch
+        (:func:`_excess_token_slots`) sorts only the round's tokens, by
+        replica, on a small integer key.  ``c`` uses the same tolerance as
+        the reference rounding.
 
         The joint token-count distribution is the reference scheme's
         multinomial exactly; only the generator's consumption order differs.
@@ -1357,98 +1446,17 @@ class BatchedVectorEngine(Engine):
         p_block = pn[:m]
         np.maximum(fsg, 0.0, out=p_block)
         np.subtract(p_block, fsg, out=pn[m + 1 : 2 * m + 1])
-
-        if h.tile:
-            return self._excess_tokens_tiled(h, act)
-
-        # Cumulative outgoing-fraction planes over the node's incident edges
-        # (fixed permutation — no per-round sorting).
-        planes = h.cum_planes
-        np.take(pn, h.slot_take[0], axis=0, out=planes[0])
-        for j in range(1, h.dmax):
-            np.take(pn, h.slot_take[j], axis=0, out=planes[j])
-            np.add(planes[j], planes[j - 1], out=planes[j])
-        r = planes[h.dmax - 1]  # surplus per (node, replica)
-
-        # Token budget c = ceil(r - tol): exactly 0 (well, -0.0) for senders
-        # with no fractional surplus, so they emit no tokens.
-        c = np.subtract(r, h.frac_tol, out=h.nb3)
-        np.ceil(c, out=c)
-        c_flat = c.ravel()
-        counts = c_flat.astype(np.int64)
-        tok_slot = np.repeat(h.slot_arange, counts)
-        if tok_slot.size == 0:
-            return act
-        target = _token_uniforms(h.rngs, tok_slot, B, h.dtype)
-        np.multiply(target, c_flat[tok_slot], out=target)
-        # slot index = number of cumulative planes <= target (searchsorted
-        # 'right' over the sender's segment, zero-width slots skipped)
-        planes_flat = planes.reshape(h.dmax, -1)
-        pos = (planes_flat[0][tok_slot] <= target).view(np.uint8).astype(np.int64)
-        for j in range(1, h.dmax):
-            pos += planes_flat[j][tok_slot] <= target
-        moved = np.flatnonzero(pos < h.dmax)  # the rest stay home
-        if moved.size:
-            tok_moved = tok_slot[moved]
-            node = tok_moved // B
-            col = tok_moved - node * B
-            flat_slot = node * h.dmax + pos[moved]
-            edge_ids = h.adj_edges_flat[flat_slot]
-            signs = h.slot_dirs_flat[flat_slot]
+        moved = _excess_token_slots(
+            pn, h.slot_take, h.node_tiles or [(0, h.topo.n)], h.cum_planes,
+            h.rngs, h.frac_tol, h.tokens,
+        )
+        if moved is not None:
+            slot, col = moved
+            cells = h.adj_edges_flat[slot]
+            cells *= B
+            cells += col
             extra = np.bincount(
-                edge_ids * B + col, weights=signs, minlength=m * B
-            )
-            np.add(act, extra.reshape(m, B), out=act)
-        return act
-
-    def _excess_tokens_tiled(self, h: _BatchedHandle, act: np.ndarray) -> np.ndarray:
-        """Lazy token-plane variant of the excess dispatch: the cumulative
-        outgoing-fraction planes are built one node tile at a time, bounding
-        the dominant ``(max_degree, n, B)`` scratch to ``(max_degree, tile,
-        B)``.  Each replica's tokens draw from its own stream in global node
-        order — exactly the dense path's consumption order, since
-        consecutive ``Generator.random`` calls continue one stream — so
-        tiled and dense dispatches are bit-identical for any tile size.
-        """
-        B = h.n_replicas
-        m = h.topo.m_edges
-        pn = h.pn
-        planes = h.cum_planes
-        tok_cols: List[np.ndarray] = []
-        tok_signs: List[np.ndarray] = []
-        for a, b in h.node_tiles:
-            k = b - a
-            pl = planes[:, :k]
-            np.take(pn, h.slot_take[0][a:b], axis=0, out=pl[0])
-            for j in range(1, h.dmax):
-                np.take(pn, h.slot_take[j][a:b], axis=0, out=pl[j])
-                np.add(pl[j], pl[j - 1], out=pl[j])
-            c = np.subtract(pl[h.dmax - 1], h.frac_tol, out=h.ts1[:k])
-            np.ceil(c, out=c)
-            c_flat = c.ravel()
-            counts = c_flat.astype(np.int64)
-            tok_slot = np.repeat(h.slot_arange[: k * B], counts)
-            if tok_slot.size == 0:
-                continue
-            target = _token_uniforms(h.rngs, tok_slot, B, h.dtype)
-            np.multiply(target, c_flat[tok_slot], out=target)
-            pl_flat = pl.reshape(h.dmax, -1)
-            pos = (pl_flat[0][tok_slot] <= target).view(np.uint8).astype(np.int64)
-            for j in range(1, h.dmax):
-                pos += pl_flat[j][tok_slot] <= target
-            moved = np.flatnonzero(pos < h.dmax)
-            if moved.size:
-                tok_moved = tok_slot[moved]
-                node = tok_moved // B
-                col = tok_moved - node * B
-                flat_slot = (node + a) * h.dmax + pos[moved]
-                tok_cols.append(h.adj_edges_flat[flat_slot] * B + col)
-                tok_signs.append(h.slot_dirs_flat[flat_slot])
-        if tok_cols:
-            extra = np.bincount(
-                np.concatenate(tok_cols),
-                weights=np.concatenate(tok_signs),
-                minlength=m * B,
+                cells, weights=h.slot_dirs_flat[slot], minlength=m * B
             )
             np.add(act, extra.reshape(m, B), out=act)
         return act

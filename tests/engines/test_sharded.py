@@ -235,20 +235,29 @@ class TestPositionIndependence:
         )
         np.testing.assert_array_equal(direct.random(8), spawned.random(8))
 
-    def test_replica_trajectory_independent_of_batch_position(self):
+    @pytest.mark.parametrize("n_replicas", [5, 257])  # 257: past a uint8 key
+    @pytest.mark.parametrize(
+        "engine, knobs",
+        [("batched", {}), ("batched", {"tile_size": 7}), ("staleness", {})],
+        ids=["batched-dense", "batched-tiled", "staleness"],
+    )
+    def test_replica_trajectory_independent_of_batch_position(
+        self, engine, knobs, n_replicas
+    ):
         """Replica b alone (replica_keys=[b, pad]) equals replica b in the
         full batch — the rounding stream is keyed by identity, not index."""
-        loads = _batch(TORUS, n_replicas=5)
+        topo = torus_2d(4, 5)
+        loads = _batch(topo, n_replicas=n_replicas)
         config = EngineConfig(
-            rounding="randomized-excess", rounds=20, seed=7,
+            rounding="randomized-excess", rounds=10, seed=7, **knobs
         )
-        full = make_engine("batched").run(TORUS, config, loads)
-        for b in (0, 2, 4):
+        full = make_engine(engine).run(topo, config, loads)
+        for b in (0, n_replicas // 2, n_replicas - 1):
             # width-2 sub-batch (numpy reduces width-1 planes through a
             # different kernel; the engine itself shards the same way)
-            pair = make_engine("batched").run(
-                TORUS,
-                replace(config, replica_keys=[b, b + 42]),
+            pair = make_engine(engine).run(
+                topo,
+                replace(config, replica_keys=[b, b + 1000]),
                 np.stack([loads[b], loads[b]]),
             )
             np.testing.assert_array_equal(

@@ -1,0 +1,44 @@
+"""``benchmarks/_helpers.write_bench_json`` stamps every artifact with
+its provenance: commit, usable cores, numeric library versions, scale."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import _helpers  # noqa: E402
+
+
+def test_artifact_carries_provenance(tmp_path, monkeypatch):
+    monkeypatch.setattr(_helpers, "REPO_ROOT", str(tmp_path))
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")
+    path = _helpers.write_bench_json("probe", {"summary": {"x": np.float64(1.5)}})
+    assert path == str(tmp_path / "BENCH_probe.json")
+    data = json.loads(Path(path).read_text())
+    assert data["summary"] == {"x": 1.5}
+    prov = data["provenance"]
+    assert set(prov) == {"git_sha", "usable_cores", "numpy", "scipy", "cffi", "scale"}
+    assert prov["git_sha"] is None  # tmp_path is no checkout
+    assert prov["usable_cores"] == (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count()
+    )
+    assert prov["numpy"] == np.__version__
+    assert prov["scale"] == "tiny"
+
+
+def test_provenance_names_the_checkout_commit():
+    try:
+        expected = subprocess.run(
+            ["git", "-C", _helpers.REPO_ROOT, "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        expected = None
+    assert _helpers.provenance()["git_sha"] == expected

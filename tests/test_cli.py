@@ -128,9 +128,7 @@ class TestSimulateArrivals:
         assert "steady-state imbalance" in capsys.readouterr().out
 
     def test_simulate_bad_arrival_spec_raises(self):
-        from repro import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(SystemExit, match="invalid configuration"):
             main(
                 [
                     "simulate", "--graph", "torus-1000", "--scale", "tiny",
@@ -359,6 +357,29 @@ class TestRobustnessFlags:
                 [
                     "simulate", "--graph", "torus-100", "--scale", "tiny",
                     "--rounds", "10", "--faults", "drop:1.5",
+                ]
+            )
+
+    def test_churn_sweep_exits_cleanly(self):
+        # the sweep branch: the replica-parameter guard in config.validate
+        with pytest.raises(SystemExit, match="invalid configuration: churn"):
+            main(
+                [
+                    "simulate", "--scale", "tiny", "--rounds", "20",
+                    "--engine", "staleness", "--churn", "crash:3@5",
+                    "--sweep", "switch-round=none,10",
+                ]
+            )
+
+    def test_churn_dynamic_staleness_exits_cleanly(self):
+        # the dynamic branch: the staleness engine's prepare-time guard
+        with pytest.raises(SystemExit, match="invalid configuration: the staleness"):
+            main(
+                [
+                    "simulate", "--scale", "tiny", "--rounds", "20",
+                    "--engine", "staleness", "--latency", "2",
+                    "--arrivals", "poisson:3.0,depart=3.0",
+                    "--churn", "crash:3@5",
                 ]
             )
 
