@@ -168,15 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--kernel",
-        default="numpy",
-        choices=["numpy", "numba", "cffi", "python", "auto"],
+        default="auto",
+        choices=["auto", "numpy", "numba", "cffi"],
         help=(
-            "kernel tier of the batched engine's discrete hot loop: 'numpy' "
-            "(default) runs the vectorised numpy kernels, 'numba'/'cffi' "
-            "force a compiled provider (error when unavailable — install "
-            "the [compiled] extra), 'python' the pure-python reference "
-            "provider, 'auto' the best available compiled provider with "
-            "silent numpy fallback; every tier is bit-identical"
+            "kernel tier of the batched engine's discrete hot loop: 'auto' "
+            "(default) runs the cffi kernels for randomized-excess batches "
+            "with B >= 2 and n*B >= 1024 and numpy otherwise, 'numpy' "
+            "forces the vectorised numpy kernels, 'numba'/'cffi' force a "
+            "compiled provider (error when unavailable — install the "
+            "[compiled] extra); every tier is bit-identical"
         ),
     )
     p_sim.add_argument(

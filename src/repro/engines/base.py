@@ -374,19 +374,22 @@ class EngineConfig:
     #: ``"matmul"`` / ``"spectral"`` force a tier (raising when the config
     #: or graph is not eligible).
     fast_path: str = "auto"
-    #: Kernel tier of the batched engine's discrete hot loop: ``"numpy"``
-    #: (default) runs the vectorised numpy kernels, ``"numba"`` / ``"cffi"``
-    #: force a compiled provider from :mod:`repro.kernels` (raising a
-    #: ``ConfigurationError`` naming the ``[compiled]`` pip extra when the
-    #: provider is unavailable or the config is not discrete), ``"python"``
-    #: forces the pure-python reference provider (tests only), and
-    #: ``"auto"`` picks the best available compiled provider — numba, then
-    #: cffi — silently falling back to the numpy tier with a one-time
-    #: ``repro.kernels`` log line.  Every provider is bit-identical to the
-    #: numpy tier for every discrete rounding (stochastic roundings keep
-    #: consuming the same pre-drawn per-replica RNG planes).  Batched and
-    #: sharded engines only.
-    kernel: str = "numpy"
+    #: Kernel tier of the batched engine's discrete hot loop: ``"auto"``
+    #: (default) runs the cffi provider where
+    #: :func:`repro.kernels.compiled_pays` says it pays
+    #: (``randomized-excess``, ``B >= 2``, ``n * B >= 1024``, judged per
+    #: shard in sharded runs) and the numpy tier everywhere else, with a
+    #: one-time ``repro.kernels`` log line only when cffi is unavailable.
+    #: ``"numpy"`` forces the vectorised numpy kernels; ``"numba"`` /
+    #: ``"cffi"`` force a compiled provider from :mod:`repro.kernels`
+    #: (raising a ``ConfigurationError`` naming the ``[compiled]`` pip
+    #: extra when the provider is unavailable or the config is not
+    #: discrete); ``"python"`` forces the pure-python reference provider
+    #: (a test oracle).  Every provider is bit-identical to the numpy tier
+    #: for every discrete rounding (stochastic roundings keep consuming
+    #: the same pre-drawn per-replica RNG planes).  Batched and sharded
+    #: engines only; the others accept ``"auto"`` and run numpy.
+    kernel: str = "auto"
     #: Node-tile width of the batched engine's streaming kernels: ``None``
     #: (default) keeps the dense whole-``(n, B)`` scratch planes, an ``int``
     #: processes loads/arrivals/metric reductions and the excess-token
@@ -1006,6 +1009,15 @@ def parse_faults_spec(spec):
     )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: the scheduling affinity mask where
+    the platform exposes one (so container CPU limits are respected)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux platforms
+        return os.cpu_count() or 1
+
+
 def resolve_workers(spec, n_replicas: int) -> int:
     """Resolve a config ``workers`` value to a concrete process count.
 
@@ -1015,10 +1027,7 @@ def resolve_workers(spec, n_replicas: int) -> int:
     an empty shard would do no work — and floored at 1.
     """
     if spec is None or spec == "auto":
-        try:
-            workers = len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux platforms
-            workers = os.cpu_count() or 1
+        workers = usable_cpus()
     else:
         workers = int(spec)
         if workers < 1:

@@ -638,18 +638,14 @@ class _BatchedHandle:
         #: relative conservation tolerance (float32 accumulates more drift)
         self.conserve_tol = 1e-6 if dtype == np.float64 else 1e-4
         #: compiled kernel provider of the discrete hot loop (None = the
-        #: numpy tier); warmed here so JIT/compile cost lands in prepare(),
-        #: never inside a measured round.  Churn runs pin the numpy tier:
-        #: the compiled providers bake the edge arrays in at warm time.
-        if churn_plan is not None:
-            if config.kernel == "auto" and resolve_kernel(config, m) is not None:
-                logger.info(
-                    "churn: compiled kernel tier cannot patch its edge "
-                    "buffers mid-run; using the numpy tier"
-                )
-            self.kernel = None
-        else:
-            self.kernel = resolve_kernel(config, m)
+        #: numpy tier), resolved for this batch's shape (a shard worker's
+        #: own columns); warmed here so JIT/compile cost lands in
+        #: prepare(), never inside a measured round.  Churn runs pin the
+        #: numpy tier without loading a provider: the compiled providers
+        #: bake the edge arrays in at warm time.
+        self.kernel = (
+            None if churn_plan is not None else resolve_kernel(config, n, m, B)
+        )
         if self.kernel is not None:
             ensure_warm(self.kernel)
         #: record rounds (metrics, transients, traffic) through the
@@ -1921,13 +1917,13 @@ class BatchedVectorEngine(Engine):
             # never reaches prepare(), and a beta outside (0, 2) makes the
             # recurrence divergent rather than merely wrong.
             raise SchemeError(f"beta must be in (0, 2), got {config.beta}")
+        loads = as_load_batch(initial_loads, topo.n)
         if config.kernel not in ("numpy", "auto"):
             # A forced kernel provider must be resolvable (and discrete)
             # even when the closed-form fast path would bypass the
             # edge-wise loop entirely — silently ignoring it would lie
             # about what ran.
-            resolve_kernel(config, topo.m_edges)
-        loads = as_load_batch(initial_loads, topo.n)
+            resolve_kernel(config, topo.n, topo.m_edges, loads.shape[0])
         params = resolve_replica_params(config.replica_params, loads.shape[0])
         mode = self._fast_path_mode(topo, config, params)
         if mode is not None:

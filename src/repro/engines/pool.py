@@ -64,6 +64,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..graphs.topology import Topology
+from ..kernels import limit_threads
 
 from .base import (
     EngineConfig,
@@ -75,7 +76,12 @@ from .base import (
     resolve_workers,
 )
 from .batched import BatchedVectorEngine
-from .sharded import ShardedEngine, _wants_staleness, _worker_context
+from .sharded import (
+    ShardedEngine,
+    _wants_staleness,
+    _worker_context,
+    _worker_threads,
+)
 from .staleness import StalenessEngine
 
 import multiprocessing
@@ -291,15 +297,18 @@ def _execute_task(
     return None
 
 
-def _pool_worker(conn, package_root: str) -> None:
+def _pool_worker(conn, package_root: str, threads: int) -> None:
     """Worker main loop: receive tasks until the ``None`` sentinel.
 
     Runs in a child process.  ``package_root`` makes ``repro`` importable
-    under spawn/forkserver starts (fork children inherit ``sys.path``).
-    Replies are ``("ok", batch_or_None)`` or ``("error", exception)``.
+    under spawn/forkserver starts (fork children inherit ``sys.path``);
+    ``threads`` caps the worker's compiled-kernel threads (its share of
+    the CPUs).  Replies are ``("ok", batch_or_None)`` or
+    ``("error", exception)``.
     """
     if package_root not in sys.path:
         sys.path.insert(0, package_root)
+    limit_threads(threads)
     topo_cache: Dict[str, Topology] = {}
     op_caches: Dict[str, Dict] = {}
     while True:
@@ -366,11 +375,12 @@ class ShardedWorkerPool:
         package_root = os.path.dirname(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         )
+        threads = _worker_threads(self.n_workers)
         for _ in range(self.n_workers):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_pool_worker,
-                args=(child_conn, package_root),
+                args=(child_conn, package_root, threads),
                 daemon=True,
             )
             proc.start()

@@ -81,7 +81,7 @@ import numpy as np
 from ..core.churn import resolve_churn
 from ..exceptions import ConfigurationError
 from ..graphs.topology import Topology
-from ..kernels import fork_unsafe_loaded
+from ..kernels import fork_unsafe_loaded, limit_threads
 
 from .base import (
     Engine,
@@ -96,6 +96,7 @@ from .base import (
     resolve_arrival_models,
     resolve_replica_params,
     resolve_workers,
+    usable_cpus,
 )
 from .batched import BatchedVectorEngine
 from .staleness import StalenessEngine
@@ -161,8 +162,16 @@ def _worker_context():
     return ctx
 
 
-def _init_worker(package_root: str) -> None:
-    """Pool initializer: make ``repro`` importable in spawned children.
+def _worker_threads(n_workers: int) -> int:
+    """Compiled-kernel threads of each of ``n_workers`` workers: their
+    share of the usable CPUs, so the workers' OpenMP teams together never
+    oversubscribe the machine."""
+    return max(1, usable_cpus() // max(1, n_workers))
+
+
+def _init_worker(package_root: str, threads: int) -> None:
+    """Pool initializer: make ``repro`` importable in spawned children
+    and cap the worker's compiled-kernel threads at ``threads``.
 
     Fork children inherit ``sys.path``; spawn/forkserver children only
     inherit the environment, so a parent that imported ``repro`` from a
@@ -171,6 +180,7 @@ def _init_worker(package_root: str) -> None:
     """
     if package_root not in sys.path:
         sys.path.insert(0, package_root)
+    limit_threads(threads)
 
 
 def _run_shard(payload: Tuple[Topology, EngineConfig, np.ndarray, bool]) -> RecordBatch:
@@ -333,7 +343,7 @@ class ShardedEngine(Engine):
         with ctx.Pool(
             processes=len(payloads),
             initializer=_init_worker,
-            initargs=(package_root,),
+            initargs=(package_root, _worker_threads(len(payloads))),
         ) as pool:
             batches = pool.map(_run_shard, payloads)
         return merge_record_batches(batches)

@@ -11,11 +11,22 @@ single-pass implementations of both behind one provider API, selected by
   round passes (:mod:`._numba`), available when numba is installed (the
   ``[compiled]`` pip extra);
 * ``"cffi"`` — the same kernels as C compiled once through cffi with the
-  system compiler (:mod:`._cffi`), cached on disk;
+  system compiler (:mod:`._cffi`), cached on disk (the first process on
+  a cold cache pays a one-time compile of a few seconds);
 * ``"python"`` — a pure numpy/python reference provider (:mod:`._python`)
-  that validates the orchestration without any compiler;
-* ``"auto"`` — the best available compiled provider (numba, then cffi),
-  silently falling back to the numpy tier with a one-time log line;
+  that validates the orchestration without any compiler (a test oracle;
+  the CLI does not offer it);
+* ``"auto"`` (the default) — the cffi provider where it measurably pays
+  and the numpy tier everywhere else, decided per batch shape by
+  :func:`compiled_pays`: ``randomized-excess`` with ``B >= 2`` replicas
+  and ``n * B >= 1024``.  A pool or shard worker applies the rule to its
+  own shard width.  numba is never picked here (explicit choice only).
+  A shape the rule gives to numpy is not a fallback: it loads no
+  provider and logs nothing; only a missing cffi provider logs a
+  one-time line.  Loading a compiled provider switches the process's
+  later shard and pool workers from ``fork`` to ``forkserver``
+  (:func:`fork_unsafe_loaded`), and each such worker caps its compiled
+  kernels at its share of the CPUs (:func:`limit_threads`);
 * ``"numpy"`` — the engine's own vectorised kernels (no provider).
 
 Every provider is **bit-identical** to the numpy tier: deterministic
@@ -94,10 +105,12 @@ __all__ = [
     "HAVE_NUMBA",
     "KERNEL_CHOICES",
     "ROUNDING_CODES",
+    "compiled_pays",
     "ensure_warm",
     "fork_unsafe_loaded",
     "get_provider",
     "kernel_blockers",
+    "limit_threads",
     "resolve_kernel",
     "warm_up_kernels",
 ]
@@ -116,9 +129,6 @@ ROUNDING_CODES = {name: i for i, name in enumerate(DISCRETE_ROUNDINGS)}
 #: Valid ``EngineConfig.kernel`` values.
 KERNEL_CHOICES = ("numpy", "numba", "cffi", "python", "auto")
 
-#: Compiled providers in ``"auto"`` preference order.
-AUTO_PREFERENCE = ("numba", "cffi")
-
 #: Whether the optional compiled dependencies are importable (spec check
 #: only — importing numba eagerly would cost seconds per process).
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
@@ -132,6 +142,10 @@ _PROVIDERS: Dict[str, Optional[object]] = {}
 _WARMED = set()
 
 _FALLBACKS_LOGGED = set()
+
+#: Thread cap of the compiled providers in this process (None: the
+#: threading runtime's own default), set by :func:`limit_threads`.
+_THREAD_LIMIT: Optional[int] = None
 
 
 def get_provider(name: str):
@@ -169,8 +183,26 @@ def get_provider(name: str):
         except Exception as exc:  # pragma: no cover - env dependent
             logger.debug("kernel provider %r failed to build: %s", name, exc)
             provider = None
+    if provider is not None and provider.compiled and _THREAD_LIMIT:
+        provider.limit_threads(_THREAD_LIMIT)
     _PROVIDERS[name] = provider
     return provider
+
+
+def limit_threads(k: int) -> None:
+    """Cap the threads of every compiled provider in this process at ``k``.
+
+    Shard and pool workers call this with their share of the CPUs, so W
+    workers never run W full OpenMP teams on one machine.  Applies to the
+    providers already loaded and to those loaded later; a lower runtime
+    default (``OMP_NUM_THREADS``) stays in force.  Thread count never
+    changes a result.
+    """
+    global _THREAD_LIMIT
+    _THREAD_LIMIT = int(k)
+    for provider in _PROVIDERS.values():
+        if provider is not None and provider.compiled:
+            provider.limit_threads(_THREAD_LIMIT)
 
 
 def fork_unsafe_loaded() -> bool:
@@ -204,14 +236,43 @@ def _log_fallback_once(key, message: str) -> None:
         logger.info(message)
 
 
-def resolve_kernel(config, m_edges: int):
-    """Resolve ``config.kernel`` to a provider instance or ``None`` (numpy).
+def compiled_pays(
+    rounding: str, n_nodes: int, m_edges: int, n_replicas: int
+) -> bool:
+    """Whether ``kernel="auto"`` runs this batch shape on a compiled provider.
+
+    The one measured rule (2 vCPUs, numpy 2.4.6, torus SOS; the
+    per-rounding table is in docs/benchmarks.md): ``randomized-excess``
+    with ``B >= 2`` and ``n * B >= 1024``.  On token-rich batches the
+    compiled excess scatter is 1.45-2.8x faster per round than the numpy
+    dispatch.  Near the threshold it is about 1.1x (0.86-1.33x at
+    ``n * B`` 1024-2048), which saves ~0.02 ms per round; below it the
+    saving shrinks to a few microseconds and does not repay loading the
+    provider (~10 ms per process, which also moves the process's later
+    workers to ``forkserver``) within runs of a few hundred rounds, and
+    the default two-thread OpenMP team loses at ``n * B <= 128``
+    (0.63-1.0x).  Single-replica runs lose (0.68-0.97x), and so do the
+    elementwise roundings at ``n * B`` = 8192 (0.55-0.86x).
+    """
+    return (
+        rounding == "randomized-excess"
+        and m_edges > 0
+        and n_replicas >= 2
+        and n_nodes * n_replicas >= 1024
+    )
+
+
+def resolve_kernel(config, n_nodes: int, m_edges: int, n_replicas: int):
+    """Resolve ``config.kernel`` to a provider instance or ``None`` (numpy)
+    for a batch of ``n_replicas`` columns on ``n_nodes``/``m_edges``.
 
     Forced providers (``"numba"``/``"cffi"``/``"python"``) raise
     :class:`~repro.exceptions.ConfigurationError` when the config is
     blocked or the provider is unavailable, naming the ``[compiled]`` pip
-    extra; ``"auto"`` silently falls back to the numpy tier instead, with
-    a one-time ``repro.kernels`` log line.
+    extra.  ``"auto"`` returns a provider only where :func:`compiled_pays`
+    says so and never loads one elsewhere; when the rule picks a provider
+    that is unavailable it falls back to the numpy tier with a one-time
+    ``repro.kernels`` log line.
     """
     name = config.kernel
     if name == "numpy":
@@ -220,27 +281,22 @@ def resolve_kernel(config, m_edges: int):
         raise ConfigurationError(
             f"kernel must be one of {KERNEL_CHOICES}, got {name!r}"
         )
-    blockers = kernel_blockers(config, m_edges)
     if name == "auto":
-        if blockers:
-            _log_fallback_once(
-                ("blocked", tuple(blockers)),
-                "kernel='auto' falls back to the numpy tier: "
-                + " and ".join(blockers),
-            )
+        if not compiled_pays(config.rounding, n_nodes, m_edges, n_replicas):
             return None
-        for candidate in AUTO_PREFERENCE:
-            provider = get_provider(candidate)
-            if provider is not None:
-                _warn_dynamic_clamp(config, candidate)
-                return provider
+        # numba stays an explicit choice: it pays a JIT per process and
+        # has no measured row.
+        provider = get_provider("cffi")
+        if provider is not None:
+            return provider
         _log_fallback_once(
             ("missing",),
             "kernel='auto' falls back to the numpy tier: no compiled "
             "provider is available (pip install 'repro-lb[compiled]' for "
-            "the numba/cffi tiers)",
+            "the cffi tier)",
         )
         return None
+    blockers = kernel_blockers(config, m_edges)
     if blockers:
         raise ConfigurationError(
             f"kernel={name!r} is blocked by " + " and ".join(blockers)
@@ -260,9 +316,9 @@ def _warn_dynamic_clamp(config, provider_name: str) -> None:
     """One-time notice that dynamic runs clamp arrivals in numpy.
 
     The compiled tier covers the static hot loop; the per-round arrival
-    clamp of dynamic runs has no compiled kernel yet, so a forced (or
-    auto-selected) provider still executes that pass in numpy.  Saying so
-    once keeps bench readers from crediting the clamp to the provider.
+    clamp of dynamic runs has no compiled kernel yet, so a forced
+    provider still executes that pass in numpy.  Saying so once keeps
+    bench readers from crediting the clamp to the provider.
     """
     if getattr(config, "arrivals", None) is not None:
         _log_fallback_once(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import os
+import shutil
 import sys
 import tempfile
 
@@ -427,8 +428,36 @@ def _instantiate(template: str) -> str:
     return "\n".join(parts)
 
 
-_CDEF = _instantiate(_DECL_TEMPLATE)
-_SOURCE = "#include <math.h>\n" + _instantiate(_BODY_TEMPLATE)
+_THREADS_DECL = """
+int limit_threads(int k);
+"""
+
+_THREADS_BODY = r"""
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+/* Cap the OpenMP team of this thread's later parallel regions at k
+   (a lower runtime default or OMP_NUM_THREADS stays); returns the team
+   size now in force.  Without OpenMP every loop is serial. */
+int limit_threads(int k)
+{
+#ifdef _OPENMP
+    if (k >= 1 && k < omp_get_max_threads()) {
+        omp_set_num_threads(k);
+    }
+    return omp_get_max_threads();
+#else
+    (void)k;
+    return 1;
+#endif
+}
+"""
+
+_CDEF = _instantiate(_DECL_TEMPLATE) + _THREADS_DECL
+_SOURCE = (
+    "#include <math.h>\n" + _instantiate(_BODY_TEMPLATE) + _THREADS_BODY
+)
 
 _BASE_FLAGS = ["-O3", "-ffp-contract=off"]
 
@@ -445,10 +474,10 @@ def _cache_dir() -> str:
             continue
         try:
             os.makedirs(cand, exist_ok=True)
-            probe = os.path.join(cand, ".write-probe")
-            with open(probe, "w"):
+            # A private probe name: processes probing one directory at
+            # once must not remove each other's probe.
+            with tempfile.TemporaryFile(dir=cand):
                 pass
-            os.remove(probe)
             return cand
         except OSError:
             continue
@@ -469,23 +498,31 @@ def _load_or_build():
         pass
     import cffi
 
-    last_error = None
-    for openmp in (True, False):
-        ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        args = _BASE_FLAGS + (["-fopenmp"] if openmp else [])
-        ffi.set_source(
-            modname, _SOURCE,
-            extra_compile_args=args,
-            extra_link_args=["-fopenmp"] if openmp else [],
-        )
-        try:
-            ffi.compile(tmpdir=cache, verbose=False)
-            break
-        except Exception as exc:  # pragma: no cover - toolchain dependent
-            last_error = exc
-    else:  # pragma: no cover - toolchain dependent
-        raise RuntimeError(f"cffi kernel build failed: {last_error}")
+    # Build in a private directory and rename the finished module into
+    # the shared cache: processes starting cold at once then import either
+    # nothing or a complete extension, never a half-written one.
+    build = tempfile.mkdtemp(prefix=".build-", dir=cache)
+    try:
+        last_error = None
+        for openmp in (True, False):
+            ffi = cffi.FFI()
+            ffi.cdef(_CDEF)
+            args = _BASE_FLAGS + (["-fopenmp"] if openmp else [])
+            ffi.set_source(
+                modname, _SOURCE,
+                extra_compile_args=args,
+                extra_link_args=["-fopenmp"] if openmp else [],
+            )
+            try:
+                built = ffi.compile(tmpdir=build, verbose=False)
+                break
+            except Exception as exc:  # pragma: no cover - toolchain dependent
+                last_error = exc
+        else:  # pragma: no cover - toolchain dependent
+            raise RuntimeError(f"cffi kernel build failed: {last_error}")
+        os.replace(built, os.path.join(cache, os.path.basename(built)))
+    finally:
+        shutil.rmtree(build, ignore_errors=True)
     importlib.invalidate_caches()
     return importlib.import_module(modname)
 
@@ -512,6 +549,11 @@ class CffiKernels:
     def _fn(self, stem: str, dtype):
         suffix = "f64" if dtype == np.float64 else "f32"
         return getattr(self._lib, f"{stem}_{suffix}")
+
+    def limit_threads(self, k: int) -> int:
+        """Cap the OpenMP team of later calls from this thread at ``k``;
+        returns the team size in force (1 without OpenMP)."""
+        return int(self._lib.limit_threads(int(k)))
 
     # ------------------------------------------------------------------
     def round_edges(

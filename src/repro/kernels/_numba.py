@@ -243,6 +243,15 @@ class NumbaKernels:
     name = "numba"
     compiled = True
 
+    def limit_threads(self, k: int) -> int:
+        """Cap numba's thread count for later calls from this thread at
+        ``k``; returns the count in force."""
+        import numba
+
+        if 1 <= k < numba.get_num_threads():
+            numba.set_num_threads(k)
+        return numba.get_num_threads()
+
     def round_edges(
         self, eu, ev, load, speeds, flows, act, fsg, uni,
         alpha, ar, ac, beta, bm1, bs, mode, rounding, consts,

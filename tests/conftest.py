@@ -52,12 +52,28 @@ def fork_workers(monkeypatch):
     """Keep the ``fork`` start method for shard and pool workers even
     after another test has loaded a compiled provider in this process.
 
-    For tests whose workers run only the numpy tier, which never enters
-    an OpenMP region, so forking stays safe and keeps being tested.
+    Forking stays safe only while the workers run the numpy tier, which
+    never enters an OpenMP region, so the fixture enforces that premise:
+    ``kernel="auto"`` resolves to numpy, and a forced compiled provider
+    raises instead of hanging a forked worker.
     """
+    from repro import kernels
     from repro.engines import sharded
 
     monkeypatch.setattr(sharded, "fork_unsafe_loaded", lambda: False)
+    monkeypatch.setattr(kernels, "compiled_pays", lambda *shape: False)
+    get_provider = kernels.get_provider
+
+    def numpy_tier_only(name):
+        provider = get_provider(name)
+        if provider is not None and provider.compiled:
+            raise RuntimeError(
+                f"fork_workers: the compiled {name!r} provider would enter "
+                "OpenMP in a forked worker"
+            )
+        return provider
+
+    monkeypatch.setattr(kernels, "get_provider", numpy_tier_only)
 
 
 @pytest.fixture

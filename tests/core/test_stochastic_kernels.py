@@ -31,12 +31,13 @@ from repro.engines.batched import BatchedVectorEngine
 # sort-free multinomial excess-token rounding (batched engine kernel)
 # ----------------------------------------------------------------------
 def _excess_handle(seed=13):
-    """A batched handle on the 5-node star: node 0 sends on all 4 edges."""
+    """A numpy-tier batched handle on the 5-node star: node 0 sends on all
+    4 edges (``_round_flows`` is the numpy tier's rounding entry point)."""
     topo = star(5)
     engine = BatchedVectorEngine()
     config = EngineConfig(
         scheme="sos", beta=1.5, rounding="randomized-excess", rounds=1,
-        seed=seed,
+        seed=seed, kernel="numpy",
     )
     handle = engine.prepare(topo, config, uniform_load(topo, 10))
     return engine, handle
@@ -105,7 +106,8 @@ def test_excess_rounding_batch_columns_are_independent():
     engine = BatchedVectorEngine()
     B = 64
     config = EngineConfig(
-        scheme="sos", beta=1.5, rounding="randomized-excess", rounds=1, seed=7
+        scheme="sos", beta=1.5, rounding="randomized-excess", rounds=1, seed=7,
+        kernel="numpy",
     )
     handle = engine.prepare(
         topo, config, np.tile(uniform_load(topo, 10), (B, 1))

@@ -207,8 +207,7 @@ class TestConfigSurface:
         np.testing.assert_array_equal(ref.final_loads, got.final_loads)
 
     def test_auto_no_providers_falls_back(self, monkeypatch):
-        for name in kernels.AUTO_PREFERENCE:
-            monkeypatch.setitem(kernels._PROVIDERS, name, None)
+        monkeypatch.setitem(kernels._PROVIDERS, "cffi", None)
         eng = make_engine("batched")
         loads = _batch(TORUS)
         cfg = EngineConfig(rounding="floor", rounds=10, record_every=2, seed=3)
@@ -241,21 +240,24 @@ class TestConfigSurface:
 
 
 class TestFallbackLogging:
-    def test_auto_blocked_log_names_every_blocker(self, caplog, monkeypatch):
-        # identity rounding AND an edgeless topology: the one-time log line
-        # must join both blockers, not report only the first.
+    def test_forced_blocked_error_names_every_blocker(self):
+        # identity rounding AND an edgeless topology: the error must join
+        # both blockers, not report only the first.
+        cfg = EngineConfig(rounding="identity", kernel="python")
+        with pytest.raises(ConfigurationError) as err:
+            kernels.resolve_kernel(cfg, 8, 0, 4)
+        assert "identity" in str(err.value)
+        assert "edgeless" in str(err.value)
+        assert " and " in str(err.value)
+
+    def test_auto_on_a_blocked_config_is_silent(self, caplog, monkeypatch):
+        # The rule gives identity and edgeless runs to numpy: not a
+        # fallback, so nothing is logged.
         monkeypatch.setattr(kernels, "_FALLBACKS_LOGGED", set())
         cfg = EngineConfig(rounding="identity", kernel="auto")
         with caplog.at_level("INFO", logger="repro.kernels"):
-            assert kernels.resolve_kernel(cfg, m_edges=0) is None
-        [record] = caplog.records
-        assert "identity" in record.message
-        assert "edgeless" in record.message
-        assert " and " in record.message
-        # memoised: the same blocked shape logs exactly once per process
-        with caplog.at_level("INFO", logger="repro.kernels"):
-            kernels.resolve_kernel(cfg, m_edges=0)
-        assert len(caplog.records) == 1
+            assert kernels.resolve_kernel(cfg, 8, 0, 4) is None
+        assert not caplog.records
 
     def test_forced_kernel_on_dynamic_run_notes_numpy_clamp(
         self, caplog, monkeypatch
@@ -266,21 +268,21 @@ class TestFallbackLogging:
             arrivals="poisson:1.5",
         )
         with caplog.at_level("INFO", logger="repro.kernels"):
-            provider = kernels.resolve_kernel(cfg, m_edges=TORUS.m_edges)
+            provider = kernels.resolve_kernel(cfg, TORUS.n, TORUS.m_edges, 4)
         assert provider is not None
         clamp_logs = [r for r in caplog.records if "clamp" in r.message]
         assert len(clamp_logs) == 1
         assert "numpy tier" in clamp_logs[0].message
         # one-time: a second resolve for the same provider stays quiet
         with caplog.at_level("INFO", logger="repro.kernels"):
-            kernels.resolve_kernel(cfg, m_edges=TORUS.m_edges)
+            kernels.resolve_kernel(cfg, TORUS.n, TORUS.m_edges, 4)
         assert len([r for r in caplog.records if "clamp" in r.message]) == 1
 
     def test_static_forced_kernel_does_not_warn(self, caplog, monkeypatch):
         monkeypatch.setattr(kernels, "_FALLBACKS_LOGGED", set())
         cfg = EngineConfig(rounding="floor", kernel="python", rounds=2)
         with caplog.at_level("INFO", logger="repro.kernels"):
-            kernels.resolve_kernel(cfg, m_edges=TORUS.m_edges)
+            kernels.resolve_kernel(cfg, TORUS.n, TORUS.m_edges, 4)
         assert not [r for r in caplog.records if "clamp" in r.message]
 
 

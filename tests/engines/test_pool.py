@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import ConfigurationError, point_load, random_load, torus_2d
+from repro import ConfigurationError, kernels, point_load, random_load, torus_2d
 from repro.core.dynamic import HotspotArrivals
 from repro.engines import (
     EngineConfig,
@@ -318,3 +318,18 @@ class TestConfigPlumbing:
         cfg = EngineConfig(scheme="sos", beta=1.7, rounds=5, pool=True)
         with pytest.raises(ConfigurationError, match="sharded"):
             make_engine("batched").run(TOPO, cfg, _loads(B=2))
+
+
+class TestForkWorkersPremise:
+    """The ``fork_workers`` fixture keeps every worker on the numpy tier."""
+
+    def test_auto_resolves_to_numpy(self):
+        cfg = EngineConfig(rounding="randomized-excess")
+        assert kernels.resolve_kernel(cfg, 10_000, 20_000, 64) is None
+
+    @pytest.mark.skipif(
+        kernels.get_provider("cffi") is None, reason="cffi unavailable"
+    )
+    def test_forced_compiled_provider_fails_fast(self, pool):
+        with pytest.raises(ConfigurationError, match="fork_workers"):
+            pool.run_batch(TOPO, _config(kernel="cffi", rounds=3), _loads())
