@@ -164,6 +164,18 @@ class StreamingStats:
                 )
         return merged
 
+    def take(self, idx) -> "StreamingStats":
+        """The aggregates of replica columns ``idx`` (repeats allowed), as
+        a new object over the same record grid."""
+        idx = np.asarray(idx, dtype=np.int64)
+        out = type(self)(self.fields, idx.size)
+        out.count = self.count
+        out.first_round = self.first_round
+        out.last_round = self.last_round
+        for store in ("mins", "maxs", "sums", "last"):
+            setattr(out, store, {k: v[idx] for k, v in getattr(self, store).items()})
+        return out
+
     def replica_summary(self, b: int, all_fields=None) -> Dict[str, float]:
         """One replica's aggregates as the flat :meth:`RecordTable.summary`
         dict; fields outside the tracked set come back as NaN."""

@@ -34,7 +34,9 @@ sharded engine split a batch across worker processes bit-identically.
 
 from __future__ import annotations
 
+import copy
 import logging
+import math
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -620,8 +622,9 @@ class _BatchedHandle:
         B = loads.shape[0]
         self.topo = topo
         self.config = config
-        self.params = params
         self.n_replicas = B
+        #: the widest batch so far (take_columns sizes its buffers to it)
+        self.width_cap = B
         self.round_index = 0
         dtype = np.float32 if config.precision == "float32" else np.float64
         self.dtype = dtype
@@ -686,6 +689,10 @@ class _BatchedHandle:
         alpha_scales = params.alpha_scales if params is not None else None
         betas = params.betas if params is not None else None
         switch_rounds = params.switch_rounds if params is not None else None
+        #: whether alphas / targets carry a replica axis (the column
+        #: re-indexing must follow it)
+        self.alpha_per_replica = alpha_scales is not None and m > 0
+        self.targets_per_replica = config.targets is None
         if alpha_scales is not None and m:
             # Fold the per-replica scale into an alpha row/plane: the float64
             # product ``alpha_k * scale_b`` is exactly what the reference
@@ -771,16 +778,7 @@ class _BatchedHandle:
             self.kern_info = np.empty((2, B), dtype=dtype)
             self.kern_beta = np.ones(B, dtype=dtype)
             self.kern_bm1 = np.zeros(B, dtype=dtype)
-            if np.isscalar(self.alphas):
-                self.kern_alpha = (np.full(1, self.alphas, dtype=dtype), 0, 0)
-            else:
-                # alphas is (m, 1), (1, B) or (m, B); element strides mirror
-                # the numpy broadcast: alpha[e, b] = flat[e * ar + b * ac].
-                rows, cols = self.alphas.shape
-                flat = np.ascontiguousarray(self.alphas, dtype=dtype).ravel()
-                self.kern_alpha = (
-                    flat, cols if rows > 1 else 0, 1 if cols > 1 else 0
-                )
+            self._set_kern_alpha()
             # Unbiased-edge pre-draw plane, replica-major so each stream
             # fills one contiguous row (rng.random(out=...) — no strided
             # copy); the kernels index it as uni[b * m + e].
@@ -843,6 +841,10 @@ class _BatchedHandle:
                 self.kern_counts = np.empty((n, B), dtype=np.int64)
                 self.kern_totals = np.empty(B, dtype=np.int64)
                 self.kern_uoff = np.empty(B + 1, dtype=np.int64)
+                # The dispatch's cumulative slot fractions of one node,
+                # every replica: heap scratch, since dmax * B of them
+                # overflow a C stack on a hub node with a wide batch.
+                self.kern_cums = np.empty((dmax, B), dtype=dtype)
             else:
                 self.slot_dirs_flat = slot_dirs.ravel()
                 cached_take = (
@@ -1008,6 +1010,234 @@ class _BatchedHandle:
                 self.arr_pos = np.empty((n, B), dtype=dtype)
                 self.arr_want = np.empty((n, B), dtype=dtype)
                 self.arr_actual = np.empty((n, B), dtype=dtype)
+
+    def _set_kern_alpha(self) -> None:
+        """The compiled tier's flat alpha buffer and its element strides."""
+        if np.isscalar(self.alphas):
+            self.kern_alpha = (np.full(1, self.alphas, dtype=self.dtype), 0, 0)
+        else:
+            # alphas is (m, 1), (1, B) or (m, B); element strides mirror
+            # the numpy broadcast: alpha[e, b] = flat[e * ar + b * ac].
+            rows, cols = self.alphas.shape
+            flat = np.ascontiguousarray(self.alphas, dtype=self.dtype).ravel()
+            self.kern_alpha = (
+                flat, cols if rows > 1 else 0, 1 if cols > 1 else 0
+            )
+
+    #: per-replica state, copied column by column: attribute -> replica axis
+    _STATE_AXES = {
+        "load": 1, "flows": 1, "beta_row": 1, "rec_scheme": 1,
+        "sos_active": 0, "switched_at": 0, "last_switched": 0, "totals0": 0,
+        "last_min_transient": 0, "last_traffic": 0, "last_mld": 0,
+    }
+    #: per-replica scratch, re-shaped at the new width
+    _SCRATCH_AXES = {
+        "mb1": 1, "mb2": 1, "mb3": 1, "act": 1,
+        "nb1": 1, "nb2": 1, "nb3": 1, "nb4": 1, "ts1": 1, "ts2": 1, "ts3": 1,
+        "pn": 1, "cum_planes": 2, "kern_rec": 2, "kern_info": 1,
+        "kern_beta": 0, "kern_bm1": 0, "kern_uni": 0, "kern_counts": 1,
+        "kern_totals": 0, "kern_cums": 1,
+    }
+
+    def take_columns(self, idx) -> None:
+        """Re-index every per-replica array along its replica axis.
+
+        Column ``j`` of the result is column ``idx[j]`` now: loads, flows,
+        switch state, rounding generator (a repeated column gets a copy of
+        its generator, so the copies draw the same stream independently)
+        and the records so far.  Scratch is re-shaped at the new width.
+        Static runs without churn only.
+
+        Every plane sits in a buffer sized for the widest batch so far:
+        scratch keeps its buffer, and state is gathered into a buffer of
+        that one size, so a run that widens step by step reuses freed
+        blocks instead of fragmenting the heap.
+        """
+        if self.arrival_models is not None or self.churn_plan is not None:
+            raise SimulationError(
+                "take_columns needs a static run without churn"
+            )
+        idx = np.asarray(idx, dtype=np.int64)
+        # The gathers below clip (no buffered copy), so check the range here.
+        if idx.ndim != 1 or idx.size == 0 or not (
+            0 <= idx.min() and idx.max() < self.n_replicas
+        ):
+            raise SimulationError(
+                f"take_columns needs column indices in [0, {self.n_replicas})"
+            )
+        B = idx.size
+        cap = self.width_cap = max(self.width_cap, B)
+
+        def plane(arr, axis, buf=None):
+            shape = list(arr.shape)
+            shape[axis] = cap
+            full = math.prod(shape)
+            if buf is None or buf.size < full:
+                buf = np.empty(full, dtype=arr.dtype)
+            shape[axis] = B
+            return buf.reshape(-1)[: full // cap * B].reshape(shape)
+
+        def gather(arr, axis):
+            out = plane(arr, axis)
+            return np.take(arr, idx, axis=axis, out=out, mode="clip")
+
+        for name, axis in self._STATE_AXES.items():
+            arr = getattr(self, name, None)
+            if arr is not None:
+                setattr(self, name, gather(arr, axis))
+        for name, axis in self._SCRATCH_AXES.items():
+            arr = getattr(self, name, None)
+            if arr is not None:
+                owner = arr if arr.base is None else arr.base
+                setattr(self, name, plane(arr, axis, owner))
+        if getattr(self, "pn", None) is not None:
+            self.pn.fill(0.0)  # the P/N block's padding rows must read zero
+        if getattr(self, "kern_uoff", None) is not None:
+            self.kern_uoff = np.empty(B + 1, dtype=np.int64)
+        if self.alpha_per_replica:
+            self.alphas = gather(self.alphas, 1)
+            if self.kernel is not None:
+                self._set_kern_alpha()
+        if self.targets_per_replica:
+            self.targets = gather(self.targets, 1)
+        if self.rec_stats is not None:
+            self.rec_stats = self.rec_stats.take(idx)
+        else:
+            self.rec_cols = {k: gather(v, 1) for k, v in self.rec_cols.items()}
+        if self.loads_history is not None:
+            self.loads_history = [x[idx] for x in self.loads_history]
+        sw = self.switch
+        if sw.kind == "fixed-vec":
+            sw.args = (sw.args[0][idx],)
+        if sw.phi_hist is not None:
+            sw.phi_hist = gather(sw.phi_hist, 1)
+        seen = set()
+        rngs = []
+        for i in idx.tolist():
+            rngs.append(copy.deepcopy(self.rngs[i]) if i in seen else self.rngs[i])
+            seen.add(i)
+        self.rngs = rngs
+        self.n_replicas = B
+
+
+def _same_column(plane: np.ndarray, a: int, b: int) -> bool:
+    """Whether columns ``a`` and ``b`` of ``plane`` are equal bit for bit
+    (so -0.0 and 0.0 differ, as they may in a trajectory)."""
+    return plane[:, a].tobytes() == plane[:, b].tobytes()
+
+
+class _TwinPlan:
+    """Step each twin group of a switch sweep once.
+
+    Twins are columns with the same rounding-stream key, initial load
+    column, beta and alpha scale, differing only in their fixed switch
+    round: until a column's switch fires they are one trajectory bit for
+    bit.  A group runs as one leader column (the one switching last, or
+    never); every other switch round of the group forks off the leader
+    just before the round whose switch check fires it, and columns that
+    fire in the same round (or never) share one column for the whole run.
+    :meth:`finish` puts the columns back in caller order.
+    """
+
+    def __init__(self, plane, rep_of, start, forks):
+        #: the caller's switch-round plane
+        self.plane = plane
+        #: caller column -> the caller column whose trajectory it shares
+        self.rep_of = rep_of
+        self.start_cols = start
+        #: round -> [(leader, follower)] caller columns forked before it
+        self.forks = forks
+        #: caller column -> its live column (representatives only)
+        self.pos: Dict[int, int] = {}
+
+    def start(self, h: _BatchedHandle) -> None:
+        h.take_columns(self.start_cols)
+        for j, c in enumerate(self.start_cols):
+            self.pos.setdefault(c, j)
+
+    def before_round(self, h: _BatchedHandle, r: int) -> None:
+        pairs = self.forks.get(r)
+        if not pairs:
+            return
+        w = h.n_replicas
+        h.take_columns(
+            list(range(w)) + [self.pos[leader] for leader, _ in pairs]
+        )
+        for j, (_, follower) in enumerate(pairs):
+            h.switch.args[0][w + j] = self.plane[follower]
+            self.pos[follower] = w + j
+
+    def finish(self, h: _BatchedHandle) -> None:
+        h.take_columns([self.pos[c] for c in self.rep_of])
+        h.switch.args = (self.plane,)
+
+
+def _plan_twins(h: _BatchedHandle, config: EngineConfig) -> Optional[_TwinPlan]:
+    """The twin plan of a prepared run, or None when no column has a twin
+    (or the run keeps per-round loads: those are never shared)."""
+    keys = config.replica_keys
+    if (
+        keys is None  # the default keys are the distinct batch positions
+        or h.switch.kind != "fixed-vec"
+        or h.loads_history is not None
+        or h.churn_plan is not None
+        or h.arrival_models is not None
+        or len(set(int(k) for k in keys)) == len(keys)
+    ):
+        return None
+    B, rounds = h.n_replicas, config.rounds
+    plane = h.switch.args[0]
+    # The round whose switch check fires a column (rounds + 1: none does).
+    # The check runs after every round, so switch round 0 fires after 1.
+    if config.scheme == "sos":
+        fire = np.where(
+            (plane >= 0) & (plane <= rounds), np.maximum(plane, 1), rounds + 1
+        ).tolist()
+    else:
+        fire = [rounds + 1] * B
+    betas = h.beta_row[0]
+    firsts: List[int] = []  # first caller column of each group
+    reps: List[Dict[int, int]] = []  # per group: fire round -> column
+    by_sig: Dict[tuple, List[int]] = {}
+    rep_of = []
+    for b in range(B):
+        sig = (int(keys[b]), betas[b].tobytes())
+        for g in by_sig.get(sig, ()):
+            a = firsts[g]
+            if _same_column(h.load, a, b) and (
+                not h.alpha_per_replica or _same_column(h.alphas, a, b)
+            ):
+                break
+        else:
+            g = len(firsts)
+            firsts.append(b)
+            reps.append({})
+            by_sig.setdefault(sig, []).append(g)
+        rep_of.append(reps[g].setdefault(fire[b], b))
+    if len(firsts) == B:
+        return None
+    start: List[int] = []
+    forks: Dict[int, List[tuple]] = {}
+    for group in reps:
+        members = sorted(group.items())
+        leader = members[-1][1]
+        start.append(leader)
+        for f, c in members[:-1]:
+            if f <= 1:
+                start.append(c)
+            else:
+                forks.setdefault(f, []).append((leader, c))
+    if len(start) < 2:
+        # A lone column would change numpy's reductions (one contiguous
+        # column sums pairwise, wider planes row by row): keep two.
+        if forks:
+            first = min(forks)
+            start.append(forks[first].pop(0)[1])
+            if not forks[first]:
+                del forks[first]
+        else:
+            start.append(start[0])
+    return _TwinPlan(plane, rep_of, start, forks)
 
 
 @register_engine
@@ -1374,7 +1604,7 @@ class BatchedVectorEngine(Engine):
                 kern.excess_dispatch(
                     h.kern_adj_edges, h.kern_adj_signs, h.dmax, m, fsg,
                     h.kern_counts, uni_flat, h.kern_uoff, h.act,
-                    h.kern_consts,
+                    h.kern_cums, h.kern_consts,
                 )
         return h.act
 
@@ -1929,10 +2159,19 @@ class BatchedVectorEngine(Engine):
         if mode is not None:
             return self._run_fast(topo, config, loads, mode, params)
         h = self.prepare(topo, config, initial_loads)
+        # Prepared at full width, so the kernel tier, tile width and
+        # schedule mode are the full batch's; twins then share columns.
+        twins = _plan_twins(h, config)
+        if twins is not None:
+            twins.start(h)
         record_every = config.record_every
         for r in range(1, config.rounds + 1):
+            if twins is not None:
+                twins.before_round(h, r)
             record = r % record_every == 0 or r == config.rounds
             self._advance(h, want_info=record and h.info_fields)
+        if twins is not None:
+            twins.finish(h)
         return self.metrics(h)
 
     # ==================================================================

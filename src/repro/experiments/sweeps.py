@@ -464,11 +464,19 @@ def sweep_ensemble(
     On the vectorised engines the rounding-stream keys are pinned per
     point to the seed *values* (default ``0 .. n_seeds-1``), which are
     exactly the streams a standalone per-point
-    :func:`replica_ensemble` call would hand its replicas — so the fused
-    sweep reproduces the old one-call-per-point loop replica for replica:
-    bit for bit for deterministic roundings, stream for stream for the
-    randomized ones.  Dynamic sweeps (``config.arrivals`` set) pin the
-    arrival streams the same way and reduce to steady-state statistics.
+    :func:`replica_ensemble` call would hand its replicas.  So the fused
+    sweep reproduces the old one-call-per-point loop replica for replica,
+    bit for bit, for deterministic roundings.  For randomized roundings
+    every switching point matches the loop bit for bit too, but a
+    never-switching point does not: a lone call without a switch takes
+    the fused-operator schedule, which reassociates the float products
+    (the same call with an all-``None`` ``switch_rounds`` plane matches
+    the sweep).  Because the streams are pinned to seed values, the
+    points of one seed stay bit for bit one trajectory until their switch
+    rounds; the batched engine steps that shared prefix once (see
+    ``docs/engines.md``, twin sharing).  Dynamic sweeps
+    (``config.arrivals`` set) pin the arrival streams the same way and
+    reduce to steady-state statistics.
 
     ``initial_loads`` is one base load row ``(n,)`` (default: the paper's
     point load for static sweeps, the uniform load for dynamic ones);

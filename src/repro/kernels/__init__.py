@@ -65,9 +65,11 @@ while ``indptr``/``counts``/``totals``/``uoff`` stay int64 and
   walk of the padded adjacency (slot ``e == m`` is padding), plus the
   per-replica token totals reduced into ``totals``.
 * ``excess_dispatch(adj_edges, adj_signs, dmax, m, fsg, counts, uni,
-  uoff, act, consts)`` — serial token scatter consuming the pre-drawn
-  uniforms replica-major (``uoff`` offsets), node-ascending within a
-  replica — exactly the numpy tier's stream consumption order.
+  uoff, act, cums, consts)`` — serial token scatter consuming the
+  pre-drawn uniforms replica-major (``uoff`` offsets), node-ascending
+  within a replica — exactly the numpy tier's stream consumption order.
+  ``cums`` is caller-owned ``(dmax, B)`` scratch for one node's
+  cumulative slot fractions.
 * ``apply_flows(indptr, edges, signs, act, load)`` — the incidence
   accumulation ``load[i] += sum(signs * act[edges])`` replaying scipy's
   ``csr_matvecs`` per-row sequential order.
@@ -370,7 +372,8 @@ def _warm_provider(provider) -> None:
         uoff = np.array([0, total], dtype=np.int64)
         udraws = np.full(max(total, 1), 0.5, dtype=dtype)[:total]
         provider.excess_dispatch(
-            adj_edges, adj_signs, 1, 1, fsg, counts, udraws, uoff, act, consts,
+            adj_edges, adj_signs, 1, 1, fsg, counts, udraws, uoff, act,
+            np.empty((1, 1), dtype=dtype), consts,
         )
         provider.apply_flows(indptr, edges, signs, act, load.copy())
         for targets in (load[:1], load):

@@ -46,7 +46,7 @@ void excess_dispatch_@S@(
     const int *adj_edges, const signed char *adj_signs,
     const @R@ *fsg, const long long *counts,
     const @R@ *uni, const long long *uoff,
-    @R@ *act, const @R@ *consts);
+    @R@ *act, @R@ *cums, const @R@ *consts);
 void apply_flows_@S@(
     long long n, long long B, const long long *indptr,
     const int *edges, const @R@ *signs,
@@ -191,12 +191,13 @@ void excess_dispatch_@S@(
     const int *adj_edges, const signed char *adj_signs,
     const @R@ *fsg, const long long *counts,
     const @R@ *uni, const long long *uoff,
-    @R@ *act, const @R@ *consts)
+    @R@ *act, @R@ *cums, const @R@ *consts)
 {
+    /* cums: caller-owned (dmax, B) scratch — dmax * B values overflow the
+       C stack on a hub node with a wide batch */
     const @R@ zero = consts[0];
     const @R@ tol = consts[2];
     long long off[B > 0 ? B : 1];  /* next unread uniform per replica */
-    @R@ cums[(dmax > 0 ? dmax : 1) * (B > 0 ? B : 1)];
     long long b, i;
     for (b = 0; b < B; b++) {
         off[b] = uoff[b];
@@ -589,18 +590,21 @@ class CffiKernels:
         return counts
 
     def excess_dispatch(
-        self, adj_edges, adj_signs, dmax, m, fsg, counts, uni, uoff, act, consts,
+        self, adj_edges, adj_signs, dmax, m, fsg, counts, uni, uoff, act,
+        cums, consts,
     ):
         dtype = fsg.dtype
         r = self._real(dtype)
         n, B = counts.shape
+        self._check_buffers(dtype, (), (cums,))
+        self._check(cums.size >= max(dmax, 1) * max(B, 1), "cums size")
         self._fn("excess_dispatch", dtype)(
             n, B, int(m), int(dmax),
             self._p(adj_edges, "int *"),
             self._p(adj_signs, "signed char *"),
             self._p(fsg, r), self._p(counts, "long long *"),
             self._p(uni, r), self._p(uoff, "long long *"),
-            self._p(act, r), self._p(consts, r),
+            self._p(act, r), self._p(cums, r), self._p(consts, r),
         )
         return act
 

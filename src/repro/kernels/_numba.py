@@ -277,8 +277,11 @@ class NumbaKernels:
         )
 
     def excess_dispatch(
-        self, adj_edges, adj_signs, dmax, m, fsg, counts, uni, uoff, act, consts,
+        self, adj_edges, adj_signs, dmax, m, fsg, counts, uni, uoff, act,
+        cums, consts,
     ):
+        # The jitted loop walks one replica at a time and keeps its own
+        # dmax-long cumulative row; the (dmax, B) ``cums`` goes unused.
         return _excess_dispatch(
             adj_edges, adj_signs, dmax, m, fsg, counts, uni, uoff, act, consts,
         )

@@ -108,7 +108,8 @@ class PythonKernels:
         return counts
 
     def excess_dispatch(
-        self, adj_edges, adj_signs, dmax, m, fsg, counts, uni, uoff, act, consts,
+        self, adj_edges, adj_signs, dmax, m, fsg, counts, uni, uoff, act,
+        cums, consts,
     ):
         n, B = counts.shape
         dtype = fsg.dtype
