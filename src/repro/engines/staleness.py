@@ -42,8 +42,8 @@ documented quantised approximation (``mean_staleness`` /
 ``max_staleness`` still track the bucket depths, and
 ``max_staleness <= max_skew + 1`` always holds).
 
-Faults compose: per-message drops are applied as masks on the bucketed
-shipment planes, consuming each replica's fault stream
+Faults compose: per-message drops are taken out of the bucketed
+shipment planes by index, consuming each replica's fault stream
 (``default_rng([seed + key_b, FAULT_STREAM_KEY])``) in exactly the event
 queue's arc order, so fault schedules match the async engine message for
 message.  Token conservation is exact under any schedule:
@@ -68,6 +68,8 @@ from ..exceptions import ConfigurationError, SimulationError
 from ..core.dynamic import ArrivalModel, DynamicResult, ScaledArrivals
 from ..core.records import DynamicRecordTable, RecordTable
 from ..core.simulator import SimulationResult, record_round
+# transient_loads and the three metric helpers are what the vectorised
+# record pass reproduces; they stay importable from this module.
 from ..core.state import LoadState, transient_loads
 from ..core.metrics import (
     max_local_difference,
@@ -167,6 +169,20 @@ class _StalenessCore:
     order), which is exactly the order the event queue processes
     per-node neighbour work in — node-ascending computes, sorted
     neighbours within each node.
+
+    A round is whole-plane arithmetic on scratch planes, no masked
+    passes: ``F`` is never NaN, so the queue's conditional writes have
+    closed forms.  The remembered flow ``P`` (``prev_flow``) never keeps
+    its old value: it becomes ``where(arr_rev != 0, -arr_rev,
+    where(bounced, 0, amt))``, where ``amt`` is +0.0 for a schedule
+    ``<= 0`` (the finish reset).  The edge flow ``E`` keeps its old value
+    only where ``F_lo`` and ``F_hi`` are both negative; elsewhere the later
+    writer leaves ``|amt_lo * (F_hi < 0) + amt_hi|`` signed like
+    ``0.0 - F_hi`` (-0.0 for a positive schedule rounded to nothing), and
+    a bounce zeroes it.  Dropped shipments sit in the dense bounce ring
+    (the ledger's storage), and their ``arc * B + replica`` keys in a list
+    per landing slot: a delivery sorts the due keys by arc and sums them
+    into their senders with one ``bincount``.
     """
 
     def __init__(
@@ -185,7 +201,6 @@ class _StalenessCore:
     ):
         if rounding not in _KNOWN_ROUNDINGS:
             raise ConfigurationError(f"unknown rounding {rounding!r}")
-        self.topo = topo
         self.n = topo.n
         self.m = topo.m_edges
         self.B = loads.shape[1]
@@ -198,7 +213,6 @@ class _StalenessCore:
         self.rounding = rounding
         self.fault_models = fault_models
         self.rngs = rngs
-        self.tile = tile
 
         # -- arc structure out of the CSR adjacency --------------------
         n, B = self.n, self.B
@@ -233,21 +247,25 @@ class _StalenessCore:
         self.D = int(self.d_arc.max()) if na else 0
         La = self.D + 1
         Lb = 2 * self.D + 1
-        self.La = La
+        self.La, self.Lb = La, Lb
         rows_a = np.arange(La, dtype=np.int64)[:, None]
-        self.view_idx = (rows_a - self.d_arc[None, :]) % La
-        self.ship_slot = (rows_a + self.d_arc[None, :]) % La
+        #: Row of the flat ``(La * n, B)`` announce ring each arc reads at
+        #: round ``r`` (row ``r % La``): its neighbour's plane d rounds ago.
+        self._view_rows = (rows_a - self.d_arc[None, :]) % La * n + self.arc_dst
+        #: Row of the flat ``(La * n_arcs, B)`` shipment ring each arc's
+        #: round-``r`` shipment lands in: d rounds out.
+        self._ship_rows = (rows_a + self.d_arc[None, :]) % La * na + np.arange(na)
         rows_b = np.arange(Lb, dtype=np.int64)[:, None]
         self.bounce_slot = (rows_b + 2 * self.d_arc[None, :]) % Lb
-        self._arc_ids = np.arange(na, dtype=np.int64)
 
         # -- state planes ----------------------------------------------
         #: Announce ring: A[r % La] is round r's normalised-load plane.
-        self.A = np.zeros((La, n, B), dtype=np.float64)
-        #: Construction-time bootstrap view (the setup Hello exchange):
-        #: a node that has not yet heard a d-bucket neighbour computes on
-        #: this, exactly like the event engine's view bootstrap.
-        self.A_init = self.loads / self.speeds[:, None]
+        #: Every slot starts as the setup Hello exchange's bootstrap view:
+        #: a d-bucket view read before round d hits slot (r - d) % La > r,
+        #: not yet overwritten — the event engine's view bootstrap.
+        self._speed_col = self.speeds[:, None]
+        self.A = np.empty((La, n, B), dtype=np.float64)
+        self.A[:] = self.loads / self._speed_col
         #: Shipment ring: S[r % La, a] holds the tokens arriving on arc
         #: ``a`` at round r (written once per arc per round — slots are
         #: provably consumed and zeroed before reuse).
@@ -259,10 +277,24 @@ class _StalenessCore:
             if fault_models is not None
             else None
         )
+        #: Per bounce slot, the flat ``arc * B + replica`` keys of the
+        #: shipments dropped into it, so deliveries never scan the plane.
+        self._bounce_due: List[List[np.ndarray]] = [[] for _ in range(Lb)]
         #: Per-arc remembered flow — BalancerNode.prev_flow, arc-major.
         self.P = np.zeros((na, B), dtype=np.float64)
         #: Engine-side per-edge flow record (edge_u -> edge_v positive).
         self.E = np.zeros((self.m, B), dtype=np.float64)
+        # Arc- and edge-plane scratch, reused every round.
+        self._view, self._flow, self._amt = np.empty((3, na, B))
+        self._edge = np.empty((3, self.m, B))
+        # Segment-sum plumbing (arc -> source-node reduction).
+        self._red_idx = np.minimum(self.indptr[:-1], max(na - 1, 0))
+        empty = np.flatnonzero(degrees == 0)
+        self._empty_rows = empty if empty.size else None
+        #: ``edge_u + n * b`` / ``edge_v + n * b`` over a ``(B, m)`` flow
+        #: plane: one flat bincount is every replica's send-side sum.
+        span = n * np.arange(B)[:, None]
+        self.send_keys = ((topo.edge_u + span).ravel(), (topo.edge_v + span).ravel())
 
         self.round_index = 0
         # Conservation ledger + observability counters (per replica).
@@ -277,11 +309,6 @@ class _StalenessCore:
         self._stale_count = 0
         self.max_staleness = 0
 
-        # -- segment-sum plumbing (arc -> source-node reduction) -------
-        if na:
-            self._red_idx = np.minimum(self.indptr[:-1], na - 1)
-            empty = np.flatnonzero(degrees == 0)
-            self._empty_rows = empty if empty.size else None
         # -- excess-token dispatch tables ------------------------------
         if rounding == "randomized-excess" and na:
             self.dmax = int(degrees.max())
@@ -304,11 +331,8 @@ class _StalenessCore:
     # ------------------------------------------------------------------
     def _segment_sum(self, x: np.ndarray) -> np.ndarray:
         """Sum arc values into their source node: ``out[i] = sum over
-        node i's outgoing arcs`` — a sequential within-segment fold, the
-        node-order accumulation of the per-node engines (exact for the
+        node i's outgoing arcs`` in one ``reduceat`` (exact for the
         integral amounts every deterministic rounding produces)."""
-        if self.n_arcs == 0:
-            return np.zeros((self.n, x.shape[1]), dtype=np.float64)
         out = np.add.reduceat(x, self._red_idx, axis=0)
         if self._empty_rows is not None:
             out[self._empty_rows] = 0.0
@@ -318,27 +342,29 @@ class _StalenessCore:
     def _round_positive(self, F: np.ndarray) -> np.ndarray:
         """Round the positive scheduled flows to shipped amounts.
 
-        Returns an ``(n_arcs, B)`` plane that is zero wherever
-        ``F <= 0`` (only the positive endpoint of an arc is a sender).
-        The deterministic branches are bit-identical to the node-local
-        ``math.floor``/``np.rint``/``math.ceil`` on positive floats.
+        Returns an ``(n_arcs, B)`` plane (the core's ``_amt`` scratch)
+        that is +0.0 wherever ``F <= 0`` (only the positive endpoint of an
+        arc is a sender).  The deterministic branches are bit-identical to
+        the node-local ``math.floor``/``np.rint``/``math.ceil`` on positive
+        floats.
         """
-        pos = np.where(F > 0.0, F, 0.0)
+        pos = np.maximum(F, 0.0, out=self._amt)
+        pos += 0.0  # np.maximum keeps a -0.0 schedule; ship +0.0
         if self.rounding == "identity":
             return pos
         if self.rounding == "floor":
-            return np.floor(pos)
+            return np.floor(pos, out=pos)
         if self.rounding == "nearest":
-            return np.rint(pos)
+            return np.rint(pos, out=pos)
         if self.rounding == "ceil":
-            return np.ceil(pos)
+            return np.ceil(pos, out=pos)
         if self.rounding == "unbiased-edge":
             base = np.floor(pos)
-            frac = pos - base
+            frac = np.subtract(pos, base, out=pos)
             u = np.empty_like(pos)
             for b, rng in enumerate(self.rngs):
                 u[:, b] = rng.random(self.n_arcs)
-            return np.add(base, u < frac, out=base)
+            return np.add(base, u < frac, out=pos)
         return self._randomized_excess(pos)
 
     def _randomized_excess(self, pos: np.ndarray) -> np.ndarray:
@@ -351,13 +377,15 @@ class _StalenessCore:
         (:func:`~repro.engines.batched._excess_token_slots`) re-indexed
         onto arcs.  Per-replica uniforms are consumed in node-ascending
         order, so tiled and dense dispatches are bit-identical for any
-        tile size.
+        tile size.  Rounds ``pos`` in place.
         """
-        base = np.floor(pos)
         if self.n_arcs == 0:
-            return base
+            return np.floor(pos, out=pos)
         B, na = self.B, self.n_arcs
-        np.subtract(pos, base, out=self._frac_ext[:na])
+        frac = self._frac_ext[:na]
+        np.floor(pos, out=frac)
+        np.subtract(pos, frac, out=frac)
+        base = np.floor(pos, out=pos)
         moved = _excess_token_slots(
             self._frac_ext, self.slot_take, self.node_tiles, self._planes,
             self.rngs, _FRAC_TOL, self._tokens,
@@ -392,11 +420,13 @@ class _StalenessCore:
 
     def _fault_dropped(
         self, r: int, amt: np.ndarray, emitted: np.ndarray
-    ) -> np.ndarray:
-        """(n_arcs, B) drop mask, consuming each replica's fault stream
-        in the event queue's per-message order (senders ascending,
-        neighbours ascending within each sender)."""
-        dropped = np.zeros_like(emitted)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(arcs, replicas)`` of this round's dropped shipments,
+        consuming each replica's fault stream in the event queue's
+        per-message order (senders ascending, neighbours ascending within
+        each sender)."""
+        rows = [np.zeros(0, dtype=np.int64)]
+        cols = [np.zeros(0, dtype=np.int64)]
         for b, model in enumerate(self.fault_models):
             if isinstance(model, NoFaults):
                 continue
@@ -406,21 +436,29 @@ class _StalenessCore:
                     continue
                 idx = np.flatnonzero(col)
                 if idx.size:
-                    dropped[idx, b] = model.rng.random(idx.size) < model.p
+                    idx = idx[model.rng.random(idx.size) < model.p]
             elif isinstance(model, LinkOutage):
-                if model._active(r):
-                    dropped[:, b] = col & self._outage_arc_mask(model)
+                if not model._active(r):
+                    continue
+                idx = np.flatnonzero(col & self._outage_arc_mask(model))
             else:
-                for a in np.flatnonzero(col):
-                    msg = TokenTransfer(
-                        sender=int(self.arc_src[a]),
-                        receiver=int(self.arc_dst[a]),
-                        round_index=r,
-                        amount=float(amt[a, b]),
+                idx = np.flatnonzero(col)
+                hit = [
+                    model.drops(
+                        TokenTransfer(
+                            sender=int(self.arc_src[a]),
+                            receiver=int(self.arc_dst[a]),
+                            round_index=r,
+                            amount=float(amt[a, b]),
+                        ),
+                        r,
                     )
-                    if model.drops(msg, r):
-                        dropped[a, b] = True
-        return dropped
+                    for a in idx
+                ]
+                idx = idx[np.asarray(hit, dtype=bool)]
+            rows.append(idx)
+            cols.append(np.full(idx.size, b, dtype=np.int64))
+        return np.concatenate(rows), np.concatenate(cols)
 
     # ------------------------------------------------------------------
     def inject(self, deltas: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -446,129 +484,119 @@ class _StalenessCore:
         and shipment deliveries (*after* the computes — the queue's
         ``PH_DELIVER > PH_COMPUTE``), then finish."""
         r = self.round_index
-        n, B, na = self.n, self.B, self.n_arcs
+        B, na = self.B, self.n_arcs
         slot = r % self.La
 
         # Phase 0 — announce: snapshot this round's normalised loads.
-        xn = self.loads / self.speeds[:, None]
-        self.A[slot] = xn
+        xn = np.divide(self.loads, self._speed_col, out=self.A[slot])
 
         if na == 0:
             self.round_index = r + 1
             return
 
-        # Phase 2 — compute, on views exactly d rounds stale.
-        V = self.A[self.view_idx[slot], self.arc_dst]
-        if r < self.D:
-            boot = self.d_arc > r
-            if boot.any():
-                V[boot] = self.A_init[self.arc_dst[boot]]
+        # Phase 2 — compute, on views exactly d rounds stale.  Every
+        # gather index is in range; mode="clip" keeps np.take from
+        # buffering ``out``.
+        V = np.take(
+            self.A.reshape(-1, B), self._view_rows[slot], axis=0,
+            out=self._view, mode="clip",
+        )
         s = np.minimum(self.d_arc, r + 1)
         self._stale_sum += int(s.sum())
         self._stale_count += na
-        mx = int(s.max())
-        if mx > self.max_staleness:
-            self.max_staleness = mx
+        self.max_staleness = max(self.max_staleness, int(s.max()))
 
-        G = self.alpha_arc[:, None] * (xn[self.arc_src] - V)
+        F = np.take(xn, self.arc_src, axis=0, out=self._flow, mode="clip")
+        F -= V
+        F *= self.alpha_arc[:, None]
         if self.scheme == "sos" and r > 0:
             sos_cols = (self.switch_rounds < 0) | (r < self.switch_rounds)
-            if sos_cols.all():
-                F = self.bm1[None, :] * self.P + self.betas[None, :] * G
-            elif sos_cols.any():
+            if sos_cols.any():
+                sos = np.multiply(self.P, self.bm1, out=V)
+                sos += np.multiply(F, self.betas, out=self._amt)
                 # Select whole expressions per column (never blend with a
                 # beta of 1.0 — 0.0 * P + G can flip signed zeros).
-                F = np.where(
-                    sos_cols[None, :],
-                    self.bm1[None, :] * self.P + self.betas[None, :] * G,
-                    G,
-                )
-            else:
-                F = G
-        else:
-            F = G
+                np.copyto(F, sos, where=sos_cols)
 
         amt = self._round_positive(F)
-        emitted = (F > 0.0) & (amt != 0.0)
+        emitted = amt != 0.0
 
-        # Compute-side prev_flow writes: senders remember the rounded
-        # amount (even a zero one), exact-zero schedules reset the slot,
-        # negative schedules wait for the transfer (or its absence).
-        np.copyto(self.P, amt, where=F > 0.0)
-        np.copyto(self.P, 0.0, where=F == 0.0)
-
-        # Engine-side per-edge flow record; the higher endpoint computes
-        # later in node order, so its write wins.
-        F_lo, F_hi = F[self.arc_of_lo], F[self.arc_of_hi]
-        np.copyto(
-            self.E,
-            np.where(F_lo > 0.0, amt[self.arc_of_lo], 0.0),
-            where=F_lo >= 0.0,
-        )
-        np.copyto(
-            self.E,
-            np.where(F_hi > 0.0, -amt[self.arc_of_hi], 0.0),
-            where=F_hi >= 0.0,
-        )
+        # Engine-side per-edge flow record (closed form: class docstring);
+        # the higher endpoint computes later in node order, so it wins.
+        val, f_hi, other = self._edge
+        np.take(amt, self.arc_of_lo, axis=0, out=val, mode="clip")
+        np.take(F, self.arc_of_hi, axis=0, out=f_hi, mode="clip")
+        val *= f_hi < 0.0
+        val += np.take(amt, self.arc_of_hi, axis=0, out=other, mode="clip")
+        np.subtract(0.0, f_hi, out=f_hi)
+        np.copysign(val, f_hi, out=val)
+        f_lo = np.take(F, self.arc_of_lo, axis=0, out=other, mode="clip")
+        np.copyto(self.E, val, where=(f_lo >= 0.0) | (f_hi <= 0.0))
 
         # Send phase: each sender deducts its round total in one subtract.
         np.subtract(self.loads, self._segment_sum(amt), out=self.loads)
-
-        # Faults: dropped shipments leave the shipment ring for the
-        # bounce ring (a 2d round trip back to the sender).
         self.in_flight_amount += amt.sum(axis=0)
         self.in_flight_messages += emitted.sum(axis=0)
-        ship = amt
-        if self.fault_models is not None:
-            dropped = self._fault_dropped(r, amt, emitted)
-            if dropped.any():
-                ship = np.where(dropped, 0.0, amt)
-                rows, cols = np.nonzero(dropped)
-                self.bounce[
-                    self.bounce_slot[r % self.bounce.shape[0], rows], rows, cols
-                ] = amt[rows, cols]
 
         # Ship: each arc's tokens land d rounds out (d = 0 lands in this
         # round's slot, read below — after the computes, like the queue).
-        self.S[self.ship_slot[slot], self._arc_ids] = ship
+        S_rows = self.S.reshape(-1, B)
+        ship_rows = self._ship_rows[slot]
+        S_rows[ship_rows] = amt
+        # Faults: dropped shipments leave the shipment ring for the
+        # bounce ring (a 2d round trip back to the sender).
+        if self.fault_models is not None:
+            rows, cols = self._fault_dropped(r, amt, emitted)
+            if rows.size:
+                S_rows[ship_rows[rows], cols] = 0.0
+                land = self.bounce_slot[r % self.Lb, rows]
+                self.bounce[land, rows, cols] = amt[rows, cols]
+                keys = rows * B + cols
+                for s_b in np.unique(land):
+                    self._bounce_due[s_b].append(keys[land == s_b])
 
-        # Phase 3 — deliveries due this round.
-        arr = self.S[slot].copy()
-        self.S[slot] = 0.0
+        # Phase 3 — deliveries due this round; with phase 4 (finish) they
+        # leave P in its closed form (class docstring).
+        P = self.P
+        P[...] = amt
+        slot_b = r % self.Lb
+        due = self._bounce_due[slot_b]
+        if due:
+            # Bounces first: they were pushed in earlier rounds, so they
+            # carry earlier event seqs than this round's deliveries (a
+            # same-edge reverse delivery overwrites the bounce's zero
+            # below, matching the queue).  Sorted by arc, each node adds
+            # its bounces in arc order (exact for integral amounts).
+            keys = np.sort(np.concatenate(due))
+            due.clear()
+            rows, cols = np.divmod(keys, B)
+            ring = self.bounce[slot_b]
+            vals = ring[rows, cols]
+            ring[rows, cols] = 0.0
+            back = np.bincount(self.arc_src[rows] * B + cols, vals, self.n * B)
+            np.add(self.loads, back.reshape(self.n, B), out=self.loads)
+            P[rows, cols] = 0.0
+            self.E[self.arc_edge[rows], cols] = 0.0
+            counts = np.bincount(cols, minlength=B)
+            self.bounced_count += counts
+            self.in_flight_messages -= counts
+            self.in_flight_amount -= np.bincount(cols, vals, B)
 
-        if self.bounce is not None:
-            slot_b = r % self.bounce.shape[0]
-            bn = self.bounce[slot_b].copy()
-            self.bounce[slot_b] = 0.0
-            if bn.any():
-                # Bounces first: they were pushed in earlier rounds, so
-                # they carry earlier event seqs than this round's
-                # deliveries (a same-edge reverse delivery overwrites the
-                # bounce's zero below, matching the queue).
-                np.add(self.loads, self._segment_sum(bn), out=self.loads)
-                np.copyto(self.P, 0.0, where=bn != 0.0)
-                rows, cols = np.nonzero(bn)
-                self.E[self.arc_edge[rows], cols] = 0.0
-                counts = (bn != 0.0).sum(axis=0)
-                self.bounced_count += counts
-                self.in_flight_messages -= counts
-                self.in_flight_amount -= bn.sum(axis=0)
-
-        arr_rev = arr[self.rev]
-        has_arr = arr.any()
-        if has_arr:
+        arr = self.S[slot]
+        if arr.any():
             # Delivery: arc (j -> i) credits i — which is the source of
             # the reverse arc — and i remembers the edge's flow as
-            # negative-received.
+            # negative-received.  The view plane is free by now.
+            arr_rev = np.take(arr, self.rev, axis=0, out=V, mode="clip")
             np.add(self.loads, self._segment_sum(arr_rev), out=self.loads)
-            np.copyto(self.P, -arr_rev, where=arr_rev != 0.0)
-            counts = (arr != 0.0).sum(axis=0)
+            quiet = arr_rev == 0.0
+            P *= quiet
+            P -= arr_rev
+            counts = na - quiet.sum(axis=0)
             self.delivered_count += counts
             self.in_flight_messages -= counts
             self.in_flight_amount -= arr.sum(axis=0)
-
-        # Phase 4 — finish: zero remembered flows on quiet incoming arcs.
-        np.copyto(self.P, 0.0, where=(F < 0.0) & (arr_rev == 0.0))
+            arr[...] = 0.0
         self.round_index = r + 1
 
     # ------------------------------------------------------------------
@@ -885,80 +913,82 @@ class StalenessEngine(Engine):
         )
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _advance(core: _StalenessCore):
+        """Step ``core`` once; return the ``(B, n)`` loads, the ``(B, m)``
+        flows and every replica's ``min(transient_loads(...))`` and
+        ``abs(flows).sum()`` for the round.  Each flat bincount adds
+        replica ``b``'s edges in edge order into its own ``n``-block, and
+        contiguous row sums are pairwise like a lone vector's, so both
+        equal the per-replica helpers bit for bit."""
+        before = core.loads.copy()
+        core.step()
+        loads, flows = core.loads.T.copy(), core.E.T.copy()
+        size = core.n * core.B
+        key_u, key_v = core.send_keys
+        sent = np.bincount(key_u, np.maximum(flows, 0.0).ravel(), size)
+        sent += np.bincount(key_v, np.maximum(-flows, 0.0).ravel(), size)
+        transient = before.T - sent.reshape(core.B, core.n)
+        return loads, flows, transient.min(axis=1), np.abs(flows).sum(axis=1)
+
     def step(self, handle) -> StepBatch:
         if isinstance(handle, _DynamicStalenessHandle):
             return self._step_dynamic(handle)
         core = handle.core
-        topo = handle.topo
-        before = core.loads.copy()
-        core.step()
+        loads, flows, min_transient, traffic = self._advance(core)
         r = core.round_index
-        record = r % handle.config.record_every == 0
-        switched = np.empty(core.B, dtype=bool)
-        for b in range(core.B):
-            flows_b = np.ascontiguousarray(core.E[:, b])
-            transients = transient_loads(
-                topo, np.ascontiguousarray(before[:, b]), flows_b
-            )
-            handle.last_min_transient[b] = float(transients.min())
-            handle.last_traffic[b] = float(np.abs(flows_b).sum())
-            switched[b] = (
-                handle.switch_rounds[b] == r and handle.config.scheme == "sos"
-            )
-            if record:
+        handle.last_min_transient[:] = min_transient
+        handle.last_traffic[:] = traffic
+        if r % handle.config.record_every == 0:
+            for b in range(core.B):
                 self._record(
-                    handle,
-                    b,
-                    np.ascontiguousarray(core.loads[:, b]),
-                    flows_b,
-                    r,
-                    self._scheme_name(
-                        handle.config, handle.switch_rounds[b], r
-                    ),
+                    handle, b, loads[b], flows[b], r,
+                    self._scheme_name(handle.config, handle.switch_rounds[b], r),
                 )
+        sos = handle.config.scheme == "sos"
         return StepBatch(
             round_index=r,
-            loads=core.loads.T.copy(),
-            flows=core.E.T.copy(),
-            min_transient=handle.last_min_transient.copy(),
-            traffic=handle.last_traffic.copy(),
-            switched=switched,
+            loads=loads,
+            flows=flows,
+            min_transient=min_transient,
+            traffic=traffic,
+            switched=np.array([sos and sw == r for sw in handle.switch_rounds]),
         )
 
     def _step_dynamic(self, handle: _DynamicStalenessHandle) -> StepBatch:
         if not handle.injected:
             self._inject(handle)
-        core = handle.core
-        topo = handle.topo
-        before = core.loads.copy()
-        core.step()
-        r = core.round_index
+        core, topo = handle.core, handle.topo
+        loads, flows, min_transient, traffic = self._advance(core)
+        # The Section VI metrics of every replica in one pass over the
+        # (B, n) rows: max_minus_average, max_local_difference and
+        # normalized_potential, reduction for reduction.
+        total = loads.sum(axis=1)
+        mean = loads.mean(axis=1)
+        max_minus_avg = loads.max(axis=1) - mean
+        local = (
+            np.abs(loads[:, topo.edge_u] - loads[:, topo.edge_v]).max(axis=1)
+            if topo.m_edges
+            else np.zeros(core.B)
+        )
+        diff = loads - mean[:, None]
         arrived, departed, clamped = handle.pending
-        min_transient = np.empty(core.B, dtype=np.float64)
-        traffic = np.empty(core.B, dtype=np.float64)
-        for b in range(core.B):
-            flows_b = np.ascontiguousarray(core.E[:, b])
-            transients = transient_loads(
-                topo, np.ascontiguousarray(before[:, b]), flows_b
-            )
-            min_transient[b] = float(transients.min())
-            traffic[b] = float(np.abs(flows_b).sum())
-            loads_b = np.ascontiguousarray(core.loads[:, b])
-            handle.tables[b].append(
-                round_index=r,
-                total_load=float(loads_b.sum()),
+        for b, table in enumerate(handle.tables):
+            table.append(
+                round_index=core.round_index,
+                total_load=float(total[b]),
                 arrived=float(arrived[b]),
                 departed=float(departed[b]),
                 clamped=float(clamped[b]),
-                max_minus_avg=max_minus_average(loads_b),
-                max_local_diff=max_local_difference(topo, loads_b),
-                potential_per_node=normalized_potential(loads_b),
+                max_minus_avg=float(max_minus_avg[b]),
+                max_local_diff=float(local[b]),
+                potential_per_node=float(diff[b] @ diff[b]) / topo.n,
             )
         handle.injected = False
         return StepBatch(
-            round_index=r,
-            loads=core.loads.T.copy(),
-            flows=core.E.T.copy(),
+            round_index=core.round_index,
+            loads=loads,
+            flows=flows,
             min_transient=min_transient,
             traffic=traffic,
             switched=np.zeros(core.B, dtype=bool),

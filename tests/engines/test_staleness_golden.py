@@ -18,6 +18,8 @@ The grid is rounding x mode x faults x skew gate x tiling x batch width:
 * dense dispatch and ``tile_size=7``;
 * B = 1 and B = 9.
 
+Four ``identity`` runs (each mode and fault, B = 9) ride along.
+
 A digest is taken the way ``perfbench/checks.py`` takes the benchmark's
 pinned digest: SHA-256 of the plane's shape ``repr`` followed by its
 float64 bytes, so signed zeros count.  To regenerate the pins after a
@@ -54,6 +56,9 @@ TILES = (None, 7)
 WIDTHS = (1, 9)
 
 CASES = list(itertools.product(ROUNDINGS, MODES, FAULTS, SKEWS, TILES, WIDTHS))
+#: ``identity`` matches ``async`` only to accumulation accuracy, and its
+#: fractional amounts make the order in which bounces are summed show.
+CASES += [("identity", mode, fault, None, None, 9) for mode in MODES for fault in FAULTS]
 
 
 def _case_id(case) -> str:
