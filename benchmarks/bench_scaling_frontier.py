@@ -178,15 +178,15 @@ def _measure_million_tiled():
     ``rounds_per_sec`` stays the randomized-excess rate — the paper's own
     rounding and the slowest numpy kernel.
     """
-    from repro.kernels import DISCRETE_ROUNDINGS
-
     topo = torus_2d(MILLION_SIDE, MILLION_SIDE)
     beta = beta_opt(torus_lambda((MILLION_SIDE, MILLION_SIDE)))
     load = point_load(topo, 100 * topo.n)
     engine = make_engine("batched")
     by_rounding = {}
     entry = None
-    for rounding in DISCRETE_ROUNDINGS:
+    for rounding in (
+        "floor", "nearest", "ceil", "unbiased-edge", "randomized-excess",
+    ):
         config = EngineConfig(
             scheme="sos",
             beta=beta,

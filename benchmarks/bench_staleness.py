@@ -14,7 +14,8 @@ the batched engine and races it against the event-driven
   level while SOS at the torus ``beta_opt`` blows up under any staleness,
   reproducing the async headline from the vectorised path;
 * **throughput** — one batched call advancing ``B`` replicas must beat
-  the event loop by >= 5x replicas/sec at n=1024, B=16.
+  the event loop by >= 5x replicas/sec at n=1024, B=16 (each side the
+  median of 3 alternating samples, all kept in the summary).
 
 Summary lands in ``BENCH_staleness.json`` (committed at the repo root).
 """
@@ -52,6 +53,9 @@ PERF_ROUNDS = {"tiny": 10, "ci": 40, "paper": 40}[SCALE]
 PERF_ASYNC_REPLICAS = {"tiny": 1, "ci": 2, "paper": 2}[SCALE]
 PERF_LATENCY = 1.5
 SPEEDUP_TARGET = 5.0
+#: Timed samples of each side, staleness and event loop alternating, so
+#: one slow sample of either side does not set the speedup.
+TIMING_RUNS = 3
 
 
 def _run_level(topo, load, scheme, beta, latency):
@@ -100,36 +104,49 @@ def _integer_latency_parity(topo, load, beta):
 
 
 def _perf_race(topo, load):
-    """Replicas/sec: one batched staleness call vs the event loop."""
+    """Replicas/sec: one batched staleness call vs the event loop, each
+    the median of ``TIMING_RUNS`` alternating samples."""
     cfg = EngineConfig(
         scheme="fos", beta=1.0, rounding=ROUNDING, rounds=PERF_ROUNDS,
         seed=SEED, latency_model=PERF_LATENCY,
     )
     eng = make_engine("staleness")
-    handle = eng.prepare(topo, cfg, np.tile(load, (PERF_B, 1)))
-    t0 = time.perf_counter()
-    for _ in range(PERF_ROUNDS):
-        eng.step(handle)
-    stale_rps = PERF_B / (time.perf_counter() - t0)
 
-    nets = [
-        AsyncNetwork(
-            topo, load, scheme="fos", beta=1.0, rounding=ROUNDING,
-            seed=SEED + b, link_latency=PERF_LATENCY,
-        )
-        for b in range(PERF_ASYNC_REPLICAS)
-    ]
-    t0 = time.perf_counter()
-    for net in nets:
+    def staleness_seconds():
+        handle = eng.prepare(topo, cfg, np.tile(load, (PERF_B, 1)))
+        t0 = time.perf_counter()
         for _ in range(PERF_ROUNDS):
-            net.step()
-    async_rps = PERF_ASYNC_REPLICAS / (time.perf_counter() - t0)
+            eng.step(handle)
+        return time.perf_counter() - t0
+
+    def async_seconds():
+        nets = [
+            AsyncNetwork(
+                topo, load, scheme="fos", beta=1.0, rounding=ROUNDING,
+                seed=SEED + b, link_latency=PERF_LATENCY,
+            )
+            for b in range(PERF_ASYNC_REPLICAS)
+        ]
+        t0 = time.perf_counter()
+        for net in nets:
+            for _ in range(PERF_ROUNDS):
+                net.step()
+        return time.perf_counter() - t0
+
+    stale_samples, async_samples = [], []
+    for _ in range(TIMING_RUNS):
+        stale_samples.append(staleness_seconds())
+        async_samples.append(async_seconds())
+    stale_rps = PERF_B / float(np.median(stale_samples))
+    async_rps = PERF_ASYNC_REPLICAS / float(np.median(async_samples))
     return {
         "n": topo.n,
         "replicas": PERF_B,
         "rounds": PERF_ROUNDS,
         "latency": PERF_LATENCY,
         "async_replicas_timed": PERF_ASYNC_REPLICAS,
+        "staleness_seconds_samples": stale_samples,
+        "async_seconds_samples": async_samples,
         "staleness_replicas_per_sec": stale_rps,
         "async_replicas_per_sec": async_rps,
         "speedup_vs_async": stale_rps / async_rps,

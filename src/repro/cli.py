@@ -169,14 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--kernel",
         default="auto",
-        choices=["auto", "numpy", "numba", "cffi"],
+        choices=["auto", "numpy", "cffi"],
         help=(
             "kernel tier of the batched engine's discrete hot loop: 'auto' "
             "(default) runs the cffi kernels for randomized-excess batches "
             "with B >= 2 and n*B >= 1024 and numpy otherwise, 'numpy' "
-            "forces the vectorised numpy kernels, 'numba'/'cffi' force a "
-            "compiled provider (error when unavailable — install the "
-            "[compiled] extra); every tier is bit-identical"
+            "forces the vectorised numpy kernels, 'cffi' forces the "
+            "compiled kernels (randomized-excess only; error when "
+            "unavailable — install the [compiled] extra); every tier is "
+            "bit-identical"
         ),
     )
     p_sim.add_argument(

@@ -380,15 +380,15 @@ class EngineConfig:
     #: (``randomized-excess``, ``B >= 2``, ``n * B >= 1024``, judged per
     #: shard in sharded runs) and the numpy tier everywhere else, with a
     #: one-time ``repro.kernels`` log line only when cffi is unavailable.
-    #: ``"numpy"`` forces the vectorised numpy kernels; ``"numba"`` /
-    #: ``"cffi"`` force a compiled provider from :mod:`repro.kernels`
-    #: (raising a ``ConfigurationError`` naming the ``[compiled]`` pip
-    #: extra when the provider is unavailable or the config is not
-    #: discrete); ``"python"`` forces the pure-python reference provider
-    #: (a test oracle).  Every provider is bit-identical to the numpy tier
-    #: for every discrete rounding (stochastic roundings keep consuming
-    #: the same pre-drawn per-replica RNG planes).  Batched and sharded
-    #: engines only; the others accept ``"auto"`` and run numpy.
+    #: ``"numpy"`` forces the vectorised numpy kernels; ``"cffi"``
+    #: forces the compiled provider from :mod:`repro.kernels` and
+    #: ``"python"`` the pure-python reference provider (a test oracle).
+    #: The providers cover ``randomized-excess`` only: a forced one raises
+    #: a ``ConfigurationError`` on any other rounding, and names the
+    #: ``[compiled]`` pip extra when cffi is unavailable.  Every provider
+    #: is bit-identical to the numpy tier (the token scatter consumes the
+    #: same per-replica RNG streams in the same order).  Batched and
+    #: sharded engines only; the others accept ``"auto"`` and run numpy.
     kernel: str = "auto"
     #: Node-tile width of the batched engine's streaming kernels: ``None``
     #: (default) keeps the dense whole-``(n, B)`` scratch planes, an ``int``

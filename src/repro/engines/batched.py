@@ -66,7 +66,7 @@ from ..core.spectral import (
 )
 from ..graphs.speeds import uniform_speeds, validate_speeds
 from ..graphs.topology import Topology
-from ..kernels import ROUNDING_CODES, ensure_warm, resolve_kernel
+from ..kernels import ensure_warm, resolve_kernel
 
 from .base import (
     ArrivalBatch,
@@ -472,6 +472,22 @@ def _gradient_matrix(
     return _assemble_diffusion(topo, alphas, speeds, dtype, with_identity=False)
 
 
+def _check_conserved(totals, expected, tol, round_index: int) -> None:
+    """Raise :class:`SimulationError` when a replica's total load drifted.
+
+    A replica fails when ``|totals - expected| > tol * max(1, |expected|)``;
+    the message names the first failing replica and the round.
+    """
+    drift = np.abs(totals - expected)
+    bad = drift > tol * np.maximum(1.0, np.abs(expected))
+    if bad.any():
+        b = int(np.argmax(bad))
+        raise SimulationError(
+            f"load not conserved in replica {b} by round {round_index}: "
+            f"expected {expected[b]}, got {totals[b]}"
+        )
+
+
 class _FastRecorder:
     """Record storage of a closed-form fast-path run.
 
@@ -555,14 +571,7 @@ class _FastRecorder:
         self.rec_count += 1
         if self.loads_history is not None:
             self.loads_history.append(x.T.copy())
-        drift = np.abs(totals - self.totals0)
-        bad = drift > self.conserve_tol * np.maximum(1.0, np.abs(self.totals0))
-        if bad.any():
-            b = int(np.argmax(bad))
-            raise SimulationError(
-                f"load not conserved in replica {b} by round {round_index}: "
-                f"{self.totals0[b]} -> {totals[b]}"
-            )
+        _check_conserved(totals, self.totals0, self.conserve_tol, round_index)
 
     def batch(self, final_x: np.ndarray) -> RecordBatch:
         B = self.n_replicas
@@ -779,14 +788,6 @@ class _BatchedHandle:
             self.kern_beta = np.ones(B, dtype=dtype)
             self.kern_bm1 = np.zeros(B, dtype=dtype)
             self._set_kern_alpha()
-            # Unbiased-edge pre-draw plane, replica-major so each stream
-            # fills one contiguous row (rng.random(out=...) — no strided
-            # copy); the kernels index it as uni[b * m + e].
-            self.kern_uni = (
-                np.empty((B, m), dtype=dtype)
-                if config.rounding == "unbiased-edge"
-                else None
-            )
         if self.tile:
             # Row blocks of the incidence operators: CSR row slicing keeps
             # each row's accumulation untouched, so the tiled apply/transient
@@ -1035,7 +1036,7 @@ class _BatchedHandle:
         "mb1": 1, "mb2": 1, "mb3": 1, "act": 1,
         "nb1": 1, "nb2": 1, "nb3": 1, "nb4": 1, "ts1": 1, "ts2": 1, "ts3": 1,
         "pn": 1, "cum_planes": 2, "kern_rec": 2, "kern_info": 1,
-        "kern_beta": 0, "kern_bm1": 0, "kern_uni": 0, "kern_counts": 1,
+        "kern_beta": 0, "kern_bm1": 0, "kern_counts": 1,
         "kern_totals": 0, "kern_cums": 1,
     }
 
@@ -1529,13 +1530,13 @@ class BatchedVectorEngine(Engine):
             self._check_switch(h)
 
     def _kernel_round(self, h: _BatchedHandle) -> np.ndarray:
-        """One fused schedule + rounding pass through the compiled provider.
+        """One randomized-excess round through the compiled provider.
 
         Resolves the round's schedule mode and coefficient strides exactly
         like the numpy branches in :meth:`_advance` (fused-operator form,
-        scalar/vector beta, the round-0 FOS opener), pre-draws any
-        stochastic uniforms from the same per-replica streams in the same
-        order, and hands flat buffers to the provider — bit-identical to
+        scalar/vector beta, the round-0 FOS opener), draws the token
+        uniforms from the same per-replica streams in the same order, and
+        hands flat buffers to the provider — bit-identical to
         the numpy tier by construction.  Reads ``h.flows`` without writing
         it; the actuals land in ``h.act`` and the caller's swap makes them
         the next round's flow state, exactly like the numpy path (whose
@@ -1544,7 +1545,6 @@ class BatchedVectorEngine(Engine):
         kern = h.kernel
         B = h.n_replicas
         m = h.topo.m_edges
-        rounding = ROUNDING_CODES[h.config.rounding]
         if h.fused_sched and (h.round_index == 0 or h.scalar_beta):
             # Fused-operator schedule: per-edge coefficients straight from
             # the interleaved E_alpha[_beta].data (+c at even slots), with
@@ -1571,41 +1571,33 @@ class BatchedVectorEngine(Engine):
                 mode, bs = 1, 1
                 np.copyto(h.kern_beta, h.beta_row[0])
                 np.subtract(h.beta_row[0], 1.0, out=h.kern_bm1)
-        uni = None
-        fsg = None
-        if rounding == 3:  # unbiased-edge: pre-draw the per-edge uniforms
-            uni = h.kern_uni
-            for b, rng in enumerate(h.rngs):
-                rng.random(dtype=h.dtype, out=uni[b])
-        elif rounding == 4:  # randomized-excess: fractional-part plane
-            fsg = h.mb3
+        fsg = h.mb3  # the fractional-part plane of the excess rounding
         kern.round_edges(
             h.kern_eu, h.kern_ev, h.load, h.kern_speeds, h.flows, h.act,
-            fsg, uni, alpha, ar, ac, h.kern_beta, h.kern_bm1, bs,
-            mode, rounding, h.kern_consts,
+            fsg, alpha, ar, ac, h.kern_beta, h.kern_bm1, bs, mode,
+            h.kern_consts,
         )
-        if rounding == 4:
-            # Token budgets first, then exactly as many uniforms as there
-            # are tokens, drawn replica-major / node-ascending from the
-            # per-replica streams — the numpy tier's consumption order.
-            kern.excess_counts(
+        # Token budgets first, then exactly as many uniforms as there are
+        # tokens, drawn replica-major / node-ascending from the per-replica
+        # streams — the numpy tier's consumption order.
+        kern.excess_counts(
+            h.kern_adj_edges, h.kern_adj_signs, h.dmax, m, fsg,
+            h.kern_counts, h.kern_totals, h.kern_consts,
+        )
+        per_replica = h.kern_totals
+        h.kern_uoff[0] = 0
+        np.cumsum(per_replica, out=h.kern_uoff[1:])
+        total = int(h.kern_uoff[B])
+        if total:
+            # Streams drawn straight into their slices of a reused
+            # buffer, in the numpy tier's consumption order.
+            uni_flat = h.tokens.get("uniforms", total, h.dtype)
+            _draw_grouped(h.rngs, per_replica, uni_flat)
+            kern.excess_dispatch(
                 h.kern_adj_edges, h.kern_adj_signs, h.dmax, m, fsg,
-                h.kern_counts, h.kern_totals, h.kern_consts,
+                h.kern_counts, uni_flat, h.kern_uoff, h.act,
+                h.kern_cums, h.kern_consts,
             )
-            per_replica = h.kern_totals
-            h.kern_uoff[0] = 0
-            np.cumsum(per_replica, out=h.kern_uoff[1:])
-            total = int(h.kern_uoff[B])
-            if total:
-                # Streams drawn straight into their slices of a reused
-                # buffer, in the numpy tier's consumption order.
-                uni_flat = h.tokens.get("uniforms", total, h.dtype)
-                _draw_grouped(h.rngs, per_replica, uni_flat)
-                kern.excess_dispatch(
-                    h.kern_adj_edges, h.kern_adj_signs, h.dmax, m, fsg,
-                    h.kern_counts, uni_flat, h.kern_uoff, h.act,
-                    h.kern_cums, h.kern_consts,
-                )
         return h.act
 
     def _round_flows(self, h: _BatchedHandle, sched: np.ndarray) -> np.ndarray:
@@ -1806,14 +1798,9 @@ class BatchedVectorEngine(Engine):
         h.dyn_cols["clamped"][i] = arrival.clamped
         h.dyn_round[i] = h.round_index
         h.dyn_count += 1
-        drift = np.abs(totals - h.expected_totals)
-        bad = drift > h.conserve_tol * np.maximum(1.0, np.abs(h.expected_totals))
-        if bad.any():
-            b = int(np.argmax(bad))
-            raise SimulationError(
-                f"load not conserved in replica {b} by round {h.round_index}: "
-                f"expected {h.expected_totals[b]}, got {totals[b]}"
-            )
+        _check_conserved(
+            totals, h.expected_totals, h.conserve_tol, h.round_index
+        )
 
     def _record_dynamic(self, h: _BatchedHandle) -> None:
         """Append this round's dynamic metrics (targets move with the total)."""
@@ -1863,14 +1850,9 @@ class BatchedVectorEngine(Engine):
                 h.dyn_cols[name][i] = value
             h.dyn_round[i] = h.round_index
         h.dyn_count += 1
-        drift = np.abs(totals - h.expected_totals)
-        bad = drift > h.conserve_tol * np.maximum(1.0, np.abs(h.expected_totals))
-        if bad.any():
-            b = int(np.argmax(bad))
-            raise SimulationError(
-                f"load not conserved in replica {b} by round {h.round_index}: "
-                f"expected {h.expected_totals[b]}, got {totals[b]}"
-            )
+        _check_conserved(
+            totals, h.expected_totals, h.conserve_tol, h.round_index
+        )
 
     def arrive(self, h: _BatchedHandle) -> ArrivalBatch:
         if h.arrival_models is None:
@@ -1923,14 +1905,7 @@ class BatchedVectorEngine(Engine):
         h.last_recorded_round = h.round_index
         if h.loads_history is not None:
             h.loads_history.append(h.load.T.copy())
-        drift = np.abs(totals - h.totals0)
-        bad = drift > h.conserve_tol * np.maximum(1.0, np.abs(h.totals0))
-        if bad.any():
-            b = int(np.argmax(bad))
-            raise SimulationError(
-                f"load not conserved in replica {b} by round {h.round_index}: "
-                f"{h.totals0[b]} -> {totals[b]}"
-            )
+        _check_conserved(totals, h.totals0, h.conserve_tol, h.round_index)
 
     def _kernel_node_metrics(self, h: _BatchedHandle, want_mld: bool) -> tuple:
         """:func:`_node_metrics` (plus the max local difference when
@@ -2000,14 +1975,7 @@ class BatchedVectorEngine(Engine):
         h.last_recorded_round = h.round_index
         if h.loads_history is not None:
             h.loads_history.append(load.T.copy())
-        drift = np.abs(totals - h.totals0)
-        bad = drift > h.conserve_tol * np.maximum(1.0, np.abs(h.totals0))
-        if bad.any():
-            b = int(np.argmax(bad))
-            raise SimulationError(
-                f"load not conserved in replica {b} by round {h.round_index}: "
-                f"{h.totals0[b]} -> {totals[b]}"
-            )
+        _check_conserved(totals, h.totals0, h.conserve_tol, h.round_index)
 
     # ------------------------------------------------------------------
     def _check_switch(self, h: _BatchedHandle) -> None:

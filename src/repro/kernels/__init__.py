@@ -1,16 +1,14 @@
-"""Compiled kernel tier for the discrete edge-wise hot loop.
+"""Compiled kernel tier for the paper's randomized-excess rounding.
 
-The batched engine's discrete rounds are dominated by elementwise numpy
-passes over ``(m, B)`` planes (schedule, round, token dispatch, apply),
-and its record rounds by axis-0 reductions over ``(n, B)`` planes whose
-inner loops are only ``B`` wide.  This package provides *fused*
-single-pass implementations of both behind one provider API, selected by
-``EngineConfig.kernel``:
+The batched engine's randomized-excess rounds are dominated by the
+excess-token dispatch (a per-token scatter over each node's incident
+edges) and by elementwise numpy passes over ``(m, B)`` planes (schedule,
+round, apply); its record rounds by axis-0 reductions over ``(n, B)``
+planes whose inner loops are only ``B`` wide.  This package provides
+*fused* single-pass implementations of both behind one provider API,
+selected by ``EngineConfig.kernel``:
 
-* ``"numba"`` — ``@njit(cache=True)`` kernels, ``parallel=True`` for the
-  round passes (:mod:`._numba`), available when numba is installed (the
-  ``[compiled]`` pip extra);
-* ``"cffi"`` — the same kernels as C compiled once through cffi with the
+* ``"cffi"`` — the kernels in C, compiled once through cffi with the
   system compiler (:mod:`._cffi`), cached on disk (the first process on
   a cold cache pays a one-time compile of a few seconds);
 * ``"python"`` — a pure numpy/python reference provider (:mod:`._python`)
@@ -20,21 +18,29 @@ single-pass implementations of both behind one provider API, selected by
   and the numpy tier everywhere else, decided per batch shape by
   :func:`compiled_pays`: ``randomized-excess`` with ``B >= 2`` replicas
   and ``n * B >= 1024``.  A pool or shard worker applies the rule to its
-  own shard width.  numba is never picked here (explicit choice only).
-  A shape the rule gives to numpy is not a fallback: it loads no
-  provider and logs nothing; only a missing cffi provider logs a
-  one-time line.  Loading a compiled provider switches the process's
-  later shard and pool workers from ``fork`` to ``forkserver``
+  own shard width.  A shape the rule gives to numpy is not a fallback:
+  it loads no provider and logs nothing; only a missing cffi provider
+  logs a one-time line.  Loading a compiled provider switches the
+  process's later shard and pool workers from ``fork`` to ``forkserver``
   (:func:`fork_unsafe_loaded`), and each such worker caps its compiled
   kernels at its share of the CPUs (:func:`limit_threads`);
 * ``"numpy"`` — the engine's own vectorised kernels (no provider).
 
-Every provider is **bit-identical** to the numpy tier: deterministic
-roundings replay the exact elementwise expression trees and the exact
-CSR accumulation order, and the stochastic roundings consume uniforms
-pre-drawn from the same per-replica
-:func:`~repro.engines.base.rounding_stream` numpy generators in the same
-order (the provider compiles the expensive scatter, not the sampling).
+The providers cover ``randomized-excess`` only: a forced ``"cffi"`` or
+``"python"`` on any other rounding raises
+:class:`~repro.exceptions.ConfigurationError`.  The elementwise roundings
+(``floor``/``nearest``/``ceil``/``unbiased-edge``) are one vectorised
+numpy expression each; their compiled bodies lost on one thread and near
+the ``auto`` threshold (0.55-1.13x, docs/benchmarks.md), won only on two
+threads at ``n * B`` ~ 10^5 (up to ~1.6x), and ``auto`` never picked
+them, so they run on numpy only.
+
+Every provider is **bit-identical** to the numpy tier: it replays the
+exact elementwise expression trees and the exact CSR accumulation order,
+and the token scatter consumes uniforms pre-drawn from the same
+per-replica :func:`~repro.engines.base.rounding_stream` numpy generators
+in the same order (the provider compiles the expensive scatter, not the
+sampling).
 The record reductions are serial and add every sum in row order in the
 array dtype — numpy's order for an axis-0 sum over a C-contiguous
 ``(rows, B)`` plane with ``B > 1``.  For ``B == 1`` numpy sums pairwise
@@ -49,17 +55,15 @@ the edge/adjacency index arrays ``eu``/``ev``/``adj_edges``/``edges`` are
 while ``indptr``/``counts``/``totals``/``uoff`` stay int64 and
 ``adj_signs`` is int8):
 
-* ``round_edges(eu, ev, load, speeds, flows, act, fsg, uni, alpha, ar,
-  ac, beta, bm1, bs, mode, rounding, consts)`` — fused schedule + round:
+* ``round_edges(eu, ev, load, speeds, flows, act, fsg, alpha, ar, ac,
+  beta, bm1, bs, mode, consts)`` — fused schedule + round:
   mode 0 is the round-0 FOS opener ``s = (nu - nv) * alpha``, mode 1 the
   SOS update ``s = flows * (beta - 1) + ((nu - nv) * alpha) * beta``,
   mode 2 the fused-operator form reading the interleaved
   ``E_alpha[_beta].data`` coefficients; ``(ar, ac)`` / ``bs`` are element
-  strides into the flat ``alpha`` / ``beta`` rows.  ``rounding`` is a
-  :data:`ROUNDING_CODES` value; ``unbiased-edge`` reads its pre-drawn
-  uniforms from ``uni`` in **(B, m)** layout (each replica's stream fills
-  one contiguous row); ``randomized-excess`` additionally writes the
-  signed fractional parts into ``fsg``.
+  strides into the flat ``alpha`` / ``beta`` rows.  It writes the signed
+  base ``act = trunc(s)`` and the signed fractional parts
+  ``fsg = s - act``.
 * ``excess_counts(adj_edges, adj_signs, dmax, m, fsg, counts, totals,
   consts)`` — per-(node, replica) token budgets ``ceil(r - tol)`` from a
   walk of the padded adjacency (slot ``e == m`` is padding), plus the
@@ -102,11 +106,8 @@ import numpy as np
 from ..exceptions import ConfigurationError
 
 __all__ = [
-    "DISCRETE_ROUNDINGS",
     "HAVE_CFFI",
-    "HAVE_NUMBA",
     "KERNEL_CHOICES",
-    "ROUNDING_CODES",
     "compiled_pays",
     "ensure_warm",
     "fork_unsafe_loaded",
@@ -119,21 +120,10 @@ __all__ = [
 
 logger = logging.getLogger("repro.kernels")
 
-#: Roundings the compiled tier covers (every discrete rounding; the
-#: continuous ``identity`` process belongs to the closed-form fast paths).
-DISCRETE_ROUNDINGS = (
-    "floor", "nearest", "ceil", "unbiased-edge", "randomized-excess",
-)
-
-#: Rounding name -> integer code passed into the provider kernels.
-ROUNDING_CODES = {name: i for i, name in enumerate(DISCRETE_ROUNDINGS)}
-
 #: Valid ``EngineConfig.kernel`` values.
-KERNEL_CHOICES = ("numpy", "numba", "cffi", "python", "auto")
+KERNEL_CHOICES = ("numpy", "cffi", "python", "auto")
 
-#: Whether the optional compiled dependencies are importable (spec check
-#: only — importing numba eagerly would cost seconds per process).
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
+#: Whether cffi is importable (a spec check: importing it costs time).
 HAVE_CFFI = importlib.util.find_spec("cffi") is not None
 
 #: Provider cache: name -> provider instance, or None when the provider
@@ -160,14 +150,6 @@ def get_provider(name: str):
         return _PROVIDERS[name]
     if name == "python":
         from . import _python as mod
-    elif name == "numba":
-        mod = None
-        if HAVE_NUMBA:
-            try:
-                from . import _numba as mod
-            except Exception as exc:  # pragma: no cover - env dependent
-                logger.debug("numba provider unavailable: %s", exc)
-                mod = None
     elif name == "cffi":
         mod = None
         if HAVE_CFFI:
@@ -221,11 +203,11 @@ def fork_unsafe_loaded() -> bool:
 def kernel_blockers(config, m_edges: int) -> List[str]:
     """Why this config cannot run a compiled kernel (empty when it can)."""
     blockers = []
-    if config.rounding not in DISCRETE_ROUNDINGS:
+    if config.rounding != "randomized-excess":
         blockers.append(
-            f"rounding {config.rounding!r} (the compiled tier covers the "
-            f"discrete roundings {', '.join(DISCRETE_ROUNDINGS)}; identity "
-            "runs use the closed-form fast paths)"
+            f"rounding {config.rounding!r} (the compiled tier covers "
+            "randomized-excess only; the other roundings run on the numpy "
+            "tier)"
         )
     if m_edges == 0:
         blockers.append("an edgeless topology (no edge-wise hot loop exists)")
@@ -253,8 +235,8 @@ def compiled_pays(
     provider (~10 ms per process, which also moves the process's later
     workers to ``forkserver``) within runs of a few hundred rounds, and
     the default two-thread OpenMP team loses at ``n * B <= 128``
-    (0.63-1.0x).  Single-replica runs lose (0.68-0.97x), and so do the
-    elementwise roundings at ``n * B`` = 8192 (0.55-0.86x).
+    (0.63-1.0x).  Single-replica runs lose (0.68-0.97x).  The other
+    roundings have no compiled kernel.
     """
     return (
         rounding == "randomized-excess"
@@ -268,7 +250,7 @@ def resolve_kernel(config, n_nodes: int, m_edges: int, n_replicas: int):
     """Resolve ``config.kernel`` to a provider instance or ``None`` (numpy)
     for a batch of ``n_replicas`` columns on ``n_nodes``/``m_edges``.
 
-    Forced providers (``"numba"``/``"cffi"``/``"python"``) raise
+    Forced providers (``"cffi"``/``"python"``) raise
     :class:`~repro.exceptions.ConfigurationError` when the config is
     blocked or the provider is unavailable, naming the ``[compiled]`` pip
     extra.  ``"auto"`` returns a provider only where :func:`compiled_pays`
@@ -286,8 +268,6 @@ def resolve_kernel(config, n_nodes: int, m_edges: int, n_replicas: int):
     if name == "auto":
         if not compiled_pays(config.rounding, n_nodes, m_edges, n_replicas):
             return None
-        # numba stays an explicit choice: it pays a JIT per process and
-        # has no measured row.
         provider = get_provider("cffi")
         if provider is not None:
             return provider
@@ -334,9 +314,9 @@ def _warn_dynamic_clamp(config, provider_name: str) -> None:
 def _warm_provider(provider) -> None:
     """Exercise every provider entry point on a tiny two-node problem.
 
-    Triggers JIT/compilation outside any measured loop (both dtypes, all
-    rounding codes, all schedule modes, the excess passes, the apply
-    pass and the record passes).  The warm-up draws no engine randomness
+    Triggers compilation outside any measured loop (both dtypes, all
+    schedule modes, the excess passes, the apply pass and the record
+    passes).  The warm-up draws no engine randomness
     — every buffer is built locally.
     """
     eu = np.array([0], dtype=np.int32)
@@ -352,17 +332,15 @@ def _warm_provider(provider) -> None:
         flows = np.zeros((1, 1), dtype=dtype)
         act = np.zeros((1, 1), dtype=dtype)
         fsg = np.zeros((1, 1), dtype=dtype)
-        uni = np.full((1, 1), 0.25, dtype=dtype)
         alpha = np.array([0.25], dtype=dtype)
         beta = np.array([1.5], dtype=dtype)
         bm1 = np.array([0.5], dtype=dtype)
         signs = np.array([-1.0, 1.0], dtype=dtype)
         for mode in (0, 1, 2):
-            for code in range(len(DISCRETE_ROUNDINGS)):
-                provider.round_edges(
-                    eu, ev, load, speeds, flows, act, fsg, uni,
-                    alpha, 0, 0, beta, bm1, 0, mode, code, consts,
-                )
+            provider.round_edges(
+                eu, ev, load, speeds, flows, act, fsg,
+                alpha, 0, 0, beta, bm1, 0, mode, consts,
+            )
         counts = np.zeros((2, 1), dtype=np.int64)
         totals = np.zeros(1, dtype=np.int64)
         provider.excess_counts(
@@ -398,12 +376,12 @@ def ensure_warm(provider) -> None:
 def warm_up_kernels(names=None) -> Dict[str, bool]:
     """Warm every requested provider; returns ``{name: available}``.
 
-    Benchmarks call this explicitly so JIT/compile time never pollutes
+    Benchmarks call this explicitly so compile time never pollutes
     the measured rounds/sec; the engine calls :func:`ensure_warm` lazily
     on the first compiled run.
     """
     results: Dict[str, bool] = {}
-    for name in names if names is not None else ("python", "cffi", "numba"):
+    for name in names if names is not None else ("python", "cffi"):
         provider = get_provider(name)
         if provider is None:
             results[name] = False

@@ -32,10 +32,10 @@ _DECL_TEMPLATE = """
 void round_edges_@S@(
     long long m, long long B, const int *eu, const int *ev,
     const @R@ *load, const @R@ *speeds, const @R@ *flows,
-    @R@ *act, @R@ *fsg, const @R@ *uni,
+    @R@ *act, @R@ *fsg,
     const @R@ *alpha, long long ar, long long ac,
-    const @R@ *beta, const @R@ *bm1, long long bs,
-    int mode, int rounding, const @R@ *consts);
+    const @R@ *beta, const @R@ *bm1, long long bs, int mode,
+    const @R@ *consts);
 void excess_counts_@S@(
     long long n, long long B, long long m, long long dmax,
     const int *adj_edges, const signed char *adj_signs,
@@ -65,12 +65,11 @@ _BODY_TEMPLATE = r"""
 void round_edges_@S@(
     long long m, long long B, const int *eu, const int *ev,
     const @R@ *load, const @R@ *speeds, const @R@ *flows,
-    @R@ *act, @R@ *fsg, const @R@ *uni,
+    @R@ *act, @R@ *fsg,
     const @R@ *alpha, long long ar, long long ac,
-    const @R@ *beta, const @R@ *bm1, long long bs,
-    int mode, int rounding, const @R@ *consts)
+    const @R@ *beta, const @R@ *bm1, long long bs, int mode,
+    const @R@ *consts)
 {
-    const @R@ one = consts[1];
     long long e;
     #pragma omp parallel for schedule(static)
     for (e = 0; e < m; e++) {
@@ -101,32 +100,10 @@ void round_edges_@S@(
                     s = d;  /* round-0 FOS opener */
                 }
             }
-            switch (rounding) {
-            case 0:  /* floor (toward zero) */
-                a = @TRUNC@(s);
-                break;
-            case 1:  /* nearest (rint: ties to even) */
-                a = @RINT@(s);
-                break;
-            case 2:  /* ceil (away from zero) */
-                a = @COPYSIGN@(@CEIL@(@FABS@(s)), s);
-                break;
-            case 3: {  /* unbiased-edge: pre-drawn uniform, (B, m) layout */
-                const @R@ ab = @FABS@(s);
-                @R@ base = @FLOOR@(ab);
-                const @R@ frac = ab - base;
-                if (uni[b * m + e] < frac) {
-                    base = base + one;
-                }
-                a = @COPYSIGN@(base, s);
-                break;
-            }
-            default:  /* randomized-excess: signed base + fractional part */
-                a = @TRUNC@(s);
-                fsg[e * B + b] = s - a;
-                break;
-            }
+            /* randomized-excess: signed base + fractional part */
+            a = @TRUNC@(s);
             act[e * B + b] = a;
+            fsg[e * B + b] = s - a;
         }
     }
 }
@@ -407,14 +384,12 @@ void apply_info_@S@(
 
 _VARIANTS = {
     "f64": {
-        "@R@": "double", "@TRUNC@": "trunc", "@RINT@": "rint",
-        "@CEIL@": "ceil", "@FABS@": "fabs", "@FLOOR@": "floor",
-        "@COPYSIGN@": "copysign",
+        "@R@": "double", "@TRUNC@": "trunc", "@CEIL@": "ceil",
+        "@FABS@": "fabs",
     },
     "f32": {
-        "@R@": "float", "@TRUNC@": "truncf", "@RINT@": "rintf",
-        "@CEIL@": "ceilf", "@FABS@": "fabsf", "@FLOOR@": "floorf",
-        "@COPYSIGN@": "copysignf",
+        "@R@": "float", "@TRUNC@": "truncf", "@CEIL@": "ceilf",
+        "@FABS@": "fabsf",
     },
 }
 
@@ -558,8 +533,8 @@ class CffiKernels:
 
     # ------------------------------------------------------------------
     def round_edges(
-        self, eu, ev, load, speeds, flows, act, fsg, uni,
-        alpha, ar, ac, beta, bm1, bs, mode, rounding, consts,
+        self, eu, ev, load, speeds, flows, act, fsg,
+        alpha, ar, ac, beta, bm1, bs, mode, consts,
     ):
         dtype = act.dtype
         r = self._real(dtype)
@@ -567,10 +542,10 @@ class CffiKernels:
         self._fn("round_edges", dtype)(
             m, B, self._p(eu, "int *"), self._p(ev, "int *"),
             self._p(load, r), self._p(speeds, r), self._p(flows, r),
-            self._p(act, r), self._p(fsg, r), self._p(uni, r),
+            self._p(act, r), self._p(fsg, r),
             self._p(alpha, r), int(ar), int(ac),
-            self._p(beta, r), self._p(bm1, r), int(bs),
-            int(mode), int(rounding), self._p(consts, r),
+            self._p(beta, r), self._p(bm1, r), int(bs), int(mode),
+            self._p(consts, r),
         )
         return act
 

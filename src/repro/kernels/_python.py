@@ -3,8 +3,8 @@
 Exists so the kernel orchestration — mode/coefficient resolution, the RNG
 pre-draw protocol, the padded-adjacency token walk, the sequential apply
 order — can be validated on any machine with no compiler and no optional
-dependency.  Every expression mirrors the C/numba providers operation for
-operation, so it is bit-identical to both and to the engine's own numpy
+dependency.  Every expression mirrors the C provider operation for
+operation, so it is bit-identical to it and to the engine's own numpy
 tier (for which it is *not* a speedup: the token/apply loops are plain
 python, fine at test sizes only).
 """
@@ -23,8 +23,8 @@ class PythonKernels:
 
     # ------------------------------------------------------------------
     def round_edges(
-        self, eu, ev, load, speeds, flows, act, fsg, uni,
-        alpha, ar, ac, beta, bm1, bs, mode, rounding, consts,
+        self, eu, ev, load, speeds, flows, act, fsg,
+        alpha, ar, ac, beta, bm1, bs, mode, consts,
     ):
         m, B = act.shape
         it = alpha.dtype.itemsize
@@ -51,23 +51,9 @@ class PythonKernels:
                 s = flows * bm1v + d
             else:
                 s = d
-        if rounding == 0:  # floor (toward zero)
-            np.trunc(s, out=act)
-        elif rounding == 1:  # nearest (ties to even)
-            np.rint(s, out=act)
-        elif rounding == 2:  # ceil (away from zero)
-            a = np.abs(s)
-            np.ceil(a, out=a)
-            np.copysign(a, s, out=act)
-        elif rounding == 3:  # unbiased-edge: uni arrives in (B, m) layout
-            ab = np.abs(s)
-            base = np.floor(ab)
-            frac = ab - base
-            np.add(base, uni.T < frac, out=base)
-            np.copysign(base, s, out=act)
-        else:  # randomized-excess: signed base + fractional parts
-            np.trunc(s, out=act)
-            np.subtract(s, act, out=fsg)
+        # randomized-excess: signed base + fractional parts
+        np.trunc(s, out=act)
+        np.subtract(s, act, out=fsg)
         return act
 
     # ------------------------------------------------------------------

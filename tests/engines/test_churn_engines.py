@@ -300,7 +300,8 @@ class TestGuards:
             _run("batched", cfg, _loads())
 
     def test_forced_compiled_kernel_refuses_churn(self):
-        cfg = _config(kernel="python")
+        # randomized-excess: the one rounding a forced provider accepts
+        cfg = _config(kernel="python", rounding="randomized-excess")
         with pytest.raises(ConfigurationError, match="churn"):
             _run("batched", cfg, _loads())
 

@@ -1,14 +1,14 @@
 """Compiled kernel tier: bit-identity with the numpy tier everywhere.
 
 The contract under test (see ``src/repro/kernels/__init__.py``): every
-kernel provider — python, cffi, numba — produces *bit-identical* results
-to the engine's own numpy kernels for every discrete rounding, across
+kernel provider — python, cffi — produces *bit-identical* results to the
+engine's own numpy kernels for the randomized-excess rounding, across
 dense/tiled/sharded execution, static and dynamic runs, B=1 and B>1,
-``replica_params`` planes and both precisions.  Providers that are not
-available in the environment (no numba, no C compiler) are skip-marked,
-never failed; the pure-python provider always runs, so the orchestration
-(mode resolution, RNG pre-draws, token walk, apply order) is validated on
-every machine.
+``replica_params`` planes and both precisions; a forced provider refuses
+every other rounding.  A provider that is not available in the
+environment (no C compiler) is skip-marked, never failed; the pure-python
+provider always runs, so the orchestration (mode resolution, RNG
+pre-draws, token walk, apply order) is validated on every machine.
 """
 
 import numpy as np
@@ -25,7 +25,10 @@ from repro.graphs import random_regular_strict
 TORUS = torus_2d(6, 7)
 RR = random_regular_strict(40, 4, rng=default_rng(4))
 
-DISCRETE = list(kernels.DISCRETE_ROUNDINGS)
+EXCESS = "randomized-excess"
+#: The roundings the compiled tier refuses (numpy runs them).
+ELEMENTWISE = ["floor", "nearest", "ceil", "unbiased-edge"]
+DISCRETE = ELEMENTWISE + [EXCESS]
 
 PROVIDERS = [
     pytest.param(
@@ -35,7 +38,7 @@ PROVIDERS = [
             reason=f"kernel provider {name!r} unavailable",
         ),
     )
-    for name in ("python", "cffi", "numba")
+    for name in ("python", "cffi")
 ]
 
 
@@ -44,6 +47,17 @@ def _batch(topo, n_replicas=4, total=4000.0):
     rows = [point_load(topo, total)]
     rows += [random_load(topo, 100.0, rng=rng) for _ in range(n_replicas - 1)]
     return np.stack(rows)
+
+
+def _run_forced(run, cfg, kernel):
+    """``run(cfg)`` with ``kernel`` forced.  The compiled tier covers
+    randomized-excess only, so any other rounding must be refused on this
+    execution path; ``kernel="auto"`` then runs it on the numpy tier."""
+    if cfg.rounding == EXCESS:
+        return run(replace(cfg, kernel=kernel))
+    with pytest.raises(ConfigurationError, match=EXCESS):
+        run(replace(cfg, kernel=kernel))
+    return run(replace(cfg, kernel="auto"))
 
 
 def _assert_same_batch(ref, got, dynamic=False):
@@ -67,7 +81,9 @@ class TestBitIdentityStatic:
             record_every=5, seed=3,
         )
         ref = eng.run_batch(TORUS, cfg, loads)
-        got = eng.run_batch(TORUS, replace(cfg, kernel=kernel), loads)
+        got = _run_forced(
+            lambda c: eng.run_batch(TORUS, c, loads), cfg, kernel
+        )
         _assert_same_batch(ref, got)
 
     @pytest.mark.parametrize("kernel", PROVIDERS)
@@ -82,7 +98,9 @@ class TestBitIdentityStatic:
             record_every=5, seed=3, tile_size=17,
         )
         ref = eng.run_batch(TORUS, cfg, loads)
-        got = eng.run_batch(TORUS, replace(cfg, kernel=kernel), loads)
+        got = _run_forced(
+            lambda c: eng.run_batch(TORUS, c, loads), cfg, kernel
+        )
         _assert_same_batch(ref, got)
 
     @pytest.mark.parametrize("kernel", PROVIDERS)
@@ -96,8 +114,10 @@ class TestBitIdentityStatic:
             record_every=3, seed=3,
         )
         ref = make_engine("batched").run(TORUS, cfg, loads)
-        got = make_engine("sharded").run(
-            TORUS, replace(cfg, kernel=kernel, workers=2), loads
+        sharded = make_engine("sharded")
+        got = _run_forced(
+            lambda c: sharded.run(TORUS, replace(c, workers=2), loads),
+            cfg, kernel,
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(
@@ -109,7 +129,7 @@ class TestBitIdentityStatic:
             )
 
     @pytest.mark.parametrize("kernel", PROVIDERS)
-    @pytest.mark.parametrize("rounding", ["floor", "randomized-excess"])
+    @pytest.mark.parametrize("rounding", ["floor", EXCESS])
     def test_b1_and_float32(self, rounding, kernel):
         eng = make_engine("batched")
         loads = _batch(TORUS)
@@ -119,7 +139,9 @@ class TestBitIdentityStatic:
                 record_every=5, seed=3, precision=precision,
             )
             ref = eng.run_batch(TORUS, cfg, batch)
-            got = eng.run_batch(TORUS, replace(cfg, kernel=kernel), batch)
+            got = _run_forced(
+                lambda c: eng.run_batch(TORUS, c, batch), cfg, kernel
+            )
             _assert_same_batch(ref, got)
 
     @pytest.mark.parametrize("kernel", PROVIDERS)
@@ -135,7 +157,7 @@ class TestBitIdentityStatic:
             record_every=3, seed=1, speeds=speeds, switch=("fixed", 10),
         )
         ref = eng.run_batch(RR, cfg, loads)
-        got = eng.run_batch(RR, replace(cfg, kernel=kernel), loads)
+        got = _run_forced(lambda c: eng.run_batch(RR, c, loads), cfg, kernel)
         _assert_same_batch(ref, got)
 
     @pytest.mark.parametrize("kernel", PROVIDERS)
@@ -155,7 +177,7 @@ class TestBitIdentityStatic:
             ),
         )
         ref = eng.run_batch(RR, cfg, loads)
-        got = eng.run_batch(RR, replace(cfg, kernel=kernel), loads)
+        got = _run_forced(lambda c: eng.run_batch(RR, c, loads), cfg, kernel)
         _assert_same_batch(ref, got)
 
 
@@ -173,7 +195,9 @@ class TestBitIdentityDynamic:
             arrivals=arrivals,
         )
         ref = eng.run_dynamic_batch(TORUS, cfg, loads)
-        got = eng.run_dynamic_batch(TORUS, replace(cfg, kernel=kernel), loads)
+        got = _run_forced(
+            lambda c: eng.run_dynamic_batch(TORUS, c, loads), cfg, kernel
+        )
         _assert_same_batch(ref, got, dynamic=True)
 
 
@@ -188,8 +212,8 @@ class TestConfigSurface:
             make_engine("batched").run_batch(TORUS, cfg, _batch(TORUS))
 
     def test_forced_kernel_missing_names_pip_extra(self, monkeypatch):
-        monkeypatch.setitem(kernels._PROVIDERS, "numba", None)
-        cfg = EngineConfig(rounding="floor", kernel="numba", rounds=2)
+        monkeypatch.setitem(kernels._PROVIDERS, "cffi", None)
+        cfg = EngineConfig(rounding=EXCESS, kernel="cffi", rounds=2)
         with pytest.raises(ConfigurationError, match=r"repro-lb\[compiled\]"):
             make_engine("batched").run_batch(TORUS, cfg, _batch(TORUS))
 
@@ -209,8 +233,8 @@ class TestConfigSurface:
     def test_auto_no_providers_falls_back(self, monkeypatch):
         monkeypatch.setitem(kernels._PROVIDERS, "cffi", None)
         eng = make_engine("batched")
-        loads = _batch(TORUS)
-        cfg = EngineConfig(rounding="floor", rounds=10, record_every=2, seed=3)
+        loads = np.tile(_batch(TORUS), (8, 1))  # a shape the rule gives cffi
+        cfg = EngineConfig(rounding=EXCESS, rounds=10, record_every=2, seed=3)
         ref = eng.run_batch(TORUS, cfg, loads)
         got = eng.run_batch(TORUS, replace(cfg, kernel="auto"), loads)
         _assert_same_batch(ref, got)
@@ -227,16 +251,49 @@ class TestConfigSurface:
     def test_warm_up_kernels_reports_availability(self):
         out = kernels.warm_up_kernels()
         assert out["python"] is True
-        assert set(out) == {"python", "cffi", "numba"}
+        assert set(out) == {"python", "cffi"}
         assert all(isinstance(v, bool) for v in out.values())
 
-    def test_have_flags_are_spec_checks(self):
-        assert isinstance(kernels.HAVE_NUMBA, bool)
+    def test_have_flag_is_a_spec_check(self):
         assert isinstance(kernels.HAVE_CFFI, bool)
 
     def test_get_provider_unknown_name(self):
         with pytest.raises(ValueError, match="unknown"):
             kernels.get_provider("cuda")
+
+
+class TestOtherRoundingsRefused:
+    """The compiled tier covers randomized-excess only."""
+
+    @pytest.mark.parametrize("kernel", ["cffi", "python"])
+    @pytest.mark.parametrize("rounding", ELEMENTWISE)
+    def test_forced_provider_raises(self, rounding, kernel):
+        cfg = EngineConfig(rounding=rounding, kernel=kernel, rounds=2)
+        with pytest.raises(ConfigurationError, match="randomized-excess"):
+            kernels.resolve_kernel(cfg, TORUS.n, TORUS.m_edges, 4)
+        with pytest.raises(ConfigurationError, match="randomized-excess"):
+            make_engine("batched").run_batch(TORUS, cfg, _batch(TORUS))
+
+    @pytest.mark.parametrize("rounding", ELEMENTWISE)
+    def test_auto_stays_silent_on_numpy(self, rounding, caplog, monkeypatch):
+        monkeypatch.setattr(kernels, "_PROVIDERS", {})
+        monkeypatch.setattr(kernels, "_FALLBACKS_LOGGED", set())
+        cfg = EngineConfig(
+            scheme="sos", beta=1.7, rounding=rounding, rounds=6, seed=3,
+        )
+        # a shape the rule would give to cffi under randomized-excess
+        wide = np.tile(_batch(TORUS), (8, 1))
+        assert TORUS.n * wide.shape[0] >= 1024
+        with caplog.at_level("INFO", logger="repro.kernels"):
+            assert kernels.resolve_kernel(
+                cfg, TORUS.n, TORUS.m_edges, wide.shape[0]
+            ) is None
+            eng = make_engine("batched")
+            got = eng.run_batch(TORUS, cfg, wide)
+        assert not caplog.records
+        assert kernels._PROVIDERS == {}
+        ref = eng.run_batch(TORUS, replace(cfg, kernel="numpy"), wide)
+        _assert_same_batch(ref, got)
 
 
 class TestFallbackLogging:
@@ -264,7 +321,7 @@ class TestFallbackLogging:
     ):
         monkeypatch.setattr(kernels, "_FALLBACKS_LOGGED", set())
         cfg = EngineConfig(
-            rounding="floor", kernel="python", rounds=2,
+            rounding=EXCESS, kernel="python", rounds=2,
             arrivals="poisson:1.5",
         )
         with caplog.at_level("INFO", logger="repro.kernels"):
@@ -280,7 +337,7 @@ class TestFallbackLogging:
 
     def test_static_forced_kernel_does_not_warn(self, caplog, monkeypatch):
         monkeypatch.setattr(kernels, "_FALLBACKS_LOGGED", set())
-        cfg = EngineConfig(rounding="floor", kernel="python", rounds=2)
+        cfg = EngineConfig(rounding=EXCESS, kernel="python", rounds=2)
         with caplog.at_level("INFO", logger="repro.kernels"):
             kernels.resolve_kernel(cfg, TORUS.n, TORUS.m_edges, 4)
         assert not [r for r in caplog.records if "clamp" in r.message]
@@ -291,8 +348,7 @@ class TestProviderCross:
 
     @pytest.mark.parametrize("kernel", PROVIDERS)
     @pytest.mark.parametrize("mode", [0, 1, 2])
-    @pytest.mark.parametrize("code", list(range(len(DISCRETE))))
-    def test_round_edges_matches_python(self, mode, code, kernel):
+    def test_round_edges_matches_python(self, mode, kernel):
         if kernel == "python":
             pytest.skip("python is the baseline")
         other = kernels.get_provider(kernel)
@@ -305,7 +361,6 @@ class TestProviderCross:
             load = rng.normal(50.0, 40.0, (n, B)).astype(dtype)
             speeds = (1.0 + rng.random(n)).astype(dtype)
             flows = rng.normal(0.0, 5.0, (m, B)).astype(dtype)
-            uni = rng.random((B, m)).astype(dtype)  # replica-major layout
             alpha = np.full(1, 0.25, dtype=dtype)
             beta = np.array([1.7], dtype=dtype)
             bm1 = np.array([0.7], dtype=dtype)
@@ -319,9 +374,9 @@ class TestProviderCross:
                 act = np.zeros((m, B), dtype=dtype)
                 fsg = np.zeros((m, B), dtype=dtype)
                 prov.round_edges(
-                    eu, ev, load, speeds, flows, act, fsg, uni,
+                    eu, ev, load, speeds, flows, act, fsg,
                     args["a"], args["ar"], args["ac"], beta, bm1, 0,
-                    mode, code, consts,
+                    mode, consts,
                 )
                 outs.append((act, fsg))
             np.testing.assert_array_equal(outs[0][0], outs[1][0])
@@ -482,11 +537,13 @@ class TestRecordRounds:
         for tile in (None, 11):
             c = replace(cfg, tile_size=tile)
             ref = eng.run_batch(topo, c, loads)
-            got = eng.run_batch(topo, replace(c, kernel=kernel), loads)
+            got = _run_forced(
+                lambda r: eng.run_batch(topo, r, loads), c, kernel
+            )
             _assert_same_batch(ref, got)
 
     @pytest.mark.parametrize("kernel", PROVIDERS)
-    @pytest.mark.parametrize("rounding", ["floor", "randomized-excess"])
+    @pytest.mark.parametrize("rounding", ["floor", EXCESS])
     def test_fractional_targets(self, rounding, kernel):
         # non-integral targets make the potential a non-integral sum
         loads = _batch(TORUS)
@@ -554,7 +611,7 @@ class TestRecordRounds:
         loads = _batch(TORUS, total=3.0e7)
         loads[1:] *= 3.0e5  # 100 tokens -> 3e7, still exact in float32
         cfg = EngineConfig(
-            scheme="sos", beta=1.7, rounding="floor", rounds=20,
+            scheme="sos", beta=1.7, rounding=EXCESS, rounds=20,
             record_every=2, seed=3, precision="float32",
         )
         ref = make_engine("batched").run_batch(TORUS, cfg, loads)
@@ -578,13 +635,12 @@ def test_hypothesis_adversarial_integer_loads(kernel):
             st.integers(min_value=-500, max_value=10_000),
             min_size=n, max_size=n,
         ),
-        st.sampled_from(DISCRETE),
         st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def check(values, rounding, seed):
+    def check(values, seed):
         loads = np.array([values, values[::-1]], dtype=np.float64)
         cfg = EngineConfig(
-            scheme="sos", beta=1.7, rounding=rounding, rounds=12,
+            scheme="sos", beta=1.7, rounding=EXCESS, rounds=12,
             record_every=3, seed=seed,
         )
         ref = eng.run_batch(TORUS, cfg, loads)

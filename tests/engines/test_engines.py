@@ -195,3 +195,43 @@ class TestBatchedSwitching:
             backend.step(handle).switched.tolist() for _ in range(5)
         ]
         assert switch_rounds == [[False], [False], [True], [False], [False]]
+
+
+class TestConservationCheck:
+    """One helper checks the total load of every batched record round."""
+
+    def test_helper_tolerance_rule(self):
+        from repro.engines.batched import _check_conserved
+        from repro.exceptions import SimulationError
+
+        expected = np.array([100.0, 0.5, -4000.0])
+        # drift up to tol * max(1, |expected|) passes
+        _check_conserved(expected + [5e-5, 5e-7, -2e-3], expected, 1e-6, 3)
+        with pytest.raises(SimulationError, match="replica 1 by round 3"):
+            _check_conserved(expected + [0.0, 2e-6, 0.0], expected, 1e-6, 3)
+
+    @pytest.mark.parametrize("arrivals", [None, "poisson:1.0,depart=1.0"])
+    def test_corrupted_plane_raises(self, arrivals, monkeypatch, small_torus):
+        from repro.engines import batched
+        from repro.exceptions import SimulationError
+
+        calls = []
+        check = batched._check_conserved
+
+        def spy(*args):
+            calls.append(args[3])
+            check(*args)
+
+        monkeypatch.setattr(batched, "_check_conserved", spy)
+        config = EngineConfig(
+            scheme="sos", beta=1.6, rounding="floor", rounds=6, seed=0,
+            arrivals=arrivals,
+        )
+        engine = make_engine("batched")
+        loads = np.tile(point_load(small_torus, 100 * small_torus.n), (3, 1))
+        h = engine.prepare(small_torus, config, loads)
+        engine.step(h)
+        h.load[2, 1] += 5.0  # replica 1 gains five tokens from nowhere
+        with pytest.raises(SimulationError, match="replica 1 by round 2"):
+            engine.step(h)
+        assert calls[-1] == 2

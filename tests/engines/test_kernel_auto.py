@@ -66,17 +66,8 @@ class TestRule:
         assert not pays("randomized-excess", 4096, 8192, 1)
         assert not pays("randomized-excess", 4096, 0, 4)  # edgeless
 
-    def test_auto_never_picks_numba(self, monkeypatch):
-        class Fake:
-            name, compiled = "numba", True
-
-        monkeypatch.setitem(kernels._PROVIDERS, "numba", Fake())
-        monkeypatch.setitem(kernels._PROVIDERS, "cffi", None)
-        cfg = EngineConfig(rounding="randomized-excess")
-        assert kernels.resolve_kernel(cfg, 1024, 2048, 8) is None
-
     def test_forced_provider_ignores_the_rule(self):
-        cfg = EngineConfig(rounding="floor", kernel="python")
+        cfg = EngineConfig(rounding="randomized-excess", kernel="python")
         provider = kernels.resolve_kernel(cfg, T8.n, T8.m_edges, 1)
         assert provider is kernels.get_provider("python")
 
