@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 from importlib import metadata
+from typing import Optional
 
 import numpy as np
 
@@ -46,22 +47,30 @@ def _version(package: str):
         return None
 
 
-def provenance() -> dict:
-    """What produced an artifact: the commit, the cores this process may
-    run on, the numeric library versions and the bench scale."""
+def _git(*args: str) -> Optional[str]:
+    """Stdout of a git command in the repo root, or None outside a checkout."""
     try:
-        sha = subprocess.run(
-            ["git", "-C", REPO_ROOT, "rev-parse", "HEAD"],
+        return subprocess.run(
+            ["git", "-C", REPO_ROOT, *args],
             capture_output=True, text=True, timeout=10, check=True,
         ).stdout.strip()
     except (OSError, subprocess.SubprocessError):
-        sha = None
+        return None
+
+
+def provenance() -> dict:
+    """What produced an artifact: the commit, whether tracked files differ
+    from it (``git_dirty``), the cores this process may run on, the
+    numeric library versions and the bench scale."""
+    sha = _git("rev-parse", "HEAD")
+    status = _git("status", "--porcelain", "--untracked-files=no")
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         cores = os.cpu_count()
     return {
         "git_sha": sha,
+        "git_dirty": None if status is None else bool(status),
         "usable_cores": cores,
         "numpy": np.__version__,
         "scipy": _version("scipy"),

@@ -791,7 +791,7 @@ def resolve_tile_size(
     planes plus ``planes`` excess-token planes, each ``tile x B x itemsize``
     bytes — fits the config's ``memory_budget_mb``.  The result is clamped to
     ``[1, n]``; a budget generous enough for the whole graph resolves to
-    ``None`` (dense scratch is the exact same computation, minus the loop).
+    ``None``: dense, which the engines run as one tile covering every node.
     """
     spec = config.tile_size
     if spec is None:

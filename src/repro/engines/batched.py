@@ -58,7 +58,7 @@ from ..core.records import (
     FLOAT_FIELDS,
     StreamingStats,
 )
-from ..core.rounding import make_rounding
+from ..core.rounding import _FRAC_TOL, make_rounding
 from ..core.spectral import (
     fwht,
     hypercube_wht_eigenvalues,
@@ -240,6 +240,45 @@ def _excess_token_slots(
     return np.concatenate(slots), np.concatenate(cols)
 
 
+#: Roundings that act on each scheduled flow alone (see _round_elementwise).
+_ELEMENTWISE_ROUNDINGS = ("floor", "nearest", "ceil", "unbiased-edge")
+
+
+def _round_elementwise(
+    rounding: str,
+    sched: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+    rngs: List[np.random.Generator],
+) -> np.ndarray:
+    """Round a ``(rows, B)`` schedule plane flow by flow into ``out``.
+
+    One of :data:`_ELEMENTWISE_ROUNDINGS`; each acts on ``|x|`` and puts
+    the sign back, so a flow and its reverse round alike: floor is
+    ``trunc``, nearest is ``rint`` (symmetric), ceil is
+    ``copysign(ceil|x|, x)``, and ``unbiased-edge`` adds one to
+    ``floor|x|`` with probability ``{|x|}``, drawing ``rows`` uniforms from
+    ``rngs[b]`` for column ``b``.  ``scratch`` is a free plane of the same
+    shape; ``out`` may be ``sched`` itself when ``sched >= +0.0``.
+    """
+    if rounding == "floor":
+        return np.trunc(sched, out=out)
+    if rounding == "nearest":
+        return np.rint(sched, out=out)
+    absf = np.abs(sched, out=scratch)
+    if rounding == "ceil":
+        np.ceil(absf, out=absf)
+        return np.copysign(absf, sched, out=out)
+    np.floor(absf, out=out)
+    np.subtract(absf, out, out=absf)  # fractional parts
+    rows = sched.shape[0]
+    for b, rng in enumerate(rngs):  # one stream per replica
+        col = absf[:, b]
+        np.less(rng.random(rows, dtype=out.dtype), col, out=col)
+    np.add(out, absf, out=out)  # absf now holds the 0/1 up-steps
+    return np.copysign(out, sched, out=out)
+
+
 def _padded_adjacency(topo: Topology) -> tuple:
     """``(dmax, adj_edges, slot_dirs)``: node ``i``'s ``j``-th incident edge
     (``m`` past its degree) and its direction (+1 when ``i`` is the edge's
@@ -272,73 +311,30 @@ def _slot_take(adj_edges: np.ndarray, slot_dirs: np.ndarray, m: int) -> list:
     ]
 
 
-def _tiled_mld(
-    load: np.ndarray,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    edge_tiles: List[tuple],
-    s1: np.ndarray,
-    s2: np.ndarray,
-) -> np.ndarray:
-    """Max local load difference via per-edge-tile gathers.
-
-    Bit-identical to ``max |E @ load|``: the CSR row for edge ``k`` computes
-    ``(+1 * x_u) + (-1 * x_v)``, which IEEE arithmetic makes exactly the
-    gathered subtraction, and max is tile-decomposable exactly.
-    """
-    mx = np.full(load.shape[1], -np.inf, dtype=load.dtype)
-    for a, b in edge_tiles:
-        k = b - a
-        xu = np.take(load, edge_u[a:b], axis=0, out=s1[:k])
-        xv = np.take(load, edge_v[a:b], axis=0, out=s2[:k])
-        np.subtract(xu, xv, out=xu)
-        np.abs(xu, out=xu)
-        np.maximum(mx, xu.max(axis=0), out=mx)
-    return mx
-
-
 def _node_metrics(
     load: np.ndarray,
     targets: np.ndarray,
     fields,
     scratch: np.ndarray,
-    node_tiles: Optional[List[tuple]],
+    node_tiles: List[tuple],
 ) -> tuple:
     """Requested node-space record metrics plus the per-replica totals.
 
-    ``node_tiles=None`` runs the dense whole-plane expressions (the exact
-    op sequence the engine always used); otherwise the same reductions
-    stream over node tiles with ``scratch`` bounded to ``(tile, B)``.
-    Min/max reductions decompose over tiles exactly.  Sums add per-tile
-    partials into a running total, which regroups the additions: the
-    result equals the dense sum exactly only while every partial sum is
-    exactly representable — integral loads under a discrete rounding, with
-    totals below ``2**53`` (``2**24`` in float32).  The potential
+    The reductions stream over node tiles with ``scratch`` bounded to
+    ``(tile, B)``; a dense run is the one tile ``[(0, n)]``.  Min/max
+    reductions decompose over tiles exactly.  Sums add per-tile partials
+    into a running total, which regroups the additions: the result equals
+    the one-tile sum exactly only while every partial sum is exactly
+    representable — integral loads under a discrete rounding, with totals
+    below ``2**53`` (``2**24`` in float32).  The potential
     ``(x - target)**2`` is non-integral whenever a target is fractional
     (a non-divisible total, non-uniform speeds, ``config.targets``), and
     so are the loads of the continuous ``identity`` process; those sums
-    agree with the dense ones to accumulation accuracy only.  Totals are
+    agree across tile widths to accumulation accuracy only.  Totals are
     always computed — they feed the conservation check — but stored only
     when requested.
     """
     n = load.shape[0]
-    if node_tiles is None:
-        values: Dict[str, np.ndarray] = {}
-        dev = np.subtract(load, targets, out=scratch)
-        if "max_minus_avg" in fields:
-            values["max_minus_avg"] = dev.max(axis=0)
-        if "min_minus_avg" in fields:
-            values["min_minus_avg"] = dev.min(axis=0)
-        if "potential_per_node" in fields:
-            np.multiply(dev, dev, out=dev)
-            values["potential_per_node"] = dev.sum(axis=0) / n
-        if "min_load" in fields:
-            values["min_load"] = load.min(axis=0)
-        totals = load.sum(axis=0)
-        if "total_load" in fields:
-            values["total_load"] = totals
-        return values, totals
-
     B = load.shape[1]
     dtype = load.dtype
     broadcast_targets = targets.shape[0] != n
@@ -381,8 +377,6 @@ def _metric_values(fields, n: int, mx, mn, pot, mload, totals) -> tuple:
     }
     return {k: v for k, v in reduced.items() if k in fields}, totals
 
-_FRAC_TOL = 1e-9  # matches repro.core.rounding
-
 try:  # pragma: no cover - exercised implicitly by every batched run
     from scipy.sparse import _sparsetools as _st
 
@@ -391,15 +385,19 @@ try:  # pragma: no cover - exercised implicitly by every batched run
         x: np.ndarray,
         out: np.ndarray,
         accumulate: bool = False,
+        rows: Optional[tuple] = None,
     ) -> np.ndarray:
-        """``out [+]= matrix @ x`` without allocating the result."""
+        """``out [+]= matrix[a:b] @ x`` for the row block ``rows = (a, b)``
+        (every row by default), without allocating the result or copying
+        the block: each row accumulates exactly as in the whole product."""
+        a, b = rows if rows is not None else (0, matrix.shape[0])
         if not accumulate:
             out.fill(0.0)
         _st.csr_matvecs(
-            matrix.shape[0],
+            b - a,
             matrix.shape[1],
             x.shape[1],
-            matrix.indptr,
+            matrix.indptr[a : b + 1],
             matrix.indices,
             matrix.data,
             x.ravel(),
@@ -414,12 +412,67 @@ except Exception:  # pragma: no cover - scipy internals moved
         x: np.ndarray,
         out: np.ndarray,
         accumulate: bool = False,
+        rows: Optional[tuple] = None,
     ) -> np.ndarray:
+        block = matrix if rows is None else matrix[rows[0] : rows[1]]
         if accumulate:
-            out += matrix @ x
+            out += block @ x
         else:
-            out[...] = matrix @ x
+            out[...] = block @ x
         return out
+
+
+def _max_local_diff(
+    E: sp.csr_matrix, load: np.ndarray, edge_tiles: List[tuple], scratch
+) -> np.ndarray:
+    """Per-replica max local load difference ``max |E @ load|``.
+
+    One CSR row block of ``E`` per edge tile, written into ``scratch``
+    (at least the widest tile's rows).  Row ``k`` computes
+    ``(+1 * x_u) + (-1 * x_v)``, exactly ``x_u - x_v`` in IEEE arithmetic,
+    and max decomposes over tiles exactly, so every tiling gives the same
+    bits.
+    """
+    mx = np.full(load.shape[1], -np.inf, dtype=load.dtype)
+    for a, b in edge_tiles:
+        diff = _csr_dot(E, load, scratch[: b - a], rows=(a, b))
+        np.abs(diff, out=diff)
+        np.maximum(mx, diff.max(axis=0), out=mx)
+    return mx
+
+
+def _difference_operator(topo: Topology, dtype) -> sp.csr_matrix:
+    """``E``: the per-edge difference, entries ordered (+1 @ eu, -1 @ ev)."""
+    m = topo.m_edges
+    return sp.csr_matrix(
+        (
+            np.tile(np.array([1.0, -1.0], dtype=dtype), m),
+            np.column_stack([topo.edge_u, topo.edge_v]).ravel()
+            if m else np.empty(0, np.int64),
+            2 * np.arange(m + 1),
+        ),
+        shape=(m, topo.n),
+    )
+
+
+def _incidence_operators(topo: Topology, dtype) -> tuple:
+    """``(D, W)``: the signed incidence (``-1`` at ``(edge_u, k)``, ``+1``
+    at ``(edge_v, k)``) and its unsigned twin, both ``(n, m)`` CSR."""
+    n, m = topo.n, topo.m_edges
+    ar = np.arange(m)
+    inc_rows = np.concatenate([topo.edge_u, topo.edge_v])
+    inc_cols = np.concatenate([ar, ar])
+    D = sp.coo_matrix(
+        (
+            np.concatenate([-np.ones(m), np.ones(m)]).astype(dtype),
+            (inc_rows, inc_cols),
+        ),
+        shape=(n, m),
+    ).tocsr()
+    W = sp.coo_matrix(
+        (np.ones(2 * m, dtype=dtype), (inc_rows, inc_cols)), shape=(n, m)
+    ).tocsr()
+    return D, W
 
 
 def _assemble_diffusion(
@@ -492,14 +545,11 @@ class _FastRecorder:
     """Record storage of a closed-form fast-path run.
 
     Owns the tile-aware metric reductions (no edge-space state exists on
-    the fast path, so the local-difference metric gathers endpoint loads in
-    bounded edge chunks), the table/summary storage, the conservation
+    the fast path, so the local-difference metric runs the difference
+    operator in edge tiles as wide as the node tiles, through the same
+    ``(tile, B)`` scratch), the table/summary storage, the conservation
     check, and the final :class:`RecordBatch`.
     """
-
-    #: edge-gather chunk when the run is not node-tiled (bounds the mld
-    #: scratch without affecting results — gathers tile exactly)
-    EDGE_CHUNK = 1 << 16
 
     def __init__(self, topo, config, x0, speeds, dtype):
         n, B = x0.shape
@@ -508,8 +558,8 @@ class _FastRecorder:
         self.n_replicas = B
         self.dtype = dtype
         self.fields = resolve_record_fields(config.record_fields)
-        self.tile = resolve_tile_size(config, n, B, np.dtype(dtype).itemsize)
-        self.node_tiles = _tiles(n, self.tile) if self.tile else None
+        rows = resolve_tile_size(config, n, B, np.dtype(dtype).itemsize) or n
+        self.node_tiles = _tiles(n, rows)
         totals = x0.sum(axis=0)
         speeds_col = speeds[:, None].astype(dtype)
         if config.targets is not None:
@@ -524,13 +574,10 @@ class _FastRecorder:
             ).astype(dtype, copy=False)
         self.totals0 = totals.copy()
         self.conserve_tol = 1e-6 if dtype == np.float64 else 1e-4
-        scratch_rows = self.tile if self.tile else n
-        self.scratch = np.empty((scratch_rows, B), dtype=dtype)
+        self.scratch = np.empty((rows, B), dtype=dtype)
         if "max_local_diff" in self.fields and topo.m_edges:
-            chunk = self.tile if self.tile else min(topo.m_edges, self.EDGE_CHUNK)
-            self.edge_tiles = _tiles(topo.m_edges, chunk)
-            self.es1 = np.empty((chunk, B), dtype=dtype)
-            self.es2 = np.empty((chunk, B), dtype=dtype)
+            self.E = _difference_operator(topo, dtype)
+            self.edge_tiles = _tiles(topo.m_edges, rows)
         self.scheme_code = 1 if config.scheme == "sos" else 0
         self.stats: Optional[StreamingStats] = None
         if config.record_mode == "summary":
@@ -555,9 +602,8 @@ class _FastRecorder:
         )
         if "max_local_diff" in self.fields:
             if self.topo.m_edges:
-                values["max_local_diff"] = _tiled_mld(
-                    x, self.topo.edge_u, self.topo.edge_v, self.edge_tiles,
-                    self.es1, self.es2,
+                values["max_local_diff"] = _max_local_diff(
+                    self.E, x, self.edge_tiles, self.scratch
                 )
             else:
                 values["max_local_diff"] = np.zeros(self.n_replicas)
@@ -629,7 +675,6 @@ class _BatchedHandle:
         if churn_plan is not None:
             op_cache = None
         B = loads.shape[0]
-        self.topo = topo
         self.config = config
         self.n_replicas = B
         #: the widest batch so far (take_columns sizes its buffers to it)
@@ -668,7 +713,7 @@ class _BatchedHandle:
         self.fields = resolve_record_fields(config.record_fields)
         #: whether any record round needs the transient/traffic pass
         self.info_fields = any(f in self.fields for f in _INFO_FIELDS)
-        #: node-tile width of the streaming kernels (None = dense scratch)
+        #: node-tile width of the streaming kernels (None = dense)
         excess_planes = (
             int(topo.degrees.max()) if config.rounding == "randomized-excess" and m
             else 0
@@ -676,8 +721,10 @@ class _BatchedHandle:
         self.tile = resolve_tile_size(
             config, n, B, np.dtype(dtype).itemsize, planes=excess_planes
         )
-        self.node_tiles = _tiles(n, self.tile) if self.tile else []
-        self.edge_tiles = _tiles(m, self.tile) if self.tile else []
+        #: rows of every node and edge tile: the tile width, or n — a
+        #: dense run is one tile covering every node
+        self.tile_rows = self.tile or n
+        self.node_tiles = _tiles(n, self.tile_rows)
         # Unconditional copy: for B=1 a transposed (n, 1) view is still
         # flagged contiguous, and the engine must never mutate caller data.
         self.load = np.asarray(loads.T, dtype=dtype).copy(order="C")  # (n, B)
@@ -689,11 +736,6 @@ class _BatchedHandle:
         )
         self.speeds_col = speeds[:, None].astype(dtype)
         self.uniform_speeds = bool(np.all(speeds == 1.0))
-        alphas = resolve_alphas(config.alphas, topo, speeds)
-        if m == 0 or np.all(alphas == alphas[0]):
-            self.alphas = float(alphas[0]) if m else 1.0
-        else:
-            self.alphas = alphas[:, None].astype(dtype)
         # -- per-replica parameter planes --------------------------------
         alpha_scales = params.alpha_scales if params is not None else None
         betas = params.betas if params is not None else None
@@ -702,18 +744,6 @@ class _BatchedHandle:
         #: re-indexing must follow it)
         self.alpha_per_replica = alpha_scales is not None and m > 0
         self.targets_per_replica = config.targets is None
-        if alpha_scales is not None and m:
-            # Fold the per-replica scale into an alpha row/plane: the float64
-            # product ``alpha_k * scale_b`` is exactly what the reference
-            # engine's per-replica scheme computes, and multiplication
-            # commutes bit for bit, so ``diff * (alpha * scale)`` matches
-            # ``(alpha * scale) * diff`` replica for replica.
-            if np.isscalar(self.alphas):
-                self.alphas = (self.alphas * alpha_scales[None, :]).astype(dtype)
-            else:
-                self.alphas = (alphas[:, None] * alpha_scales[None, :]).astype(
-                    dtype
-                )
         self.scalar_beta = (
             config.switch is None
             and switch_rounds is None
@@ -730,47 +760,16 @@ class _BatchedHandle:
         self.switched_at = np.full(B, -1, dtype=np.int64)
         self.last_switched = np.zeros(B, dtype=bool)
 
-        # -- CSR operators ---------------------------------------------
-        eu, ev = topo.edge_u, topo.edge_v
-        csr_key = ("csr", np.dtype(dtype).char)
-        cached_csr = op_cache.get(csr_key) if op_cache is not None else None
-        if cached_csr is not None:
-            self.E, self.D, self.W = cached_csr
-        else:
-            ar = np.arange(m)
-            # E: per-edge difference, entries ordered (+1 @ eu, -1 @ ev).
-            self.E = sp.csr_matrix(
-                (
-                    np.tile(np.array([1.0, -1.0], dtype=dtype), m),
-                    np.column_stack([eu, ev]).ravel() if m else np.empty(0, np.int64),
-                    2 * np.arange(m + 1),
-                ),
-                shape=(m, n),
-            )
-            inc_rows = np.concatenate([eu, ev])
-            inc_cols = np.concatenate([ar, ar])
-            self.D = sp.coo_matrix(
-                (
-                    np.concatenate([-np.ones(m), np.ones(m)]).astype(dtype),
-                    (inc_rows, inc_cols),
-                ),
-                shape=(n, m),
-            ).tocsr()
-            self.W = sp.coo_matrix(
-                (np.ones(2 * m, dtype=dtype), (inc_rows, inc_cols)), shape=(n, m)
-            ).tocsr()
-            if op_cache is not None:
-                op_cache[csr_key] = (self.E, self.D, self.W)
+        self._build_operators(topo, speeds, alpha_scales, op_cache)
         if self.kernel is not None:
             # Flat buffers of the compiled provider: edge endpoints, the
-            # incidence CSR (captured before tiling drops self.D — the
-            # compiled apply replays csr_matvecs' per-row accumulation
-            # order; W shares D's structure, so it needs no copy), per-node
-            # speeds, and the dtype-pinned constants [0, 1, frac_tol, 0.5]
-            # so no float literal enters the kernels at a foreign
-            # precision.
-            self.kern_eu = np.ascontiguousarray(eu, dtype=np.int32)
-            self.kern_ev = np.ascontiguousarray(ev, dtype=np.int32)
+            # incidence CSR (the compiled apply replays csr_matvecs'
+            # per-row accumulation order; W shares D's structure, so it
+            # needs no copy), per-node speeds, and the dtype-pinned
+            # constants [0, 1, frac_tol, 0.5] so no float literal enters
+            # the kernels at a foreign precision.
+            self.kern_eu = np.ascontiguousarray(topo.edge_u, dtype=np.int32)
+            self.kern_ev = np.ascontiguousarray(topo.edge_v, dtype=np.int32)
             self.inc_indptr = np.ascontiguousarray(self.D.indptr, dtype=np.int64)
             self.inc_edges = np.ascontiguousarray(self.D.indices, dtype=np.int32)
             self.inc_signs = np.ascontiguousarray(self.D.data)
@@ -788,82 +787,6 @@ class _BatchedHandle:
             self.kern_beta = np.ones(B, dtype=dtype)
             self.kern_bm1 = np.zeros(B, dtype=dtype)
             self._set_kern_alpha()
-        if self.tile:
-            # Row blocks of the incidence operators: CSR row slicing keeps
-            # each row's accumulation untouched, so the tiled apply/transient
-            # loops reproduce the dense matvecs bit for bit.
-            self.D_tiles = [self.D[a:b] for a, b in self.node_tiles]
-            self.W_tiles = [self.W[a:b] for a, b in self.node_tiles]
-            self.D = self.W = None  # the full operators are never used tiled
-        # Fused gradient operators with the edge weights folded into the CSR
-        # data — a float-reassociation shortcut, used only where bitwise
-        # fidelity to the reference is not part of the contract (statistical
-        # roundings, the continuous identity process, and float32 mode).
-        self.fused_sched = m > 0 and alpha_scales is None and (
-            dtype == np.float32
-            or config.rounding in ("randomized-excess", "unbiased-edge", "identity")
-        )
-        if self.fused_sched:
-            alpha_edge = (
-                np.full(m, self.alphas)
-                if np.isscalar(self.alphas)
-                else np.asarray(alphas, dtype=np.float64)
-            )
-            beta_scale = float(self.beta_row[0, 0])
-
-            def _scaled_e(scale):
-                data = np.repeat(alpha_edge * scale, 2).astype(dtype)
-                data[1::2] *= -1.0
-                return sp.csr_matrix(
-                    (data, self.E.indices.copy(), self.E.indptr.copy()),
-                    shape=(m, n),
-                )
-
-            self.E_alpha = _scaled_e(1.0)
-            self.E_alpha_beta = _scaled_e(beta_scale)
-
-        # -- padded adjacency for the excess-token machinery ------------
-        if config.rounding == "randomized-excess" and m:
-            cached_adj = op_cache.get("adj") if op_cache is not None else None
-            if cached_adj is None:
-                cached_adj = _padded_adjacency(topo)
-                if op_cache is not None:
-                    op_cache["adj"] = cached_adj
-            dmax, adj_edges, slot_dirs = cached_adj
-            self.dmax = dmax
-            self.adj_edges_flat = adj_edges.ravel()
-            if self.kernel is not None:
-                # Compiled excess path: int8 slot signs plus the token-count
-                # and uniform-offset buffers replace the numpy tier's P/N
-                # blocks and cumulative planes — the dominant scratch
-                # allocation of large-n discrete runs disappears entirely.
-                self.kern_adj_edges = self.adj_edges_flat.astype(np.int32)
-                self.kern_adj_signs = slot_dirs.ravel().astype(np.int8)
-                self.kern_counts = np.empty((n, B), dtype=np.int64)
-                self.kern_totals = np.empty(B, dtype=np.int64)
-                self.kern_uoff = np.empty(B + 1, dtype=np.int64)
-                # The dispatch's cumulative slot fractions of one node,
-                # every replica: heap scratch, since dmax * B of them
-                # overflow a C stack on a hub node with a wide batch.
-                self.kern_cums = np.empty((dmax, B), dtype=dtype)
-            else:
-                self.slot_dirs_flat = slot_dirs.ravel()
-                cached_take = (
-                    op_cache.get("slot_take") if op_cache is not None else None
-                )
-                if cached_take is None:
-                    cached_take = _slot_take(adj_edges, slot_dirs, m)
-                    if op_cache is not None:
-                        op_cache["slot_take"] = cached_take
-                self.slot_take = cached_take
-                # P/N blocks: rows [0, m) positive parts, row m zero padding,
-                # rows [m+1, 2m+1) negative parts, row 2m+1 zero padding.
-                self.pn = np.zeros((2 * (m + 1), B), dtype=dtype)
-                # cumulative outgoing fractions per slot plane: (dmax, n, B)
-                # dense, or (dmax, tile, B) when the run is tiled — the
-                # dominant scratch allocation of large-n discrete runs.
-                plane_rows = self.tile if self.tile else n
-                self.cum_planes = np.empty((dmax, plane_rows, B), dtype=dtype)
 
         # -- targets ----------------------------------------------------
         if config.targets is not None:
@@ -919,30 +842,17 @@ class _BatchedHandle:
             [] if config.keep_loads else None
         )
 
-        # -- scratch buffers --------------------------------------------
-        # Edge-space scratch is inherent state of the discrete process (the
-        # flow history and per-edge actuals); node-space scratch is dense
-        # (nb1..nb4) or a bounded (tile, B) bank in tiled mode.
-        self.mb1 = np.empty((m, B), dtype=dtype)
-        self.mb2 = np.empty((m, B), dtype=dtype)
-        self.mb3 = np.empty((m, B), dtype=dtype)
-        self.act = np.empty((m, B), dtype=dtype)
-        if self.tile:
-            self.ts1 = np.empty((self.tile, B), dtype=dtype)
-            self.ts2 = np.empty((self.tile, B), dtype=dtype)
-            self.ts3 = np.empty((self.tile, B), dtype=dtype)
-            # Full-width node scratch only where a kernel is not tileable:
-            # the speed-normalised gradient input and the plateau policy.
-            need_nb1 = not self.uniform_speeds or (
-                config.switch is not None and config.switch[0] == "plateau"
-            )
-            self.nb1 = np.empty((n, B), dtype=dtype) if need_nb1 else None
-            self.nb2 = self.nb3 = self.nb4 = None
-        else:
-            self.nb1 = np.empty((n, B), dtype=dtype)
-            self.nb2 = np.empty((n, B), dtype=dtype)
-            self.nb3 = np.empty((n, B), dtype=dtype)
-            self.nb4 = np.empty((n, B), dtype=dtype)
+        # -- node-space scratch: one (tile rows, B) bank, all n rows in a
+        #    dense run ----------------------------------------------------
+        self.ts1 = np.empty((self.tile_rows, B), dtype=dtype)
+        self.ts2 = np.empty((self.tile_rows, B), dtype=dtype)
+        self.ts3 = np.empty((self.tile_rows, B), dtype=dtype)
+        # Full-width node scratch only where a kernel is not tileable:
+        # the speed-normalised gradient input and the plateau policy.
+        need_nb1 = not self.uniform_speeds or (
+            config.switch is not None and config.switch[0] == "plateau"
+        )
+        self.nb1 = np.empty((n, B), dtype=dtype) if need_nb1 else None
         #: token-sized scratch of the excess dispatch (the compiled tier's
         #: uniforms), reused across rounds
         self.tokens = _TokenScratch()
@@ -1004,13 +914,134 @@ class _BatchedHandle:
                 }
             self.dyn_count = 0
             # arrival scratch: the sampled deltas stay a full (n, B) plane
-            # (the model API fills whole columns); the clamping scratch is
-            # the tile bank in tiled mode, dense planes otherwise.
+            # (the model API fills whole columns); the clamping runs in the
+            # tile bank.
             self.arr_deltas = np.empty((n, B), dtype=dtype)
-            if not self.tile:
-                self.arr_pos = np.empty((n, B), dtype=dtype)
-                self.arr_want = np.empty((n, B), dtype=dtype)
-                self.arr_actual = np.empty((n, B), dtype=dtype)
+
+    def _build_operators(
+        self,
+        topo: Topology,
+        speeds: np.ndarray,
+        alpha_scales: Optional[np.ndarray] = None,
+        op_cache: Optional[Dict] = None,
+    ) -> None:
+        """Build the topology-shaped state of ``topo``: edge alphas, the
+        CSR operators, the excess-token adjacency and the edge scratch.
+
+        ``__init__`` builds it for the run's topology; a churn patch
+        rebuilds it for each new segment (churn runs use no operator
+        cache, no replica planes and uniform speeds, and keep their
+        node-space planes at the fixed universe size).
+        """
+        config, dtype, B = self.config, self.dtype, self.n_replicas
+        n, m = topo.n, topo.m_edges
+        self.topo = topo
+        self.edge_tiles = _tiles(m, self.tile_rows)
+        alphas = resolve_alphas(config.alphas, topo, speeds)
+        if m == 0 or np.all(alphas == alphas[0]):
+            self.alphas = float(alphas[0]) if m else 1.0
+        else:
+            self.alphas = alphas[:, None].astype(dtype)
+        if alpha_scales is not None and m:
+            # Fold the per-replica scale into an alpha row/plane: the float64
+            # product ``alpha_k * scale_b`` is exactly what the reference
+            # engine's per-replica scheme computes, and multiplication
+            # commutes bit for bit, so ``diff * (alpha * scale)`` matches
+            # ``(alpha * scale) * diff`` replica for replica.
+            if np.isscalar(self.alphas):
+                self.alphas = (self.alphas * alpha_scales[None, :]).astype(dtype)
+            else:
+                self.alphas = (alphas[:, None] * alpha_scales[None, :]).astype(
+                    dtype
+                )
+
+        # -- CSR operators (node tiles run row blocks of them in place,
+        #    see _csr_dot) -----------------------------------------------
+        csr_key = ("csr", np.dtype(dtype).char)
+        ops = op_cache.get(csr_key) if op_cache is not None else None
+        if ops is None:
+            ops = (_difference_operator(topo, dtype),) + _incidence_operators(
+                topo, dtype
+            )
+            if op_cache is not None:
+                op_cache[csr_key] = ops
+        self.E, self.D, self.W = ops
+        # Fused gradient operators with the edge weights folded into the CSR
+        # data — a float-reassociation shortcut, used only where bitwise
+        # fidelity to the reference is not part of the contract (statistical
+        # roundings, the continuous identity process, and float32 mode).
+        self.fused_sched = m > 0 and alpha_scales is None and (
+            dtype == np.float32
+            or config.rounding in ("randomized-excess", "unbiased-edge", "identity")
+        )
+        if self.fused_sched:
+            alpha_edge = (
+                np.full(m, self.alphas)
+                if np.isscalar(self.alphas)
+                else np.asarray(alphas, dtype=np.float64)
+            )
+
+            def _scaled_e(scale):
+                data = np.repeat(alpha_edge * scale, 2).astype(dtype)
+                data[1::2] *= -1.0
+                return sp.csr_matrix(
+                    (data, self.E.indices.copy(), self.E.indptr.copy()),
+                    shape=(m, n),
+                )
+
+            self.E_alpha = _scaled_e(1.0)
+            self.E_alpha_beta = _scaled_e(float(self.beta_row[0, 0]))
+
+        # -- padded adjacency for the excess-token machinery ------------
+        if config.rounding == "randomized-excess" and m:
+            cached_adj = op_cache.get("adj") if op_cache is not None else None
+            if cached_adj is None:
+                cached_adj = _padded_adjacency(topo)
+                if op_cache is not None:
+                    op_cache["adj"] = cached_adj
+            dmax, adj_edges, slot_dirs = cached_adj
+            self.dmax = dmax
+            self.adj_edges_flat = adj_edges.ravel()
+            if self.kernel is not None:
+                # Compiled excess path: int8 slot signs plus the token-count
+                # and uniform-offset buffers replace the numpy tier's P/N
+                # blocks and cumulative planes — the dominant scratch
+                # allocation of large-n discrete runs disappears entirely.
+                self.kern_adj_edges = self.adj_edges_flat.astype(np.int32)
+                self.kern_adj_signs = slot_dirs.ravel().astype(np.int8)
+                self.kern_counts = np.empty((n, B), dtype=np.int64)
+                self.kern_totals = np.empty(B, dtype=np.int64)
+                self.kern_uoff = np.empty(B + 1, dtype=np.int64)
+                # The dispatch's cumulative slot fractions of one node,
+                # every replica: heap scratch, since dmax * B of them
+                # overflow a C stack on a hub node with a wide batch.
+                self.kern_cums = np.empty((dmax, B), dtype=dtype)
+            else:
+                self.slot_dirs_flat = slot_dirs.ravel()
+                cached_take = (
+                    op_cache.get("slot_take") if op_cache is not None else None
+                )
+                if cached_take is None:
+                    cached_take = _slot_take(adj_edges, slot_dirs, m)
+                    if op_cache is not None:
+                        op_cache["slot_take"] = cached_take
+                self.slot_take = cached_take
+                # P/N blocks: rows [0, m) positive parts, row m zero padding,
+                # rows [m+1, 2m+1) negative parts, row 2m+1 zero padding.
+                self.pn = np.zeros((2 * (m + 1), B), dtype=dtype)
+                # cumulative outgoing fractions per slot plane, one node
+                # tile at a time: (dmax, tile rows, B) — the dominant
+                # scratch allocation of large-n discrete runs.
+                self.cum_planes = np.empty(
+                    (dmax, self.tile_rows, B), dtype=dtype
+                )
+
+        # -- edge-space scratch: inherent state of the discrete process
+        #    (the flow history and per-edge actuals) ---------------------
+        self.mb1 = np.empty((m, B), dtype=dtype)
+        self.mb2 = np.empty((m, B), dtype=dtype)
+        self.mb3 = np.empty((m, B), dtype=dtype)
+        self.act = np.empty((m, B), dtype=dtype)
 
     def _set_kern_alpha(self) -> None:
         """The compiled tier's flat alpha buffer and its element strides."""
@@ -1034,7 +1065,7 @@ class _BatchedHandle:
     #: per-replica scratch, re-shaped at the new width
     _SCRATCH_AXES = {
         "mb1": 1, "mb2": 1, "mb3": 1, "act": 1,
-        "nb1": 1, "nb2": 1, "nb3": 1, "nb4": 1, "ts1": 1, "ts2": 1, "ts3": 1,
+        "nb1": 1, "ts1": 1, "ts2": 1, "ts3": 1,
         "pn": 1, "cum_planes": 2, "kern_rec": 2, "kern_info": 1,
         "kern_beta": 0, "kern_bm1": 0, "kern_counts": 1,
         "kern_totals": 0, "kern_cums": 1,
@@ -1320,81 +1351,7 @@ class BatchedVectorEngine(Engine):
         h.flows = remap_flows(h.flows, patch.edge_map)
         h.churn_active = patch.active
         h.churn_active_idx = patch.active_idx
-        self._rebuild_churn_ops(h, patch.topo)
-
-    def _rebuild_churn_ops(self, h: _BatchedHandle, topo: Topology) -> None:
-        """Rebuild the edge-space operators and scratch for a new segment.
-
-        Churn runs are pinned to the dense float64 numpy tier (no compiled
-        kernel, no tiling, uniform speeds, no replica planes — enforced by
-        ``EngineConfig.validate``), so only the topology-shaped state needs
-        rebuilding; the node-space planes keep their fixed universe size.
-        """
-        config = h.config
-        n, m = topo.n, topo.m_edges
-        B = h.n_replicas
-        dtype = h.dtype
-        h.topo = topo
-        speeds = uniform_speeds(n)
-        alphas = resolve_alphas(config.alphas, topo, speeds)
-        if m == 0 or np.all(alphas == alphas[0]):
-            h.alphas = float(alphas[0]) if m else 1.0
-        else:
-            h.alphas = alphas[:, None].astype(dtype)
-        eu, ev = topo.edge_u, topo.edge_v
-        ar = np.arange(m)
-        h.E = sp.csr_matrix(
-            (
-                np.tile(np.array([1.0, -1.0], dtype=dtype), m),
-                np.column_stack([eu, ev]).ravel() if m else np.empty(0, np.int64),
-                2 * np.arange(m + 1),
-            ),
-            shape=(m, n),
-        )
-        inc_rows = np.concatenate([eu, ev])
-        inc_cols = np.concatenate([ar, ar])
-        h.D = sp.coo_matrix(
-            (
-                np.concatenate([-np.ones(m), np.ones(m)]).astype(dtype),
-                (inc_rows, inc_cols),
-            ),
-            shape=(n, m),
-        ).tocsr()
-        h.W = sp.coo_matrix(
-            (np.ones(2 * m, dtype=dtype), (inc_rows, inc_cols)), shape=(n, m)
-        ).tocsr()
-        h.fused_sched = m > 0 and config.rounding in (
-            "randomized-excess", "unbiased-edge", "identity"
-        )
-        if h.fused_sched:
-            alpha_edge = (
-                np.full(m, h.alphas)
-                if np.isscalar(h.alphas)
-                else np.asarray(alphas, dtype=np.float64)
-            )
-            beta_scale = float(h.beta_row[0, 0])
-
-            def _scaled_e(scale):
-                data = np.repeat(alpha_edge * scale, 2).astype(dtype)
-                data[1::2] *= -1.0
-                return sp.csr_matrix(
-                    (data, h.E.indices.copy(), h.E.indptr.copy()),
-                    shape=(m, n),
-                )
-
-            h.E_alpha = _scaled_e(1.0)
-            h.E_alpha_beta = _scaled_e(beta_scale)
-        if config.rounding == "randomized-excess" and m:
-            h.dmax, adj_edges, slot_dirs = _padded_adjacency(topo)
-            h.adj_edges_flat = adj_edges.ravel()
-            h.slot_dirs_flat = slot_dirs.ravel()
-            h.slot_take = _slot_take(adj_edges, slot_dirs, m)
-            h.pn = np.zeros((2 * (m + 1), B), dtype=dtype)
-            h.cum_planes = np.empty((h.dmax, n, B), dtype=dtype)
-        h.mb1 = np.empty((m, B), dtype=dtype)
-        h.mb2 = np.empty((m, B), dtype=dtype)
-        h.mb3 = np.empty((m, B), dtype=dtype)
-        h.act = np.empty((m, B), dtype=dtype)
+        h._build_operators(patch.topo, uniform_speeds(patch.topo.n))
 
     # ==================================================================
     # per-round kernel
@@ -1473,34 +1430,22 @@ class BatchedVectorEngine(Engine):
                 )
                 h.last_min_transient = info[0].copy()
                 h.last_traffic = info[1].copy()
-            elif h.tile:
+            else:
                 absf = np.abs(act, out=h.mb2)
                 h.last_traffic = absf.sum(axis=0)
                 mins = np.full(h.n_replicas, np.inf, dtype=h.dtype)
-                for (a, b), d_t, w_t in zip(h.node_tiles, h.D_tiles, h.W_tiles):
+                for a, b in h.node_tiles:
                     k = b - a
-                    delta = _csr_dot(d_t, act, h.ts1[:k])
-                    outgoing = _csr_dot(w_t, absf, h.ts2[:k])
+                    delta = _csr_dot(h.D, act, h.ts1[:k], rows=(a, b))
+                    outgoing = _csr_dot(h.W, absf, h.ts2[:k], rows=(a, b))
                     np.subtract(outgoing, delta, out=outgoing)
                     np.multiply(outgoing, 0.5, out=outgoing)
-                    np.subtract(load[a:b], outgoing, out=outgoing)  # transient
-                    np.minimum(mins, outgoing.min(axis=0), out=mins)
+                    transient = np.subtract(load[a:b], outgoing, out=outgoing)
+                    if h.churn_plan is not None:  # churn never tiles
+                        transient = transient[h.churn_active_idx]
+                    np.minimum(mins, transient.min(axis=0), out=mins)
                     np.add(load[a:b], delta, out=load[a:b])
                 h.last_min_transient = mins
-            else:
-                delta = _csr_dot(h.D, act, h.nb2)
-                absf = np.abs(act, out=h.mb2)
-                outgoing = _csr_dot(h.W, absf, h.nb3)
-                np.subtract(outgoing, delta, out=outgoing)
-                np.multiply(outgoing, 0.5, out=outgoing)
-                transient = np.subtract(load, outgoing, out=h.nb4)
-                h.last_min_transient = (
-                    transient[h.churn_active_idx].min(axis=0)
-                    if h.churn_plan is not None
-                    else transient.min(axis=0)
-                )
-                h.last_traffic = absf.sum(axis=0)
-                np.add(load, delta, out=load)
         elif h.kernel is not None:
             # Compiled apply: the same per-row sequential accumulation as
             # csr_matvecs over D's CSR structure — bit-identical, without
@@ -1508,11 +1453,9 @@ class BatchedVectorEngine(Engine):
             h.kernel.apply_flows(
                 h.inc_indptr, h.inc_edges, h.inc_signs, act, load
             )
-        elif h.tile:
-            for (a, b), d_t in zip(h.node_tiles, h.D_tiles):
-                _csr_dot(d_t, act, load[a:b], accumulate=True)
         else:
-            _csr_dot(h.D, act, load, accumulate=True)
+            for a, b in h.node_tiles:
+                _csr_dot(h.D, act, load[a:b], accumulate=True, rows=(a, b))
         h.round_index += 1
         if act is h.act:
             h.flows, h.act = h.act, h.flows
@@ -1610,26 +1553,8 @@ class BatchedVectorEngine(Engine):
             if sched is not h.flows:
                 np.copyto(h.flows, sched)
             return h.flows
-        if rounding == "floor":
-            return np.trunc(sched, out=act)
-        if rounding == "nearest":
-            # rint is symmetric, so rint(x) == sign(x) * rint(|x|) bit for bit
-            return np.rint(sched, out=act)
-        if rounding == "ceil":
-            absf = np.abs(sched, out=h.mb2)
-            np.ceil(absf, out=absf)
-            return np.copysign(absf, sched, out=act)
-        if rounding == "unbiased-edge":
-            absf = np.abs(sched, out=h.mb2)
-            np.floor(absf, out=act)
-            np.subtract(absf, act, out=absf)  # fractional parts
-            m = sched.shape[0]
-            u = h.mb3
-            for b, rng in enumerate(h.rngs):  # one stream per replica
-                u[:, b] = rng.random(m, dtype=h.dtype)
-            up = u < absf
-            np.add(act, up, out=act)
-            return np.copysign(act, sched, out=act)
+        if rounding in _ELEMENTWISE_ROUNDINGS:
+            return _round_elementwise(rounding, sched, act, h.mb2, h.rngs)
         if rounding == "randomized-excess":
             return self._randomized_excess(h, sched)
         raise ConfigurationError(f"unsupported rounding {rounding!r}")
@@ -1665,7 +1590,7 @@ class BatchedVectorEngine(Engine):
         np.maximum(fsg, 0.0, out=p_block)
         np.subtract(p_block, fsg, out=pn[m + 1 : 2 * m + 1])
         moved = _excess_token_slots(
-            pn, h.slot_take, h.node_tiles or [(0, h.topo.n)], h.cum_planes,
+            pn, h.slot_take, h.node_tiles, h.cum_planes,
             h.rngs, h.frac_tol, h.tokens,
         )
         if moved is not None:
@@ -1734,38 +1659,24 @@ class BatchedVectorEngine(Engine):
                 clamped=zeros.copy(),
             )
             return h.last_arrival
-        if h.tile:
-            arrived = np.zeros(h.n_replicas)
-            departed = np.zeros(h.n_replicas)
-            clamped = np.zeros(h.n_replicas)
-            for a, b in h.node_tiles:
-                k = b - a
-                d_t = deltas[a:b]
-                pos = np.maximum(d_t, 0.0, out=h.ts1[:k])
-                want = np.negative(d_t, out=h.ts2[:k])
-                np.maximum(want, 0.0, out=want)
-                relu_load = np.maximum(h.load[a:b], 0.0, out=h.ts3[:k])
-                actual = np.minimum(want, relu_load, out=relu_load)
-                np.add(h.load[a:b], pos, out=h.load[a:b])
-                np.subtract(h.load[a:b], actual, out=h.load[a:b])
-                arrived += pos.sum(axis=0, dtype=np.float64)
-                departed += actual.sum(axis=0, dtype=np.float64)
-                np.subtract(want, actual, out=want)
-                clamped += want.sum(axis=0, dtype=np.float64)
-        else:
-            pos = np.maximum(deltas, 0.0, out=h.arr_pos)
-            want = np.negative(deltas, out=h.arr_want)
+        arrived = np.zeros(h.n_replicas)
+        departed = np.zeros(h.n_replicas)
+        clamped = np.zeros(h.n_replicas)
+        for a, b in h.node_tiles:
+            k = b - a
+            d_t = deltas[a:b]
+            pos = np.maximum(d_t, 0.0, out=h.ts1[:k])
+            want = np.negative(d_t, out=h.ts2[:k])
             np.maximum(want, 0.0, out=want)
-            # Consume at most the non-negative part of the current load
-            # (reuse the deltas buffer — pos/want already extracted).
-            relu_load = np.maximum(h.load, 0.0, out=deltas)
-            actual = np.minimum(want, relu_load, out=h.arr_actual)
-            np.add(h.load, pos, out=h.load)
-            np.subtract(h.load, actual, out=h.load)
-            arrived = pos.sum(axis=0, dtype=np.float64)
-            departed = actual.sum(axis=0, dtype=np.float64)
+            # Consume at most the non-negative part of the current load.
+            relu_load = np.maximum(h.load[a:b], 0.0, out=h.ts3[:k])
+            actual = np.minimum(want, relu_load, out=relu_load)
+            np.add(h.load[a:b], pos, out=h.load[a:b])
+            np.subtract(h.load[a:b], actual, out=h.load[a:b])
+            arrived += pos.sum(axis=0, dtype=np.float64)
+            departed += actual.sum(axis=0, dtype=np.float64)
             np.subtract(want, actual, out=want)
-            clamped = want.sum(axis=0, dtype=np.float64)
+            clamped += want.sum(axis=0, dtype=np.float64)
         h.expected_totals += arrived
         h.expected_totals -= departed
         h.arrivals_applied = True
@@ -1814,32 +1725,21 @@ class BatchedVectorEngine(Engine):
             "departed": arrival.departed,
             "clamped": arrival.clamped,
         }
-        if h.tile:
-            B = h.n_replicas
-            totals = np.zeros(B)
-            maxs = np.full(B, -np.inf, dtype=h.dtype)
-            for a, b in h.node_tiles:
-                totals += load[a:b].sum(axis=0, dtype=np.float64)
-                np.maximum(maxs, load[a:b].max(axis=0), out=maxs)
-            mean = totals / h.topo.n
-            mean_t = mean.astype(h.dtype, copy=False)
-            pot = np.zeros(B)
-            for a, b in h.node_tiles:
-                k = b - a
-                dev = np.subtract(load[a:b], mean_t, out=h.ts1[:k])
-                np.multiply(dev, dev, out=dev)
-                pot += dev.sum(axis=0, dtype=np.float64)
-            values["max_minus_avg"] = maxs - mean
-            values["potential_per_node"] = pot / h.topo.n
-        else:
-            totals = load.sum(axis=0, dtype=np.float64)
-            mean = totals / h.topo.n
-            values["max_minus_avg"] = load.max(axis=0) - mean
-            dev = np.subtract(load, mean.astype(h.dtype, copy=False), out=h.nb1)
+        B = h.n_replicas
+        totals = np.zeros(B)
+        maxs = np.full(B, -np.inf, dtype=h.dtype)
+        for a, b in h.node_tiles:
+            totals += load[a:b].sum(axis=0, dtype=np.float64)
+            np.maximum(maxs, load[a:b].max(axis=0), out=maxs)
+        mean = totals / h.topo.n
+        mean_t = mean.astype(h.dtype, copy=False)
+        pot = np.zeros(B)
+        for a, b in h.node_tiles:
+            dev = np.subtract(load[a:b], mean_t, out=h.ts1[: b - a])
             np.multiply(dev, dev, out=dev)
-            values["potential_per_node"] = (
-                dev.sum(axis=0, dtype=np.float64) / h.topo.n
-            )
+            pot += dev.sum(axis=0, dtype=np.float64)
+        values["max_minus_avg"] = maxs - mean
+        values["potential_per_node"] = pot / h.topo.n
         values["total_load"] = totals
         values["max_local_diff"] = self._mld(h)
         if h.dyn_stats is not None:
@@ -1874,14 +1774,7 @@ class BatchedVectorEngine(Engine):
                 0, h.topo.m_edges, out, h.kern_consts,
             )
             return out[5].copy()
-        if h.tile:
-            return _tiled_mld(
-                h.load, h.topo.edge_u, h.topo.edge_v, h.edge_tiles,
-                h.ts1, h.ts2,
-            )
-        ediff = _csr_dot(h.E, h.load, h.mb3)
-        np.abs(ediff, out=ediff)
-        return ediff.max(axis=0)
+        return _max_local_diff(h.E, h.load, h.edge_tiles, h.ts1)
 
     def _record_current_churn(self, h: _BatchedHandle) -> None:
         """Churn variant of :meth:`_record_current`: masked, per replica.
@@ -1917,7 +1810,7 @@ class BatchedVectorEngine(Engine):
         """
         n, m = h.topo.n, h.topo.m_edges
         out, part = h.kern_rec
-        for k, (a, b) in enumerate(h.node_tiles if h.tile else [(0, n)]):
+        for k, (a, b) in enumerate(h.node_tiles):
             h.kernel.record_metrics(
                 h.load, h.targets, a, b, h.kern_eu, h.kern_ev,
                 0, m if want_mld and k == 0 else 0, part if k else out,
@@ -1943,10 +1836,8 @@ class BatchedVectorEngine(Engine):
         if h.kern_records:
             values, totals, mld = self._kernel_node_metrics(h, want_mld)
         else:
-            scratch = h.ts1 if h.tile else h.nb1
             values, totals = _node_metrics(
-                load, h.targets, fields, scratch,
-                h.node_tiles if h.tile else None,
+                load, h.targets, fields, h.ts1, h.node_tiles
             )
             mld = self._mld(h) if want_mld else None
         if "min_transient" in fields:

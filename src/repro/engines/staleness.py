@@ -67,6 +67,7 @@ import numpy as np
 from ..exceptions import ConfigurationError, SimulationError
 from ..core.dynamic import ArrivalModel, DynamicResult, ScaledArrivals
 from ..core.records import DynamicRecordTable, RecordTable
+from ..core.rounding import _FRAC_TOL
 from ..core.simulator import SimulationResult, record_round
 # transient_loads and the three metric helpers are what the vectorised
 # record pass reproduces; they stay importable from this module.
@@ -101,13 +102,15 @@ from .base import (
     resolve_rounding_rngs,
     resolve_tile_size,
 )
-from .batched import _TokenScratch, _excess_token_slots, _tiles
+from .batched import (
+    _ELEMENTWISE_ROUNDINGS,
+    _TokenScratch,
+    _excess_token_slots,
+    _round_elementwise,
+    _tiles,
+)
 
 __all__ = ["StalenessEngine", "quantize_link_latency"]
-
-#: Fractional-surplus tolerance of the excess-token rounding — the same
-#: constant as ``repro.network.node._FRAC_TOL`` and the batched engine.
-_FRAC_TOL = 1e-9
 
 _STOCHASTIC_ROUNDINGS = ("unbiased-edge", "randomized-excess")
 _KNOWN_ROUNDINGS = (
@@ -346,25 +349,18 @@ class _StalenessCore:
         that is +0.0 wherever ``F <= 0`` (only the positive endpoint of an
         arc is a sender).  The deterministic branches are bit-identical to
         the node-local ``math.floor``/``np.rint``/``math.ceil`` on positive
-        floats.
+        floats (on a plane ``>= +0.0`` the shared rounding's ``trunc`` is
+        ``floor`` and its sign restore is a no-op).
         """
         pos = np.maximum(F, 0.0, out=self._amt)
         pos += 0.0  # np.maximum keeps a -0.0 schedule; ship +0.0
         if self.rounding == "identity":
             return pos
-        if self.rounding == "floor":
-            return np.floor(pos, out=pos)
-        if self.rounding == "nearest":
-            return np.rint(pos, out=pos)
-        if self.rounding == "ceil":
-            return np.ceil(pos, out=pos)
-        if self.rounding == "unbiased-edge":
-            base = np.floor(pos)
-            frac = np.subtract(pos, base, out=pos)
-            u = np.empty_like(pos)
-            for b, rng in enumerate(self.rngs):
-                u[:, b] = rng.random(self.n_arcs)
-            return np.add(base, u < frac, out=pos)
+        if self.rounding in _ELEMENTWISE_ROUNDINGS:
+            # The view plane is free once F is scheduled.
+            return _round_elementwise(
+                self.rounding, pos, pos, self._view, self.rngs
+            )
         return self._randomized_excess(pos)
 
     def _randomized_excess(self, pos: np.ndarray) -> np.ndarray:

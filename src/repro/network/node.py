@@ -16,12 +16,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.rounding import _FRAC_TOL
 from ..exceptions import ProtocolError
 from .messages import Hello, LoadAnnounce, TokenTransfer, WorkInjection
 
 __all__ = ["BalancerNode"]
-
-_FRAC_TOL = 1e-9
 
 
 class BalancerNode:

@@ -1,12 +1,15 @@
 """Tiled streaming mode: bit-identical to dense mode at every tile size.
 
-The tiled kernels (apply/transient loops over CSR row blocks, per-tile
-metric reductions, gathered local differences, lazy excess-token planes,
-tiled arrival clamping) must reproduce the dense whole-batch kernels bit
-for bit whenever the summed quantities are integral — which is every
-discrete rounding — including tile_size=1 and tile sizes past n (which
-resolve to dense).  Streaming-summary records must reduce to exactly the
-dense table's aggregates.
+A dense run is one tile covering every node, so the tiled kernels
+(apply/transient loops over CSR row blocks, per-tile metric reductions,
+local differences over CSR row blocks of the difference operator, lazy
+excess-token planes, tiled arrival clamping) must give the one-tile
+results bit for bit whenever the summed quantities are integral — which
+is every discrete rounding — including tile_size=1 and tile sizes past n
+(which resolve to dense).  The fractional loads of ``identity`` keep
+every elementwise and max/min result bitwise too; only its sum columns
+regroup.  Streaming-summary records must reduce to exactly the dense
+table's aggregates.
 """
 
 from dataclasses import replace
@@ -45,7 +48,7 @@ def _batch(topo, n_replicas=4):
 class TestStaticTiled:
     @pytest.mark.parametrize("topo", [TORUS, RR], ids=["torus", "rr"])
     @pytest.mark.parametrize(
-        "rounding", ["nearest", "floor", "ceil", "randomized-excess"]
+        "rounding", ["nearest", "floor", "ceil", "randomized-excess", "identity"]
     )
     def test_bit_identical_across_tile_sizes(self, topo, rounding):
         loads = _batch(topo)
@@ -53,24 +56,46 @@ class TestStaticTiled:
             scheme="sos", beta=1.6, rounding=rounding, rounds=40,
             record_every=3, seed=9,
         )
-        dense = make_engine("batched").run(topo, dense_cfg, loads)
-        for tile in TILE_SIZES:
-            tiled = make_engine("batched").run(
-                topo, replace(dense_cfg, tile_size=tile), loads
-            )
-            for t_res, d_res in zip(tiled, dense):
-                np.testing.assert_array_equal(
-                    t_res.final_state.load, d_res.final_state.load,
-                    err_msg=f"tile={tile}",
+        configs = [dense_cfg]
+        summed = ()
+        if rounding == "identity":
+            # Fractional loads, with uniform and integer speeds, edge-wise
+            # and with the fast path allowed.  Per-tile partial sums regroup
+            # the node-space sums, so only those agree to accumulation
+            # accuracy.
+            hetero = 1.0 + np.random.default_rng(2).integers(0, 3, topo.n)
+            configs = [
+                replace(dense_cfg, speeds=speeds, fast_path=fast_path)
+                for speeds in (None, hetero)
+                for fast_path in ("never", "auto")
+            ]
+            summed = ("potential_per_node", "total_load")
+        for cfg in configs:
+            dense = make_engine("batched").run(topo, cfg, loads)
+            for tile in TILE_SIZES:
+                tiled = make_engine("batched").run(
+                    topo, replace(cfg, tile_size=tile), loads
                 )
-                np.testing.assert_array_equal(
-                    t_res.final_state.flows, d_res.final_state.flows
-                )
-                for fieldname in STATIC_FIELDS:
+                for t_res, d_res in zip(tiled, dense):
                     np.testing.assert_array_equal(
-                        t_res.series(fieldname), d_res.series(fieldname),
-                        err_msg=f"tile={tile} field={fieldname}",
+                        t_res.final_state.load, d_res.final_state.load,
+                        err_msg=f"tile={tile}",
                     )
+                    np.testing.assert_array_equal(
+                        t_res.final_state.flows, d_res.final_state.flows
+                    )
+                    for fieldname in STATIC_FIELDS:
+                        if fieldname in summed:
+                            np.testing.assert_allclose(
+                                t_res.series(fieldname), d_res.series(fieldname),
+                                rtol=1e-12,
+                                err_msg=f"tile={tile} field={fieldname}",
+                            )
+                        else:
+                            np.testing.assert_array_equal(
+                                t_res.series(fieldname), d_res.series(fieldname),
+                                err_msg=f"tile={tile} field={fieldname}",
+                            )
 
     def test_tiled_with_switch_policy(self):
         """Metric-triggered switching fires at the same round tiled."""

@@ -1,5 +1,6 @@
 """``benchmarks/_helpers.write_bench_json`` stamps every artifact with
-its provenance: commit, usable cores, numeric library versions, scale."""
+its provenance: commit, dirty-tree flag, usable cores, numeric library
+versions, scale."""
 
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
@@ -22,8 +24,11 @@ def test_artifact_carries_provenance(tmp_path, monkeypatch):
     data = json.loads(Path(path).read_text())
     assert data["summary"] == {"x": 1.5}
     prov = data["provenance"]
-    assert set(prov) == {"git_sha", "usable_cores", "numpy", "scipy", "cffi", "scale"}
+    assert set(prov) == {
+        "git_sha", "git_dirty", "usable_cores", "numpy", "scipy", "cffi", "scale",
+    }
     assert prov["git_sha"] is None  # tmp_path is no checkout
+    assert prov["git_dirty"] is None
     assert prov["usable_cores"] == (
         len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity")
@@ -42,3 +47,32 @@ def test_provenance_names_the_checkout_commit():
     except (OSError, subprocess.CalledProcessError):
         expected = None
     assert _helpers.provenance()["git_sha"] == expected
+
+
+def _init_checkout(root):
+    def git(*args):
+        subprocess.run(
+            ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
+             *args],
+            capture_output=True, check=True,
+        )
+
+    git("init", "-q")
+    (root / "tracked.txt").write_text("a\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "init")
+
+
+def test_provenance_flags_a_dirty_tree(tmp_path, monkeypatch):
+    try:
+        _init_checkout(tmp_path)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs a working git")
+    monkeypatch.setattr(_helpers, "REPO_ROOT", str(tmp_path))
+    assert _helpers.provenance()["git_dirty"] is False
+    (tmp_path / "untracked.txt").write_text("new\n")
+    assert _helpers.provenance()["git_dirty"] is False  # untracked: ignored
+    (tmp_path / "tracked.txt").write_text("b\n")
+    prov = _helpers.provenance()
+    assert prov["git_dirty"] is True
+    assert prov["git_sha"] is not None and len(prov["git_sha"]) == 40
