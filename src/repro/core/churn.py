@@ -360,8 +360,7 @@ def plan_churn(topo: Topology, schedule: ChurnSchedule) -> ChurnPlan:
         topo0 = topo
     else:
         topo0 = Topology(
-            n_univ,
-            list(zip(topo.edge_u.tolist(), topo.edge_v.tolist())),
+            n_univ, np.column_stack([topo.edge_u, topo.edge_v]),
             name=f"{topo.name}|churn",
         )
     prev_topo = topo0

@@ -279,21 +279,34 @@ def _round_elementwise(
     return np.copysign(out, sched, out=out)
 
 
+def _incidence_dirs(topo: Topology) -> np.ndarray:
+    """Per CSR incidence of ``topo``: ``+1.0`` when the node is its edge's
+    ``u`` endpoint (below its neighbour), ``-1.0`` when it is ``v``."""
+    node = np.repeat(np.arange(topo.n), topo.degrees)
+    return np.where(node < topo.adj_indices, 1.0, -1.0)
+
+
 def _padded_adjacency(topo: Topology) -> tuple:
     """``(dmax, adj_edges, slot_dirs)``: node ``i``'s ``j``-th incident edge
     (``m`` past its degree) and its direction (+1 when ``i`` is the edge's
     ``u`` endpoint, -1 when it is ``v``, 0 for padding), ``(n, dmax)``."""
     n, m = topo.n, topo.m_edges
     dmax = int(topo.degrees.max())
+    filled = np.arange(dmax) < topo.degrees[:, None]  # row-major = CSR order
     adj_edges = np.full((n, dmax), m, dtype=np.int64)
     slot_dirs = np.zeros((n, dmax))
-    idx_node = np.repeat(np.arange(n), topo.degrees)
-    pos_in_row = np.arange(idx_node.size) - topo.adj_indptr[idx_node]
-    adj_edges[idx_node, pos_in_row] = topo.adj_edge_ids
-    slot_dirs[idx_node, pos_in_row] = np.where(
-        idx_node < topo.adj_indices, 1.0, -1.0
-    )
+    adj_edges[filled] = topo.adj_edge_ids
+    slot_dirs[filled] = _incidence_dirs(topo)
     return dmax, adj_edges, slot_dirs
+
+
+def _cached(cache: Optional[Dict], key, build):
+    """``cache[key]``, built by ``build()`` on a miss (afresh if no cache)."""
+    if cache is None:
+        return build()
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 def _slot_take(adj_edges: np.ndarray, slot_dirs: np.ndarray, m: int) -> list:
@@ -457,21 +470,13 @@ def _difference_operator(topo: Topology, dtype) -> sp.csr_matrix:
 
 def _incidence_operators(topo: Topology, dtype) -> tuple:
     """``(D, W)``: the signed incidence (``-1`` at ``(edge_u, k)``, ``+1``
-    at ``(edge_v, k)``) and its unsigned twin, both ``(n, m)`` CSR."""
-    n, m = topo.n, topo.m_edges
-    ar = np.arange(m)
-    inc_rows = np.concatenate([topo.edge_u, topo.edge_v])
-    inc_cols = np.concatenate([ar, ar])
-    D = sp.coo_matrix(
-        (
-            np.concatenate([-np.ones(m), np.ones(m)]).astype(dtype),
-            (inc_rows, inc_cols),
-        ),
-        shape=(n, m),
-    ).tocsr()
-    W = sp.coo_matrix(
-        (np.ones(2 * m, dtype=dtype), (inc_rows, inc_cols)), shape=(n, m)
-    ).tocsr()
+    at ``(edge_v, k)``) and its unsigned twin, both ``(n, m)`` CSR on the
+    topology's own CSR adjacency (its rows list edge ids in ascending
+    order, so no COO assembly or index sort is needed)."""
+    shape = (topo.n, topo.m_edges)
+    sign = (-_incidence_dirs(topo)).astype(dtype)
+    D = sp.csr_matrix((sign, topo.adj_edge_ids, topo.adj_indptr), shape=shape)
+    W = sp.csr_matrix((np.ones_like(sign), D.indices, D.indptr), shape=shape)
     return D, W
 
 
@@ -957,15 +962,11 @@ class _BatchedHandle:
 
         # -- CSR operators (node tiles run row blocks of them in place,
         #    see _csr_dot) -----------------------------------------------
-        csr_key = ("csr", np.dtype(dtype).char)
-        ops = op_cache.get(csr_key) if op_cache is not None else None
-        if ops is None:
-            ops = (_difference_operator(topo, dtype),) + _incidence_operators(
-                topo, dtype
-            )
-            if op_cache is not None:
-                op_cache[csr_key] = ops
-        self.E, self.D, self.W = ops
+        self.E, self.D, self.W = _cached(
+            op_cache, ("csr", np.dtype(dtype).char),
+            lambda: (_difference_operator(topo, dtype),)
+            + _incidence_operators(topo, dtype),
+        )
         # Fused gradient operators with the edge weights folded into the CSR
         # data — a float-reassociation shortcut, used only where bitwise
         # fidelity to the reference is not part of the contract (statistical
@@ -985,8 +986,7 @@ class _BatchedHandle:
                 data = np.repeat(alpha_edge * scale, 2).astype(dtype)
                 data[1::2] *= -1.0
                 return sp.csr_matrix(
-                    (data, self.E.indices.copy(), self.E.indptr.copy()),
-                    shape=(m, n),
+                    (data, self.E.indices, self.E.indptr), shape=(m, n)
                 )
 
             self.E_alpha = _scaled_e(1.0)
@@ -994,12 +994,9 @@ class _BatchedHandle:
 
         # -- padded adjacency for the excess-token machinery ------------
         if config.rounding == "randomized-excess" and m:
-            cached_adj = op_cache.get("adj") if op_cache is not None else None
-            if cached_adj is None:
-                cached_adj = _padded_adjacency(topo)
-                if op_cache is not None:
-                    op_cache["adj"] = cached_adj
-            dmax, adj_edges, slot_dirs = cached_adj
+            dmax, adj_edges, slot_dirs = _cached(
+                op_cache, "adj", lambda: _padded_adjacency(topo)
+            )
             self.dmax = dmax
             self.adj_edges_flat = adj_edges.ravel()
             if self.kernel is not None:
@@ -1007,8 +1004,13 @@ class _BatchedHandle:
                 # and uniform-offset buffers replace the numpy tier's P/N
                 # blocks and cumulative planes — the dominant scratch
                 # allocation of large-n discrete runs disappears entirely.
-                self.kern_adj_edges = self.adj_edges_flat.astype(np.int32)
-                self.kern_adj_signs = slot_dirs.ravel().astype(np.int8)
+                self.kern_adj_edges, self.kern_adj_signs = _cached(
+                    op_cache, "kern_adj",
+                    lambda: (
+                        self.adj_edges_flat.astype(np.int32),
+                        slot_dirs.ravel().astype(np.int8),
+                    ),
+                )
                 self.kern_counts = np.empty((n, B), dtype=np.int64)
                 self.kern_totals = np.empty(B, dtype=np.int64)
                 self.kern_uoff = np.empty(B + 1, dtype=np.int64)
@@ -1018,14 +1020,10 @@ class _BatchedHandle:
                 self.kern_cums = np.empty((dmax, B), dtype=dtype)
             else:
                 self.slot_dirs_flat = slot_dirs.ravel()
-                cached_take = (
-                    op_cache.get("slot_take") if op_cache is not None else None
+                self.slot_take = _cached(
+                    op_cache, "slot_take",
+                    lambda: _slot_take(adj_edges, slot_dirs, m),
                 )
-                if cached_take is None:
-                    cached_take = _slot_take(adj_edges, slot_dirs, m)
-                    if op_cache is not None:
-                        op_cache["slot_take"] = cached_take
-                self.slot_take = cached_take
                 # P/N blocks: rows [0, m) positive parts, row m zero padding,
                 # rows [m+1, 2m+1) negative parts, row 2m+1 zero padding.
                 self.pn = np.zeros((2 * (m + 1), B), dtype=dtype)

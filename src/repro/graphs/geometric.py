@@ -137,5 +137,8 @@ def _stitch_to_largest(topo: Topology, pos: np.ndarray) -> Topology:
         flat = int(np.argmin(d2))
         a_idx, b_idx = divmod(flat, main.size)
         extra.append((int(comp[a_idx]), int(main[b_idx])))
-    edges = list(zip(topo.edge_u.tolist(), topo.edge_v.tolist())) + extra
+    edges = np.concatenate(
+        [np.column_stack([topo.edge_u, topo.edge_v]),
+         np.array(extra, dtype=np.int64).reshape(-1, 2)]
+    )
     return Topology(topo.n, edges, name=topo.name)

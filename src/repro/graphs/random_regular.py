@@ -132,5 +132,8 @@ def _stitch_components(topo: Topology, rng: np.random.Generator) -> Topology:
         a = int(rng.choice(comp))
         b = int(rng.choice(main))
         extra.append((a, b))
-    edges = list(zip(topo.edge_u.tolist(), topo.edge_v.tolist())) + extra
+    edges = np.concatenate(
+        [np.column_stack([topo.edge_u, topo.edge_v]),
+         np.array(extra, dtype=np.int64).reshape(-1, 2)]
+    )
     return Topology(topo.n, edges, name=topo.name)

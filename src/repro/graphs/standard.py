@@ -102,11 +102,9 @@ def circulant(n: int, offsets: Sequence[int]) -> Topology:
             pairs.append(np.stack([half, half + k], axis=1))
         elif k < n - k:
             pairs.append(np.stack([nodes, (nodes + k) % n], axis=1))
-    edge_array = np.concatenate(pairs, axis=0)
-    lo = np.minimum(edge_array[:, 0], edge_array[:, 1])
-    hi = np.maximum(edge_array[:, 0], edge_array[:, 1])
-    uniq = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return Topology(n, uniq, name=f"circulant-{n}")
+    # Distinct offsets give edges of distinct circular distance, so the
+    # pairs are already distinct.
+    return Topology(n, np.concatenate(pairs, axis=0), name=f"circulant-{n}")
 
 
 def expander(n: int, rng: Optional[np.random.Generator] = None) -> Topology:
@@ -115,7 +113,9 @@ def expander(n: int, rng: Optional[np.random.Generator] = None) -> Topology:
     k = max(3, int(np.ceil(np.log2(max(n, 4)))))
     offsets = rng.choice(np.arange(1, n // 2 + 1), size=min(k, n // 2), replace=False)
     topo = circulant(n, offsets.tolist())
-    return Topology(topo.n, list(zip(topo.edge_u, topo.edge_v)), name=f"expander-{n}")
+    return Topology(
+        topo.n, np.column_stack([topo.edge_u, topo.edge_v]), name=f"expander-{n}"
+    )
 
 
 def lollipop(clique: int, tail: int) -> Topology:

@@ -34,7 +34,10 @@ class Topology:
         Number of nodes; nodes are the integers ``0 .. n-1``.
     edges:
         Iterable of ``(u, v)`` pairs.  Self loops and duplicate edges are
-        rejected.  The pair order does not matter.
+        rejected.  The pair order does not matter.  An ``(m, 2)`` integer
+        ndarray is consumed as an array, with no Python round-trip (no
+        per-edge objects), so paper-scale builders should pass one; the
+        caller's array is never written to or kept.
     name:
         Optional human-readable name used in reports and ``repr``.
 
@@ -59,13 +62,14 @@ class Topology:
         "cube_dim",
         "link_latency",
         "link_bandwidth",
-        "_edge_id_lookup",
     )
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]], name: str = "graph"):
         if n <= 0:
             raise TopologyError(f"graph must have at least one node, got n={n}")
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_array = np.asarray(edges, dtype=np.int64)
         if edge_array.size == 0:
             edge_array = edge_array.reshape(0, 2)
         if edge_array.ndim != 2 or edge_array.shape[1] != 2:
@@ -82,7 +86,8 @@ class Topology:
             bad = int(u[np.argmax(u == v)])
             raise TopologyError(f"self loop at node {bad} is not allowed")
 
-        order = np.lexsort((v, u))
+        # Sort by (u, v), as one stable sort of the key u * n + v.
+        order = np.argsort(u * n + v, kind="stable")
         u, v = u[order], v[order]
         if u.size > 1:
             dup = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
@@ -119,20 +124,17 @@ class Topology:
         #: infinite bandwidth.
         self.link_bandwidth: Optional[np.ndarray] = None
 
-        # Build CSR adjacency: for every incidence store (node, neighbour,
-        # edge id) and bucket by node.
-        inc_nodes = np.concatenate([u, v])
-        inc_neigh = np.concatenate([v, u])
-        inc_edges = np.concatenate([np.arange(self.m_edges)] * 2).astype(np.int64)
-        csr_order = np.lexsort((inc_neigh, inc_nodes))
-        inc_nodes = inc_nodes[csr_order]
-        self.adj_indices = inc_neigh[csr_order]
-        self.adj_edge_ids = inc_edges[csr_order]
+        # Build CSR adjacency: bucket every incidence (node, neighbour, edge
+        # id) by node with one stable sort.  Listing each edge's ``v`` side
+        # first keeps every row sorted by neighbour and by edge id, since
+        # the edges are already sorted by ``(u, v)``.
+        inc_nodes = np.concatenate([v, u])
+        csr_order = np.argsort(inc_nodes, kind="stable")
+        self.adj_indices = np.concatenate([u, v])[csr_order]
+        self.adj_edge_ids = csr_order % max(self.m_edges, 1)
         self.degrees = np.bincount(inc_nodes, minlength=self.n).astype(np.int64)
         self.adj_indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=self.adj_indptr[1:])
-
-        self._edge_id_lookup: Optional[dict] = None
 
         for arr in (
             self.edge_u,
@@ -184,16 +186,10 @@ class Topology:
         TopologyError
             If ``{u, v}`` is not an edge of the graph.
         """
-        if self._edge_id_lookup is None:
-            lookup = {}
-            for k in range(self.m_edges):
-                lookup[(int(self.edge_u[k]), int(self.edge_v[k]))] = k
-            self._edge_id_lookup = lookup
-        key = (min(u, v), max(u, v))
-        try:
-            return self._edge_id_lookup[key]
-        except KeyError:
-            raise TopologyError(f"({u}, {v}) is not an edge of {self.name}") from None
+        if not self.has_edge(u, v):
+            raise TopologyError(f"({u}, {v}) is not an edge of {self.name}")
+        pos = self.adj_indptr[u] + np.searchsorted(self.neighbors(u), v)
+        return int(self.adj_edge_ids[pos])
 
     def stamp_link_attrs(
         self,
@@ -239,36 +235,34 @@ class Topology:
     # Structure queries
     # ------------------------------------------------------------------
     def is_connected(self) -> bool:
-        """Whether the graph is connected (BFS from node 0)."""
-        if self.n == 1:
-            return True
-        return self.component_of(0).size == self.n
+        """Whether the graph is connected."""
+        return int(self._component_labels().max()) == 0
+
+    def _component_labels(self) -> np.ndarray:
+        """Per-node connected-component labels ``0 .. k-1``, numbered in
+        order of each component's smallest node (scipy's traversal of the
+        CSR adjacency visits the nodes in id order)."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        graph = csr_matrix(
+            (np.ones(self.adj_indices.size, dtype=np.int8), self.adj_indices,
+             self.adj_indptr),
+            shape=(self.n, self.n),
+        )
+        return connected_components(graph, directed=False)[1]
 
     def component_of(self, start: int) -> np.ndarray:
         """Node ids of the connected component containing ``start``."""
-        seen = np.zeros(self.n, dtype=bool)
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt: List[int] = []
-            for node in frontier:
-                for nb in self.neighbors(node):
-                    if not seen[nb]:
-                        seen[nb] = True
-                        nxt.append(int(nb))
-            frontier = nxt
-        return np.nonzero(seen)[0]
+        labels = self._component_labels()
+        return np.nonzero(labels == labels[start])[0]
 
     def connected_components(self) -> List[np.ndarray]:
-        """All connected components, each as a sorted node-id array."""
-        remaining = np.ones(self.n, dtype=bool)
-        components = []
-        while remaining.any():
-            start = int(np.argmax(remaining))
-            comp = self.component_of(start)
-            components.append(comp)
-            remaining[comp] = False
-        return components
+        """All connected components, each as a sorted node-id array, in
+        order of their smallest node."""
+        labels = self._component_labels()
+        by_label = np.argsort(labels, kind="stable")
+        return np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
 
     def require_connected(self) -> "Topology":
         """Return ``self``; raise :class:`TopologyError` if disconnected."""

@@ -51,6 +51,107 @@ class TestConstruction:
             topo.edge_u[0] = 7
 
 
+#: every array the constructor derives from the edge list
+_BUILT = ("edge_u", "edge_v", "adj_indptr", "adj_indices", "adj_edge_ids", "degrees")
+
+#: unsorted, with both pair orientations and an isolated node (6)
+_EDGES = [(3, 1), (0, 4), (2, 0), (5, 3), (1, 0), (4, 2), (0, 5), (2, 1)]
+
+
+def _input_forms(edges):
+    """The same edge list in every form the constructor accepts."""
+    arr = np.array(edges, dtype=np.int64)
+    read_only = arr.copy()
+    read_only.setflags(write=False)
+    return {
+        "int64 ndarray": arr,
+        "int32 ndarray": arr.astype(np.int32),
+        "read-only ndarray": read_only,
+        "F-order ndarray": np.asfortranarray(arr),
+        "strided ndarray": np.repeat(arr, 2, axis=0)[::2],
+        "list of tuples": list(edges),
+        "generator": (tuple(e) for e in edges),
+    }
+
+
+def _error_text(n, edges):
+    with pytest.raises(TopologyError) as info:
+        Topology(n, edges)
+    return str(info.value)
+
+
+class TestInputForms:
+    """An ``(m, 2)`` ndarray is read as it is; every form builds the same
+    graph, and a bad ndarray fails exactly as the same list would."""
+
+    @pytest.mark.parametrize("form", sorted(_input_forms(_EDGES)))
+    def test_every_form_builds_identical_arrays(self, form):
+        want = Topology(7, list(_EDGES))
+        got = Topology(7, _input_forms(_EDGES)[form])
+        for name in _BUILT:
+            a, b = getattr(want, name), getattr(got, name)
+            assert a.dtype == b.dtype == np.int64, name
+            assert a.tobytes() == b.tobytes(), name
+        assert got == want and hash(got) == hash(want)
+
+    def test_matches_lexsort_oracle(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 9, 40):
+            pairs = {tuple(sorted(p)) for p in rng.integers(0, n, (3 * n, 2))}
+            edges = np.array([p for p in pairs if p[0] != p[1]]).reshape(-1, 2)
+            rng.shuffle(edges)
+            edges[::2] = edges[::2, ::-1]
+            topo = Topology(n, edges)
+            u, v = np.sort(edges, axis=1).T
+            order = np.lexsort((v, u))
+            assert np.array_equal(topo.edge_u, u[order])
+            assert np.array_equal(topo.edge_v, v[order])
+            ids = np.arange(order.size)
+            nodes = np.concatenate([u[order], v[order]])
+            neigh = np.concatenate([v[order], u[order]])
+            csr = np.lexsort((neigh, nodes))
+            assert np.array_equal(topo.adj_indices, neigh[csr])
+            assert np.array_equal(topo.adj_edge_ids, np.concatenate([ids, ids])[csr])
+
+    def test_caller_array_neither_aliased_nor_written(self):
+        arr = np.array(_EDGES, dtype=np.int64)
+        before = arr.copy()
+        topo = Topology(7, arr)
+        assert np.array_equal(arr, before)
+        assert arr.flags.writeable
+        for name in _BUILT:
+            assert not np.shares_memory(getattr(topo, name), arr), name
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, [(0, 1), (2, 2)]),  # self loop
+            (3, [(0, 1), (2, 1), (1, 0)]),  # duplicate
+            (3, [(0, 5)]),  # out of range
+            (3, [(-1, 2)]),  # negative endpoint
+            (3, [(0, 1, 2)]),  # bad shape
+            (0, []),  # no nodes
+        ],
+    )
+    def test_ndarray_errors_match_list_errors(self, n, edges):
+        arr = np.array(edges, dtype=np.int64)
+        assert _error_text(n, arr) == _error_text(n, edges)
+        assert _error_text(n, np.asfortranarray(arr)) == _error_text(n, edges)
+
+    def test_one_dimensional_ndarray_is_a_bad_shape(self):
+        assert _error_text(3, np.array([0, 1])) == _error_text(3, [0, 1])
+
+    @pytest.mark.parametrize(
+        "edges", [[], np.empty((0, 2), np.int64), np.empty(0, np.int32)]
+    )
+    def test_empty_inputs_build_the_edgeless_graph(self, edges):
+        topo = Topology(4, edges)
+        assert topo.m_edges == 0
+        assert topo.adj_indptr.tolist() == [0] * 5
+        for name in _BUILT:
+            assert getattr(topo, name).dtype == np.int64, name
+
+
 class TestLinkAttributes:
     def test_unset_by_default(self):
         topo = cycle(5)
@@ -145,6 +246,33 @@ class TestStructure:
         topo = Topology(5, [(0, 1), (2, 3)])
         comps = sorted(topo.connected_components(), key=lambda c: c[0])
         assert [c.tolist() for c in comps] == [[0, 1], [2, 3], [4]]
+
+    def test_components_match_bfs_in_smallest_node_order(self):
+        # The seeded stitching builders draw per component in list order,
+        # so the order (by smallest node) is part of the contract.
+        def bfs(topo, start):
+            seen, frontier = {start}, [start]
+            while frontier:
+                fresh = {int(nb) for v in frontier for nb in topo.neighbors(v)} - seen
+                seen |= fresh
+                frontier = list(fresh)
+            return sorted(seen)
+
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 30):
+            edges = rng.integers(0, n, (n, 2))
+            edges = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
+            topo = Topology(n, edges.reshape(-1, 2))
+            want, left = [], set(range(n))
+            while left:
+                want.append(bfs(topo, min(left)))
+                left -= set(want[-1])
+            comps = topo.connected_components()
+            assert [c.tolist() for c in comps] == want
+            assert all(c.dtype == np.int64 for c in comps)
+            assert topo.is_connected() == (len(want) == 1)
+            for comp in want:
+                assert topo.component_of(comp[-1]).tolist() == comp
 
     def test_bipartite_detection(self):
         assert cycle(6).is_bipartite()
