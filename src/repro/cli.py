@@ -232,11 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool",
         action="store_true",
         help=(
-            "run the sharded engine through the process-wide persistent "
-            "worker pool (--engine sharded): workers survive across calls, "
-            "cache the prepared topology operators, and write record "
-            "columns into shared memory the parent reads zero-copy — "
-            "bit-identical to per-call sharded execution"
+            "run the sharded engine on the process-wide persistent worker "
+            "pool (--engine sharded): its workers survive across calls and "
+            "keep the prepared topology operators, instead of a fresh pool "
+            "per call — bit-identical either way"
         ),
     )
 

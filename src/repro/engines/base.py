@@ -424,14 +424,13 @@ class EngineConfig:
     #: non-default value rather than silently running single-process.
     workers: Any = None
     #: Persistent worker pool of the sharded engine: ``None``/``False``
-    #: (default) spawns fresh worker processes per call, ``True``/``"auto"``
-    #: routes the call through the process-wide default
-    #: :class:`~repro.engines.pool.ShardedWorkerPool` (workers persist
-    #: across calls, load planes and record columns travel through
-    #: ``multiprocessing.shared_memory``, prepared topologies/operators are
-    #: cached per worker), and a :class:`ShardedWorkerPool` instance pins
-    #: that pool.  Results stay bit-identical to the per-call sharded
-    #: engine (and hence the batched engine).  Sharded engine only.
+    #: (default) runs each multi-shard call on a fresh
+    #: :class:`~repro.engines.pool.ShardedWorkerPool` that the call opens
+    #: and closes, ``True`` routes it through the process-wide default
+    #: pool, and a :class:`ShardedWorkerPool` instance pins that pool.  A
+    #: persistent pool keeps its workers, their topologies and prepared
+    #: operators across calls.  Results are bit-identical either way (and
+    #: to the batched engine).  Sharded engine only.
     pool: Any = None
     #: Per-replica parameter planes (:class:`ReplicaParams`, or a dict of
     #: its fields): switch round, beta, alpha scale, initial-load scale
@@ -562,9 +561,9 @@ class EngineConfig:
         if self.pool is not None and not isinstance(self.pool, bool):
             # Duck-typed so this module never imports the pool machinery:
             # any object exposing the pool's run surface qualifies.
-            if self.pool != "auto" and not hasattr(self.pool, "run_batch"):
+            if not hasattr(self.pool, "run_batch"):
                 raise ConfigurationError(
-                    "pool must be None, a bool, 'auto' or a "
+                    "pool must be None, a bool or a "
                     f"ShardedWorkerPool instance, got {self.pool!r}"
                 )
         params = resolve_replica_params(self.replica_params)  # raises on bad specs

@@ -1,16 +1,16 @@
-"""Persistent shared-memory worker pool for the sharded engine.
+"""Shared-memory worker pool: the sharded engine's process transport.
 
-The per-call sharded engine (:mod:`repro.engines.sharded`) pays a full
-``ctx.Pool`` spawn, a pickled ``(Topology, EngineConfig, loads)`` payload
-and a pickled :class:`~repro.engines.base.RecordBatch` return on every
-call.  Sweeps and ensembles issue *many* calls on the *same* graph, so
-all three costs are pure overhead after the first call.  This module
-amortises them:
+Every multi-shard call of the sharded engine (:mod:`repro.engines.sharded`)
+runs on a :class:`ShardedWorkerPool` — a persistent one named by
+``EngineConfig.pool``, or a fresh one the call opens and closes.  Sweeps
+and ensembles issue *many* calls on the *same* graph; a persistent pool
+pays worker start-up, topology transfer and operator preparation once
+for all of them:
 
 * **Persistent workers.**  :class:`ShardedWorkerPool` owns long-lived
   worker processes connected by pipes.  A call ships one small task
-  message per shard; the processes (and their warm imports) survive
-  across calls.
+  message per shard (the load plane travels through shared memory); the
+  processes (and their warm imports) survive across calls.
 * **Per-worker caches.**  Each worker caches every
   :class:`~repro.graphs.topology.Topology` it has seen, keyed by
   :func:`topology_fingerprint`, and keeps a per-graph operator cache that
@@ -30,12 +30,13 @@ amortises them:
 
 Bit-identity
 ------------
-The pool reuses :meth:`ShardedEngine._shard_payloads` verbatim, so the
-shard plan, the per-replica stream keys and the worker-side engines are
-exactly those of the per-call sharded engine; workers write the same
-column values the per-call merge would h-stack.  Pooled results are
-therefore bit-identical to the per-call sharded engine (and through it
-to the batched engine) for every rounding, static and dynamic.
+A call compiles the sharded engine's shard plan
+(:func:`repro.engines.sharded._shard_plan`) once and every worker runs
+its ``(lo, hi, config)`` entry through the same worker-side engine choice
+(:func:`repro.engines.sharded._run_shard`) an inline single-shard run
+uses.  Per-replica stream keys travel in the shard configs, so the
+merged columns are bit-identical to the batched engine for every
+rounding, static and dynamic, and for any worker count.
 
 Teardown
 --------
@@ -71,18 +72,18 @@ from .base import (
     RecordBatch,
     as_load_batch,
     merge_record_batches,
-    plan_shards,
     resolve_replica_params,
     resolve_workers,
 )
 from .batched import BatchedVectorEngine
 from .sharded import (
-    ShardedEngine,
+    Shard,
+    _run_shard,
+    _shard_plan,
     _wants_staleness,
     _worker_context,
     _worker_threads,
 )
-from .staleness import StalenessEngine
 
 import multiprocessing
 
@@ -268,15 +269,7 @@ def _execute_task(
             f"pool worker has no cached topology for key {key[:12]}... "
             "(parent/worker cache desync)"
         ) from None
-    config: EngineConfig = task["config"]
     lo, hi = task["lo"], task["hi"]
-    if _wants_staleness(config):
-        engine: Any = StalenessEngine()
-    else:
-        engine = BatchedVectorEngine()
-        # Per-graph operator cache: the handle construction fills it on
-        # the first call and reuses the CSR operators afterwards.
-        engine.operator_cache = op_caches.setdefault(key, {})
     loads_shm = _attach_block(task["loads_name"])
     try:
         plane = np.ndarray(
@@ -286,10 +279,12 @@ def _execute_task(
         del plane
     finally:
         loads_shm.close()
-    if task["dynamic"]:
-        batch = engine.run_dynamic_batch(topo, config, loads)
-    else:
-        batch = engine.run_batch(topo, config, loads)
+    # Per-graph operator cache: the handle construction fills it on the
+    # first call and reuses the CSR operators afterwards.
+    batch = _run_shard(
+        topo, task["config"], loads, task["dynamic"],
+        operator_cache=op_caches.setdefault(key, {}),
+    )
     spec = task.get("shared")
     if spec is None:
         return batch
@@ -338,15 +333,16 @@ def _pool_worker(conn, package_root: str, threads: int) -> None:
 class ShardedWorkerPool:
     """Long-lived worker processes running sharded engine calls.
 
-    Drop-in execution backend for :class:`~repro.engines.sharded.
-    ShardedEngine`: ``pool.run_batch(topo, config, loads)`` returns the
-    same merged :class:`RecordBatch` (bit-identical) the per-call engine
-    would, but the workers, their imports, the transferred topologies and
-    the prepared CSR operators all persist across calls.  Use
-    ``EngineConfig.pool=True`` (or ``simulate --pool``) to route through
-    the process-wide :func:`default_pool`, or construct and pass an
-    instance explicitly (``EngineConfig(pool=my_pool)``) to own the
-    lifecycle — ``close()`` it when done, or use it as a context manager.
+    The transport of :class:`~repro.engines.sharded.ShardedEngine`:
+    ``pool.run_batch(topo, config, loads)`` returns the merged
+    :class:`RecordBatch` (bit-identical to the batched engine), and the
+    workers, their imports, the transferred topologies and the prepared
+    CSR operators all persist across calls.  Use ``EngineConfig.pool=True``
+    (or ``simulate --pool``) to route through the process-wide
+    :func:`default_pool`, or construct and pass an instance explicitly
+    (``EngineConfig(pool=my_pool)``) to own the lifecycle — ``close()`` it
+    when done, or use it as a context manager.  Without either, each
+    multi-shard engine call runs on a fresh pool of its own.
     """
 
     def __init__(self, workers: Any = "auto"):
@@ -444,8 +440,7 @@ class ShardedWorkerPool:
         self,
         topo: Topology,
         config: EngineConfig,
-        payloads: List,
-        bounds: List[Tuple[int, int]],
+        plan: List[Shard],
         dynamic: bool,
     ) -> bool:
         """Whether every shard will produce the dense-table layout the
@@ -464,7 +459,7 @@ class ShardedWorkerPool:
             # differently-shaped records; replay the eligibility check on
             # each shard config (per-replica params slice per shard).
             probe = BatchedVectorEngine()
-            for (_t, shard_config, _l, _d), (lo, hi) in zip(payloads, bounds):
+            for lo, hi, shard_config in plan:
                 params = resolve_replica_params(
                     shard_config.replica_params, hi - lo
                 )
@@ -484,17 +479,15 @@ class ShardedWorkerPool:
 
         Returns the merged :class:`RecordBatch` — zero-copy views over
         shared blocks when the config is eligible, a pickled-and-merged
-        batch otherwise.  Bit-identical to
-        ``ShardedEngine.run``/``run_dynamic`` either way.
+        batch otherwise.  Bit-identical to the batched engine either way.
+        The shard plan is compiled once, for this pool's worker count.
         """
         loads = as_load_batch(initial_loads, topo.n)
         B = loads.shape[0]
-        shard_cfg = replace(config, workers=self.n_workers, pool=None)
-        payloads = ShardedEngine()._shard_payloads(topo, shard_cfg, loads, dynamic)
-        bounds = plan_shards(B, len(payloads))
+        plan = _shard_plan(topo, replace(config, workers=self.n_workers), B)
         self._ensure_workers()
         key = topology_fingerprint(topo)
-        zero_copy = self._zero_copy_ok(topo, config, payloads, bounds, dynamic)
+        zero_copy = self._zero_copy_ok(topo, config, plan, dynamic)
 
         from ..core.records import DYNAMIC_FLOAT_FIELDS, FLOAT_FIELDS
 
@@ -536,9 +529,7 @@ class ShardedWorkerPool:
 
             # -- dispatch ------------------------------------------------
             tasked: List[int] = []
-            for i, ((_t, shard_config, _l, _d), (lo, hi)) in enumerate(
-                zip(payloads, bounds)
-            ):
+            for i, (lo, hi, shard_config) in enumerate(plan):
                 task = {
                     "graph_key": key,
                     "topo": topo if key not in self._known[i] else None,
@@ -575,7 +566,7 @@ class ShardedWorkerPool:
             ]
             if failures:
                 i, status, payload = failures[0]
-                lo, hi = bounds[i]
+                lo, hi, _ = plan[i]
                 if any(status == "died" for _i, status, _p in failures):
                     self._reset()
                 if status == "died":

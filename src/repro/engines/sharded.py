@@ -42,25 +42,23 @@ and the merge stays bit-identical to the batched engine under churn.
 
 Worker lifecycle
 ----------------
-Workers are plain ``multiprocessing`` pool processes.  The payload per
-shard is ``(Topology, EngineConfig, loads_shard, dynamic)`` — everything
-pickles, so the engine is **spawn-safe**; the start method defaults to
+Every multi-shard call runs on a
+:class:`~repro.engines.pool.ShardedWorkerPool`: the one named by
+``EngineConfig.pool`` (``True`` for the process-wide default, or an
+explicit instance), else a fresh pool of one worker per shard that the
+call opens and closes.  Either way the loads travel through shared
+memory, dense table records come back zero-copy, and a failing worker
+surfaces as a :class:`~repro.exceptions.ConfigurationError` naming its
+replica range.  A persistent pool also keeps its workers, their imports
+and their prepared operators across calls.  The start method defaults to
 ``fork`` where available (no interpreter restart), switches to
 ``forkserver`` once the process has loaded a compiled kernel provider
 whose OpenMP runtime a forked child would deadlock in, and can be forced
 with the ``REPRO_SHARDED_START`` environment variable (``spawn`` /
 ``forkserver`` / ``fork``).  A single-shard plan (one worker, or ``B <=
 3`` — the >= 2-column shard floor caps the shard count at ``B // 2``)
-runs inline in the parent — no process is spawned, but the exact same
-shard/merge code path executes.
-
-Per-call workers are the default.  Setting ``EngineConfig.pool``
-(``True``/``"auto"`` for the process-wide default, or an explicit
-:class:`~repro.engines.pool.ShardedWorkerPool`) routes the call through
-a *persistent* pool instead: workers survive across calls, cache the
-prepared operators per topology, and return their record columns through
-shared memory — same shard plan, same merge, bit-identical results,
-without re-paying process startup on every call.
+without a pool runs inline in the parent: no process is started, but the
+same shard plan and worker-side engine choice apply.
 
 The engine implements the fused :meth:`run` / :meth:`run_dynamic` surface
 only; the ``prepare()``/``step()`` protocol would need one IPC round trip
@@ -72,23 +70,21 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.churn import resolve_churn
 from ..exceptions import ConfigurationError
 from ..graphs.topology import Topology
-from ..kernels import fork_unsafe_loaded, limit_threads
+from ..kernels import fork_unsafe_loaded
 
 from .base import (
     Engine,
     EngineConfig,
     RecordBatch,
     as_load_batch,
-    merge_record_batches,
     plan_shards,
     register_engine,
     reject_async_only,
@@ -102,6 +98,10 @@ from .batched import BatchedVectorEngine
 from .staleness import StalenessEngine
 
 __all__ = ["ShardedEngine"]
+
+#: One shard of a call: its replica columns ``[lo, hi)`` and the config
+#: the worker-side engine runs them under.
+Shard = Tuple[int, int, EngineConfig]
 
 
 def _wants_staleness(config: EngineConfig) -> bool:
@@ -124,7 +124,7 @@ _DEFAULT_START = (
 
 
 def _start_method() -> str:
-    """Start method of shard and pool workers — the one policy for both.
+    """Start method of the sharded engine's pool workers.
 
     ``REPRO_SHARDED_START`` wins.  Otherwise :data:`_DEFAULT_START`,
     except that ``fork`` becomes ``forkserver`` (``spawn`` where that is
@@ -154,7 +154,7 @@ _FORKSERVER_PRELOAD = ["__main__", "repro.engines.pool"]
 
 
 def _worker_context():
-    """The multiprocessing context of shard and pool workers."""
+    """The multiprocessing context of pool workers."""
     method = _start_method()
     ctx = multiprocessing.get_context(method)
     if method == "forkserver":
@@ -169,31 +169,138 @@ def _worker_threads(n_workers: int) -> int:
     return max(1, usable_cpus() // max(1, n_workers))
 
 
-def _init_worker(package_root: str, threads: int) -> None:
-    """Pool initializer: make ``repro`` importable in spawned children
-    and cap the worker's compiled-kernel threads at ``threads``.
+def _shard_count(workers, n_replicas: int) -> int:
+    """Shards of a ``n_replicas`` batch under a ``workers`` spec.
 
-    Fork children inherit ``sys.path``; spawn/forkserver children only
-    inherit the environment, so a parent that imported ``repro`` from a
-    source checkout (``PYTHONPATH=src``) must hand the path over
-    explicitly before the first task unpickles.
+    Shards keep >= 2 columns whenever the batch has >= 2: numpy sums a
+    single-column plane through its contiguous pairwise kernel, whose
+    *fractional* reductions differ at the ulp level from the strided
+    row-pairwise kernel every width >= 2 goes through — a width-1 shard
+    of a wider batch would break bit-identity for the continuous identity
+    process and the fractional dynamic/plateau reductions.
     """
-    if package_root not in sys.path:
-        sys.path.insert(0, package_root)
-    limit_threads(threads)
+    return max(1, min(resolve_workers(workers, n_replicas), n_replicas // 2 or 1))
 
 
-def _run_shard(payload: Tuple[Topology, EngineConfig, np.ndarray, bool]) -> RecordBatch:
-    """Run one column shard through a fresh batched engine (worker side).
+def _shard_plan(topo: Topology, config: EngineConfig, B: int) -> List[Shard]:
+    """Validate the config and cut a ``B``-replica batch into ``(lo, hi,
+    config)`` shards, ``config.workers`` of them (capped by
+    :func:`_shard_count`).
 
-    Executed in a worker process for multi-shard plans and inline in the
-    parent for single-shard plans — the code path is identical either way.
-    The shard config already carries the global ``replica_keys`` /
+    The one compile step of a sharded call: the churn schedule draw, the
+    replica keys, arrival seeds and parameter planes are resolved here,
+    once, and every shard config carries its slice.
+    """
+    config.validate()
+    if not _wants_staleness(config):
+        # Latency/skew/fault configs route to the staleness engine
+        # worker-side, which accepts exactly these knobs; everything
+        # else runs the batched engine and keeps its guards.
+        reject_async_only(config, "sharded")
+        reject_network_only(config, "sharded")
+    # Churn shards bit-identically once every worker replays the *same*
+    # compiled plan: the random schedule draw happens exactly once, here
+    # in the parent (resolve_churn seeds its own stream), and the
+    # resulting ChurnPlan is broadcast in the shard configs — workers
+    # re-validate it via the ChurnPlan passthrough in parse_churn_spec
+    # and apply identical patches at identical rounds.  The patch
+    # machinery (handoffs, flow remap, operator rebuild) acts per
+    # replica column, so the column-independence argument above holds
+    # under churn too.  The heterogeneous-speeds guard (and the rest of
+    # the churn compatibility matrix) lives in config.validate() and
+    # still applies unchanged.
+    churn_plan = resolve_churn(topo, config)
+    if churn_plan is not None and _wants_staleness(config):
+        # The staleness engine the latency/skew/fault knobs route to
+        # rejects churn; refuse the combination here so the error names
+        # the engine the caller actually asked for.
+        raise ConfigurationError(
+            "the sharded engine cannot combine churn with latency/"
+            "skew/fault knobs (the bounded-staleness shard path does "
+            "not support mutating topologies)"
+        )
+    if config.arrival_sampling == "batch":
+        raise ConfigurationError(
+            "the sharded engine does not support "
+            "arrival_sampling='batch': the whole batch draws from one "
+            "shared stream, which cannot split across workers "
+            "bit-identically (use the batched engine, or stream "
+            "sampling)"
+        )
+    replica_keys: Sequence[int] = (
+        [int(k) for k in config.replica_keys]
+        if config.replica_keys is not None
+        else range(B)
+    )
+    if len(replica_keys) != B:
+        raise ConfigurationError(
+            f"{len(replica_keys)} replica_keys for {B} replicas"
+        )
+    params = resolve_replica_params(config.replica_params, B)
+    arrival_seeds: Optional[Sequence[int]] = None
+    arrival_models: Optional[Sequence] = None
+    if config.arrivals is not None:
+        arrival_models = resolve_arrival_models(config.arrivals, B)
+        arrival_seeds = (
+            [int(k) for k in config.arrival_seeds]
+            if config.arrival_seeds is not None
+            else range(B)
+        )
+        if len(arrival_seeds) != B:
+            raise ConfigurationError(
+                f"{len(arrival_seeds)} arrival_seeds for {B} replicas"
+            )
+    plan = []
+    for lo, hi in plan_shards(B, _shard_count(config.workers, B)):
+        shard_config = replace(
+            config,
+            workers=None,  # the worker-side batched engine runs alone
+            pool=None,  # pooling is a parent-side routing decision
+            churn=churn_plan,  # precompiled plan, identical per shard
+            replica_keys=list(replica_keys[lo:hi]),
+            arrival_seeds=(
+                list(arrival_seeds[lo:hi])
+                if arrival_seeds is not None
+                else None
+            ),
+            arrivals=(
+                list(arrival_models[lo:hi])
+                if arrival_models is not None
+                else None
+            ),
+            # The parameter planes shard with their columns: replica b
+            # carries the same plane entries in any shard assignment,
+            # so the merge stays bit-identical to the batched run.
+            replica_params=(
+                params.shard(lo, hi) if params is not None else None
+            ),
+        )
+        plan.append((lo, hi, shard_config))
+    return plan
+
+
+def _run_shard(
+    topo: Topology,
+    config: EngineConfig,
+    loads: np.ndarray,
+    dynamic: bool,
+    operator_cache: Optional[Dict] = None,
+) -> RecordBatch:
+    """Run one column shard's ``loads`` under its shard ``config``.
+
+    The one worker-side engine choice: pool workers call it for every
+    shard, and the parent inline for a single-shard plan.  The shard
+    config already carries the global ``replica_keys`` /
     ``arrival_seeds``, so the returned :class:`RecordBatch` holds exactly
     the full-batch run's columns for this shard's replicas.
+    ``operator_cache`` (a pool worker's per-graph cache) reaches the
+    batched engine only.
     """
-    topo, config, loads, dynamic = payload
-    engine = StalenessEngine() if _wants_staleness(config) else BatchedVectorEngine()
+    if _wants_staleness(config):
+        engine = StalenessEngine()
+    else:
+        engine = BatchedVectorEngine()
+        engine.operator_cache = operator_cache
     if dynamic:
         return engine.run_dynamic_batch(topo, config, loads)
     return engine.run_batch(topo, config, loads)
@@ -227,171 +334,41 @@ class ShardedEngine(Engine):
         self._refuse_protocol("metrics()")
 
     # ------------------------------------------------------------------
-    def _shard_payloads(
-        self,
-        topo: Topology,
-        config: EngineConfig,
-        loads: np.ndarray,
-        dynamic: bool,
-    ) -> List[Tuple[Topology, EngineConfig, np.ndarray, bool]]:
-        """Validate the config and slice the batch into shard payloads."""
-        config.validate()
-        if not _wants_staleness(config):
-            # Latency/skew/fault configs route to the staleness engine
-            # worker-side, which accepts exactly these knobs; everything
-            # else runs the batched engine and keeps its guards.
-            reject_async_only(config, "sharded")
-            reject_network_only(config, "sharded")
-        # Churn shards bit-identically once every worker replays the *same*
-        # compiled plan: the random schedule draw happens exactly once, here
-        # in the parent (resolve_churn seeds its own stream), and the
-        # resulting ChurnPlan is broadcast in the shard configs — workers
-        # re-validate it via the ChurnPlan passthrough in parse_churn_spec
-        # and apply identical patches at identical rounds.  The patch
-        # machinery (handoffs, flow remap, operator rebuild) acts per
-        # replica column, so the column-independence argument above holds
-        # under churn too.  The heterogeneous-speeds guard (and the rest of
-        # the churn compatibility matrix) lives in config.validate() and
-        # still applies unchanged.
-        churn_plan = resolve_churn(topo, config)
-        if churn_plan is not None and _wants_staleness(config):
-            # The staleness engine the latency/skew/fault knobs route to
-            # rejects churn; refuse the combination here so the error names
-            # the engine the caller actually asked for.
+    def _run(self, topo, config, initial_loads, dynamic: bool) -> RecordBatch:
+        """Run the batch on ``config.pool``, on a fresh pool of one worker
+        per shard, or inline when the plan has a single shard."""
+        if (config.arrivals is not None) != dynamic:
             raise ConfigurationError(
-                "the sharded engine cannot combine churn with latency/"
-                "skew/fault knobs (the bounded-staleness shard path does "
-                "not support mutating topologies)"
+                "run_dynamic() needs arrival models (set config.arrivals)"
+                if dynamic
+                else "config has arrival models; dynamic workloads run "
+                "through run_dynamic()"
             )
-        if config.arrival_sampling == "batch":
-            raise ConfigurationError(
-                "the sharded engine does not support "
-                "arrival_sampling='batch': the whole batch draws from one "
-                "shared stream, which cannot split across workers "
-                "bit-identically (use the batched engine, or stream "
-                "sampling)"
-            )
-        B = loads.shape[0]
-        replica_keys: Sequence[int] = (
-            [int(k) for k in config.replica_keys]
-            if config.replica_keys is not None
-            else range(B)
-        )
-        if len(replica_keys) != B:
-            raise ConfigurationError(
-                f"{len(replica_keys)} replica_keys for {B} replicas"
-            )
-        params = resolve_replica_params(config.replica_params, B)
-        arrival_seeds: Optional[Sequence[int]] = None
-        arrival_models: Optional[Sequence] = None
-        if config.arrivals is not None:
-            arrival_models = resolve_arrival_models(config.arrivals, B)
-            arrival_seeds = (
-                [int(k) for k in config.arrival_seeds]
-                if config.arrival_seeds is not None
-                else range(B)
-            )
-            if len(arrival_seeds) != B:
-                raise ConfigurationError(
-                    f"{len(arrival_seeds)} arrival_seeds for {B} replicas"
-                )
-        # Shards keep >= 2 columns whenever the batch has >= 2: numpy sums a
-        # single-column plane through its contiguous pairwise kernel, whose
-        # *fractional* reductions differ at the ulp level from the strided
-        # row-pairwise kernel every width >= 2 goes through — a width-1
-        # shard of a wider batch would break bit-identity for the continuous
-        # identity process and the fractional dynamic/plateau reductions.
-        n_shards = max(1, min(resolve_workers(config.workers, B), B // 2 or 1))
-        payloads = []
-        for lo, hi in plan_shards(B, n_shards):
-            shard_config = replace(
-                config,
-                workers=None,  # the worker-side batched engine runs alone
-                pool=None,  # pooling is a parent-side routing decision
-                churn=churn_plan,  # precompiled plan, identical per shard
-                replica_keys=list(replica_keys[lo:hi]),
-                arrival_seeds=(
-                    list(arrival_seeds[lo:hi])
-                    if arrival_seeds is not None
-                    else None
-                ),
-                arrivals=(
-                    list(arrival_models[lo:hi])
-                    if arrival_models is not None
-                    else None
-                ),
-                # The parameter planes shard with their columns: replica b
-                # carries the same plane entries in any shard assignment,
-                # so the merge stays bit-identical to the batched run.
-                replica_params=(
-                    params.shard(lo, hi) if params is not None else None
-                ),
-            )
-            payloads.append((topo, shard_config, loads[lo:hi], dynamic))
-        return payloads
+        loads = as_load_batch(initial_loads, topo.n)
+        config.validate()  # before the shard count reads config.workers
+        from .pool import ShardedWorkerPool, default_pool  # pool imports us
 
-    def _run_shards(
-        self, payloads: List[Tuple[Topology, EngineConfig, np.ndarray, bool]]
-    ) -> RecordBatch:
-        """Execute the shard plan and merge the per-shard record batches."""
-        if len(payloads) == 1:
-            return merge_record_batches([_run_shard(payloads[0])])
-        ctx = _worker_context()
-        package_root = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        with ctx.Pool(
-            processes=len(payloads),
-            initializer=_init_worker,
-            initargs=(package_root, _worker_threads(len(payloads))),
-        ) as pool:
-            batches = pool.map(_run_shard, payloads)
-        return merge_record_batches(batches)
+        if config.pool is True:
+            return default_pool().run_batch(topo, config, loads, dynamic)
+        if config.pool:  # an explicit ShardedWorkerPool
+            return config.pool.run_batch(topo, config, loads, dynamic)
+        n_shards = _shard_count(config.workers, loads.shape[0])
+        if n_shards > 1:
+            with ShardedWorkerPool(workers=n_shards) as pool:
+                return pool.run_batch(topo, config, loads, dynamic)
+        [(_lo, _hi, shard_config)] = _shard_plan(topo, config, loads.shape[0])
+        return _run_shard(topo, shard_config, loads, dynamic)
 
-    def _resolve_pool(self, config: EngineConfig):
-        """Map ``config.pool`` to a live pool, or ``None`` for per-call
-        workers.  ``True``/``"auto"`` route to the process-wide default
-        :class:`~repro.engines.pool.ShardedWorkerPool`; an explicit pool
-        instance is used as-is (callers own its lifecycle)."""
-        spec = config.pool
-        if spec is None or spec is False:
-            return None
-        if spec is True or spec == "auto":
-            from .pool import default_pool  # lazy: pool imports sharded
-
-            return default_pool()
-        return spec
-
-    # ------------------------------------------------------------------
     def run(self, topo, config, initial_loads):
         """Shard the batch across workers; one ``SimulationResult`` per
         replica, bit-identical to the batched engine for any worker count.
         """
-        if config.arrivals is not None:
-            raise ConfigurationError(
-                "config has arrival models; dynamic workloads run through "
-                "run_dynamic()"
-            )
-        loads = as_load_batch(initial_loads, topo.n)
-        pool = self._resolve_pool(config)
-        if pool is not None:
-            return pool.run_batch(topo, config, loads).results()
-        payloads = self._shard_payloads(topo, config, loads, dynamic=False)
-        return self._run_shards(payloads).results()
+        return self._run(topo, config, initial_loads, dynamic=False).results()
 
     def run_dynamic(self, topo, config, initial_loads):
         """Shard a dynamic batch across workers; one ``DynamicResult`` per
         replica, bit-identical to the batched engine (stream sampling).
         """
-        if config.arrivals is None:
-            raise ConfigurationError(
-                "run_dynamic() needs arrival models (set config.arrivals)"
-            )
-        loads = as_load_batch(initial_loads, topo.n)
-        pool = self._resolve_pool(config)
-        if pool is not None:
-            return pool.run_batch(
-                topo, config, loads, dynamic=True
-            ).dynamic_results()
-        payloads = self._shard_payloads(topo, config, loads, dynamic=True)
-        return self._run_shards(payloads).dynamic_results()
+        return self._run(
+            topo, config, initial_loads, dynamic=True
+        ).dynamic_results()

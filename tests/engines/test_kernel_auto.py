@@ -218,7 +218,7 @@ def test_workers_cap_their_kernel_threads():
         import multiprocessing
         from repro import kernels
         from repro.engines.pool import _pool_worker
-        from repro.engines.sharded import _init_worker, _worker_threads
+        from repro.engines.sharded import _worker_threads
 
         # Worker entry points cap before the provider loads ...
         parent, child = multiprocessing.Pipe()
@@ -226,8 +226,6 @@ def test_workers_cap_their_kernel_threads():
         _pool_worker(child, "unused", 1)
         assert kernels._THREAD_LIMIT == 1
         provider = kernels.get_provider("cffi")
-        assert provider.limit_threads(1 << 20) == 1
-        _init_worker("unused", 1)
         assert provider.limit_threads(1 << 20) == 1
         # ... and a cap also reaches a provider already loaded.
         kernels.limit_threads(1 << 20)

@@ -9,6 +9,7 @@ shard's replica range.
 """
 
 import glob
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from repro.engines import (
     make_engine,
     topology_fingerprint,
 )
+from repro.engines import pool as pool_module, sharded
 from repro.engines.batched import BatchedVectorEngine
 from repro.engines.pool import _execute_task, _write_shared
 
@@ -53,6 +55,11 @@ def _config(**kw):
 
 def _shm_names():
     return set(glob.glob("/dev/shm/psm_*"))
+
+
+def _children():
+    """Live worker processes (the default pool's may predate a test)."""
+    return {proc.pid for proc in multiprocessing.active_children()}
 
 
 def assert_static_identical(a, b):
@@ -167,7 +174,7 @@ class TestFallback:
     def test_pickle_fallback_matches_percall(self, pool, kw):
         cfg = _config(**kw)
         loads = _loads()
-        assert not pool._zero_copy_ok(TOPO, cfg, [], [], False)
+        assert not pool._zero_copy_ok(TOPO, cfg, [], False)
         percall = make_engine("sharded").run(TOPO, cfg, loads)
         pooled = make_engine("sharded").run(TOPO, replace(cfg, pool=pool), loads)
         for a, b in zip(pooled, percall):
@@ -227,6 +234,67 @@ class TestTeardown:
         procs = list(p._procs)
         p.close()
         assert all(not proc.is_alive() for proc in procs)
+
+
+class TestPerCallPool:
+    """A multi-shard call without ``pool`` runs on a fresh pool of its own."""
+
+    def test_worker_error_names_shard_and_leaks_nothing(self):
+        cfg = _config(arrivals=HotspotArrivals(nodes=[TOPO.n + 5], rate=2))
+        before, children = _shm_names(), _children()
+        with pytest.raises(
+            ConfigurationError, match=r"replicas \[\d+:\d+\)"
+        ) as info:
+            make_engine("sharded").run_dynamic(TOPO, cfg, _loads())
+        cause = info.value.__cause__
+        assert isinstance(cause, ConfigurationError)
+        assert "hotspot" in str(cause) and str(cause) in str(info.value)
+        assert _shm_names() - before == set()
+        assert _children() - children == set()
+
+    def test_success_leaks_nothing(self):
+        before, children = _shm_names(), _children()
+        results = make_engine("sharded").run(TOPO, _config(), _loads())
+        assert _shm_names() - before == set()
+        assert _children() - children == set()
+        # The closed pool's unlinked blocks stay readable through the views.
+        assert np.isfinite(results[0].final_state.load).all()
+        assert np.isfinite(np.asarray(results[0].series("max_minus_avg"))).all()
+
+    @pytest.mark.parametrize(
+        "workers, pooled", [(2, True), (3, True), (1, False)]
+    )
+    def test_plan_compiled_once_per_call(self, monkeypatch, workers, pooled):
+        # Churn included: the schedule draw happens once, in the parent.
+        calls = {"plan": [], "churn": 0, "run_batch": 0}
+        shard_plan, resolve_churn = sharded._shard_plan, sharded.resolve_churn
+        run_batch = ShardedWorkerPool.run_batch
+
+        def counting_plan(*args):
+            plan = shard_plan(*args)
+            calls["plan"].append(len(plan))
+            return plan
+
+        def churn_spy(*args):
+            calls["churn"] += 1
+            return resolve_churn(*args)
+
+        def run_batch_spy(self, *args, **kw):
+            calls["run_batch"] += 1
+            return run_batch(self, *args, **kw)
+
+        monkeypatch.setattr(sharded, "_shard_plan", counting_plan)
+        monkeypatch.setattr(pool_module, "_shard_plan", counting_plan)
+        monkeypatch.setattr(sharded, "resolve_churn", churn_spy)
+        monkeypatch.setattr(ShardedWorkerPool, "run_batch", run_batch_spy)
+        cfg = _config(workers=workers, churn="random:0.1")
+        got = make_engine("sharded").run(TOPO, cfg, _loads())
+        assert calls == {
+            "plan": [workers], "churn": 1, "run_batch": int(pooled)
+        }
+        want = make_engine("batched").run(TOPO, replace(cfg, workers=None), _loads())
+        for a, b in zip(got, want):
+            assert_static_identical(a, b)
 
 
 class TestSpawnStart:
@@ -311,8 +379,9 @@ class TestWorkerBodyInProcess:
 
 class TestConfigPlumbing:
     def test_validate_rejects_bogus_pool(self):
-        with pytest.raises(ConfigurationError, match="pool"):
-            _config(pool="bogus").validate()
+        for spec in ("bogus", "auto"):
+            with pytest.raises(ConfigurationError, match="pool"):
+                _config(pool=spec).validate()
 
     def test_batched_rejects_pool(self):
         cfg = EngineConfig(scheme="sos", beta=1.7, rounds=5, pool=True)

@@ -358,13 +358,14 @@ class TestRejections:
 class TestMergeHelpers:
     def _shard_batches(self, config, loads, bounds):
         """Run explicit column shards through the worker entry point."""
-        out = []
-        for lo, hi in bounds:
-            shard_config = replace(config, replica_keys=list(range(lo, hi)))
-            out.append(
-                _run_shard((TORUS, shard_config, loads[lo:hi], False))
-            )
-        return out
+        plan = [
+            (lo, hi, replace(config, replica_keys=list(range(lo, hi))))
+            for lo, hi in bounds
+        ]
+        return [
+            _run_shard(TORUS, shard_config, loads[lo:hi], False)
+            for lo, hi, shard_config in plan
+        ]
 
     def test_merge_reproduces_full_batch(self):
         loads = _batch(TORUS)

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro import kernels, point_load
 from repro.core.records import StreamingStats
 from repro.engines import EngineConfig, ReplicaParams, ShardedWorkerPool, make_engine
-from repro.engines import batched
+from repro.engines import batched, pool as pool_module
 from repro.experiments import ParamGrid
 from repro.graphs import lollipop, random_regular_strict, torus_2d
 
@@ -256,15 +256,22 @@ class TestSharded:
         )
         return topo, config, loads
 
-    def test_sharded_twins_split_across_shards_equal_batched(self):
+    def test_sharded_twins_split_across_shards_equal_batched(self, monkeypatch):
         topo, config, loads = self._case()
         want = make_engine("batched").run_batch(topo, config, loads)
-        sharded = make_engine("sharded")
-        payloads = sharded._shard_payloads(
+        plans = []
+
+        def spy(*args):
+            plans.append(shard_plan(*args))
+            return plans[-1]
+
+        shard_plan = pool_module._shard_plan
+        monkeypatch.setattr(pool_module, "_shard_plan", spy)
+        got = make_engine("sharded")._run(
             topo, replace(config, workers=2), loads, dynamic=False
         )
-        assert len(payloads) == 2
-        assert_same_batch(sharded._run_shards(payloads), want)
+        assert [len(plan) for plan in plans] == [2]
+        assert_same_batch(got, want)
 
     def test_pool_equals_batched(self):
         topo, config, loads = self._case()
