@@ -88,10 +88,10 @@ def write_bench_json(name: str, payload: dict) -> str:
     :func:`provenance` under ``"provenance"``.  Returns the path written.
     """
     path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
+    # Stamp before opening: truncating a committed record would make the
+    # tree read dirty.
+    record = _jsonable({**payload, "provenance": provenance()})
     with open(path, "w") as fh:
-        json.dump(
-            _jsonable({**payload, "provenance": provenance()}),
-            fh, indent=2, sort_keys=True,
-        )
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path

@@ -49,18 +49,19 @@ def test_provenance_names_the_checkout_commit():
     assert _helpers.provenance()["git_sha"] == expected
 
 
-def _init_checkout(root):
-    def git(*args):
-        subprocess.run(
-            ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
-             *args],
-            capture_output=True, check=True,
-        )
+def _git(root, *args):
+    subprocess.run(
+        ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
+         *args],
+        capture_output=True, check=True,
+    )
 
-    git("init", "-q")
+
+def _init_checkout(root):
+    _git(root, "init", "-q")
     (root / "tracked.txt").write_text("a\n")
-    git("add", "tracked.txt")
-    git("commit", "-q", "-m", "init")
+    _git(root, "add", "tracked.txt")
+    _git(root, "commit", "-q", "-m", "init")
 
 
 def test_provenance_flags_a_dirty_tree(tmp_path, monkeypatch):
@@ -76,3 +77,20 @@ def test_provenance_flags_a_dirty_tree(tmp_path, monkeypatch):
     prov = _helpers.provenance()
     assert prov["git_dirty"] is True
     assert prov["git_sha"] is not None and len(prov["git_sha"]) == 40
+
+
+def test_rewriting_a_committed_artifact_reads_clean(tmp_path, monkeypatch):
+    # Re-running a bench over its committed record on a clean tree is a
+    # clean measurement: the stamp is taken before the file is rewritten.
+    try:
+        _init_checkout(tmp_path)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs a working git")
+    monkeypatch.setattr(_helpers, "REPO_ROOT", str(tmp_path))
+    path = _helpers.write_bench_json("probe", {"summary": {"x": 1}})
+    _git(tmp_path, "add", path)
+    _git(tmp_path, "commit", "-q", "-m", "record")
+    _helpers.write_bench_json("probe", {"summary": {"x": 2}})
+    data = json.loads(Path(path).read_text())
+    assert data["summary"] == {"x": 2}
+    assert data["provenance"]["git_dirty"] is False
