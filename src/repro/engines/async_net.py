@@ -24,8 +24,6 @@ import numpy as np
 
 from ..network.async_engine import AsyncNetwork
 
-from ..exceptions import ConfigurationError
-
 from .base import EngineConfig, parse_faults_spec, parse_latency_spec, register_engine
 from .network import NetworkEngine
 
@@ -67,18 +65,6 @@ class AsyncNetworkEngine(NetworkEngine):
     """
 
     name = "async"
-
-    def _reject(self, config: EngineConfig) -> None:
-        # Accepts the async-only knobs (latency_model / max_skew) as well
-        # as the fault models the synchronous network engine accepts.  The
-        # latency_buckets quantisation policy belongs to the staleness
-        # engine — the event queue schedules real-valued delays directly.
-        if config.latency_buckets != "ceil":
-            raise ConfigurationError(
-                "the async engine does not support "
-                f"latency_buckets={config.latency_buckets!r} "
-                "(staleness engine only)"
-            )
 
     def _make_net(self, topo, config, load, beta, switch_round, b):
         return AsyncNetwork(

@@ -61,6 +61,7 @@ __all__ = [
     "ENGINES",
     "make_engine",
     "register_engine",
+    "replica_beta",
     "make_switch_policy",
     "apply_load_scales",
     "as_load_batch",
@@ -68,13 +69,10 @@ __all__ = [
     "parse_faults_spec",
     "parse_latency_spec",
     "plan_shards",
-    "reject_async_only",
-    "reject_batched_only",
-    "reject_network_only",
-    "reject_sharded_only",
     "resolve_arrival_models",
     "resolve_arrival_rngs",
     "resolve_record_fields",
+    "resolve_replica_keys",
     "resolve_replica_params",
     "resolve_rounding_rngs",
     "resolve_tile_size",
@@ -312,6 +310,10 @@ class EngineConfig:
 
     ``seed`` is a base seed; replica ``b`` derives an independent stream
     from it, so runs are reproducible for any batch size.
+
+    Which engines honour each non-default knob is declared once, in
+    :mod:`repro.engines.capabilities`; an engine refuses the knobs its
+    column does not list.
     """
 
     scheme: str = "sos"
@@ -330,8 +332,7 @@ class EngineConfig:
     #: ensemble-throughput mode.  Token counts and integral loads stay exact
     #: below 2**24; scheme coefficients are quantised at ~1e-7 relative, so
     #: float32 traces are a valid discrete process of the same family but
-    #: not bit-identical to the float64 ones.  Only the batched backend
-    #: accepts float32.
+    #: not bit-identical to the float64 ones.
     precision: str = "float64"
     #: Dynamic-workload arrival hook: ``None`` (static run), one
     #: :class:`~repro.core.dynamic.ArrivalModel` (or spec string, see
@@ -355,15 +356,14 @@ class EngineConfig:
     #: sampling ceiling (~3x at B=128) at the documented price of replica
     #: trajectories that no longer match the reference engine stream for
     #: stream (they stay exactly distributed and reproducible per seed).
-    #: Batched engine only; requires one shared arrival model.
+    #: Requires one shared arrival model.
     arrival_sampling: str = "stream"
     #: Static-run record columns to compute, as a subset of
     #: :data:`~repro.core.records.FLOAT_FIELDS`; ``None`` means all of them.
     #: Excluded columns are stored as NaN.  Dropping ``min_transient`` and
     #: ``round_traffic`` lets the batched engine skip the per-round
     #: transient/traffic kernels — and is the precondition for the
-    #: closed-form ``identity``-rounding fast path.  Batched engine only;
-    #: the per-replica backends always record every column.
+    #: closed-form ``identity``-rounding fast path.
     record_fields: Optional[Sequence[str]] = None
     #: Closed-form continuous fast path of the batched engine: ``"auto"``
     #: (default) engages it whenever eligible — ``identity`` rounding, no
@@ -387,8 +387,8 @@ class EngineConfig:
     #: a ``ConfigurationError`` on any other rounding, and names the
     #: ``[compiled]`` pip extra when cffi is unavailable.  Every provider
     #: is bit-identical to the numpy tier (the token scatter consumes the
-    #: same per-replica RNG streams in the same order).  Batched and
-    #: sharded engines only; the others accept ``"auto"`` and run numpy.
+    #: same per-replica RNG streams in the same order).  Engines without
+    #: a kernel tier accept ``"auto"`` and ``"numpy"``.
     kernel: str = "auto"
     #: Node-tile width of the batched engine's streaming kernels: ``None``
     #: (default) keeps the dense whole-``(n, B)`` scratch planes, an ``int``
@@ -397,7 +397,7 @@ class EngineConfig:
     #: from ``memory_budget_mb``.  Tiled runs are bit-identical to dense
     #: runs whenever the summed quantities are integral (every discrete
     #: rounding); the continuous ``identity`` process agrees to accumulation
-    #: accuracy.  Batched engine only.
+    #: accuracy.
     tile_size: Any = None
     #: Memory budget (MiB) for the *tiled scratch planes* when
     #: ``tile_size="auto"`` — the bound covers the per-tile node scratch and
@@ -407,7 +407,7 @@ class EngineConfig:
     #: ``"summary"`` streams records through running min/max/sum/last
     #: aggregates (O(fields x B) memory regardless of round count) and
     #: returns single-row tables whose ``summary()`` carries the
-    #: aggregates.  Batched engine only.
+    #: aggregates.
     record_mode: str = "table"
     #: Per-replica *rounding* stream keys of the vectorised backends:
     #: replica ``b`` draws its rounding randomness from
@@ -415,13 +415,11 @@ class EngineConfig:
     #: Like ``arrival_seeds``, this pins streams to key *values*, so a
     #: replica's trajectory does not depend on its batch position — the
     #: property the sharded engine uses to stay bit-identical to the
-    #: single-process batched engine for any shard assignment.  Batched and
-    #: sharded engines only.
+    #: single-process batched engine for any shard assignment.
     replica_keys: Optional[Sequence[int]] = None
     #: Worker-process count of the sharded engine: ``None``/``"auto"``
     #: derives it from the usable CPU count (capped at the replica count),
-    #: an int pins it.  Sharded engine only — every other backend rejects a
-    #: non-default value rather than silently running single-process.
+    #: an int pins it.
     workers: Any = None
     #: Persistent worker pool of the sharded engine: ``None``/``False``
     #: (default) runs each multi-shard call on a fresh
@@ -430,17 +428,17 @@ class EngineConfig:
     #: pool, and a :class:`ShardedWorkerPool` instance pins that pool.  A
     #: persistent pool keeps its workers, their topologies and prepared
     #: operators across calls.  Results are bit-identical either way (and
-    #: to the batched engine).  Sharded engine only.
+    #: to the batched engine).
     pool: Any = None
     #: Per-replica parameter planes (:class:`ReplicaParams`, or a dict of
     #: its fields): switch round, beta, alpha scale, initial-load scale
     #: and arrival-rate scale per replica column.  This is the sweep
     #: surface — a whole fig08-style parameter sweep becomes *one* engine
-    #: call whose replicas each carry their own sweep point.  All four
-    #: backends honour it: the batched engine folds the planes into its
-    #: vectorised kernels (and shards them with the columns under the
-    #: sharded engine, bit-identity preserved), the per-replica backends
-    #: configure each replica's simulator from its plane entries.
+    #: call whose replicas each carry their own sweep point.  The
+    #: vectorised engines fold the planes into their kernels (and the
+    #: sharded engine slices them with its column shards, bit-identity
+    #: preserved); the per-replica backends configure each replica from
+    #: its plane entries.
     replica_params: Any = None
     #: Link-latency model of the async engine: ``None`` (default) reads the
     #: topology's stamped ``link_latency``/``link_bandwidth`` attributes
@@ -448,13 +446,12 @@ class EngineConfig:
     #: scalar forces that latency in rounds on every link, and a spec string
     #: draws per-link latencies from a distribution seeded by ``seed`` —
     #: ``"fixed:X"``, ``"uniform:LO,HI"`` or ``"exp:MEAN"`` (see
-    #: :func:`parse_latency_spec`).  Async engine only — every other backend
-    #: rejects a non-default value rather than silently running synchronous.
+    #: :func:`parse_latency_spec`).
     latency_model: Any = None
     #: Bounded-staleness gate of the async engine: a node may not start
     #: round ``r`` until every neighbour's last heard-from round is at least
     #: ``r - 1 - max_skew``.  ``None`` (default) means unbounded skew; ``0``
-    #: recovers lockstep neighbourhood synchrony.  Async engine only.
+    #: recovers lockstep neighbourhood synchrony.
     max_skew: Optional[int] = None
     #: Latency-quantisation policy of the staleness engine: how fractional
     #: per-link latencies map onto the integer round buckets that index its
@@ -464,13 +461,12 @@ class EngineConfig:
     #: ``"nearest"`` round down / to the closest bucket, ``"exact"``
     #: refuses non-integer latencies outright (the bit-identity contract
     #: vs the async engine only holds where quantisation is a no-op).
-    #: Staleness engine only — other backends reject a non-default value.
     latency_buckets: str = "ceil"
     #: Fault model applied to token transfers
     #: (:class:`~repro.network.faults.FaultModel`): drops bounce the tokens
     #: back to the sender, so load is conserved.  The engine binds any
     #: unseeded model to a generator derived from ``seed``, so fault
-    #: schedules reproduce run-to-run.  Network and async engines only.
+    #: schedules reproduce run-to-run.
     faults: Any = None
     #: Topology-churn schedule (:class:`~repro.core.churn.ChurnSchedule`,
     #: a spec string — see :func:`~repro.core.churn.parse_churn_spec` —
@@ -479,9 +475,7 @@ class EngineConfig:
     #: nodes hand their tokens to surviving neighbours (or freeze them
     #: until recovery, per the schedule's policy), so ``sum(loads)`` is
     #: conserved over the full node universe under any schedule.
-    #: Supported by the reference, batched, network and async engines
-    #: (the sharded engine and the compiled kernel tier reject it);
-    #: requires default speeds/alphas/targets and is mutually exclusive
+    #: Requires default speeds/alphas/targets and is mutually exclusive
     #: with switch policies, replica_params, float32, tiling, streaming
     #: summaries and trimmed record fields.
     churn: Any = None
@@ -744,16 +738,35 @@ def resolve_rounding_rngs(
     ``key_b = config.replica_keys[b]`` (default ``b``) — independent of the
     arrival streams and of the batch size.
     """
-    keys = config.replica_keys
-    if keys is None:
-        keys = range(n_replicas)
-    else:
-        keys = [int(k) for k in keys]
-        if len(keys) != n_replicas:
-            raise ConfigurationError(
-                f"{len(keys)} replica_keys for {n_replicas} replicas"
-            )
-    return [rounding_stream(config.seed, k) for k in keys]
+    return [
+        rounding_stream(config.seed, k)
+        for k in resolve_replica_keys(config, n_replicas)
+    ]
+
+
+def resolve_replica_keys(config: "EngineConfig", n_replicas: int) -> List[int]:
+    """Per-replica stream keys: ``config.replica_keys`` (checked against
+    the batch size), or the batch index ``0 .. B-1`` by default."""
+    if config.replica_keys is None:
+        return list(range(n_replicas))
+    keys = [int(k) for k in config.replica_keys]
+    if len(keys) != n_replicas:
+        raise ConfigurationError(
+            f"{len(keys)} replica_keys for {n_replicas} replicas"
+        )
+    return keys
+
+
+def replica_beta(
+    config: "EngineConfig", params: Optional[ResolvedReplicaParams], b: int
+) -> float:
+    """Replica ``b``'s SOS ``beta``: its ``replica_params.betas`` entry,
+    else ``config.beta``; FOS runs as ``beta = 1``."""
+    if config.scheme != "sos":
+        return 1.0
+    if params is not None and params.betas is not None:
+        return float(params.betas[b])
+    return config.beta
 
 
 def resolve_record_fields(spec) -> Tuple[str, ...]:
@@ -802,100 +815,6 @@ def resolve_tile_size(
             return None
         return max(1, tile)
     return min(int(spec), n) if int(spec) < n else None
-
-
-def reject_batched_only(config: "EngineConfig", engine_name: str) -> None:
-    """Refuse batched-engine-only config features on per-replica backends.
-
-    The scaling knobs (tiling, streaming summaries, trimmed record fields,
-    batch-wide arrival sampling, forced fast-path tiers, pinned rounding
-    stream keys) are implemented by the vectorised engines; silently
-    ignoring them elsewhere would make cross-engine comparisons lie about
-    what ran.
-    """
-    offending = []
-    if config.arrival_sampling != "stream":
-        offending.append(f"arrival_sampling={config.arrival_sampling!r}")
-    if config.tile_size is not None:
-        offending.append(f"tile_size={config.tile_size!r}")
-    if config.record_mode != "table":
-        offending.append(f"record_mode={config.record_mode!r}")
-    if config.record_fields is not None:
-        offending.append("record_fields")
-    if config.fast_path in ("matmul", "spectral"):
-        offending.append(f"fast_path={config.fast_path!r}")
-    if config.replica_keys is not None:
-        offending.append("replica_keys")
-    if config.kernel not in ("numpy", "auto"):
-        offending.append(f"kernel={config.kernel!r}")
-    if offending:
-        raise ConfigurationError(
-            f"the {engine_name} engine does not support "
-            + ", ".join(offending)
-            + " (batched/sharded engines only)"
-        )
-
-
-def reject_sharded_only(config: "EngineConfig", engine_name: str) -> None:
-    """Refuse sharded-engine-only config features on single-process backends.
-
-    ``workers`` and ``pool`` describe a multiprocess execution plan; a
-    backend that cannot honour them must say so instead of silently
-    running one process.
-    """
-    offending = []
-    if config.workers is not None:
-        offending.append(f"workers={config.workers!r}")
-    if config.pool is not None and config.pool is not False:
-        offending.append(f"pool={config.pool!r}")
-    if offending:
-        raise ConfigurationError(
-            f"the {engine_name} engine does not support "
-            + ", ".join(offending)
-            + " (sharded engine only)"
-        )
-
-
-def reject_async_only(config: "EngineConfig", engine_name: str) -> None:
-    """Refuse async-engine-only config features on synchronous backends.
-
-    ``latency_model`` and ``max_skew`` describe an event-driven delivery
-    schedule; a synchronous-round backend that cannot honour them must say
-    so instead of silently running at zero latency.  ``latency_buckets``
-    names the staleness engine's quantisation policy and is refused
-    separately — not even the async engine honours it.
-    """
-    offending = []
-    if config.latency_model is not None:
-        offending.append(f"latency_model={config.latency_model!r}")
-    if config.max_skew is not None:
-        offending.append(f"max_skew={config.max_skew!r}")
-    if offending:
-        raise ConfigurationError(
-            f"the {engine_name} engine does not support "
-            + ", ".join(offending)
-            + " (async engine only)"
-        )
-    if config.latency_buckets != "ceil":
-        raise ConfigurationError(
-            f"the {engine_name} engine does not support "
-            f"latency_buckets={config.latency_buckets!r} "
-            "(staleness engine only)"
-        )
-
-
-def reject_network_only(config: "EngineConfig", engine_name: str) -> None:
-    """Refuse message-passing-only config features on matrix backends.
-
-    ``faults`` intercepts token-transfer messages; the vectorised backends
-    have no messages to intercept and must refuse rather than silently run
-    fault-free.
-    """
-    if config.faults is not None:
-        raise ConfigurationError(
-            f"the {engine_name} engine does not support "
-            f"faults={config.faults!r} (network/async engines only)"
-        )
 
 
 def parse_latency_spec(spec):

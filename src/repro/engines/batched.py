@@ -78,9 +78,6 @@ from .base import (
     apply_load_scales,
     as_load_batch,
     register_engine,
-    reject_async_only,
-    reject_network_only,
-    reject_sharded_only,
     resolve_arrival_models,
     resolve_arrival_rngs,
     resolve_record_fields,
@@ -89,6 +86,7 @@ from .base import (
     resolve_tile_size,
     uniform_plane_value,
 )
+from .capabilities import check_config
 
 __all__ = ["BatchedVectorEngine"]
 
@@ -1054,6 +1052,34 @@ class _BatchedHandle:
                 flat, cols if rows > 1 else 0, 1 if cols > 1 else 0
             )
 
+    def next_row(self, dynamic: bool) -> int:
+        """Index of the next dense record row, doubling the static
+        (``rec_*``) or dynamic (``dyn_*``) storage when it is full.
+
+        ``config.rounds`` sizes the first allocation, but the
+        ``prepare()``/``step()`` protocol may advance past it; the other
+        engines grow their record tables the same way.
+        """
+        i = self.dyn_count if dynamic else self.rec_count
+        rows = self.dyn_round if dynamic else self.rec_round
+        if i < rows.shape[0]:
+            return i
+        size = max(2 * i, 1)
+
+        def grow(a: np.ndarray) -> np.ndarray:
+            # np.resize repeats the old rows, so all-NaN (excluded)
+            # columns stay all-NaN.
+            return np.resize(a, (size,) + a.shape[1:])
+
+        if dynamic:
+            self.dyn_round = grow(self.dyn_round)
+            self.dyn_cols = {k: grow(v) for k, v in self.dyn_cols.items()}
+        else:
+            self.rec_round = grow(self.rec_round)
+            self.rec_scheme = grow(self.rec_scheme)
+            self.rec_cols = {k: grow(v) for k, v in self.rec_cols.items()}
+        return i
+
     #: per-replica state, copied column by column: attribute -> replica axis
     _STATE_AXES = {
         "load": 1, "flows": 1, "beta_row": 1, "rec_scheme": 1,
@@ -1284,9 +1310,7 @@ class BatchedVectorEngine(Engine):
 
     def prepare(self, topo, config, initial_loads) -> _BatchedHandle:
         config.validate()
-        reject_sharded_only(config, "batched")
-        reject_async_only(config, "batched")
-        reject_network_only(config, "batched")
+        check_config(config, self.name)
         if config.scheme == "sos" and not 0.0 < config.beta < 2.0:
             raise SchemeError(f"beta must be in (0, 2), got {config.beta}")
         make_rounding(config.rounding)  # validate the key early
@@ -1693,7 +1717,7 @@ class BatchedVectorEngine(Engine):
         deterministic-rounding traces bit-identical.
         """
         arrival = h.last_arrival
-        i = h.dyn_count
+        i = h.next_row(dynamic=True)
         B = h.n_replicas
         totals = np.empty(B)
         for b in range(B):
@@ -1743,7 +1767,7 @@ class BatchedVectorEngine(Engine):
         if h.dyn_stats is not None:
             h.dyn_stats.update(h.round_index, values)
         else:
-            i = h.dyn_count
+            i = h.next_row(dynamic=True)
             for name, value in values.items():
                 h.dyn_cols[name][i] = value
             h.dyn_round[i] = h.round_index
@@ -1780,7 +1804,7 @@ class BatchedVectorEngine(Engine):
         Churn runs reject ``record_mode='summary'`` and trimmed
         ``record_fields``, so this always fills every dense column.
         """
-        i = h.rec_count
+        i = h.next_row(dynamic=False)
         totals = np.empty(h.n_replicas)
         for b in range(h.n_replicas):
             col = np.ascontiguousarray(h.load[:, b])
@@ -1848,14 +1872,7 @@ class BatchedVectorEngine(Engine):
         if h.rec_stats is not None:
             h.rec_stats.update(h.round_index, values)
         else:
-            i = h.rec_count
-            if i == h.rec_round.shape[0]:  # defensive; sized exactly in prepare
-                h.rec_round = np.resize(h.rec_round, i * 2)
-                h.rec_scheme = np.resize(h.rec_scheme, (i * 2, h.n_replicas))
-                h.rec_cols = {
-                    k: np.resize(v, (i * 2, h.n_replicas))
-                    for k, v in h.rec_cols.items()
-                }
+            i = h.next_row(dynamic=False)
             for name, value in values.items():
                 h.rec_cols[name][i] = value
             h.rec_round[i] = h.round_index
@@ -1994,11 +2011,9 @@ class BatchedVectorEngine(Engine):
                 "run_dynamic()"
             )
         config.validate()
-        # The guards run here as well as in prepare(): the closed-form
-        # fast path never reaches prepare(), and silently ignoring an
-        # async/fault knob there would lie about what ran.
-        reject_async_only(config, "batched")
-        reject_network_only(config, "batched")
+        # Checked here as well as in prepare(): the closed-form fast path
+        # never reaches prepare().
+        check_config(config, self.name)
         if config.scheme == "sos" and not 0.0 < config.beta < 2.0:
             # prepare() enforces this for the edge-wise path; the fast path
             # never reaches prepare(), and a beta outside (0, 2) makes the

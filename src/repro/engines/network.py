@@ -53,11 +53,10 @@ from .base import (
     register_engine,
     resolve_arrival_models,
     resolve_arrival_rngs,
+    replica_beta,
     resolve_replica_params,
-    reject_async_only,
-    reject_batched_only,
-    reject_sharded_only,
 )
+from .capabilities import check_config
 
 __all__ = ["NetworkEngine"]
 
@@ -122,42 +121,19 @@ class NetworkEngine(Engine):
 
     def prepare(self, topo, config, initial_loads):
         config.validate()
-        reject_batched_only(config, 'network')
-        reject_sharded_only(config, 'network')
-        self._reject(config)
-        if config.precision != "float64":
-            raise ConfigurationError(
-                "the network engine only supports precision='float64'"
-            )
+        check_config(config, self.name)
         loads = as_load_batch(initial_loads, topo.n)
         params = resolve_replica_params(config.replica_params, loads.shape[0])
-        if params is not None and params.alpha_scales is not None:
-            # SyncNetwork nodes derive their alphas from the topology's
-            # default strategy and expose no override; silently ignoring the
-            # plane would make cross-engine comparisons lie about what ran.
-            raise ConfigurationError(
-                "the network engine does not support "
-                "replica_params.alpha_scales (use the reference or batched "
-                "engine for alpha-scale sweeps)"
-            )
         loads = apply_load_scales(loads, params)
         plan = resolve_churn(topo, config)
         if plan is not None:
             return self._prepare_churn(topo, config, loads, plan)
         if config.arrivals is not None:
             return self._prepare_dynamic(topo, config, loads, params)
-        switch_round: Optional[int] = None
-        if config.switch is not None:
-            if not (
-                isinstance(config.switch, (tuple, list))
-                and len(config.switch) == 2
-                and config.switch[0] == "fixed"
-            ):
-                raise ConfigurationError(
-                    "the network engine only supports the ('fixed', round) "
-                    f"switch spec, got {config.switch!r}"
-                )
-            switch_round = int(config.switch[1])
+        # The capability table admits ("fixed", round) switches only.
+        switch_round = (
+            int(config.switch[1]) if config.switch is not None else None
+        )
         speeds = (
             np.asarray(config.speeds, dtype=np.float64)
             if config.speeds is not None
@@ -171,7 +147,7 @@ class NetworkEngine(Engine):
                 switch_b = round_b if round_b >= 0 else None
             net = self._make_net(
                 topo, config, load,
-                beta=self._replica_beta(config, params, b),
+                beta=replica_beta(config, params, b),
                 switch_round=switch_b,
                 b=b,
             )
@@ -199,13 +175,6 @@ class NetworkEngine(Engine):
             replicas.append(replica)
         return _NetworkHandle(topo=topo, config=config, replicas=replicas)
 
-    def _reject(self, config: EngineConfig) -> None:
-        """Knob-guard hook: the synchronous engine refuses the async-only
-        knobs (``faults`` is accepted — it threads into every replica's
-        network, which binds unseeded models to seed-derived generators).
-        The async subclass overrides this to accept the latency knobs."""
-        reject_async_only(config, self.name)
-
     def _make_net(self, topo, config, load, beta, switch_round, b):
         """Build replica ``b``'s network — the async subclass's hook."""
         return SyncNetwork(
@@ -220,14 +189,6 @@ class NetworkEngine(Engine):
             switch_to_fos_at=switch_round,
         )
 
-    @staticmethod
-    def _replica_beta(config, params, b: int) -> float:
-        if config.scheme != "sos":
-            return 1.0
-        if params is not None and params.betas is not None:
-            return float(params.betas[b])
-        return config.beta
-
     def _prepare_dynamic(
         self, topo, config, loads, params=None
     ) -> _DynamicNetworkHandle:
@@ -240,7 +201,7 @@ class NetworkEngine(Engine):
                 model = ScaledArrivals(model, float(params.arrival_scales[b]))
             net = self._make_net(
                 topo, config, load,
-                beta=self._replica_beta(config, params, b),
+                beta=replica_beta(config, params, b),
                 switch_round=None,
                 b=b,
             )
@@ -277,7 +238,7 @@ class NetworkEngine(Engine):
             load = plan.expand_load(loads[b])
             net = self._make_net(
                 plan.topo0, config, load,
-                beta=self._replica_beta(config, None, b),
+                beta=replica_beta(config, None, b),
                 switch_round=None,
                 b=b,
             )

@@ -76,11 +76,11 @@ from .base import (
     resolve_workers,
 )
 from .batched import BatchedVectorEngine
+from .capabilities import routes_to_staleness
 from .sharded import (
     Shard,
     _run_shard,
     _shard_plan,
-    _wants_staleness,
     _worker_context,
     _worker_threads,
 )
@@ -448,7 +448,7 @@ class ShardedWorkerPool:
         do — the decision replays the worker's own dispatch checks."""
         if (
             config.churn is not None
-            or _wants_staleness(config)
+            or routes_to_staleness(config)
             or config.record_mode != "table"
             or config.keep_loads
             or config.precision != "float64"

@@ -59,11 +59,8 @@ from .base import (
     resolve_arrival_models,
     resolve_arrival_rngs,
     resolve_replica_params,
-    reject_async_only,
-    reject_batched_only,
-    reject_network_only,
-    reject_sharded_only,
 )
+from .capabilities import check_config
 
 __all__ = ["ReferenceEngine"]
 
@@ -210,16 +207,7 @@ class ReferenceEngine(Engine):
 
     def prepare(self, topo, config, initial_loads):
         config.validate()
-        reject_batched_only(config, 'reference')
-        reject_sharded_only(config, 'reference')
-        reject_async_only(config, 'reference')
-        reject_network_only(config, 'reference')
-        if config.precision != "float64":
-            from ..exceptions import ConfigurationError
-
-            raise ConfigurationError(
-                "the reference engine only supports precision='float64'"
-            )
+        check_config(config, self.name)
         loads = as_load_batch(initial_loads, topo.n)
         params = resolve_replica_params(config.replica_params, loads.shape[0])
         loads = apply_load_scales(loads, params)

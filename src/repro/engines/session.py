@@ -23,10 +23,11 @@ configured arrival model for the *current* round.  When nothing is
 queued the model's own deltas pass through unchanged, so a session that
 never injects stays bit-identical to the fused engines.
 
-Sessions drive one replica through Python-level rounds, so they refuse
-the batch-level knobs that have no per-replica meaning here: churn,
-latency/skew/fault injection, ``replica_params`` planes, streaming
-record modes, batch arrival sampling and multiprocess execution plans.
+Sessions drive one reference-engine replica through Python-level
+rounds: a config is checked against the reference column of the
+capability table (:mod:`repro.engines.capabilities`), and sessions also
+refuse churn and ``replica_params`` planes, which have no per-replica
+meaning here.
 """
 
 from __future__ import annotations
@@ -51,14 +52,8 @@ from ..core.state import LoadState
 from ..exceptions import ConfigurationError, SimulationError
 from ..io.checkpoint import load_checkpoint, save_checkpoint
 
-from .base import (
-    EngineConfig,
-    make_switch_policy,
-    reject_async_only,
-    reject_batched_only,
-    reject_network_only,
-    reject_sharded_only,
-)
+from .base import EngineConfig, make_switch_policy
+from .capabilities import check_config
 from .reference import build_scheme
 
 __all__ = ["EngineSession"]
@@ -101,17 +96,12 @@ def _config_digest(config: EngineConfig) -> str:
 
 def _reject_session_config(config: EngineConfig) -> None:
     config.validate()
-    reject_batched_only(config, "session")
-    reject_sharded_only(config, "session")
-    reject_async_only(config, "session")
-    reject_network_only(config, "session")
+    check_config(config, "session")
     offending = []
     if config.churn is not None:
         offending.append(f"churn={config.churn!r}")
     if config.replica_params is not None:
         offending.append("replica_params")
-    if config.precision != "float64":
-        offending.append(f"precision={config.precision!r}")
     if offending:
         raise ConfigurationError(
             "engine sessions do not support " + ", ".join(offending)

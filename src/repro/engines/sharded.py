@@ -87,14 +87,14 @@ from .base import (
     as_load_batch,
     plan_shards,
     register_engine,
-    reject_async_only,
-    reject_network_only,
     resolve_arrival_models,
+    resolve_replica_keys,
     resolve_replica_params,
     resolve_workers,
     usable_cpus,
 )
 from .batched import BatchedVectorEngine
+from .capabilities import check_config, routes_to_staleness
 from .staleness import StalenessEngine
 
 __all__ = ["ShardedEngine"]
@@ -103,18 +103,6 @@ __all__ = ["ShardedEngine"]
 #: the worker-side engine runs them under.
 Shard = Tuple[int, int, EngineConfig]
 
-
-def _wants_staleness(config: EngineConfig) -> bool:
-    """Route a shard to the staleness engine when the config asks for the
-    bounded-staleness regime (latency buckets, skew gate, or faults) —
-    its delayed planes slice by column exactly like the batched kernels,
-    so the shard/merge contract carries over unchanged."""
-    return (
-        config.latency_model is not None
-        or config.max_skew is not None
-        or config.faults is not None
-        or config.latency_buckets != "ceil"
-    )
 
 #: Fallback start method: ``fork`` avoids the per-worker interpreter
 #: restart and re-import cost where the platform offers it.
@@ -192,12 +180,9 @@ def _shard_plan(topo: Topology, config: EngineConfig, B: int) -> List[Shard]:
     once, and every shard config carries its slice.
     """
     config.validate()
-    if not _wants_staleness(config):
-        # Latency/skew/fault configs route to the staleness engine
-        # worker-side, which accepts exactly these knobs; everything
-        # else runs the batched engine and keeps its guards.
-        reject_async_only(config, "sharded")
-        reject_network_only(config, "sharded")
+    # A config routed to staleness workers is checked against the
+    # staleness column, here in the parent, before any worker starts.
+    check_config(config, "sharded")
     # Churn shards bit-identically once every worker replays the *same*
     # compiled plan: the random schedule draw happens exactly once, here
     # in the parent (resolve_churn seeds its own stream), and the
@@ -206,36 +191,9 @@ def _shard_plan(topo: Topology, config: EngineConfig, B: int) -> List[Shard]:
     # and apply identical patches at identical rounds.  The patch
     # machinery (handoffs, flow remap, operator rebuild) acts per
     # replica column, so the column-independence argument above holds
-    # under churn too.  The heterogeneous-speeds guard (and the rest of
-    # the churn compatibility matrix) lives in config.validate() and
-    # still applies unchanged.
+    # under churn too.
     churn_plan = resolve_churn(topo, config)
-    if churn_plan is not None and _wants_staleness(config):
-        # The staleness engine the latency/skew/fault knobs route to
-        # rejects churn; refuse the combination here so the error names
-        # the engine the caller actually asked for.
-        raise ConfigurationError(
-            "the sharded engine cannot combine churn with latency/"
-            "skew/fault knobs (the bounded-staleness shard path does "
-            "not support mutating topologies)"
-        )
-    if config.arrival_sampling == "batch":
-        raise ConfigurationError(
-            "the sharded engine does not support "
-            "arrival_sampling='batch': the whole batch draws from one "
-            "shared stream, which cannot split across workers "
-            "bit-identically (use the batched engine, or stream "
-            "sampling)"
-        )
-    replica_keys: Sequence[int] = (
-        [int(k) for k in config.replica_keys]
-        if config.replica_keys is not None
-        else range(B)
-    )
-    if len(replica_keys) != B:
-        raise ConfigurationError(
-            f"{len(replica_keys)} replica_keys for {B} replicas"
-        )
+    replica_keys = resolve_replica_keys(config, B)
     params = resolve_replica_params(config.replica_params, B)
     arrival_seeds: Optional[Sequence[int]] = None
     arrival_models: Optional[Sequence] = None
@@ -257,7 +215,7 @@ def _shard_plan(topo: Topology, config: EngineConfig, B: int) -> List[Shard]:
             workers=None,  # the worker-side batched engine runs alone
             pool=None,  # pooling is a parent-side routing decision
             churn=churn_plan,  # precompiled plan, identical per shard
-            replica_keys=list(replica_keys[lo:hi]),
+            replica_keys=replica_keys[lo:hi],
             arrival_seeds=(
                 list(arrival_seeds[lo:hi])
                 if arrival_seeds is not None
@@ -296,7 +254,9 @@ def _run_shard(
     ``operator_cache`` (a pool worker's per-graph cache) reaches the
     batched engine only.
     """
-    if _wants_staleness(config):
+    if routes_to_staleness(config):
+        # Its delayed-view planes slice by column exactly like the batched
+        # kernels, so the shard/merge contract carries over unchanged.
         engine = StalenessEngine()
     else:
         engine = BatchedVectorEngine()

@@ -95,9 +95,10 @@ from .base import (
     as_load_batch,
     parse_faults_spec,
     register_engine,
-    reject_sharded_only,
+    replica_beta,
     resolve_arrival_models,
     resolve_arrival_rngs,
+    resolve_replica_keys,
     resolve_replica_params,
     resolve_rounding_rngs,
     resolve_tile_size,
@@ -109,6 +110,7 @@ from .batched import (
     _round_elementwise,
     _tiles,
 )
+from .capabilities import check_config
 
 __all__ = ["StalenessEngine", "quantize_link_latency"]
 
@@ -643,67 +645,12 @@ class StalenessEngine(Engine):
     name = "staleness"
 
     # ------------------------------------------------------------------
-    def _reject(self, config: EngineConfig) -> None:
-        offending = []
-        if config.arrival_sampling != "stream":
-            offending.append(f"arrival_sampling={config.arrival_sampling!r}")
-        if config.record_mode != "table":
-            offending.append(f"record_mode={config.record_mode!r}")
-        if config.record_fields is not None:
-            offending.append("record_fields")
-        if config.fast_path in ("matmul", "spectral"):
-            offending.append(f"fast_path={config.fast_path!r}")
-        if config.kernel not in ("numpy", "auto"):
-            offending.append(f"kernel={config.kernel!r}")
-        if offending:
-            raise ConfigurationError(
-                "the staleness engine does not support "
-                + ", ".join(offending)
-                + " (batched/sharded engines only)"
-            )
-        reject_sharded_only(config, "staleness")
-        if config.churn is not None:
-            raise ConfigurationError(
-                "the staleness engine does not support churn schedules: "
-                "its delayed-view ring planes assume a fixed topology; use "
-                "the network or async engine for churn"
-            )
-        if config.precision != "float64":
-            raise ConfigurationError(
-                "the staleness engine only supports precision='float64'"
-            )
-
-    @staticmethod
-    def _replica_beta(config, params, b: int) -> float:
-        if config.scheme != "sos":
-            return 1.0
-        if params is not None and params.betas is not None:
-            return float(params.betas[b])
-        return config.beta
-
-    def _replica_keys(self, config: EngineConfig, B: int) -> List[int]:
-        if config.replica_keys is None:
-            return list(range(B))
-        keys = [int(k) for k in config.replica_keys]
-        if len(keys) != B:
-            raise ConfigurationError(
-                f"{len(keys)} replica_keys for {B} replicas"
-            )
-        return keys
-
-    # ------------------------------------------------------------------
     def prepare(self, topo, config, initial_loads):
         config.validate()
-        self._reject(config)
+        check_config(config, self.name)
         loads = as_load_batch(initial_loads, topo.n)
         B = loads.shape[0]
         params = resolve_replica_params(config.replica_params, B)
-        if params is not None and params.alpha_scales is not None:
-            raise ConfigurationError(
-                "the staleness engine does not support "
-                "replica_params.alpha_scales (use the reference or batched "
-                "engine for alpha-scale sweeps)"
-            )
         loads = apply_load_scales(loads, params)
         if topo.link_bandwidth is not None:
             raise ConfigurationError(
@@ -729,24 +676,16 @@ class StalenessEngine(Engine):
             # max_skew + 1 rounds stale.
             np.minimum(d_edge, config.max_skew + 1, out=d_edge)
 
-        switch_round: Optional[int] = None
-        if config.switch is not None:
-            if not (
-                isinstance(config.switch, (tuple, list))
-                and len(config.switch) == 2
-                and config.switch[0] == "fixed"
-            ):
-                raise ConfigurationError(
-                    "the staleness engine only supports the "
-                    f"('fixed', round) switch spec, got {config.switch!r}"
-                )
-            switch_round = int(config.switch[1])
+        # The capability table admits ("fixed", round) switches only.
+        switch_round = (
+            int(config.switch[1]) if config.switch is not None else None
+        )
 
         betas = np.empty(B, dtype=np.float64)
         switch_plane = np.full(B, -1, dtype=np.int64)
         switch_list: List[Optional[int]] = []
         for b in range(B):
-            betas[b] = self._replica_beta(config, params, b)
+            betas[b] = replica_beta(config, params, b)
             sw = switch_round
             if params is not None and params.switch_rounds is not None:
                 round_b = int(params.switch_rounds[b])
@@ -763,7 +702,7 @@ class StalenessEngine(Engine):
                         [config.seed + key, FAULT_STREAM_KEY]
                     )
                 )
-                for key in self._replica_keys(config, B)
+                for key in resolve_replica_keys(config, B)
             ]
 
         rngs = (

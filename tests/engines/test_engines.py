@@ -145,6 +145,53 @@ class TestProtocol:
         assert result.rounds.tolist() == [0, 3, 6, 7]
 
 
+class TestStepPastRounds:
+    """``config.rounds`` sizes the record storage, but the step protocol
+    may run past it: every engine keeps recording, row for row alike."""
+
+    @staticmethod
+    def _rows(engine, config, topo, loads):
+        backend = make_engine(engine)
+        handle = backend.prepare(topo, config, loads)
+        for _ in range(config.rounds + 2):
+            if config.arrivals is not None:
+                backend.arrive(handle)
+            backend.step(handle)
+        batch = backend.metrics(handle)
+        results = (
+            batch.dynamic_results() if config.arrivals is not None
+            else batch.results()
+        )
+        return [r.table.column("round_index").tolist() for r in results]
+
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+    def test_every_engine_records_the_same_rows(self, dynamic, small_torus):
+        config = EngineConfig(
+            scheme="fos", rounding="floor", rounds=3, record_every=2, seed=0,
+            arrivals="poisson:1.0" if dynamic else None,
+        )
+        loads = np.tile(point_load(small_torus, 100 * small_torus.n), (2, 1))
+        rows = {
+            engine: self._rows(engine, config, small_torus, loads)
+            for engine in ("reference", "batched", "network", "async", "staleness")
+        }
+        expected = [0, 2, 4, 5] if not dynamic else [1, 2, 3, 4, 5]
+        for engine, per_replica in rows.items():
+            assert per_replica == [expected, expected], engine
+
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+    def test_churn_records_grow_like_the_reference(self, dynamic, small_torus):
+        config = EngineConfig(
+            scheme="fos", rounding="floor", rounds=3, seed=0,
+            churn="crash:3@2",
+            arrivals="poisson:1.0" if dynamic else None,
+        )
+        loads = np.tile(point_load(small_torus, 100 * small_torus.n), (2, 1))
+        assert self._rows("batched", config, small_torus, loads) == (
+            self._rows("reference", config, small_torus, loads)
+        )
+
+
 class TestRunReplicas:
     def test_convenience_wrapper(self):
         topo = torus_2d(4, 4)

@@ -342,5 +342,5 @@ class TestGuards:
 
     def test_latency_buckets_rejected_elsewhere(self):
         cfg = EngineConfig(rounds=2, latency_buckets="exact", latency_model=1.0)
-        with pytest.raises(ConfigurationError, match="staleness engine only"):
+        with pytest.raises(ConfigurationError, match="staleness/sharded engines only"):
             make_engine("async").run(TORUS, cfg, point_load(TORUS, 100))

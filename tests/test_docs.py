@@ -5,7 +5,8 @@ Three contracts, all cheap enough for the tier-1 suite:
 * every ``simulate``/``figure`` CLI flag in the argparse spec appears in
   ``docs/user_guide.md`` (new flags must be documented in the same PR);
 * every engine name in the registry appears in ``docs/engines.md`` (and
-  in the user guide's ``--engine`` row);
+  in the user guide's ``--engine`` row), and the guide carries the
+  engine x knob matrix rendered from the capability table;
 * the fenced ``bash``/``python`` quickstart blocks in the README parse,
   and the runnable ones execute at tiny scale;
 * every relative markdown link in ``docs/`` and the README resolves to a
@@ -114,6 +115,55 @@ class TestEnginesDocumented:
         ]
         assert not missing, (
             f"EngineConfig fields missing from docs/engines.md: {missing}"
+        )
+
+
+def _capability_matrix() -> str:
+    """The engine x knob matrix of ``docs/engines.md``, rendered from
+    :mod:`repro.engines.capabilities`.
+
+    A sharded cell reads ``✓ (routed)`` where the knob sends the shards to
+    staleness workers, and ``✓ (– if routed)`` where the staleness column
+    refuses a knob that the batched workers honour.
+    """
+    from repro.engines.capabilities import (
+        CAPABILITIES,
+        ENGINE_COLUMNS,
+        SHARDED_PARENT_FIELDS,
+        UNIVERSAL,
+    )
+
+    def cell(cap, engine):
+        if engine not in cap.engines:
+            return "–"
+        if engine != "sharded" or cap.field in SHARDED_PARENT_FIELDS:
+            return "✓"
+        if "batched" not in cap.engines:
+            return "✓ (routed)"
+        return "✓" if "staleness" in cap.engines else "✓ (– if routed)"
+
+    lines = [
+        "| setting | " + " | ".join(f"`{e}`" for e in ENGINE_COLUMNS) + " |",
+        "|---" * (len(ENGINE_COLUMNS) + 1) + "|",
+    ]
+    for cap in CAPABILITIES:
+        cells = " | ".join(cell(cap, e) for e in ENGINE_COLUMNS)
+        lines.append(f"| `{cap.setting}` | {cells} |")
+    lines.append("")
+    lines.append(
+        "Universal (every engine, every value): "
+        + ", ".join(f"`{name}`" for name in UNIVERSAL)
+        + "."
+    )
+    return "\n".join(lines)
+
+
+class TestCapabilityMatrix:
+    def test_engine_guide_carries_the_generated_matrix(self):
+        matrix = _capability_matrix()
+        assert matrix in _read("docs", "engines.md"), (
+            "docs/engines.md must contain the engine x knob matrix rendered "
+            "from repro.engines.capabilities:\n\n" + matrix
         )
 
 
