@@ -96,6 +96,7 @@ CAPABILITIES: Tuple[Capability, ...] = (
                lambda c: c.tile_size is not None, _TILED),
     Capability("replica_keys", "replica_keys",
                lambda c: c.replica_keys is not None, _TILED),
+    # One shared batch stream cannot split across shards bit-identically.
     Capability("arrival_sampling", "arrival_sampling='batch'",
                lambda c: c.arrival_sampling != "stream", ("batched",)),
     Capability("workers", "workers",
@@ -112,15 +113,17 @@ CAPABILITIES: Tuple[Capability, ...] = (
     Capability("faults", "faults",
                lambda c: c.faults is not None,
                ("network", "async", "staleness", "sharded")),
+    # The staleness engine's delayed-view rings assume a fixed topology.
     Capability("churn", "churn",
                lambda c: c.churn is not None,
                ("reference", "batched", "network", "async", "sharded")),
+    # The message-passing nodes and the staleness core switch at one
+    # agreed round (a metric-triggered switch needs global knowledge) and
+    # derive their own per-arc alphas from the topology.
     Capability("switch", "switch!=('fixed', r)",
                _non_fixed_switch, _MATRIX),
     Capability("replica_params.alpha_scales", "replica_params.alpha_scales",
                _plane_set("alpha_scales"), _MATRIX),
-    # The message-passing nodes and the staleness core derive their own
-    # per-arc alphas from the topology and never read config.alphas.
     Capability("alphas", "alphas",
                lambda c: c.alphas is not None, _MATRIX),
 )

@@ -51,9 +51,9 @@ from .base import (
     as_load_batch,
     parse_faults_spec,
     register_engine,
+    replica_beta,
     resolve_arrival_models,
     resolve_arrival_rngs,
-    replica_beta,
     resolve_replica_params,
 )
 from .capabilities import check_config
