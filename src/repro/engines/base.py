@@ -11,7 +11,7 @@ is deliberately tiny::
     results = engine.metrics(handle).results()
 
 ``engine.run(topo, config, initial_loads)`` wraps the loop (backends
-override it with fused fast paths).  Four backends ship with the library:
+override it with fused fast paths).  Six backends ship with the library:
 
 * ``reference`` (:class:`~repro.engines.reference.ReferenceEngine`) — loops
   replicas through the incremental :class:`~repro.core.simulator.Simulator`
@@ -26,6 +26,12 @@ override it with fused fast paths).  Four backends ship with the library:
 * ``network`` (:class:`~repro.engines.network.NetworkEngine`) — adapts the
   message-passing :class:`~repro.network.engine.SyncNetwork` to the same
   protocol.
+* ``async`` (:class:`~repro.engines.async_net.AsyncNetworkEngine`) — the
+  event-driven :class:`~repro.network.async_engine.AsyncNetwork`, with
+  per-link latency and bandwidth and no global round barrier.
+* ``staleness`` (:class:`~repro.engines.staleness.StalenessEngine`) — the
+  async regime vectorised: integer round buckets per link and delayed-view
+  planes over the whole ensemble.
 
 See ``docs/engines.md`` for the backend guide and ``docs/architecture.md``
 for the batching model and how to add a backend.

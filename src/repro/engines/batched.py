@@ -298,13 +298,21 @@ def _padded_adjacency(topo: Topology) -> tuple:
     return dmax, adj_edges, slot_dirs
 
 
-def _cached(cache: Optional[Dict], key, build):
-    """``cache[key]``, built by ``build()`` on a miss (afresh if no cache)."""
-    if cache is None:
+def _cached(cache: Optional[Dict], key, build, slot=None):
+    """``cache[key]``, built by ``build()`` on a miss (afresh, and not
+    kept, without a cache or with a ``None`` key).  With a ``slot`` the
+    value lives at ``cache[slot]`` and a key miss replaces it, so a sweep
+    over the key keeps one entry, not one per key."""
+    if cache is None or key is None:
         return build()
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+    if slot is None:
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+    held = cache.get(slot)
+    if held is None or held[0] != key:
+        held = cache[slot] = (key, build())
+    return held[1]
 
 
 def _slot_take(adj_edges: np.ndarray, slot_dirs: np.ndarray, m: int) -> list:
@@ -683,6 +691,9 @@ class _BatchedHandle:
         #: the widest batch so far (take_columns sizes its buffers to it)
         self.width_cap = B
         self.round_index = 0
+        #: whether metrics() may hand out views of the final planes (set
+        #: by the fused loops, whose handle dies with the call)
+        self.final_views = False
         dtype = np.float32 if config.precision == "float32" else np.float64
         self.dtype = dtype
         #: churn run state: the resolved plan, the live-node mask of the
@@ -771,11 +782,17 @@ class _BatchedHandle:
             # needs no copy), per-node speeds, and the dtype-pinned
             # constants [0, 1, frac_tol, 0.5] so no float literal enters
             # the kernels at a foreign precision.
-            self.kern_eu = np.ascontiguousarray(topo.edge_u, dtype=np.int32)
-            self.kern_ev = np.ascontiguousarray(topo.edge_v, dtype=np.int32)
-            self.inc_indptr = np.ascontiguousarray(self.D.indptr, dtype=np.int64)
-            self.inc_edges = np.ascontiguousarray(self.D.indices, dtype=np.int32)
-            self.inc_signs = np.ascontiguousarray(self.D.data)
+            (self.kern_eu, self.kern_ev, self.inc_indptr, self.inc_edges,
+             self.inc_signs) = _cached(
+                op_cache, ("kern", np.dtype(dtype).char),
+                lambda: (
+                    np.ascontiguousarray(topo.edge_u, dtype=np.int32),
+                    np.ascontiguousarray(topo.edge_v, dtype=np.int32),
+                    np.ascontiguousarray(self.D.indptr, dtype=np.int64),
+                    np.ascontiguousarray(self.D.indices, dtype=np.int32),
+                    np.ascontiguousarray(self.D.data),
+                ),
+            )
             self.kern_speeds = (
                 None if self.uniform_speeds
                 else np.ascontiguousarray(self.speeds_col.ravel())
@@ -792,22 +809,17 @@ class _BatchedHandle:
             self._set_kern_alpha()
 
         # -- targets ----------------------------------------------------
+        self.totals0 = self.load.sum(axis=0)  # (B,)
         if config.targets is not None:
             self.targets = np.asarray(config.targets, dtype=dtype)[:, None]
-        elif self.uniform_speeds:
-            # One shared row: with uniform speeds every node's target is the
-            # replica average, and ``totals * s / sum(s)`` is bitwise the
-            # same number for every node — no need for an (n, B) plane.
-            totals = self.load.sum(axis=0)  # (B,)
-            self.targets = (
-                (totals[None, :] * self.speeds_col[:1]) / speeds.sum()
-            ).astype(dtype, copy=False)
         else:
-            totals = self.load.sum(axis=0)  # (B,)
+            # With uniform speeds every node's target is the replica
+            # average, and ``totals * s / sum(s)`` is bitwise the same
+            # number for every node: one shared row, no (n, B) plane.
+            s = self.speeds_col[:1] if self.uniform_speeds else self.speeds_col
             self.targets = (
-                (totals[None, :] * self.speeds_col) / speeds.sum()
+                (self.totals0[None, :] * s) / speeds.sum()
             ).astype(dtype, copy=False)
-        self.totals0 = self.load.sum(axis=0)
 
         # -- switch policy ----------------------------------------------
         self.switch = _SwitchState()
@@ -864,10 +876,12 @@ class _BatchedHandle:
         # trajectories never depend on the batch composition.
         self.rngs = resolve_rounding_rngs(config, B)
 
+        #: round 0's is the loads' own minimum: over the live nodes under
+        #: churn, else taken by the round-0 record (see _record_current)
         self.last_min_transient = (
             self.load[churn_plan.active0_idx].min(axis=0)
             if churn_plan is not None
-            else self.load.min(axis=0)
+            else None
         )
         self.last_traffic = np.zeros(B)
         self.last_mld: Optional[np.ndarray] = None
@@ -940,8 +954,19 @@ class _BatchedHandle:
         n, m = topo.n, topo.m_edges
         self.topo = topo
         self.edge_tiles = _tiles(m, self.tile_rows)
-        alphas = resolve_alphas(config.alphas, topo, speeds)
-        if m == 0 or np.all(alphas == alphas[0]):
+        # Cache key of the resolved alphas: the alpha spec under default
+        # speeds; caller arrays, callables and speeds are never cached.
+        spec = config.alphas
+        akey = ("alphas", spec) if config.speeds is None and (
+            spec is None or isinstance(spec, (str, int, float))
+        ) else None
+
+        def edge_alphas():
+            a = resolve_alphas(config.alphas, topo, speeds)
+            return a, m == 0 or bool(np.all(a == a[0]))
+
+        alphas, one_alpha = _cached(op_cache, akey, edge_alphas)
+        if one_alpha:
             self.alphas = float(alphas[0]) if m else 1.0
         else:
             self.alphas = alphas[:, None].astype(dtype)
@@ -987,8 +1012,16 @@ class _BatchedHandle:
                     (data, self.E.indices, self.E.indptr), shape=(m, n)
                 )
 
-            self.E_alpha = _scaled_e(1.0)
-            self.E_alpha_beta = _scaled_e(float(self.beta_row[0, 0]))
+            ekey = None if akey is None else (
+                "E_alpha", np.dtype(dtype).char, spec
+            )
+            self.E_alpha = _cached(op_cache, ekey, lambda: _scaled_e(1.0))
+            if self.scalar_beta:  # the only runs that read E_alpha_beta
+                beta = float(self.beta_row[0, 0])
+                self.E_alpha_beta = _cached(
+                    op_cache, None if ekey is None else ekey + (beta,),
+                    lambda: _scaled_e(beta), slot="E_alpha_beta",
+                )
 
         # -- padded adjacency for the excess-token machinery ------------
         if config.rounding == "randomized-excess" and m:
@@ -1302,10 +1335,14 @@ class BatchedVectorEngine(Engine):
 
     name = "batched"
 
-    #: Optional per-topology operator cache shared across prepare() calls.
-    #: Pool workers set this (an ordinary dict) on their engine instance so
-    #: repeated calls on the same graph reuse the CSR operators instead of
-    #: rebuilding them; ``None`` (the default) disables caching entirely.
+    #: Optional per-topology operator cache shared across prepare() calls
+    #: (an ordinary dict; pool workers and ``perfbench`` set one).  A warm
+    #: call reuses the CSR operators, padded adjacency, resolved alphas,
+    #: fused ``E_alpha`` and compiled edge/incidence arrays, keyed by dtype
+    #: and alpha spec, and ``E_alpha_beta`` from one slot keyed by beta
+    #: too; explicit alpha/speed arrays, callables and churn are never
+    #: cached.  Load, flow and scratch planes, rng streams and targets are
+    #: built per call.  ``None`` (the default) disables caching.
     operator_cache: Optional[Dict] = None
 
     def prepare(self, topo, config, initial_loads) -> _BatchedHandle:
@@ -1863,6 +1900,12 @@ class BatchedVectorEngine(Engine):
             )
             mld = self._mld(h) if want_mld else None
         if "min_transient" in fields:
+            if h.last_min_transient is None:  # round 0: a min is exact,
+                # so the record pass's min_load equals a separate reduction
+                h.last_min_transient = (
+                    values["min_load"] if "min_load" in fields
+                    else load.min(axis=0)
+                )
             values["min_transient"] = h.last_min_transient
         if "round_traffic" in fields:
             values["round_traffic"] = h.last_traffic
@@ -1951,23 +1994,23 @@ class BatchedVectorEngine(Engine):
         )
 
     def metrics(self, h: _BatchedHandle) -> RecordBatch:
+        loads, flows = h.load.T, h.flows.T
+        if not h.final_views:  # the handle lives on: copy its planes
+            loads, flows = loads.copy(), flows.copy()
+        finals = dict(
+            final_loads=loads, final_flows=flows,
+            switched_at=h.switched_at.copy(),
+        )
         if h.arrival_models is not None:
             if h.dyn_stats is not None:
-                return RecordBatch(
-                    dynamic_summary_stats=h.dyn_stats,
-                    final_loads=h.load.T.copy(),
-                    final_flows=h.flows.T.copy(),
-                    switched_at=h.switched_at.copy(),
-                )
+                return RecordBatch(dynamic_summary_stats=h.dyn_stats, **finals)
             count = h.dyn_count
             return RecordBatch(
                 dynamic_round_index=h.dyn_round[:count].copy(),
                 dynamic_columns={
                     k: v[:count].copy() for k, v in h.dyn_cols.items()
                 },
-                final_loads=h.load.T.copy(),
-                final_flows=h.flows.T.copy(),
-                switched_at=h.switched_at.copy(),
+                **finals,
             )
         if h.last_recorded_round != h.round_index:
             self._record_current(h)
@@ -1975,20 +2018,16 @@ class BatchedVectorEngine(Engine):
             return RecordBatch(
                 summary_stats=h.rec_stats,
                 scheme_last=h.sos_active.astype(np.uint8),
-                final_loads=h.load.T.copy(),
-                final_flows=h.flows.T.copy(),
-                switched_at=h.switched_at.copy(),
                 loads_history=h.loads_history,
+                **finals,
             )
         count = h.rec_count
         return RecordBatch(
             round_index=h.rec_round[:count].copy(),
             scheme_codes=h.rec_scheme[:count].copy(),
             columns={k: v[:count].copy() for k, v in h.rec_cols.items()},
-            final_loads=h.load.T.copy(),
-            final_flows=h.flows.T.copy(),
-            switched_at=h.switched_at.copy(),
             loads_history=h.loads_history,
+            **finals,
         )
 
     def run(self, topo, config, initial_loads):
@@ -2044,6 +2083,7 @@ class BatchedVectorEngine(Engine):
             self._advance(h, want_info=record and h.info_fields)
         if twins is not None:
             twins.finish(h)
+        h.final_views = True
         return self.metrics(h)
 
     # ==================================================================
@@ -2350,4 +2390,5 @@ class BatchedVectorEngine(Engine):
         h = self.prepare(topo, config, initial_loads)
         for _ in range(config.rounds):
             self._advance(h, want_info=False)
+        h.final_views = True
         return self.metrics(h)

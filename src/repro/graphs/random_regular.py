@@ -76,9 +76,7 @@ def configuration_model(
     v = stubs[1::2]
     keep = u != v
     u, v = u[keep], v[keep]
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    pairs = _unique_edges(u, v, n)
 
     topo = Topology(n, pairs, name=f"cm-{n}-d{degree}")
     if connect and not topo.is_connected():
@@ -108,10 +106,8 @@ def random_regular_strict(
         v = stubs[1::2]
         if np.any(u == v):
             continue
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        pairs = np.stack([lo, hi], axis=1)
-        if np.unique(pairs, axis=0).shape[0] != pairs.shape[0]:
+        pairs = _unique_edges(u, v, n)
+        if pairs.shape[0] != u.size:
             continue
         topo = Topology(n, pairs, name=f"rr-{n}-d{degree}")
         if topo.is_connected():
@@ -120,6 +116,18 @@ def random_regular_strict(
         f"failed to sample a connected {degree}-regular graph on {n} nodes "
         f"after {max_tries} tries"
     )
+
+
+def _unique_edges(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The distinct edges of the stub pairs ``(u, v)`` (no self loops) as
+    ``(lo, hi)`` rows in lexicographic order — ``np.unique`` of the rows,
+    without its row sort: the scalar key ``lo * n + hi`` sorts in the
+    same order, and equal keys are the same edge."""
+    key = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    key = key[first]
+    return np.stack([key // n, key % n], axis=1)
 
 
 def _stitch_components(topo: Topology, rng: np.random.Generator) -> Topology:

@@ -27,6 +27,8 @@ from repro import (
     torus_nd,
     torus_node_id,
 )
+import repro.graphs.random_regular as random_regular
+from repro.graphs import Topology
 
 
 class TestTorus:
@@ -140,6 +142,96 @@ class TestConfigurationModel:
             configuration_model(10, 0, rng=rng)
         with pytest.raises(TopologyError):
             configuration_model(10, 10, rng=rng)
+
+
+def _row_unique_cm(n, degree, seed, connect):
+    """The erased configuration model deduplicated by ``np.unique`` of the
+    ``(lo, hi)`` rows: the oracle of the scalar-key dedup."""
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), degree)
+    if stubs.size % 2 == 1:
+        stubs = stubs[:-1]
+    rng.shuffle(stubs)
+    u, v = stubs[0::2], stubs[1::2]
+    keep = u != v
+    u, v = u[keep], v[keep]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    topo = Topology(n, pairs)
+    if connect and not topo.is_connected():
+        topo = random_regular._stitch_components(topo, rng)
+    return topo
+
+
+def _row_unique_strict(n, degree, seed, max_tries=200):
+    """``random_regular_strict`` with the ``np.unique`` row check."""
+    rng = np.random.default_rng(seed)
+    for _ in range(max_tries):
+        stubs = np.repeat(np.arange(n, dtype=np.int64), degree)
+        rng.shuffle(stubs)
+        u, v = stubs[0::2], stubs[1::2]
+        if np.any(u == v):
+            continue
+        pairs = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+        if np.unique(pairs, axis=0).shape[0] != pairs.shape[0]:
+            continue
+        topo = Topology(n, pairs)
+        if topo.is_connected():
+            return topo
+    return None
+
+
+def _same_edges(a, b):
+    for name in ("edge_u", "edge_v"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+class TestScalarKeyDedup:
+    """The multi-edge erasure sorts one ``lo * n + hi`` key; it must give
+    exactly the rows ``np.unique(..., axis=0)`` gives."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "n,degree", [(2, 1), (3, 2), (15, 3), (64, 7), (301, 19), (1000, 4)]
+    )
+    def test_unique_edges_match_row_unique(self, n, degree, seed):
+        rng = np.random.default_rng(seed)
+        # Arbitrary stub pairs, self loops dropped; odd counts included.
+        size = n * degree // 2 + seed
+        u = rng.integers(0, n, size)
+        v = rng.integers(0, n, size)
+        keep = u != v
+        u, v = u[keep], v[keep]
+        got = random_regular._unique_edges(u, v, n)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        want = np.unique(np.stack([lo, hi], axis=1), axis=0)
+        assert got.flags.c_contiguous
+        assert (got.dtype, got.shape, got.tobytes()) == (
+            want.dtype, want.shape, want.tobytes()
+        )
+
+    @pytest.mark.parametrize("connect", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "n,degree", [(3, 2), (15, 3), (40, 5), (301, 19), (2000, 8)]
+    )
+    def test_configuration_model_matches_oracle(self, n, degree, seed, connect):
+        got = configuration_model(
+            n, degree, rng=np.random.default_rng(seed), connect=connect
+        )
+        _same_edges(got, _row_unique_cm(n, degree, seed, connect))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n,degree", [(10, 3), (20, 4), (30, 3)])
+    def test_strict_matches_oracle(self, n, degree, seed):
+        want = _row_unique_strict(n, degree, seed)
+        if want is None:
+            with pytest.raises(TopologyError):
+                random_regular_strict(n, degree, rng=np.random.default_rng(seed))
+        else:
+            got = random_regular_strict(n, degree, rng=np.random.default_rng(seed))
+            _same_edges(got, want)
 
 
 class TestRandomGeometric:
