@@ -552,108 +552,166 @@ def _check_conserved(totals, expected, tol, round_index: int) -> None:
         )
 
 
-class _FastRecorder:
-    """Record storage of a closed-form fast-path run.
+def _record_targets(config, totals, speeds, dtype) -> np.ndarray:
+    """Static record targets: ``config.targets``, else each replica's
+    ``totals * s / sum(s)`` as a node plane.  With equal speeds every
+    node's target is bitwise the same number: one shared row, no
+    ``(n, B)`` plane."""
+    if config.targets is not None:
+        return np.asarray(config.targets, dtype=dtype)[:, None]
+    rows = 1 if np.all(speeds == speeds[0]) else speeds.size
+    s = speeds[:rows, None].astype(dtype)
+    return ((totals[None, :] * s) / speeds.sum()).astype(dtype, copy=False)
 
-    Owns the tile-aware metric reductions (no edge-space state exists on
-    the fast path, so the local-difference metric runs the difference
-    operator in edge tiles as wide as the node tiles, through the same
-    ``(tile, B)`` scratch), the table/summary storage, the conservation
-    check, and the final :class:`RecordBatch`.
+
+def _width_plane(arr: np.ndarray, axis: int, width: int, cap: int, buf=None):
+    """An uninitialised plane shaped like ``arr`` with ``width`` entries
+    along ``axis``, carved from ``buf`` when it holds ``cap`` of them (a
+    fresh buffer of that size otherwise), so a batch that widens step by
+    step reuses one block instead of fragmenting the heap."""
+    shape = list(arr.shape)
+    shape[axis] = cap
+    full = math.prod(shape)
+    if buf is None or buf.size < full:
+        buf = np.empty(full, dtype=arr.dtype)
+    shape[axis] = width
+    return buf.reshape(-1)[: full // cap * width].reshape(shape)
+
+
+def _take_plane(arr: np.ndarray, idx: np.ndarray, axis: int, cap: int):
+    """``arr`` re-indexed along ``axis`` by the in-range ``idx``, in a
+    fresh :func:`_width_plane` buffer."""
+    out = _width_plane(arr, axis, idx.size, cap)
+    return np.take(arr, idx, axis=axis, out=out, mode="clip")
+
+
+class _RecordStore:
+    """Record storage of one run in the columnar :class:`RecordBatch`
+    layout, shared by the batched engine (edge-wise and closed-form) and
+    the staleness engine.
+
+    A static store keeps the :data:`FLOAT_FIELDS` columns plus one scheme
+    code per row and replica, a dynamic one the
+    :data:`DYNAMIC_FLOAT_FIELDS`; either as dense ``(rows, B)`` float64
+    columns (columns outside ``record_fields`` stay NaN) or, under
+    ``record_mode="summary"``, as :class:`StreamingStats`.  Static stores
+    also keep the ``keep_loads`` snapshots.
     """
 
-    def __init__(self, topo, config, x0, speeds, dtype):
-        n, B = x0.shape
-        self.topo = topo
-        self.config = config
-        self.n_replicas = B
-        self.dtype = dtype
-        self.fields = resolve_record_fields(config.record_fields)
-        rows = resolve_tile_size(config, n, B, np.dtype(dtype).itemsize) or n
-        self.node_tiles = _tiles(n, rows)
-        totals = x0.sum(axis=0)
-        speeds_col = speeds[:, None].astype(dtype)
-        if config.targets is not None:
-            self.targets = np.asarray(config.targets, dtype=dtype)[:, None]
-        elif np.all(speeds == speeds[0]):
-            self.targets = (
-                (totals[None, :] * speeds_col[:1]) / speeds.sum()
-            ).astype(dtype, copy=False)
-        else:
-            self.targets = (
-                (totals[None, :] * speeds_col) / speeds.sum()
-            ).astype(dtype, copy=False)
-        self.totals0 = totals.copy()
-        self.conserve_tol = 1e-6 if dtype == np.float64 else 1e-4
-        self.scratch = np.empty((rows, B), dtype=dtype)
-        if "max_local_diff" in self.fields and topo.m_edges:
-            self.E = _difference_operator(topo, dtype)
-            self.edge_tiles = _tiles(topo.m_edges, rows)
-        self.scheme_code = 1 if config.scheme == "sos" else 0
+    def __init__(self, config: EngineConfig, width: int, dynamic: bool):
+        self.dynamic = dynamic
+        names = DYNAMIC_FLOAT_FIELDS if dynamic else FLOAT_FIELDS
+        #: the columns actually recorded
+        self.fields = (
+            names if dynamic else resolve_record_fields(config.record_fields)
+        )
+        self.count = 0
         self.stats: Optional[StreamingStats] = None
         if config.record_mode == "summary":
-            self.stats = StreamingStats(self.fields, B)
+            self.stats = StreamingStats(self.fields, width)
         else:
-            capacity = config.rounds // config.record_every + 2
-            self.rec_round = np.empty(capacity, dtype=np.int64)
-            self.rec_cols: Dict[str, np.ndarray] = {}
-            for name in FLOAT_FIELDS:
-                col = np.empty((capacity, B))
+            # config.rounds sizes the first allocation; the prepare()/step()
+            # protocol may advance past it (see _next_row).
+            rows = (
+                config.rounds if dynamic
+                else config.rounds // config.record_every + 2
+            )
+            self.rounds = np.empty(rows, dtype=np.int64)
+            self.schemes = (
+                None if dynamic else np.empty((rows, width), dtype=np.uint8)
+            )
+            self.cols: Dict[str, np.ndarray] = {}
+            for name in names:
+                col = np.empty((rows, width))
                 if name not in self.fields:
                     col.fill(np.nan)
-                self.rec_cols[name] = col
-        self.rec_count = 0
+                self.cols[name] = col
         self.loads_history: Optional[List[np.ndarray]] = (
-            [] if config.keep_loads else None
+            [] if config.keep_loads and not dynamic else None
         )
 
-    def record(self, round_index: int, x: np.ndarray) -> None:
-        values, totals = _node_metrics(
-            x, self.targets, self.fields, self.scratch, self.node_tiles
-        )
-        if "max_local_diff" in self.fields:
-            if self.topo.m_edges:
-                values["max_local_diff"] = _max_local_diff(
-                    self.E, x, self.edge_tiles, self.scratch
-                )
-            else:
-                values["max_local_diff"] = np.zeros(self.n_replicas)
+    def _next_row(self) -> int:
+        """Index of the next dense row, doubling the storage when full."""
+        i = self.count
+        if i < self.rounds.shape[0]:
+            return i
+        size = max(2 * i, 1)
+
+        def grow(a: np.ndarray) -> np.ndarray:
+            # np.resize repeats the old rows, so all-NaN (excluded)
+            # columns stay all-NaN.
+            return np.resize(a, (size,) + a.shape[1:])
+
+        self.rounds = grow(self.rounds)
+        if self.schemes is not None:
+            self.schemes = grow(self.schemes)
+        self.cols = {k: grow(v) for k, v in self.cols.items()}
+        return i
+
+    def append(self, round_index: int, values, scheme=None, loads=None) -> None:
+        """Record one round: ``values[name]`` is the ``(B,)`` row of every
+        recorded field, ``scheme`` the static row's per-replica (or one)
+        scheme code and ``loads`` the ``(B, n)`` loads, copied under
+        ``keep_loads``."""
         if self.stats is not None:
             self.stats.update(round_index, values)
         else:
-            i = self.rec_count
+            i = self._next_row()
             for name, value in values.items():
-                self.rec_cols[name][i] = value
-            self.rec_round[i] = round_index
-        self.rec_count += 1
+                self.cols[name][i] = value
+            self.rounds[i] = round_index
+            if self.schemes is not None:
+                self.schemes[i] = scheme
+        self.count += 1
         if self.loads_history is not None:
-            self.loads_history.append(x.T.copy())
-        _check_conserved(totals, self.totals0, self.conserve_tol, round_index)
+            self.loads_history.append(loads.copy())
 
-    def batch(self, final_x: np.ndarray) -> RecordBatch:
-        B = self.n_replicas
-        final_flows = np.broadcast_to(
-            np.zeros(self.topo.m_edges), (B, self.topo.m_edges)
-        )
-        common = dict(
-            final_loads=final_x.T.astype(np.float64, copy=True),
-            final_flows=final_flows,
-            switched_at=np.full(B, -1, dtype=np.int64),
-            loads_history=self.loads_history,
-        )
+    def take(self, idx: np.ndarray, cap: int) -> None:
+        """Re-index the records so far along the replica axis (see
+        :meth:`_BatchedHandle.take_columns`)."""
+        if self.stats is not None:
+            self.stats = self.stats.take(idx)
+        else:
+            self.cols = {
+                k: _take_plane(v, idx, 1, cap) for k, v in self.cols.items()
+            }
+            self.schemes = _take_plane(self.schemes, idx, 1, cap)
+        if self.loads_history is not None:
+            self.loads_history = [x[idx] for x in self.loads_history]
+
+    def batch(self, views: bool, scheme_last=None, **finals) -> RecordBatch:
+        """The records as a :class:`RecordBatch` with the final state
+        ``finals`` attached: views of the storage when ``views`` (the run
+        ends with the call), copies otherwise.  ``scheme_last`` is the
+        static summary's per-replica scheme code."""
+        if self.dynamic:
+            if self.stats is not None:
+                return RecordBatch(dynamic_summary_stats=self.stats, **finals)
+            return RecordBatch(
+                dynamic_round_index=self._rows(self.rounds, views),
+                dynamic_columns={
+                    k: self._rows(v, views) for k, v in self.cols.items()
+                },
+                **finals,
+            )
         if self.stats is not None:
             return RecordBatch(
                 summary_stats=self.stats,
-                scheme_last=np.full(B, self.scheme_code, dtype=np.uint8),
-                **common,
+                scheme_last=scheme_last,
+                loads_history=self.loads_history,
+                **finals,
             )
-        count = self.rec_count
         return RecordBatch(
-            round_index=self.rec_round[:count].copy(),
-            scheme_codes=np.full((count, B), self.scheme_code, dtype=np.uint8),
-            columns={k: v[:count].copy() for k, v in self.rec_cols.items()},
-            **common,
+            round_index=self._rows(self.rounds, views),
+            scheme_codes=self._rows(self.schemes, views),
+            columns={k: self._rows(v, views) for k, v in self.cols.items()},
+            loads_history=self.loads_history,
+            **finals,
         )
+
+    def _rows(self, arr: np.ndarray, views: bool) -> np.ndarray:
+        rows = arr[: self.count]
+        return rows if views else rows.copy()
 
 
 @dataclass
@@ -810,16 +868,7 @@ class _BatchedHandle:
 
         # -- targets ----------------------------------------------------
         self.totals0 = self.load.sum(axis=0)  # (B,)
-        if config.targets is not None:
-            self.targets = np.asarray(config.targets, dtype=dtype)[:, None]
-        else:
-            # With uniform speeds every node's target is the replica
-            # average, and ``totals * s / sum(s)`` is bitwise the same
-            # number for every node: one shared row, no (n, B) plane.
-            s = self.speeds_col[:1] if self.uniform_speeds else self.speeds_col
-            self.targets = (
-                (self.totals0[None, :] * s) / speeds.sum()
-            ).astype(dtype, copy=False)
+        self.targets = _record_targets(config, self.totals0, speeds, dtype)
 
         # -- switch policy ----------------------------------------------
         self.switch = _SwitchState()
@@ -835,27 +884,8 @@ class _BatchedHandle:
             # means "never"), exactly a per-column FixedRoundSwitch.
             self.switch = _SwitchState(kind="fixed-vec", args=(switch_rounds,))
 
-        # -- record storage (static runs only: dynamic runs record into
-        #    the dyn_* columns below and never touch these) ---------------
-        self.rec_stats: Optional[StreamingStats] = None
-        if config.arrivals is None:
-            if config.record_mode == "summary":
-                self.rec_stats = StreamingStats(self.fields, B)
-            else:
-                capacity = config.rounds // config.record_every + 2
-                self.rec_round = np.empty(capacity, dtype=np.int64)
-                self.rec_scheme = np.empty((capacity, B), dtype=np.uint8)
-                self.rec_cols: Dict[str, np.ndarray] = {}
-                for name in FLOAT_FIELDS:
-                    col = np.empty((capacity, B))
-                    if name not in self.fields:
-                        col.fill(np.nan)  # excluded columns stay NaN
-                    self.rec_cols[name] = col
-        self.rec_count = 0
+        self.records = _RecordStore(config, B, config.arrivals is not None)
         self.last_recorded_round = -1
-        self.loads_history: Optional[List[np.ndarray]] = (
-            [] if config.keep_loads else None
-        )
 
         # -- node-space scratch: one (tile rows, B) bank, all n rows in a
         #    dense run ----------------------------------------------------
@@ -888,7 +918,6 @@ class _BatchedHandle:
 
         # -- dynamic workload (per-round arrival hook) -------------------
         self.arrival_models = resolve_arrival_models(config.arrivals, B)
-        self.dyn_stats: Optional[StreamingStats] = None
         #: per-replica arrival-rate scale row ((1, B), or None): multiplies
         #: the sampled delta plane before clamping — the same elementwise
         #: product the per-replica backends apply via ScaledArrivals.
@@ -921,15 +950,6 @@ class _BatchedHandle:
             #: exact expected totals, advanced by every arrival application
             #: (token counts are integral, so float64 sums stay exact)
             self.expected_totals = self.load.sum(axis=0, dtype=np.float64)
-            if config.record_mode == "summary":
-                self.dyn_stats = StreamingStats(DYNAMIC_FLOAT_FIELDS, B)
-            else:
-                self.dyn_round = np.empty(config.rounds, dtype=np.int64)
-                self.dyn_cols: Dict[str, np.ndarray] = {
-                    name: np.empty((config.rounds, B))
-                    for name in DYNAMIC_FLOAT_FIELDS
-                }
-            self.dyn_count = 0
             # arrival scratch: the sampled deltas stay a full (n, B) plane
             # (the model API fills whole columns); the clamping runs in the
             # tile bank.
@@ -1085,37 +1105,9 @@ class _BatchedHandle:
                 flat, cols if rows > 1 else 0, 1 if cols > 1 else 0
             )
 
-    def next_row(self, dynamic: bool) -> int:
-        """Index of the next dense record row, doubling the static
-        (``rec_*``) or dynamic (``dyn_*``) storage when it is full.
-
-        ``config.rounds`` sizes the first allocation, but the
-        ``prepare()``/``step()`` protocol may advance past it; the other
-        engines grow their record tables the same way.
-        """
-        i = self.dyn_count if dynamic else self.rec_count
-        rows = self.dyn_round if dynamic else self.rec_round
-        if i < rows.shape[0]:
-            return i
-        size = max(2 * i, 1)
-
-        def grow(a: np.ndarray) -> np.ndarray:
-            # np.resize repeats the old rows, so all-NaN (excluded)
-            # columns stay all-NaN.
-            return np.resize(a, (size,) + a.shape[1:])
-
-        if dynamic:
-            self.dyn_round = grow(self.dyn_round)
-            self.dyn_cols = {k: grow(v) for k, v in self.dyn_cols.items()}
-        else:
-            self.rec_round = grow(self.rec_round)
-            self.rec_scheme = grow(self.rec_scheme)
-            self.rec_cols = {k: grow(v) for k, v in self.rec_cols.items()}
-        return i
-
     #: per-replica state, copied column by column: attribute -> replica axis
     _STATE_AXES = {
-        "load": 1, "flows": 1, "beta_row": 1, "rec_scheme": 1,
+        "load": 1, "flows": 1, "beta_row": 1,
         "sos_active": 0, "switched_at": 0, "last_switched": 0, "totals0": 0,
         "last_min_transient": 0, "last_traffic": 0, "last_mld": 0,
     }
@@ -1157,18 +1149,8 @@ class _BatchedHandle:
         B = idx.size
         cap = self.width_cap = max(self.width_cap, B)
 
-        def plane(arr, axis, buf=None):
-            shape = list(arr.shape)
-            shape[axis] = cap
-            full = math.prod(shape)
-            if buf is None or buf.size < full:
-                buf = np.empty(full, dtype=arr.dtype)
-            shape[axis] = B
-            return buf.reshape(-1)[: full // cap * B].reshape(shape)
-
         def gather(arr, axis):
-            out = plane(arr, axis)
-            return np.take(arr, idx, axis=axis, out=out, mode="clip")
+            return _take_plane(arr, idx, axis, cap)
 
         for name, axis in self._STATE_AXES.items():
             arr = getattr(self, name, None)
@@ -1178,7 +1160,7 @@ class _BatchedHandle:
             arr = getattr(self, name, None)
             if arr is not None:
                 owner = arr if arr.base is None else arr.base
-                setattr(self, name, plane(arr, axis, owner))
+                setattr(self, name, _width_plane(arr, axis, B, cap, owner))
         if getattr(self, "pn", None) is not None:
             self.pn.fill(0.0)  # the P/N block's padding rows must read zero
         if getattr(self, "kern_uoff", None) is not None:
@@ -1189,12 +1171,7 @@ class _BatchedHandle:
                 self._set_kern_alpha()
         if self.targets_per_replica:
             self.targets = gather(self.targets, 1)
-        if self.rec_stats is not None:
-            self.rec_stats = self.rec_stats.take(idx)
-        else:
-            self.rec_cols = {k: gather(v, 1) for k, v in self.rec_cols.items()}
-        if self.loads_history is not None:
-            self.loads_history = [x[idx] for x in self.loads_history]
+        self.records.take(idx, cap)
         sw = self.switch
         if sw.kind == "fixed-vec":
             sw.args = (sw.args[0][idx],)
@@ -1268,7 +1245,7 @@ def _plan_twins(h: _BatchedHandle, config: EngineConfig) -> Optional[_TwinPlan]:
     if (
         keys is None  # the default keys are the distinct batch positions
         or h.switch.kind != "fixed-vec"
-        or h.loads_history is not None
+        or h.records.loads_history is not None
         or h.churn_plan is not None
         or h.arrival_models is not None
         or len(set(int(k) for k in keys)) == len(keys)
@@ -1744,71 +1721,53 @@ class BatchedVectorEngine(Engine):
         )
         return h.last_arrival
 
-    def _record_dynamic_churn(self, h: _BatchedHandle) -> None:
-        """Churn variant: per-replica masked reductions over the live set.
-
-        Loops over replicas so each column's metrics run through the exact
-        masked expressions of :func:`~repro.core.churn.masked_dynamic_values`
-        on a contiguous copy — the same operations, on the same memory
-        layout, as the reference engine's per-replica loop, keeping the
-        deterministic-rounding traces bit-identical.
-        """
-        arrival = h.last_arrival
-        i = h.next_row(dynamic=True)
+    @staticmethod
+    def _masked_values(h: _BatchedHandle, masked) -> Dict[str, np.ndarray]:
+        """Churn records: ``masked(topo, column, live)`` of every replica
+        as ``(B,)`` rows.  Each column reduces a contiguous copy — the same
+        operations, on the same memory layout, as the reference engine's
+        per-replica loop, keeping the deterministic-rounding traces
+        bit-identical."""
         B = h.n_replicas
-        totals = np.empty(B)
+        rows: Dict[str, np.ndarray] = {}
         for b in range(B):
             col = np.ascontiguousarray(h.load[:, b])
-            vals = masked_dynamic_values(h.topo, col, h.churn_active_idx)
-            totals[b] = vals["total_load"]
-            for name, value in vals.items():
-                h.dyn_cols[name][i, b] = value
-        h.dyn_cols["arrived"][i] = arrival.arrived
-        h.dyn_cols["departed"][i] = arrival.departed
-        h.dyn_cols["clamped"][i] = arrival.clamped
-        h.dyn_round[i] = h.round_index
-        h.dyn_count += 1
-        _check_conserved(
-            totals, h.expected_totals, h.conserve_tol, h.round_index
-        )
+            for name, value in masked(h.topo, col, h.churn_active_idx).items():
+                rows.setdefault(name, np.empty(B))[b] = value
+        return rows
 
     def _record_dynamic(self, h: _BatchedHandle) -> None:
-        """Append this round's dynamic metrics (targets move with the total)."""
-        if h.churn_plan is not None:
-            self._record_dynamic_churn(h)
-            return
-        load = h.load
+        """Append this round's dynamic metrics (targets move with the
+        total; under churn, masked to the live nodes)."""
         arrival = h.last_arrival
-        values: Dict[str, np.ndarray] = {
-            "arrived": arrival.arrived,
-            "departed": arrival.departed,
-            "clamped": arrival.clamped,
-        }
-        B = h.n_replicas
-        totals = np.zeros(B)
-        maxs = np.full(B, -np.inf, dtype=h.dtype)
-        for a, b in h.node_tiles:
-            totals += load[a:b].sum(axis=0, dtype=np.float64)
-            np.maximum(maxs, load[a:b].max(axis=0), out=maxs)
-        mean = totals / h.topo.n
-        mean_t = mean.astype(h.dtype, copy=False)
-        pot = np.zeros(B)
-        for a, b in h.node_tiles:
-            dev = np.subtract(load[a:b], mean_t, out=h.ts1[: b - a])
-            np.multiply(dev, dev, out=dev)
-            pot += dev.sum(axis=0, dtype=np.float64)
-        values["max_minus_avg"] = maxs - mean
-        values["potential_per_node"] = pot / h.topo.n
-        values["total_load"] = totals
-        values["max_local_diff"] = self._mld(h)
-        if h.dyn_stats is not None:
-            h.dyn_stats.update(h.round_index, values)
+        if h.churn_plan is not None:
+            values = self._masked_values(h, masked_dynamic_values)
+            totals = values["total_load"]
         else:
-            i = h.next_row(dynamic=True)
-            for name, value in values.items():
-                h.dyn_cols[name][i] = value
-            h.dyn_round[i] = h.round_index
-        h.dyn_count += 1
+            load = h.load
+            B = h.n_replicas
+            totals = np.zeros(B)
+            maxs = np.full(B, -np.inf, dtype=h.dtype)
+            for a, b in h.node_tiles:
+                totals += load[a:b].sum(axis=0, dtype=np.float64)
+                np.maximum(maxs, load[a:b].max(axis=0), out=maxs)
+            mean = totals / h.topo.n
+            mean_t = mean.astype(h.dtype, copy=False)
+            pot = np.zeros(B)
+            for a, b in h.node_tiles:
+                dev = np.subtract(load[a:b], mean_t, out=h.ts1[: b - a])
+                np.multiply(dev, dev, out=dev)
+                pot += dev.sum(axis=0, dtype=np.float64)
+            values = {
+                "max_minus_avg": maxs - mean,
+                "potential_per_node": pot / h.topo.n,
+                "total_load": totals,
+                "max_local_diff": self._mld(h),
+            }
+        values["arrived"] = arrival.arrived
+        values["departed"] = arrival.departed
+        values["clamped"] = arrival.clamped
+        h.records.append(h.round_index, values)
         _check_conserved(
             totals, h.expected_totals, h.conserve_tol, h.round_index
         )
@@ -1834,30 +1793,6 @@ class BatchedVectorEngine(Engine):
             )
             return out[5].copy()
         return _max_local_diff(h.E, h.load, h.edge_tiles, h.ts1)
-
-    def _record_current_churn(self, h: _BatchedHandle) -> None:
-        """Churn variant of :meth:`_record_current`: masked, per replica.
-
-        Churn runs reject ``record_mode='summary'`` and trimmed
-        ``record_fields``, so this always fills every dense column.
-        """
-        i = h.next_row(dynamic=False)
-        totals = np.empty(h.n_replicas)
-        for b in range(h.n_replicas):
-            col = np.ascontiguousarray(h.load[:, b])
-            vals = masked_static_values(h.topo, col, h.churn_active_idx)
-            totals[b] = vals["total_load"]
-            for name, value in vals.items():
-                h.rec_cols[name][i, b] = value
-        h.rec_cols["min_transient"][i] = h.last_min_transient
-        h.rec_cols["round_traffic"][i] = h.last_traffic
-        h.rec_round[i] = h.round_index
-        h.rec_scheme[i] = h.sos_active
-        h.rec_count += 1
-        h.last_recorded_round = h.round_index
-        if h.loads_history is not None:
-            h.loads_history.append(h.load.T.copy())
-        _check_conserved(totals, h.totals0, h.conserve_tol, h.round_index)
 
     def _kernel_node_metrics(self, h: _BatchedHandle, want_mld: bool) -> tuple:
         """:func:`_node_metrics` (plus the max local difference when
@@ -1885,10 +1820,26 @@ class BatchedVectorEngine(Engine):
         return values, totals, out[5].copy() if want_mld else None
 
     def _record_current(self, h: _BatchedHandle) -> None:
-        """Append the requested Section VI metrics of the current state."""
+        """Append the requested Section VI metrics of the current state.
+
+        Churn runs mask them to the live nodes and reject
+        ``record_mode='summary'`` and trimmed ``record_fields``, so they
+        always fill every dense column.
+        """
         if h.churn_plan is not None:
-            self._record_current_churn(h)
-            return
+            values = self._masked_values(h, masked_static_values)
+            values["min_transient"] = h.last_min_transient
+            values["round_traffic"] = h.last_traffic
+            totals = values["total_load"]
+        else:
+            values, totals = self._static_values(h)
+        h.records.append(h.round_index, values, h.sos_active, h.load.T)
+        h.last_recorded_round = h.round_index
+        _check_conserved(totals, h.totals0, h.conserve_tol, h.round_index)
+
+    def _static_values(self, h: _BatchedHandle) -> tuple:
+        """The requested record metrics of the current loads, and the
+        per-replica totals."""
         load = h.load
         fields = h.fields
         want_mld = "max_local_diff" in fields
@@ -1912,19 +1863,7 @@ class BatchedVectorEngine(Engine):
         if want_mld:
             h.last_mld = mld
             values["max_local_diff"] = mld
-        if h.rec_stats is not None:
-            h.rec_stats.update(h.round_index, values)
-        else:
-            i = h.next_row(dynamic=False)
-            for name, value in values.items():
-                h.rec_cols[name][i] = value
-            h.rec_round[i] = h.round_index
-            h.rec_scheme[i] = h.sos_active
-        h.rec_count += 1
-        h.last_recorded_round = h.round_index
-        if h.loads_history is not None:
-            h.loads_history.append(load.T.copy())
-        _check_conserved(totals, h.totals0, h.conserve_tol, h.round_index)
+        return values, totals
 
     # ------------------------------------------------------------------
     def _check_switch(self, h: _BatchedHandle) -> None:
@@ -1994,40 +1933,17 @@ class BatchedVectorEngine(Engine):
         )
 
     def metrics(self, h: _BatchedHandle) -> RecordBatch:
+        if h.arrival_models is None and h.last_recorded_round != h.round_index:
+            self._record_current(h)
         loads, flows = h.load.T, h.flows.T
         if not h.final_views:  # the handle lives on: copy its planes
             loads, flows = loads.copy(), flows.copy()
-        finals = dict(
-            final_loads=loads, final_flows=flows,
+        return h.records.batch(
+            h.final_views,
+            scheme_last=h.sos_active.astype(np.uint8),
+            final_loads=loads,
+            final_flows=flows,
             switched_at=h.switched_at.copy(),
-        )
-        if h.arrival_models is not None:
-            if h.dyn_stats is not None:
-                return RecordBatch(dynamic_summary_stats=h.dyn_stats, **finals)
-            count = h.dyn_count
-            return RecordBatch(
-                dynamic_round_index=h.dyn_round[:count].copy(),
-                dynamic_columns={
-                    k: v[:count].copy() for k, v in h.dyn_cols.items()
-                },
-                **finals,
-            )
-        if h.last_recorded_round != h.round_index:
-            self._record_current(h)
-        if h.rec_stats is not None:
-            return RecordBatch(
-                summary_stats=h.rec_stats,
-                scheme_last=h.sos_active.astype(np.uint8),
-                loads_history=h.loads_history,
-                **finals,
-            )
-        count = h.rec_count
-        return RecordBatch(
-            round_index=h.rec_round[:count].copy(),
-            scheme_codes=h.rec_scheme[:count].copy(),
-            columns={k: v[:count].copy() for k, v in h.rec_cols.items()},
-            loads_history=h.loads_history,
-            **finals,
         )
 
     def run(self, topo, config, initial_loads):
@@ -2186,6 +2102,56 @@ class BatchedVectorEngine(Engine):
                 return "per-replica alpha scales vary across the batch"
         return None
 
+    @staticmethod
+    def _fast_records(topo, config, x0: np.ndarray, speeds) -> tuple:
+        """``(record, finish)`` of a closed-form run from ``x0``.
+
+        ``record(r, x)`` stores round ``r``'s metrics of the node plane
+        ``x`` and checks conservation: the node reductions run in the
+        run's node tiles, and with no edge-space state the local
+        difference runs the difference operator in edge tiles as wide,
+        through the same ``(tile, B)`` scratch.  ``finish(x)`` is the
+        :class:`RecordBatch` with final loads ``x`` and zero flows.
+        """
+        n, B = x0.shape
+        m = topo.m_edges
+        dtype = x0.dtype.type
+        store = _RecordStore(config, B, dynamic=False)
+        fields = store.fields
+        rows = resolve_tile_size(config, n, B, x0.itemsize) or n
+        node_tiles = _tiles(n, rows)
+        scratch = np.empty((rows, B), dtype=dtype)
+        totals0 = x0.sum(axis=0)
+        targets = _record_targets(config, totals0, speeds, dtype)
+        conserve_tol = 1e-6 if dtype == np.float64 else 1e-4
+        if "max_local_diff" in fields and m:
+            E = _difference_operator(topo, dtype)
+            edge_tiles = _tiles(m, rows)
+        scheme = 1 if config.scheme == "sos" else 0
+
+        def record(r: int, x: np.ndarray) -> None:
+            values, totals = _node_metrics(
+                x, targets, fields, scratch, node_tiles
+            )
+            if "max_local_diff" in fields:
+                values["max_local_diff"] = (
+                    _max_local_diff(E, x, edge_tiles, scratch) if m
+                    else np.zeros(B)
+                )
+            store.append(r, values, scheme, x.T)
+            _check_conserved(totals, totals0, conserve_tol, r)
+
+        def finish(x: np.ndarray) -> RecordBatch:
+            return store.batch(
+                True,
+                scheme_last=np.full(B, scheme, dtype=np.uint8),
+                final_loads=x.T.astype(np.float64, copy=True),
+                final_flows=np.broadcast_to(np.zeros(m), (B, m)),
+                switched_at=np.full(B, -1, dtype=np.int64),
+            )
+
+        return record, finish
+
     def _run_fast(
         self,
         topo,
@@ -2238,12 +2204,12 @@ class BatchedVectorEngine(Engine):
         u_scale = uniform_plane_value(scale_vec)
         if u_scale is not None:
             alphas, scale_vec = alphas * u_scale, None
-        recorder = _FastRecorder(topo, config, x, speeds, dtype)
-        recorder.record(0, x)
+        record, finish = self._fast_records(topo, config, x, speeds)
+        record(0, x)
         rounds = config.rounds
         record_every = config.record_every
         if rounds == 0:
-            return recorder.batch(x)
+            return finish(x)
 
         if mode == "spectral":
             alpha_eff = (float(alphas[0]) if alphas.size else 0.0) / float(
@@ -2291,13 +2257,13 @@ class BatchedVectorEngine(Engine):
                     g_prev, g_cur, g_next = g_cur, g_next, g_prev
                 if r % record_every == 0 or r == rounds:
                     x_t = materialize(g_cur)
-                    recorder.record(r, x_t)
-            return recorder.batch(x_t)
+                    record(r, x_t)
+            return finish(x_t)
 
         if beta_vec is not None or scale_vec is not None:
             return self._run_fast_matmul_planes(
-                topo, config, recorder, x, speeds, alphas, beta, beta_vec,
-                scale_vec, dtype,
+                topo, config, record, finish, x, speeds, alphas, beta,
+                beta_vec, scale_vec, dtype,
             )
 
         m1 = _diffusion_matrix(topo, alphas, speeds, dtype)
@@ -2309,7 +2275,7 @@ class BatchedVectorEngine(Engine):
         _csr_dot(m1, x, cur)  # round 1: both schemes open with FOS
         prev = x
         if 1 % record_every == 0 or rounds == 1:
-            recorder.record(1, cur)
+            record(1, cur)
         one_minus_beta = dtype(1.0 - beta)
         for r in range(2, rounds + 1):
             if beta == 1.0:
@@ -2319,12 +2285,12 @@ class BatchedVectorEngine(Engine):
                 _csr_dot(mb, cur, scratch, accumulate=True)
             prev, cur, scratch = cur, scratch, prev
             if r % record_every == 0 or r == rounds:
-                recorder.record(r, cur)
-        return recorder.batch(cur)
+                record(r, cur)
+        return finish(cur)
 
     def _run_fast_matmul_planes(
-        self, topo, config, recorder, x, speeds, alphas, beta, beta_vec,
-        scale_vec, dtype,
+        self, topo, config, record, finish, x, speeds, alphas, beta,
+        beta_vec, scale_vec, dtype,
     ) -> RecordBatch:
         """The matmul tier with per-replica beta/alpha-scale row vectors.
 
@@ -2357,7 +2323,7 @@ class BatchedVectorEngine(Engine):
         apply_m(x, cur)  # round 1: both schemes open with FOS
         prev = x
         if 1 % record_every == 0 or rounds == 1:
-            recorder.record(1, cur)
+            record(1, cur)
         for r in range(2, rounds + 1):
             apply_m(cur, scratch)
             np.multiply(scratch, beta_row, out=scratch)
@@ -2365,8 +2331,8 @@ class BatchedVectorEngine(Engine):
             np.add(scratch, prev, out=scratch)
             prev, cur, scratch = cur, scratch, prev
             if r % record_every == 0 or r == rounds:
-                recorder.record(r, cur)
-        return recorder.batch(cur)
+                record(r, cur)
+        return finish(cur)
 
     def run_dynamic(self, topo, config, initial_loads):
         """Fused dynamic ensemble loop — :meth:`run_dynamic_batch` sliced

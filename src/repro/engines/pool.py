@@ -19,14 +19,16 @@ for all of them:
   excess adjacency, the slot gather indices).  Repeated calls on the
   same graph skip both the topology pickle and the operator builds.
 * **Zero-copy records.**  For the common record path (dense float64
-  table records, no churn, no staleness knobs, no ``keep_loads``) the
-  parent allocates the merged result arrays in
-  ``multiprocessing.shared_memory`` blocks and each worker writes its
-  record *columns* directly into its ``[:, lo:hi]`` slice.  The parent's
-  "merge" is then just a set of numpy views over the blocks — no result
-  pickling, no h-stack copy.  Ineligible configs transparently fall back
-  to pickled per-shard batches over the pipe (still pooled, still
-  cached — only the zero-copy return is skipped).
+  table records, no churn, no ``keep_loads``) the parent allocates the
+  merged result arrays in ``multiprocessing.shared_memory`` blocks and
+  each worker writes its record *columns* directly into its
+  ``[:, lo:hi]`` slice.  The parent's "merge" is then just a set of
+  numpy views over the blocks — no result pickling, no h-stack copy.
+  Batched shards (edge-wise or closed-form) and staleness shards all
+  record into one columnar store, so each of them takes this path.
+  Ineligible configs transparently fall back to pickled per-shard
+  batches over the pipe (still pooled, still cached — only the
+  zero-copy return is skipped).
 
 Bit-identity
 ------------
@@ -72,11 +74,8 @@ from .base import (
     RecordBatch,
     as_load_batch,
     merge_record_batches,
-    resolve_replica_params,
     resolve_workers,
 )
-from .batched import BatchedVectorEngine
-from .capabilities import routes_to_staleness
 from .sharded import (
     Shard,
     _run_shard,
@@ -444,28 +443,17 @@ class ShardedWorkerPool:
         dynamic: bool,
     ) -> bool:
         """Whether every shard will produce the dense-table layout the
-        shared blocks assume.  Must agree exactly with what the workers
-        do — the decision replays the worker's own dispatch checks."""
-        if (
-            config.churn is not None
-            or routes_to_staleness(config)
-            or config.record_mode != "table"
-            or config.keep_loads
-            or config.precision != "float64"
-        ):
-            return False
-        if not dynamic:
-            # A shard taking the closed-form fast path emits prebuilt or
-            # differently-shaped records; replay the eligibility check on
-            # each shard config (per-replica params slice per shard).
-            probe = BatchedVectorEngine()
-            for lo, hi, shard_config in plan:
-                params = resolve_replica_params(
-                    shard_config.replica_params, hi - lo
-                )
-                if probe._fast_path_mode(topo, shard_config, params) is not None:
-                    return False
-        return True
+        shared blocks assume.  Batched shards (edge-wise or closed-form)
+        and staleness shards all record into one columnar record store,
+        whatever the graph, plan or regime, so the config alone decides:
+        churn and ``keep_loads`` runs carry extras the blocks do not
+        hold, and summaries and float32 runs another layout."""
+        return (
+            config.churn is None
+            and config.record_mode == "table"
+            and not config.keep_loads
+            and config.precision == "float64"
+        )
 
     # -- the call ------------------------------------------------------
     def run_batch(

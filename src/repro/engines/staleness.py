@@ -55,6 +55,13 @@ scratch exactly like the batched engine — tiled runs are bit-identical
 to dense runs) and ``replica_keys`` (pinning fault/rounding streams to
 replica identities), which is what lets the sharded engine split a
 staleness batch into column shards bit-identically.
+
+Records go into the batched engine's columnar record store, one
+``(B,)`` row per field and recorded round, computed by ``(B, n)`` row
+reductions that equal the per-replica metric helpers bit for bit.
+:meth:`StalenessEngine.metrics` therefore returns the batched engine's
+:class:`~repro.engines.base.RecordBatch` layout, static and dynamic, and
+the worker pool writes staleness shards straight into its shared blocks.
 """
 
 from __future__ import annotations
@@ -65,13 +72,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..exceptions import ConfigurationError, SimulationError
-from ..core.dynamic import ArrivalModel, DynamicResult, ScaledArrivals
-from ..core.records import DynamicRecordTable, RecordTable
+from ..core.dynamic import ArrivalModel, ScaledArrivals
 from ..core.rounding import _FRAC_TOL
-from ..core.simulator import SimulationResult, record_round
 # transient_loads and the three metric helpers are what the vectorised
 # record pass reproduces; they stay importable from this module.
-from ..core.state import LoadState, transient_loads
+from ..core.state import transient_loads
 from ..core.metrics import (
     max_local_difference,
     max_minus_average,
@@ -105,6 +110,7 @@ from .base import (
 )
 from .batched import (
     _ELEMENTWISE_ROUNDINGS,
+    _RecordStore,
     _TokenScratch,
     _excess_token_slots,
     _round_elementwise,
@@ -611,17 +617,31 @@ class _StalenessCore:
         return self._stale_sum / self._stale_count
 
 
+def _local_diff_rows(topo: Topology, loads: np.ndarray) -> np.ndarray:
+    """:func:`max_local_difference` of every ``(B, n)`` load row."""
+    if not topo.m_edges:
+        return np.zeros(loads.shape[0])
+    return np.abs(loads[:, topo.edge_u] - loads[:, topo.edge_v]).max(axis=1)
+
+
+def _potential_rows(dev: np.ndarray) -> np.ndarray:
+    """:func:`normalized_potential` of every ``(B, n)`` deviation row: one
+    ``dev @ dev`` dot per row, like the helper's."""
+    return np.array([row @ row for row in dev]) / dev.shape[1]
+
+
 @dataclass
 class _StalenessHandle:
     topo: Topology
     config: EngineConfig
     core: _StalenessCore
-    tables: List[RecordTable]
-    targets: List[Optional[np.ndarray]]
-    loads_histories: List[Optional[List[np.ndarray]]]
-    switch_rounds: List[Optional[int]]
+    records: _RecordStore
+    #: static record targets, ``(B, n)`` (or one ``(1, n)`` row of
+    #: ``config.targets``): those of the initial totals
+    targets: np.ndarray
     last_min_transient: np.ndarray
     last_traffic: np.ndarray
+    last_recorded_round: int = -1
 
 
 @dataclass
@@ -631,7 +651,7 @@ class _DynamicStalenessHandle:
     core: _StalenessCore
     models: List[ArrivalModel]
     rngs: List[np.random.Generator]
-    tables: List[DynamicRecordTable]
+    records: _RecordStore
     pending: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         default_factory=lambda: (np.zeros(0), np.zeros(0), np.zeros(0))
     )
@@ -681,17 +701,15 @@ class StalenessEngine(Engine):
             int(config.switch[1]) if config.switch is not None else None
         )
 
-        betas = np.empty(B, dtype=np.float64)
-        switch_plane = np.full(B, -1, dtype=np.int64)
-        switch_list: List[Optional[int]] = []
-        for b in range(B):
-            betas[b] = replica_beta(config, params, b)
-            sw = switch_round
-            if params is not None and params.switch_rounds is not None:
-                round_b = int(params.switch_rounds[b])
-                sw = round_b if round_b >= 0 else None
-            switch_list.append(sw)
-            switch_plane[b] = -1 if sw is None else sw
+        betas = np.array(
+            [replica_beta(config, params, b) for b in range(B)], dtype=np.float64
+        )
+        if params is not None and params.switch_rounds is not None:
+            switch_plane = np.maximum(params.switch_rounds, -1)
+        else:
+            switch_plane = np.full(
+                B, -1 if switch_round is None else switch_round, dtype=np.int64
+            )
 
         parsed = parse_faults_spec(config.faults)
         fault_models = None
@@ -733,6 +751,7 @@ class StalenessEngine(Engine):
             tile=tile,
         )
 
+        records = _RecordStore(config, B, config.arrivals is not None)
         if config.arrivals is not None:
             models = resolve_arrival_models(config.arrivals, B)
             if params is not None and params.arrival_scales is not None:
@@ -746,79 +765,52 @@ class StalenessEngine(Engine):
                 core=core,
                 models=models,
                 rngs=resolve_arrival_rngs(config, B),
-                tables=[
-                    DynamicRecordTable(max(config.rounds, 1) + 1)
-                    for _ in range(B)
-                ],
+                records=records,
             )
 
-        scheme0 = (
-            "FirstOrderScheme" if config.scheme == "fos" else "SecondOrderScheme"
+        rows = core.loads.T.copy()
+        targets = (
+            np.asarray(config.targets, dtype=np.float64)[None, :]
+            if config.targets is not None
+            else target_loads(rows.sum(axis=1)[:, None], speeds)
         )
-        tables: List[RecordTable] = []
-        targets_list: List[Optional[np.ndarray]] = []
-        histories: List[Optional[List[np.ndarray]]] = []
-        last_min = np.empty(B, dtype=np.float64)
-        last_traffic = np.zeros(B, dtype=np.float64)
         handle = _StalenessHandle(
             topo=topo,
             config=config,
             core=core,
-            tables=tables,
-            targets=targets_list,
-            loads_histories=histories,
-            switch_rounds=switch_list,
-            last_min_transient=last_min,
-            last_traffic=last_traffic,
+            records=records,
+            targets=targets,
+            last_min_transient=rows.min(axis=1),
+            last_traffic=np.zeros(B, dtype=np.float64),
         )
-        zero_flows = np.zeros(topo.m_edges, dtype=np.float64)
-        for b in range(B):
-            load_b = np.ascontiguousarray(core.loads[:, b])
-            targets = (
-                config.targets
-                if config.targets is not None
-                else target_loads(float(load_b.sum()), speeds)
-            )
-            tables.append(RecordTable(config.rounds // config.record_every + 2))
-            targets_list.append(targets)
-            histories.append([] if config.keep_loads else None)
-            last_min[b] = float(load_b.min())
-            self._record(handle, b, load_b, zero_flows, 0, scheme0)
+        self._record_static(handle, rows)
         return handle
 
-    # ------------------------------------------------------------------
-    def _scheme_name(
-        self,
-        config: EngineConfig,
-        switch_round: Optional[int],
-        round_index: int,
-    ) -> str:
-        if config.scheme == "fos":
-            return "FirstOrderScheme"
-        if switch_round is not None and round_index > switch_round:
-            return "FirstOrderScheme"
-        return "SecondOrderScheme"
+    @staticmethod
+    def _record_static(handle: _StalenessHandle, loads: np.ndarray) -> None:
+        """Record the current round from the ``(B, n)`` load rows.
 
-    def _record(
-        self,
-        handle: _StalenessHandle,
-        b: int,
-        load: np.ndarray,
-        flows: np.ndarray,
-        round_index: int,
-        scheme_name: str,
-    ) -> None:
-        record_round(
-            handle.tables[b],
-            handle.topo,
-            LoadState(load=load, flows=flows, round_index=round_index),
-            handle.targets[b],
-            scheme_name,
-            float(handle.last_min_transient[b]),
-            float(handle.last_traffic[b]),
-        )
-        if handle.loads_histories[b] is not None:
-            handle.loads_histories[b].append(load.copy())
+        Row reductions of a C-contiguous plane (and one dot per row)
+        equal :func:`~repro.core.simulator.record_round`'s per-replica
+        helpers bit for bit.  A replica runs SOS until the round after
+        its switch round.
+        """
+        r = handle.core.round_index
+        dev = loads - handle.targets
+        values = {
+            "max_minus_avg": dev.max(axis=1),
+            "min_minus_avg": dev.min(axis=1),
+            "max_local_diff": _local_diff_rows(handle.topo, loads),
+            "potential_per_node": _potential_rows(dev),
+            "min_load": loads.min(axis=1),
+            "min_transient": handle.last_min_transient,
+            "total_load": loads.sum(axis=1),
+            "round_traffic": handle.last_traffic,
+        }
+        sw = handle.core.switch_rounds
+        scheme = (handle.config.scheme == "sos") & ~((sw >= 0) & (r > sw))
+        handle.records.append(r, values, scheme, loads)
+        handle.last_recorded_round = r
 
     # ------------------------------------------------------------------
     def _inject(self, handle: _DynamicStalenessHandle):
@@ -875,50 +867,35 @@ class StalenessEngine(Engine):
         handle.last_min_transient[:] = min_transient
         handle.last_traffic[:] = traffic
         if r % handle.config.record_every == 0:
-            for b in range(core.B):
-                self._record(
-                    handle, b, loads[b], flows[b], r,
-                    self._scheme_name(handle.config, handle.switch_rounds[b], r),
-                )
-        sos = handle.config.scheme == "sos"
+            self._record_static(handle, loads)
         return StepBatch(
             round_index=r,
             loads=loads,
             flows=flows,
             min_transient=min_transient,
             traffic=traffic,
-            switched=np.array([sos and sw == r for sw in handle.switch_rounds]),
+            switched=(handle.config.scheme == "sos") & (core.switch_rounds == r),
         )
 
     def _step_dynamic(self, handle: _DynamicStalenessHandle) -> StepBatch:
         if not handle.injected:
             self._inject(handle)
-        core, topo = handle.core, handle.topo
+        core = handle.core
         loads, flows, min_transient, traffic = self._advance(core)
         # The Section VI metrics of every replica in one pass over the
         # (B, n) rows: max_minus_average, max_local_difference and
         # normalized_potential, reduction for reduction.
-        total = loads.sum(axis=1)
         mean = loads.mean(axis=1)
-        max_minus_avg = loads.max(axis=1) - mean
-        local = (
-            np.abs(loads[:, topo.edge_u] - loads[:, topo.edge_v]).max(axis=1)
-            if topo.m_edges
-            else np.zeros(core.B)
-        )
-        diff = loads - mean[:, None]
         arrived, departed, clamped = handle.pending
-        for b, table in enumerate(handle.tables):
-            table.append(
-                round_index=core.round_index,
-                total_load=float(total[b]),
-                arrived=float(arrived[b]),
-                departed=float(departed[b]),
-                clamped=float(clamped[b]),
-                max_minus_avg=float(max_minus_avg[b]),
-                max_local_diff=float(local[b]),
-                potential_per_node=float(diff[b] @ diff[b]) / topo.n,
-            )
+        handle.records.append(core.round_index, {
+            "total_load": loads.sum(axis=1),
+            "arrived": arrived,
+            "departed": departed,
+            "clamped": clamped,
+            "max_minus_avg": loads.max(axis=1) - mean,
+            "max_local_diff": _local_diff_rows(handle.topo, loads),
+            "potential_per_node": _potential_rows(loads - mean[:, None]),
+        })
         handle.injected = False
         return StepBatch(
             round_index=core.round_index,
@@ -932,56 +909,20 @@ class StalenessEngine(Engine):
     # ------------------------------------------------------------------
     def metrics(self, handle) -> RecordBatch:
         core = handle.core
-        if isinstance(handle, _DynamicStalenessHandle):
-            return RecordBatch(
-                prebuilt_dynamic=[
-                    DynamicResult(
-                        table=handle.tables[b],
-                        final_state=LoadState(
-                            load=np.ascontiguousarray(core.loads[:, b]),
-                            flows=np.ascontiguousarray(core.E[:, b]),
-                            round_index=core.round_index,
-                        ),
-                    )
-                    for b in range(core.B)
-                ]
-            )
-        results: List[SimulationResult] = []
-        round_index = core.round_index
-        for b in range(core.B):
-            load_b = np.ascontiguousarray(core.loads[:, b])
-            flows_b = np.ascontiguousarray(core.E[:, b])
-            if handle.tables[b].column("round_index")[-1] != round_index:
-                self._record(
-                    handle,
-                    b,
-                    load_b,
-                    flows_b,
-                    round_index,
-                    self._scheme_name(
-                        handle.config, handle.switch_rounds[b], round_index
-                    ),
-                )
-            switched = (
-                handle.switch_rounds[b]
-                if handle.config.scheme == "sos"
-                and handle.switch_rounds[b] is not None
-                and handle.switch_rounds[b] <= round_index
-                else None
-            )
-            results.append(
-                SimulationResult(
-                    table=handle.tables[b],
-                    final_state=LoadState(
-                        load=load_b,
-                        flows=flows_b,
-                        round_index=round_index,
-                    ),
-                    switched_at=switched,
-                    loads_history=handle.loads_histories[b],
-                )
-            )
-        return RecordBatch(prebuilt=results)
+        r = core.round_index
+        if (
+            isinstance(handle, _StalenessHandle)
+            and handle.last_recorded_round != r
+        ):
+            self._record_static(handle, core.loads.T.copy())
+        sw = core.switch_rounds
+        fired = (handle.config.scheme == "sos") & (sw >= 0) & (sw <= r)
+        return handle.records.batch(
+            False,
+            final_loads=core.loads.T.copy(),
+            final_flows=core.E.T.copy(),
+            switched_at=np.where(fired, sw, -1),
+        )
 
     # ------------------------------------------------------------------
     # Whole-batch entry points for the sharded engine's column shards.

@@ -241,7 +241,11 @@ class Topology:
     def _component_labels(self) -> np.ndarray:
         """Per-node connected-component labels ``0 .. k-1``, numbered in
         order of each component's smallest node (scipy's traversal of the
-        CSR adjacency visits the nodes in id order)."""
+        CSR adjacency visits the nodes in id order).
+
+        The adjacency is symmetric, so its strong components are the
+        undirected ones; asking for them directly spares scipy the
+        transpose it adds for ``directed=False``."""
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
@@ -250,7 +254,9 @@ class Topology:
              self.adj_indptr),
             shape=(self.n, self.n),
         )
-        return connected_components(graph, directed=False)[1]
+        return connected_components(
+            graph, directed=True, connection="strong"
+        )[1]
 
     def component_of(self, start: int) -> np.ndarray:
         """Node ids of the connected component containing ``start``."""

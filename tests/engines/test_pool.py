@@ -27,7 +27,9 @@ from repro.engines import (
 )
 from repro.engines import pool as pool_module, sharded
 from repro.engines.batched import BatchedVectorEngine
+from repro.engines.base import merge_record_batches
 from repro.engines.pool import _execute_task, _write_shared
+from repro.engines.staleness import StalenessEngine
 
 # Every worker here runs the numpy tier: keep testing the fork start.
 pytestmark = pytest.mark.usefixtures("fork_workers")
@@ -204,6 +206,65 @@ class TestFallback:
                 np.asarray(a.series("max_minus_avg")),
                 np.asarray(b.series("max_minus_avg")),
             )
+
+
+class TestZeroCopyCoverage:
+    """Staleness-routed and closed-form shards record into the batched
+    engine's columnar store, so they take the zero-copy return too."""
+
+    NODE_FIELDS = (
+        "max_minus_avg", "min_minus_avg", "max_local_diff",
+        "potential_per_node", "min_load", "total_load",
+    )
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        calls = []
+
+        def spy(batches):
+            calls.append(len(batches))
+            return merge_record_batches(batches)
+
+        monkeypatch.setattr(pool_module, "merge_record_batches", spy)
+        return calls
+
+    def test_staleness_static(self, pool, merges):
+        cfg = _config(latency_model="fixed:1", faults="drop:0.2")
+        loads = _loads()
+        pooled = pool.run_batch(TOPO, cfg, loads).results()
+        want = StalenessEngine().run_batch(
+            TOPO, replace(cfg, workers=None), loads
+        ).results()
+        for a, b in zip(pooled, want, strict=True):
+            assert_static_identical(a, b)
+        assert merges == []
+
+    def test_staleness_dynamic(self, pool, merges):
+        cfg = _config(
+            latency_model="fixed:1", faults="drop:0.2",
+            arrivals="poisson:3,depart=1",
+        )
+        loads = _loads()
+        pooled = pool.run_batch(TOPO, cfg, loads, dynamic=True).dynamic_results()
+        want = StalenessEngine().run_dynamic_batch(
+            TOPO, replace(cfg, workers=None), loads
+        ).dynamic_results()
+        for a, b in zip(pooled, want, strict=True):
+            assert_dynamic_identical(a, b)
+        assert merges == []
+
+    def test_closed_form(self, pool, merges):
+        cfg = _config(
+            rounding="identity", fast_path="auto", record_fields=self.NODE_FIELDS
+        )
+        loads = _loads()
+        pooled = pool.run_batch(TOPO, cfg, loads).results()
+        want = BatchedVectorEngine().run_batch(
+            TOPO, replace(cfg, workers=None), loads
+        ).results()
+        for a, b in zip(pooled, want, strict=True):
+            assert_static_identical(a, b)
+        assert merges == []
 
 
 class TestTeardown:

@@ -92,9 +92,10 @@ def test_dynamic_step_matches_helpers(name, B):
         batch = engine.step(handle)
         check_step(TOPO, before, batch, handle.core)
         assert not batch.switched.any()
+        results = engine.metrics(handle).dynamic_results()
         for b in range(B):
             load = np.ascontiguousarray(batch.loads[b])
-            table = handle.tables[b]
+            table = results[b].table
             want = {
                 "round_index": batch.round_index,
                 "total_load": float(load.sum()),
@@ -129,6 +130,7 @@ def test_static_step_matches_helpers(name, B):
         check_step(TOPO, before, batch, handle.core)
         r = batch.round_index
         assert list(batch.switched) == [r == 3] * B
+        results = engine.metrics(handle).results()
         for b in range(B):
             load = np.ascontiguousarray(batch.loads[b])
             want = {
@@ -142,7 +144,7 @@ def test_static_step_matches_helpers(name, B):
                 "total_load": float(load.sum()),
                 "round_traffic": batch.traffic[b],
             }
-            table = handle.tables[b]
+            table = results[b].table
             assert table.column("scheme")[-1] == (
                 "SecondOrderScheme" if r <= 3 else "FirstOrderScheme"
             )

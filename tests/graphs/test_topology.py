@@ -274,6 +274,25 @@ class TestStructure:
             for comp in want:
                 assert topo.component_of(comp[-1]).tolist() == comp
 
+    def test_component_labels_match_undirected_search(self):
+        # Strong components of the symmetric adjacency, labelled exactly
+        # as scipy's undirected search labels them.
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            edges = rng.integers(0, n, (int(rng.integers(0, 2 * n)), 2))
+            edges = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
+            topo = Topology(n, edges.reshape(-1, 2))
+            graph = csr_matrix(
+                (np.ones(topo.adj_indices.size), topo.adj_indices, topo.adj_indptr),
+                shape=(n, n),
+            )
+            want = connected_components(graph, directed=False)[1]
+            np.testing.assert_array_equal(topo._component_labels(), want)
+
     def test_bipartite_detection(self):
         assert cycle(6).is_bipartite()
         assert not cycle(5).is_bipartite()
