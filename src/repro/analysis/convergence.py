@@ -39,19 +39,24 @@ def convergence_round(
 
     ``sustained`` consecutive records must satisfy the threshold (discrete
     schemes fluctuate, so a single lucky round should not count as
-    converged).  Returns ``None`` when never reached.
+    converged).  Returns ``None`` when never reached; a NaN record breaks
+    a streak.  Reads the record columns directly, so it never builds
+    ``result.records``; an unknown ``field`` raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
     if sustained < 1:
         raise ConfigurationError(f"sustained must be >= 1, got {sustained}")
-    streak = 0
-    for rec in result.records:
-        if getattr(rec, field) <= threshold:
-            streak += 1
-            if streak >= sustained:
-                return rec.round_index
-        else:
-            streak = 0
-    return None
+    hit = result.series(field) <= threshold
+    if sustained > 1:
+        # hit[i] becomes "rows i-sustained+1 .. i all hit": a window sum of
+        # the hit count equal to the window length.
+        runs = np.cumsum(hit, dtype=np.int64)
+        runs[sustained:] = runs[sustained:] - runs[:-sustained]
+        hit = runs >= sustained
+    first = np.flatnonzero(hit)
+    if first.size == 0:
+        return None
+    return int(result.series("round_index")[first[0]])
 
 
 def decay_rate(series: Sequence[float], skip: int = 0) -> float:

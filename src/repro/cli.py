@@ -515,12 +515,12 @@ def _cmd_simulate(args) -> int:
         result = make_engine(args.engine).run(built.topo, config, initial)[0]
     import math
 
-    final = result.records[-1]
+    final = result.table.row(-1)
     parts = [
-        f"after {final.round_index} rounds (replica 0): ",
-        f"max-avg={final.max_minus_avg:.2f} ",
-        f"local-diff={final.max_local_diff:.2f} ",
-        f"potential/n={final.potential_per_node:.4g}",
+        f"after {final['round_index']} rounds (replica 0): ",
+        f"max-avg={final['max_minus_avg']:.2f} ",
+        f"local-diff={final['max_local_diff']:.2f} ",
+        f"potential/n={final['potential_per_node']:.4g}",
     ]
     if not math.isnan(result.min_transient_overall):
         parts.append(f" min-transient={result.min_transient_overall:.1f}")

@@ -77,7 +77,6 @@ from .base import (
     resolve_workers,
 )
 from .sharded import (
-    Shard,
     _run_shard,
     _shard_plan,
     _worker_context,
@@ -435,13 +434,8 @@ class ShardedWorkerPool:
             return 1
         return 1 + R // e + (1 if R % e else 0)
 
-    def _zero_copy_ok(
-        self,
-        topo: Topology,
-        config: EngineConfig,
-        plan: List[Shard],
-        dynamic: bool,
-    ) -> bool:
+    @staticmethod
+    def _zero_copy_ok(config: EngineConfig) -> bool:
         """Whether every shard will produce the dense-table layout the
         shared blocks assume.  Batched shards (edge-wise or closed-form)
         and staleness shards all record into one columnar record store,
@@ -475,7 +469,7 @@ class ShardedWorkerPool:
         plan = _shard_plan(topo, replace(config, workers=self.n_workers), B)
         self._ensure_workers()
         key = topology_fingerprint(topo)
-        zero_copy = self._zero_copy_ok(topo, config, plan, dynamic)
+        zero_copy = self._zero_copy_ok(config)
 
         from ..core.records import DYNAMIC_FLOAT_FIELDS, FLOAT_FIELDS
 

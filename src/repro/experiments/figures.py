@@ -277,7 +277,7 @@ def fig03_discrete_vs_ideal(
         summary[f"{label}_round_below_10"] = convergence_round(
             res, threshold=10.0, sustained=3
         )
-        summary[f"{label}_final"] = res.records[-1].max_minus_avg
+        summary[f"{label}_final"] = float(res.series("max_minus_avg")[-1])
     return ExperimentRecord(
         name="fig03",
         params={
@@ -333,12 +333,12 @@ def fig04_05_switching(
         tag = f"switch{switch}"
         series[f"{tag}_max_minus_avg"] = res.series("max_minus_avg").tolist()
         series[f"{tag}_max_local_diff"] = res.series("max_local_diff").tolist()
-        tail = [r for r in res.records if r.round_index >= switch + (rounds - switch) // 2]
+        tail = res.rounds >= switch + (rounds - switch) // 2
         summary[f"{tag}_final_max_minus_avg"] = float(
-            np.mean([r.max_minus_avg for r in tail])
+            np.mean(res.series("max_minus_avg")[tail])
         )
         summary[f"{tag}_final_local_diff"] = float(
-            np.mean([r.max_local_diff for r in tail])
+            np.mean(res.series("max_local_diff")[tail])
         )
     return ExperimentRecord(
         name="fig04_05",
@@ -370,8 +370,8 @@ def fig06_ideal_error(
     rounds = rounds or _default_rounds(built)
     ideal = _simulate(built, "sos", rounds, rounding="identity", engine=engine)
     discrete = _simulate(built, "sos", rounds, seed=seed, engine=engine)
-    total0 = ideal.records[0].total_load
-    drift = [abs(r.total_load - total0) for r in ideal.records]
+    totals = ideal.series("total_load")
+    drift = np.abs(totals - totals[0]).tolist()
     return ExperimentRecord(
         name="fig06",
         params={
@@ -389,7 +389,7 @@ def fig06_ideal_error(
         summary={
             "max_total_drift": float(max(drift)),
             "discrete_plateau": remaining_imbalance(discrete).mean,
-            "ideal_final": ideal.records[-1].max_minus_avg,
+            "ideal_final": float(ideal.series("max_minus_avg")[-1]),
         },
     )
 
@@ -504,13 +504,11 @@ def fig08_switch_sweep(
                 series["sos_only_max_local_diff"] = res.series(
                     "max_local_diff"
                 ).tolist()
-                summary["sos_only_final"] = res.records[-1].max_minus_avg
+                summary["sos_only_final"] = float(
+                    res.series("max_minus_avg")[-1]
+                )
             else:
-                tail = [
-                    r.max_minus_avg
-                    for r in res.records
-                    if r.round_index >= rounds - 50
-                ]
+                tail = res.series("max_minus_avg")[res.rounds >= rounds - 50]
                 summary[f"{tag}_final"] = float(np.mean(tail))
         else:
             for fieldname in ("max_minus_avg", "max_local_diff"):
@@ -572,7 +570,7 @@ def fig09_11_renders(
         )
     rounds = max(snapshot_rounds)
     res = _simulate(built, "sos", rounds, seed=seed, keep_loads=True, engine=engine)
-    avg = res.records[0].total_load / built.n
+    avg = float(res.series("total_load")[0]) / built.n
 
     written = []
     mean_shade = {}
@@ -691,7 +689,7 @@ def _other_network_figure(
             "sos_plateau": remaining_imbalance(sos).mean,
             "fos_plateau": remaining_imbalance(fos).mean,
             "hybrid_final": float(
-                np.mean([r.max_minus_avg for r in hybrid.records[-20:]])
+                np.mean(hybrid.series("max_minus_avg")[-20:])
             ),
         },
     )
@@ -774,10 +772,10 @@ def fig15_torus_combined(
             "stable_leader_from_round": int(span[0]),
             "stable_leader_to_round": int(span[1] - 1),
             "hybrid_final": float(
-                np.mean([r.max_minus_avg for r in hybrid.records[-50:]])
+                np.mean(hybrid.series("max_minus_avg")[-50:])
             ),
             "sos_final": float(
-                np.mean([r.max_minus_avg for r in res.records[-50:]])
+                np.mean(res.series("max_minus_avg")[-50:])
             ),
         },
     )

@@ -15,6 +15,13 @@ the toolchain lacks it; the parallel pragmas are over edges/nodes with
 static schedules, so thread count never affects results (each iteration
 owns its output row).  The record-round reductions (``record_metrics``,
 ``apply_info``) are serial, so their sums keep one fixed order.
+
+Arguments cross into C as ``ffi.from_buffer`` views of the numpy arrays
+(no pointer arithmetic, no ``ctypes``).  Those views carry raw bytes, so
+:class:`CffiKernels` guards every array argument of every entry point —
+dtype and C-contiguity — and the record passes and the dispatch scratch
+also by extent, raising ``ValueError("cffi kernel argument: ...")``
+before any C code runs.
 """
 
 from __future__ import annotations
@@ -503,8 +510,33 @@ def _load_or_build():
     return importlib.import_module(modname)
 
 
+#: (dtype, cffi array type) of every integer buffer kind the kernels take
+_INT8 = (np.dtype(np.int8), "signed char[]")
+_INT32 = (np.dtype(np.int32), "int[]")
+_INT64 = (np.dtype(np.int64), "long long[]")
+#: dtype char -> (symbol suffix, (dtype, cffi array type)) of the reals
+_REALS = {
+    "d": ("f64", (np.dtype(np.float64), "double[]")),
+    "f": ("f32", (np.dtype(np.float32), "float[]")),
+}
+_STEMS = (
+    "round_edges", "excess_counts", "excess_dispatch", "apply_flows",
+    "record_metrics", "apply_info",
+)
+
+
 class CffiKernels:
-    """Thin pointer-casting wrapper around the compiled extension."""
+    """Thin buffer-marshalling wrapper around the compiled extension.
+
+    Every array argument reaches C through :meth:`_p`, which checks its
+    dtype and C-contiguity, then hands over ``ffi.from_buffer`` (a view
+    of the array's own bytes that keeps the array alive for the call).
+    ``from_buffer`` sees raw bytes only, so this guard is what stops a
+    float32 plane being read as ``double *`` or a strided view as a dense
+    one; its error message is built only when a check fails.  Extent
+    checks (:meth:`_check`) guard the record passes and the dispatch
+    scratch.  The entry points of both precisions are resolved once, here.
+    """
 
     name = "cffi"
     compiled = True
@@ -512,19 +544,34 @@ class CffiKernels:
     def __init__(self, mod):
         self._ffi = mod.ffi
         self._lib = mod.lib
+        self._from_buffer = mod.ffi.from_buffer
+        self._fns = {
+            (stem, char): (getattr(mod.lib, f"{stem}_{suffix}"), real)
+            for char, (suffix, real) in _REALS.items()
+            for stem in _STEMS
+        }
 
     # ------------------------------------------------------------------
-    def _real(self, dtype) -> str:
-        return "double *" if dtype == np.float64 else "float *"
+    def _fn(self, stem: str, dtype):
+        """The ``stem`` entry point for real ``dtype`` and that dtype's
+        buffer kind for :meth:`_p`."""
+        try:
+            return self._fns[stem, dtype.char]
+        except KeyError:
+            raise ValueError(
+                f"cffi kernel argument: no {stem} kernel for dtype {dtype}"
+            ) from None
 
-    def _p(self, arr, ctype):
+    def _p(self, arr, kind):
+        """``arr`` as a C array of ``kind`` (``None`` -> ``NULL``)."""
         if arr is None:
             return self._ffi.NULL
-        return self._ffi.cast(ctype, arr.ctypes.data)
-
-    def _fn(self, stem: str, dtype):
-        suffix = "f64" if dtype == np.float64 else "f32"
-        return getattr(self._lib, f"{stem}_{suffix}")
+        dtype, ctype = kind
+        if arr.dtype != dtype or not arr.flags.c_contiguous:
+            raise ValueError(
+                f"cffi kernel argument: arrays must be C-contiguous {dtype}"
+            )
+        return self._from_buffer(ctype, arr)
 
     def limit_threads(self, k: int) -> int:
         """Cap the OpenMP team of later calls from this thread at ``k``;
@@ -536,31 +583,27 @@ class CffiKernels:
         self, eu, ev, load, speeds, flows, act, fsg,
         alpha, ar, ac, beta, bm1, bs, mode, consts,
     ):
-        dtype = act.dtype
-        r = self._real(dtype)
+        fn, r = self._fn("round_edges", act.dtype)
+        p = self._p
         m, B = act.shape
-        self._fn("round_edges", dtype)(
-            m, B, self._p(eu, "int *"), self._p(ev, "int *"),
-            self._p(load, r), self._p(speeds, r), self._p(flows, r),
-            self._p(act, r), self._p(fsg, r),
-            self._p(alpha, r), int(ar), int(ac),
-            self._p(beta, r), self._p(bm1, r), int(bs), int(mode),
-            self._p(consts, r),
+        fn(
+            m, B, p(eu, _INT32), p(ev, _INT32),
+            p(load, r), p(speeds, r), p(flows, r), p(act, r), p(fsg, r),
+            p(alpha, r), int(ar), int(ac),
+            p(beta, r), p(bm1, r), int(bs), int(mode), p(consts, r),
         )
         return act
 
     def excess_counts(
         self, adj_edges, adj_signs, dmax, m, fsg, counts, totals, consts,
     ):
-        dtype = fsg.dtype
-        r = self._real(dtype)
+        fn, r = self._fn("excess_counts", fsg.dtype)
+        p = self._p
         n, B = counts.shape
-        self._fn("excess_counts", dtype)(
-            n, B, int(m), int(dmax),
-            self._p(adj_edges, "int *"),
-            self._p(adj_signs, "signed char *"),
-            self._p(fsg, r), self._p(counts, "long long *"),
-            self._p(totals, "long long *"), self._p(consts, r),
+        fn(
+            n, B, int(m), int(dmax), p(adj_edges, _INT32),
+            p(adj_signs, _INT8), p(fsg, r), p(counts, _INT64),
+            p(totals, _INT64), p(consts, r),
         )
         return counts
 
@@ -568,29 +611,24 @@ class CffiKernels:
         self, adj_edges, adj_signs, dmax, m, fsg, counts, uni, uoff, act,
         cums, consts,
     ):
-        dtype = fsg.dtype
-        r = self._real(dtype)
+        fn, r = self._fn("excess_dispatch", fsg.dtype)
+        p = self._p
         n, B = counts.shape
-        self._check_buffers(dtype, (), (cums,))
         self._check(cums.size >= max(dmax, 1) * max(B, 1), "cums size")
-        self._fn("excess_dispatch", dtype)(
-            n, B, int(m), int(dmax),
-            self._p(adj_edges, "int *"),
-            self._p(adj_signs, "signed char *"),
-            self._p(fsg, r), self._p(counts, "long long *"),
-            self._p(uni, r), self._p(uoff, "long long *"),
-            self._p(act, r), self._p(cums, r), self._p(consts, r),
+        fn(
+            n, B, int(m), int(dmax), p(adj_edges, _INT32),
+            p(adj_signs, _INT8), p(fsg, r), p(counts, _INT64),
+            p(uni, r), p(uoff, _INT64), p(act, r), p(cums, r), p(consts, r),
         )
         return act
 
     def apply_flows(self, indptr, edges, signs, act, load):
-        dtype = load.dtype
-        r = self._real(dtype)
+        fn, r = self._fn("apply_flows", load.dtype)
+        p = self._p
         n, B = load.shape
-        self._fn("apply_flows", dtype)(
-            n, B, self._p(indptr, "long long *"),
-            self._p(edges, "int *"), self._p(signs, r),
-            self._p(act, r), self._p(load, r),
+        fn(
+            n, B, p(indptr, _INT64), p(edges, _INT32), p(signs, r),
+            p(act, r), p(load, r),
         )
         return load
 
@@ -600,39 +638,29 @@ class CffiKernels:
         if not ok:
             raise ValueError(f"cffi kernel argument: {what}")
 
-    def _check_buffers(self, dtype, ints, reals) -> None:
-        for a in ints:
-            self._check(a.dtype == np.int32 and a.flags.c_contiguous,
-                        "index arrays must be C-contiguous int32")
-        for a in reals:
-            self._check(a.dtype == dtype and a.flags.c_contiguous,
-                        f"arrays must be C-contiguous {dtype}")
-
     def record_metrics(
         self, load, targets, lo, hi, eu, ev, elo, ehi, out, consts,
     ):
-        dtype = load.dtype
-        r = self._real(dtype)
+        fn, r = self._fn("record_metrics", load.dtype)
+        p = self._p
         n, B = load.shape
         rows, cols = targets.shape
-        self._check_buffers(dtype, (eu, ev), (load, targets, out, consts))
         self._check(rows in (1, n) and cols in (1, B), "targets shape")
         self._check(out.shape == (6, B) and consts.size >= 4, "out/consts shape")
         self._check(0 <= lo <= hi <= n, "node range")
         self._check(0 <= elo <= ehi <= min(eu.size, ev.size), "edge range")
-        self._fn("record_metrics", dtype)(
-            B, self._p(load, r), self._p(targets, r),
+        fn(
+            B, p(load, r), p(targets, r),
             cols if rows > 1 else 0, 1 if cols > 1 else 0, int(lo), int(hi),
-            self._p(eu, "int *"), self._p(ev, "int *"), int(elo), int(ehi),
-            self._p(out, r), self._p(consts, r),
+            p(eu, _INT32), p(ev, _INT32), int(elo), int(ehi),
+            p(out, r), p(consts, r),
         )
         return out
 
     def apply_info(self, indptr, edges, signs, act, load, info, consts):
-        dtype = load.dtype
-        r = self._real(dtype)
+        fn, r = self._fn("apply_info", load.dtype)
+        p = self._p
         n, B = load.shape
-        self._check_buffers(dtype, (edges,), (signs, act, load, info, consts))
         self._check(
             indptr.dtype == np.int64 and indptr.size == n + 1
             and edges.size == signs.size == indptr[-1],
@@ -640,11 +668,9 @@ class CffiKernels:
         )
         self._check(act.shape[1] == B and info.shape == (2, B)
                     and consts.size >= 4, "act/info/consts shape")
-        self._fn("apply_info", dtype)(
-            n, B, act.shape[0], self._p(indptr, "long long *"),
-            self._p(edges, "int *"), self._p(signs, r),
-            self._p(act, r), self._p(load, r), self._p(info, r),
-            self._p(consts, r),
+        fn(
+            n, B, act.shape[0], p(indptr, _INT64), p(edges, _INT32),
+            p(signs, r), p(act, r), p(load, r), p(info, r), p(consts, r),
         )
         return load
 

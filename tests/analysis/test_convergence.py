@@ -20,6 +20,9 @@ from repro.analysis import (
     measured_speedup,
     predicted_speedup,
 )
+from repro.core.records import FLOAT_FIELDS, RecordTable
+from repro.core.simulator import SimulationResult
+from repro.engines import EngineConfig, make_engine
 
 
 def _run(topo, kind, rounds, beta=None, seed=0):
@@ -56,6 +59,116 @@ class TestConvergenceRound:
         result = _run(small_torus, "fos", 5)
         with pytest.raises(ConfigurationError):
             convergence_round(result, sustained=0)
+
+
+def _row_loop_round(result, field, threshold, sustained):
+    """The record-object scan ``convergence_round`` used to run: the
+    oracle for the columnar version."""
+    streak = 0
+    for rec in result.records:
+        if getattr(rec, field) <= threshold:
+            streak += 1
+            if streak >= sustained:
+                return rec.round_index
+        else:
+            streak = 0
+    return None
+
+
+def _table_result(values, field="max_minus_avg", every=1):
+    """A result whose ``field`` column is ``values`` (others random)."""
+    size = len(values)
+    rng = np.random.default_rng(size)
+    floats = {name: rng.uniform(0.0, 50.0, size) for name in FLOAT_FIELDS}
+    floats[field] = np.asarray(values, dtype=np.float64)
+    table = RecordTable.from_columns(
+        np.arange(size) * every, np.full(size, "sos"), floats
+    )
+    return SimulationResult(table=table, final_state=None)
+
+
+class TestConvergenceRoundColumnar:
+    """The column scan agrees with the record-object loop it replaced."""
+
+    @pytest.mark.parametrize("threshold", [10, 9.5, 10.25])
+    def test_matches_row_loop_on_random_series(self, threshold):
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(40):
+            size = int(rng.integers(1, 120))
+            field = str(rng.choice(FLOAT_FIELDS))
+            # runs of hits and misses, values exactly at the threshold
+            # and NaNs (which never count as a hit)
+            hit = rng.random(size) < rng.uniform(0.3, 0.95)
+            values = np.where(
+                hit, threshold - rng.uniform(0.0, 5.0, size),
+                threshold + rng.uniform(0.01, 5.0, size),
+            )
+            values[rng.random(size) < 0.1] = threshold
+            values[rng.random(size) < 0.08] = np.nan
+            result = _table_result(values, field, every=int(rng.integers(1, 4)))
+            for sustained in range(1, 6):
+                got = convergence_round(result, field, threshold, sustained)
+                want = _row_loop_round(result, field, threshold, sustained)
+                assert got == want
+                assert type(got) is type(want)
+                checked += want is not None
+        assert checked > 50  # most cases converge, so round numbers are compared
+
+    @pytest.mark.parametrize("sustained", [1, 2, 3, 4, 5])
+    def test_streaks_at_first_and_last_row(self, sustained):
+        # the round reported is the one that completes the streak
+        head = [1.0] * sustained + [50.0, np.nan] + [1.0] * (sustained - 1)
+        result = _table_result(head, every=2)
+        assert convergence_round(result, sustained=sustained) == 2 * (sustained - 1)
+        assert _row_loop_round(result, "max_minus_avg", 10.0, sustained) == 2 * (
+            sustained - 1
+        )
+        tail = [50.0, np.nan] + [1.0] * (sustained - 1) + [50.0] + [1.0] * sustained
+        result = _table_result(tail, every=3)
+        want = 3 * (len(tail) - 1)
+        assert convergence_round(result, sustained=sustained) == want
+        assert _row_loop_round(result, "max_minus_avg", 10.0, sustained) == want
+        short = [1.0] * (sustained - 1) + [np.nan] + [1.0] * (sustained - 1)
+        assert convergence_round(_table_result(short), sustained=sustained) is None
+
+    def test_round_index_field(self):
+        result = _table_result([5.0, 6.0, 7.0], every=4)
+        for sustained in range(1, 6):
+            for threshold in (0, 3.5, 4, 100.0):
+                assert convergence_round(
+                    result, "round_index", threshold, sustained
+                ) == _row_loop_round(result, "round_index", threshold, sustained)
+
+    def test_summary_mode_single_row(self, small_torus):
+        cfg = EngineConfig(
+            scheme="fos", rounding="randomized-excess", rounds=60,
+            record_mode="summary",
+        )
+        loads = np.stack([point_load(small_torus, 1000.0 * small_torus.n)] * 2)
+        for result in make_engine("batched").run(small_torus, cfg, loads):
+            assert len(result.table) == 1
+            last = float(result.series("max_minus_avg")[0])
+            for threshold in (last, last - 0.5, 1e6):
+                for sustained in range(1, 6):
+                    got = convergence_round(result, threshold=threshold, sustained=sustained)
+                    want = _row_loop_round(result, "max_minus_avg", threshold, sustained)
+                    assert got == want
+            assert convergence_round(result, threshold=last) == 60
+
+    def test_empty_table(self):
+        empty = SimulationResult(table=RecordTable(), final_state=None)
+        for sustained in range(1, 6):
+            assert convergence_round(empty, sustained=sustained) is None
+            assert _row_loop_round(empty, "max_minus_avg", 10.0, sustained) is None
+
+    def test_unknown_field_raises(self):
+        for result in (
+            _table_result([1.0, 2.0]),
+            SimulationResult(table=RecordTable(), final_state=None),
+        ):
+            with pytest.raises(ConfigurationError, match="unknown record field"):
+                convergence_round(result, field="max_minus_average")
 
 
 class TestDecayRate:

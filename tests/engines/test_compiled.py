@@ -492,6 +492,74 @@ class TestRecordProviders:
         with pytest.raises(ValueError, match="cffi kernel argument"):
             prov.apply_info(indptr, edges, signs, act, load, np.empty((2, 3)), c)
 
+    @pytest.mark.skipif(
+        kernels.get_provider("cffi") is None, reason="cffi unavailable"
+    )
+    def test_cffi_refuses_wrong_dtype_and_layout(self):
+        # The cffi wrapper hands C raw bytes, so every array argument of
+        # every entry point must be refused in a foreign dtype or in a
+        # non-C-contiguous layout, before any C code runs.
+        from repro.engines.batched import _padded_adjacency
+
+        prov = kernels.get_provider("cffi")
+        B, n, m = 4, self.N, self.M
+        rng = default_rng(5)
+        load, plane, act = self._data(np.float64, B)
+        c = _consts(np.float64)
+        dmax, adj, dirs = _padded_adjacency(RR)
+        adj_edges = adj.ravel().astype(np.int32)
+        adj_signs = dirs.ravel().astype(np.int8)
+        fsg = rng.uniform(-0.9, 0.9, (m, B))
+        counts = np.zeros((n, B), dtype=np.int64)
+        totals = np.zeros(B, dtype=np.int64)
+        prov.excess_counts(adj_edges, adj_signs, dmax, m, fsg, counts, totals, c)
+        uoff = np.concatenate([[0], np.cumsum(totals)]).astype(np.int64)
+        uni = rng.random(int(uoff[-1]))
+        _, indptr, edges, signs = _incidence(RR, np.float64)
+        calls = {
+            "round_edges": [
+                self.EU, self.EV, load, rng.uniform(1.0, 2.0, n), act.copy(),
+                np.zeros((m, B)), np.zeros((m, B)), rng.uniform(0.1, 0.2, m),
+                1, 0, np.full(B, 1.5), np.full(B, 0.5), 1, 1, c,
+            ],
+            "excess_counts": [
+                adj_edges, adj_signs, dmax, m, fsg, counts, totals, c,
+            ],
+            "excess_dispatch": [
+                adj_edges, adj_signs, dmax, m, fsg, counts, uni, uoff,
+                np.zeros((m, B)), np.empty((dmax, B)), c,
+            ],
+            "apply_flows": [indptr, edges, signs, act, load.copy()],
+            "record_metrics": [
+                load, plane, 0, n, self.EU, self.EV, 0, m, np.empty((6, B)), c,
+            ],
+            "apply_info": [
+                indptr, edges, signs, act, load.copy(), np.empty((2, B)), c,
+            ],
+        }
+        foreign = {
+            np.dtype(np.float64): np.float32, np.dtype(np.int64): np.int32,
+            np.dtype(np.int32): np.int64, np.dtype(np.int8): np.int16,
+        }
+        for name, args in calls.items():
+            call = getattr(prov, name)
+            call(*args)  # the valid arguments run
+            arrays = [a for a in args if isinstance(a, np.ndarray)]
+            before = [a.copy() for a in arrays]
+            for i, a in enumerate(args):
+                if not isinstance(a, np.ndarray):
+                    continue
+                assert a.size > 1, (name, i)
+                strided = (
+                    np.asfortranarray(a) if a.ndim == 2 else np.repeat(a, 2)[::2]
+                )
+                assert not strided.flags.c_contiguous
+                for bad in (a.astype(foreign[a.dtype]), strided):
+                    with pytest.raises(ValueError, match="cffi kernel argument"):
+                        call(*args[:i], bad, *args[i + 1:])
+            for a, b in zip(arrays, before):
+                np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_python_matches_numpy_expressions(self, dtype):
         # B > 1: numpy's axis-0 sums add row by row, the providers' order.
