@@ -2,12 +2,12 @@
 """Sharded ensemble: one seed-averaged sweep across worker processes.
 
 The batched engine advances a whole replica ensemble per vectorised numpy
-step but is bound to one core; the ``sharded`` engine splits the batch
+step but is bound to one core; with ``workers`` set it splits the batch
 into contiguous column shards and runs one batched engine per worker
 *process*, merging the per-shard record batches into results that are
-bit-identical to the single-process batched run — so the speedup is free
-of any statistical caveat.  This example runs the same 32-replica
-ensemble on both engines, checks the traces match bit for bit, and
+bit-identical to the single-process run — so the speedup is free of any
+statistical caveat.  This example runs the same 32-replica ensemble
+inline and on worker processes, checks the traces match bit for bit, and
 reports the wall-clock ratio.
 
 Run:  python examples/sharded_ensemble.py
@@ -44,7 +44,7 @@ def main() -> None:
     t_batched = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sharded = make_engine("sharded").run(
+    sharded = make_engine("batched").run(
         topo, replace(config, workers="auto"), loads
     )
     t_sharded = time.perf_counter() - t0
@@ -60,13 +60,13 @@ def main() -> None:
     print(f"sharded (auto workers): {t_sharded:.2f}s  "
           f"({t_batched / t_sharded:.2f}x, bit-identical traces)")
 
-    # The experiment layer picks the backend by name, so a whole
-    # seed-averaged sweep shards the same way:
+    # The knob travels in the config, so a whole seed-averaged ensemble
+    # shards the same way:
     ensemble = replica_ensemble(
         topo,
         replace(config, workers="auto"),
         n_replicas=n_replicas,
-        engine="sharded",
+        engine="batched",
     )
     print(f"ensemble max_minus_avg_mean = "
           f"{ensemble.stats['max_minus_avg_mean']:.2f}")

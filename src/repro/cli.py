@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(ENGINES),
         help=(
             "execution backend (batched runs all replicas per numpy step; "
-            "sharded splits them across worker processes, see --workers)"
+            "sharded is batched over every usable CPU, see --workers)"
         ),
     )
     p_sim.add_argument(
@@ -222,20 +222,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N|auto",
         help=(
-            "worker-process count of the sharded engine (--engine sharded): "
-            "an int, or 'auto' to use every usable CPU; the replica batch "
-            "splits into contiguous column shards, one batched engine per "
-            "worker, bit-identical to the single-process batched run"
+            "worker processes of the batched and staleness engines: an "
+            "int, or 'auto' to use every usable CPU; the replica batch "
+            "splits into contiguous column shards, one engine per worker, "
+            "bit-identical to the single-process run"
         ),
     )
     p_sim.add_argument(
         "--pool",
         action="store_true",
         help=(
-            "run the sharded engine on the process-wide persistent worker "
-            "pool (--engine sharded): its workers survive across calls and "
-            "keep the prepared topology operators, instead of a fresh pool "
-            "per call — bit-identical either way"
+            "run the batched or staleness engine's shards on the "
+            "process-wide persistent worker pool: its workers survive "
+            "across calls and keep the prepared topology operators, "
+            "instead of a fresh pool per call — bit-identical either way"
         ),
     )
 
@@ -351,24 +351,36 @@ def _cmd_table1(args) -> int:
     return 0
 
 
+def _driver_takes(name: str, parameter: str) -> bool:
+    """Whether experiment ``name``'s driver has a ``parameter`` argument."""
+    import inspect
+
+    from .experiments.runner import EXPERIMENTS
+
+    driver = EXPERIMENTS.get(name)
+    return driver is not None and parameter in inspect.signature(driver).parameters
+
+
 def _cmd_figure(args) -> int:
     kwargs = {"scale": args.scale, "seed": args.seed}
     if args.rounds is not None:
-        kwargs["rounds"] = args.rounds
+        if _driver_takes(args.name, "rounds"):
+            kwargs["rounds"] = args.rounds
+        else:
+            print(
+                f"--rounds applies to the drivers that take a round count; "
+                f"{args.name} takes none and ignores it",
+                file=sys.stderr,
+            )
     if args.seeds > 1:
-        import inspect
-
-        from .experiments.runner import EXPERIMENTS
-
-        driver = EXPERIMENTS.get(args.name)
-        if driver is None or "n_seeds" not in inspect.signature(driver).parameters:
+        if _driver_takes(args.name, "n_seeds"):
+            kwargs["n_seeds"] = args.seeds
+        else:
             print(
                 f"--seeds applies to the seed-averaged drivers only "
                 f"(fig02, fig08); {args.name} runs single-seed",
                 file=sys.stderr,
             )
-        else:
-            kwargs["n_seeds"] = args.seeds
     record = run_experiment(
         args.name, output_dir=args.output_dir, engine=args.engine, **kwargs
     )

@@ -538,7 +538,7 @@ def resolve_churn(topo: Topology, config) -> Optional[ChurnPlan]:
     if churn is None:
         return None
     if isinstance(churn, ChurnPlan):
-        # Already compiled (the sharded engine broadcasts the parent's
+        # Already compiled (the shard planner broadcasts the parent's
         # plan so every worker patches the identical universe).
         return churn
     if isinstance(churn, str):
@@ -656,7 +656,7 @@ def parse_churn_spec(
       time; combines only with a ``policy:`` term).
     """
     if spec is None or isinstance(spec, (ChurnSchedule, RandomChurn, ChurnPlan)):
-        # A precompiled ChurnPlan passes through too: the sharded engine
+        # A precompiled ChurnPlan passes through too: the shard planner
         # resolves the plan once in the parent and broadcasts it to its
         # workers, whose configs re-validate on arrival.
         return spec

@@ -129,7 +129,7 @@ class StreamingStats:
     def concat(cls, parts: Sequence["StreamingStats"]) -> "StreamingStats":
         """Width-concatenate per-shard stats into one batch-wide object.
 
-        The sharded engine's merge step: each worker streams its own
+        The worker-shard merge step: each worker streams its own
         replica columns through a :class:`StreamingStats`, and because
         every aggregate is per-replica (no cross-replica reduction ever
         happens), concatenating the aggregate arrays reproduces exactly

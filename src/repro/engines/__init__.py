@@ -1,6 +1,6 @@
 """Pluggable execution engines for replica ensembles.
 
-One protocol (:class:`~repro.engines.base.Engine`), six backends:
+One protocol (:class:`~repro.engines.base.Engine`), five backends:
 
 =========  ==================================================================
 name       backend
@@ -10,9 +10,6 @@ reference  per-replica loop through the classic :class:`~repro.core.simulator.
 batched    :class:`~repro.engines.batched.BatchedVectorEngine` — a ``(B, n)``
            load matrix advanced by CSR edge-wise numpy kernels, every replica
            per step
-sharded    :class:`~repro.engines.sharded.ShardedEngine` — contiguous column
-           shards of the batch, one batched engine per worker *process*,
-           merged bit-identically to the single-process batched run
 network    :class:`~repro.engines.network.NetworkEngine` — the message-passing
            :class:`~repro.network.engine.SyncNetwork` behind the same protocol
 async      :class:`~repro.engines.async_net.AsyncNetworkEngine` — event-driven
@@ -24,6 +21,12 @@ staleness  :class:`~repro.engines.staleness.StalenessEngine` — the async
            planes over the whole ``(n, B)`` ensemble (bit-identical to
            ``async`` for integer latencies under ``max_skew``)
 =========  ==================================================================
+
+``batched`` and ``staleness`` also split a batch into contiguous column
+shards on worker *processes* (``EngineConfig.workers`` / ``pool``),
+merged bit-identically to the single-process run;
+``make_engine("sharded")`` (:class:`~repro.engines.sharded.ShardedEngine`)
+is the batched engine with ``workers="auto"``.
 
 Quickstart::
 

@@ -11,7 +11,7 @@ is deliberately tiny::
     results = engine.metrics(handle).results()
 
 ``engine.run(topo, config, initial_loads)`` wraps the loop (backends
-override it with fused fast paths).  Six backends ship with the library:
+override it with fused fast paths).  Five backends ship with the library:
 
 * ``reference`` (:class:`~repro.engines.reference.ReferenceEngine`) — loops
   replicas through the incremental :class:`~repro.core.simulator.Simulator`
@@ -19,10 +19,6 @@ override it with fused fast paths).  Six backends ship with the library:
 * ``batched`` (:class:`~repro.engines.batched.BatchedVectorEngine`) — runs
   the whole ``(B, n)`` load matrix through CSR edge-wise numpy kernels; one
   vectorised step advances every replica at once.
-* ``sharded`` (:class:`~repro.engines.sharded.ShardedEngine`) — splits the
-  replica batch into contiguous column shards and runs one batched engine
-  per worker *process*, merging the per-shard record batches; bit-identical
-  to ``batched`` for any worker count.
 * ``network`` (:class:`~repro.engines.network.NetworkEngine`) — adapts the
   message-passing :class:`~repro.network.engine.SyncNetwork` to the same
   protocol.
@@ -32,6 +28,11 @@ override it with fused fast paths).  Six backends ship with the library:
 * ``staleness`` (:class:`~repro.engines.staleness.StalenessEngine`) — the
   async regime vectorised: integer round buckets per link and delayed-view
   planes over the whole ensemble.
+
+The two vectorised backends also split a batch over worker *processes*
+(``EngineConfig.workers`` / ``pool``, see :mod:`repro.engines.sharded`),
+bit-identically for any worker count; ``make_engine("sharded")`` is the
+batched engine with ``workers="auto"``.
 
 See ``docs/engines.md`` for the backend guide and ``docs/architecture.md``
 for the batching model and how to add a backend.
@@ -111,9 +112,9 @@ class ReplicaParams:
     giving replica ``b`` its own value.  This is what turns a parameter
     sweep into a single engine call: the sweep axis becomes a plane that
     the vectorised backends fold into their kernels, the per-replica
-    backends unfold into one simulator configuration per replica, and the
-    sharded backend slices with its column shards — all four produce the
-    same per-replica results.
+    backends unfold into one simulator configuration per replica, and
+    worker shards slice with their columns — all of them produce the same
+    per-replica results.
 
     * ``switch_rounds`` — per-replica fixed SOS -> FOS switch round (the
       fig08 sweep axis); negative entries (or ``None`` entries in a
@@ -153,7 +154,7 @@ class ResolvedReplicaParams:
     def shard(self, lo: int, hi: int) -> ReplicaParams:
         """The columns ``[lo, hi)`` of every plane, as a fresh spec.
 
-        This is how the sharded engine hands each worker its slice of the
+        This is how the shard planner hands each worker its slice of the
         parameter planes: resolved arrays are themselves valid specs.
         """
         return ReplicaParams(
@@ -384,7 +385,7 @@ class EngineConfig:
     #: (default) runs the cffi provider where
     #: :func:`repro.kernels.compiled_pays` says it pays
     #: (``randomized-excess``, ``B >= 2``, ``n * B >= 1024``, judged per
-    #: shard in sharded runs) and the numpy tier everywhere else, with a
+    #: shard in multi-worker runs) and the numpy tier everywhere else, with a
     #: one-time ``repro.kernels`` log line only when cffi is unavailable.
     #: ``"numpy"`` forces the vectorised numpy kernels; ``"cffi"``
     #: forces the compiled provider from :mod:`repro.kernels` and
@@ -420,30 +421,31 @@ class EngineConfig:
     #: ``rounding_stream(seed, replica_keys[b])`` (default key: ``b``).
     #: Like ``arrival_seeds``, this pins streams to key *values*, so a
     #: replica's trajectory does not depend on its batch position — the
-    #: property the sharded engine uses to stay bit-identical to the
-    #: single-process batched engine for any shard assignment.
+    #: property worker shards use to stay bit-identical to the
+    #: single-process run for any shard assignment.
     replica_keys: Optional[Sequence[int]] = None
-    #: Worker-process count of the sharded engine: ``None``/``"auto"``
-    #: derives it from the usable CPU count (capped at the replica count),
-    #: an int pins it.
+    #: Worker processes of the batched and staleness engines: ``None``
+    #: (default) runs the batch in this process, ``"auto"`` splits it into
+    #: one column shard per usable CPU (capped at the replica count), an
+    #: int pins the shard count.  Results are bit-identical for any count.
     workers: Any = None
-    #: Persistent worker pool of the sharded engine: ``None``/``False``
-    #: (default) runs each multi-shard call on a fresh
+    #: Persistent worker pool of the batched and staleness engines:
+    #: ``None``/``False`` (default) runs each multi-shard call on a fresh
     #: :class:`~repro.engines.pool.ShardedWorkerPool` that the call opens
-    #: and closes, ``True`` routes it through the process-wide default
-    #: pool, and a :class:`ShardedWorkerPool` instance pins that pool.  A
-    #: persistent pool keeps its workers, their topologies and prepared
-    #: operators across calls.  Results are bit-identical either way (and
-    #: to the batched engine).
+    #: and closes, ``True`` runs it on the process-wide default pool, and
+    #: a :class:`ShardedWorkerPool` instance pins that pool (whose worker
+    #: count then sets the shards).  A persistent pool keeps its workers,
+    #: their topologies and prepared operators across calls.  Results are
+    #: bit-identical either way.
     pool: Any = None
     #: Per-replica parameter planes (:class:`ReplicaParams`, or a dict of
     #: its fields): switch round, beta, alpha scale, initial-load scale
     #: and arrival-rate scale per replica column.  This is the sweep
     #: surface — a whole fig08-style parameter sweep becomes *one* engine
     #: call whose replicas each carry their own sweep point.  The
-    #: vectorised engines fold the planes into their kernels (and the
-    #: sharded engine slices them with its column shards, bit-identity
-    #: preserved); the per-replica backends configure each replica from
+    #: vectorised engines fold the planes into their kernels (and worker
+    #: shards slice them with their columns, bit-identity preserved); the
+    #: per-replica backends configure each replica from
     #: its plane entries.
     replica_params: Any = None
     #: Link-latency model of the async engine: ``None`` (default) reads the
@@ -727,8 +729,8 @@ def rounding_stream(seed: int, replica: int = 0) -> np.random.Generator:
     (one-element keys) or the batch arrival stream (``(0, 0)``).  Because
     the key is the replica's *identity* rather than its batch position, a
     replica draws the same stream in any batch composition — the invariant
-    behind both batch-size-independent batched traces and the sharded
-    engine's bit-identity to the batched one.
+    behind both batch-size-independent batched traces and the bit-identity
+    of worker shards to the unsharded run.
     """
     return np.random.default_rng(
         np.random.SeedSequence(int(seed), spawn_key=(int(replica), 1))
@@ -957,6 +959,50 @@ def resolve_workers(spec, n_replicas: int) -> int:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {spec!r}")
     return max(1, min(workers, int(n_replicas)))
+
+
+def shard_count(workers, n_replicas: int) -> int:
+    """Column shards of an ``n_replicas`` batch under a ``workers`` spec.
+
+    Shards keep >= 2 columns whenever the batch has >= 2: numpy sums a
+    single-column plane through its contiguous pairwise kernel, whose
+    *fractional* reductions differ at the ulp level from the strided
+    row-pairwise kernel every width >= 2 goes through — a width-1 shard
+    of a wider batch would break bit-identity for the continuous identity
+    process and the fractional dynamic/plateau reductions.
+    """
+    return max(1, min(resolve_workers(workers, n_replicas), n_replicas // 2 or 1))
+
+
+def check_in_process(config: "EngineConfig", n_replicas: int, engine: str) -> None:
+    """Refuse the ``prepare()``/``step()`` protocol on a config that runs
+    on worker processes: a pool, or ``workers`` planning more than one
+    shard of the ``n_replicas`` batch.  Per-round IPC would cost more than
+    it parallelises; the whole-batch entry points shard instead."""
+    if config.pool or (
+        config.workers is not None and shard_count(config.workers, n_replicas) > 1
+    ):
+        raise ConfigurationError(
+            f"the {engine} engine's prepare()/step() protocol runs in this "
+            f"process, but pool={config.pool!r}, workers={config.workers!r} "
+            f"runs {n_replicas} replicas on worker processes; run whole "
+            "batches through run()/run_dynamic(), or drop workers/pool for "
+            "step-level access (the traces are identical)"
+        )
+
+
+def check_regime(config: "EngineConfig", dynamic: bool) -> None:
+    """Refuse a static entry point on a config with arrivals, and a
+    dynamic one on a config without."""
+    if dynamic and config.arrivals is None:
+        raise ConfigurationError(
+            "run_dynamic() needs arrival models (set config.arrivals)"
+        )
+    if not dynamic and config.arrivals is not None:
+        raise ConfigurationError(
+            "config has arrival models; dynamic workloads run through "
+            "run_dynamic()"
+        )
 
 
 def plan_shards(n_replicas: int, n_shards: int) -> List[Tuple[int, int]]:
@@ -1216,10 +1262,11 @@ def merge_record_batches(batches: Sequence["RecordBatch"]) -> "RecordBatch":
     The inverse of splitting a ``(B, n)`` batch into column shards: record
     columns ``(rounds, B_shard)`` are h-stacked, per-replica vectors and
     final states are concatenated, streaming summaries merge through
-    :meth:`~repro.core.records.StreamingStats.concat`, and pre-built
-    per-replica results simply chain.  Every shard must come from the same
-    workload (same rounds, same record grid) — mismatched record grids
-    raise, because silently aligning them would fabricate data.
+    :meth:`~repro.core.records.StreamingStats.concat`.  Every shard must
+    come from the same workload (same rounds, same record grid) —
+    mismatched record grids raise, because silently aligning them would
+    fabricate data.  Only the vectorised engines' columnar batches merge;
+    the per-replica engines' pre-built results are refused.
     """
     from ..core.records import StreamingStats
 
@@ -1228,20 +1275,13 @@ def merge_record_batches(batches: Sequence["RecordBatch"]) -> "RecordBatch":
         raise ConfigurationError("merge_record_batches needs at least one batch")
     if len(batches) == 1:
         return batches[0]
-    first = batches[0]
-    if first.prebuilt is not None or first.prebuilt_dynamic is not None:
-        return RecordBatch(
-            prebuilt=(
-                [r for b in batches for r in b.prebuilt]
-                if first.prebuilt is not None
-                else None
-            ),
-            prebuilt_dynamic=(
-                [r for b in batches for r in b.prebuilt_dynamic]
-                if first.prebuilt_dynamic is not None
-                else None
-            ),
+    if any(b.prebuilt is not None or b.prebuilt_dynamic is not None
+           for b in batches):
+        raise ConfigurationError(
+            "cannot merge pre-built per-replica results; only the batched "
+            "and staleness engines' columnar record batches shard"
         )
+    first = batches[0]
     for attr in ("round_index", "dynamic_round_index"):
         grid = getattr(first, attr)
         for other in batches[1:]:
@@ -1302,6 +1342,11 @@ class Engine:
     #: Registry key (``make_engine`` name).
     name: str = ""
 
+    #: Per-topology cache a backend may fill with prepared operators and
+    #: reuse across calls (pool workers keep one per graph); ``None``
+    #: disables it, and backends with nothing to reuse ignore it.
+    operator_cache: Optional[Dict] = None
+
     def prepare(self, topo: Topology, config: EngineConfig, initial_loads):
         """Build a run handle for a batch of replicas."""
         raise NotImplementedError
@@ -1333,20 +1378,9 @@ class Engine:
         config: EngineConfig,
         initial_loads: np.ndarray,
     ) -> List[SimulationResult]:
-        """Prepare, step ``config.rounds`` times, and collect results.
-
-        Backends override this with fused fast paths; the default loop is
-        the protocol reference implementation.
-        """
-        if config.arrivals is not None:
-            raise ConfigurationError(
-                "config has arrival models; dynamic workloads run through "
-                "run_dynamic()"
-            )
-        handle = self.prepare(topo, config, initial_loads)
-        for _ in range(config.rounds):
-            self.step(handle)
-        return self.metrics(handle).results()
+        """Run the batch: :meth:`run_batch`, one ``SimulationResult`` per
+        replica."""
+        return self.run_batch(topo, config, initial_loads).results()
 
     def run_dynamic(
         self,
@@ -1358,18 +1392,44 @@ class Engine:
 
         Requires ``config.arrivals``; returns one
         :class:`~repro.core.dynamic.DynamicResult` per replica, recorded
-        every round against the current (moving) average.  Backends may
-        override with fused fast paths.
+        every round against the current (moving) average.
         """
-        if config.arrivals is None:
-            raise ConfigurationError(
-                "run_dynamic() needs arrival models (set config.arrivals)"
-            )
+        return self.run_dynamic_batch(topo, config, initial_loads).dynamic_results()
+
+    def run_batch(self, topo: Topology, config: EngineConfig, initial_loads) -> RecordBatch:
+        """Prepare, step ``config.rounds`` times, and seal the record batch.
+
+        The protocol reference loop; backends override it (or :meth:`run`)
+        with fused fast paths.  A config with ``workers`` or ``pool`` runs
+        in column shards on worker processes instead
+        (:func:`repro.engines.pool.run_sharded`), whose workers call this
+        again per shard; the engines the capability table does not list
+        for those knobs refuse them there.
+        """
+        return self._run_batch(topo, config, initial_loads, dynamic=False)
+
+    def run_dynamic_batch(
+        self, topo: Topology, config: EngineConfig, initial_loads
+    ) -> RecordBatch:
+        """:meth:`run_batch` for a dynamic workload (``config.arrivals``)."""
+        return self._run_batch(topo, config, initial_loads, dynamic=True)
+
+    def _run_batch(self, topo, config, initial_loads, dynamic: bool) -> RecordBatch:
+        check_regime(config, dynamic)
+        if config.workers is not None or config.pool:
+            return self._run_sharded(topo, config, initial_loads, dynamic)
         handle = self.prepare(topo, config, initial_loads)
         for _ in range(config.rounds):
-            self.arrive(handle)
+            if dynamic:
+                self.arrive(handle)
             self.step(handle)
-        return self.metrics(handle).dynamic_results()
+        return self.metrics(handle)
+
+    def _run_sharded(self, topo, config, initial_loads, dynamic: bool) -> RecordBatch:
+        """Run a ``workers``/``pool`` config in column shards of this engine."""
+        from .pool import run_sharded  # the pool imports the engines
+
+        return run_sharded(self.name, topo, config, initial_loads, dynamic)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

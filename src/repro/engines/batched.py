@@ -29,12 +29,12 @@ of the paper) but consume per-replica spawned streams
 ``replica_keys`` identity, default its global batch index), so they match
 the reference statistically, not stream for stream — while every replica's
 trajectory is independent of the batch composition, which is what lets the
-sharded engine split a batch across worker processes bit-identically.
+engine split a batch across worker processes (``config.workers`` /
+``config.pool``) bit-identically.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 
@@ -77,6 +77,8 @@ from .base import (
     StepBatch,
     apply_load_scales,
     as_load_batch,
+    check_in_process,
+    check_regime,
     register_engine,
     resolve_arrival_models,
     resolve_arrival_rngs,
@@ -1124,7 +1126,7 @@ class _BatchedHandle:
         """Re-index every per-replica array along its replica axis.
 
         Column ``j`` of the result is column ``idx[j]`` now: loads, flows,
-        switch state, rounding generator (a repeated column gets a copy of
+        switch state, rounding generator (a repeated column gets a clone of
         its generator, so the copies draw the same stream independently)
         and the records so far.  Scratch is re-shaped at the new width.
         Static runs without churn only.
@@ -1180,10 +1182,23 @@ class _BatchedHandle:
         seen = set()
         rngs = []
         for i in idx.tolist():
-            rngs.append(copy.deepcopy(self.rngs[i]) if i in seen else self.rngs[i])
+            rngs.append(_clone_rng(self.rngs[i]) if i in seen else self.rngs[i])
             seen.add(i)
         self.rngs = rngs
         self.n_replicas = B
+
+
+#: Seeds the throwaway initial state of a cloned bit generator.
+_CLONE_SEED = np.random.SeedSequence(0)
+
+
+def _clone_rng(rng: np.random.Generator) -> np.random.Generator:
+    """An independent generator at ``rng``'s current state: it draws what
+    ``rng`` would draw next.  Copies the bit generator's state, about five
+    times cheaper than ``copy.deepcopy``, which pickles the generator."""
+    bit_generator = type(rng.bit_generator)(_CLONE_SEED)
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator)
 
 
 def _same_column(plane: np.ndarray, a: int, b: int) -> bool:
@@ -1308,19 +1323,18 @@ def _plan_twins(h: _BatchedHandle, config: EngineConfig) -> Optional[_TwinPlan]:
 
 @register_engine
 class BatchedVectorEngine(Engine):
-    """All replicas at once through CSR edge-wise numpy kernels."""
+    """All replicas at once through CSR edge-wise numpy kernels.
+
+    With an ``operator_cache`` (an ordinary dict; pool workers and
+    ``perfbench`` set one) a warm call reuses the CSR operators, padded
+    adjacency, resolved alphas, fused ``E_alpha`` and compiled
+    edge/incidence arrays, keyed by dtype and alpha spec, and
+    ``E_alpha_beta`` from one slot keyed by beta too; explicit alpha/speed
+    arrays, callables and churn are never cached.  Load, flow and scratch
+    planes, rng streams and targets are built per call.
+    """
 
     name = "batched"
-
-    #: Optional per-topology operator cache shared across prepare() calls
-    #: (an ordinary dict; pool workers and ``perfbench`` set one).  A warm
-    #: call reuses the CSR operators, padded adjacency, resolved alphas,
-    #: fused ``E_alpha`` and compiled edge/incidence arrays, keyed by dtype
-    #: and alpha spec, and ``E_alpha_beta`` from one slot keyed by beta
-    #: too; explicit alpha/speed arrays, callables and churn are never
-    #: cached.  Load, flow and scratch planes, rng streams and targets are
-    #: built per call.  ``None`` (the default) disables caching.
-    operator_cache: Optional[Dict] = None
 
     def prepare(self, topo, config, initial_loads) -> _BatchedHandle:
         config.validate()
@@ -1338,6 +1352,7 @@ class BatchedVectorEngine(Engine):
                 "the prepare()/step() protocol is always edge-wise"
             )
         loads = as_load_batch(initial_loads, topo.n)
+        check_in_process(config, loads.shape[0], self.name)
         params = resolve_replica_params(config.replica_params, loads.shape[0])
         loads = apply_load_scales(loads, params)
         plan = resolve_churn(topo, config)
@@ -1946,29 +1961,24 @@ class BatchedVectorEngine(Engine):
             switched_at=h.switched_at.copy(),
         )
 
-    def run(self, topo, config, initial_loads):
-        """Fused ensemble loop — :meth:`run_batch` sliced into per-replica
-        :class:`~repro.core.simulator.SimulationResult` objects."""
-        return self.run_batch(topo, config, initial_loads).results()
-
     def run_batch(self, topo, config, initial_loads) -> RecordBatch:
         """Fused ensemble loop returning the whole columnar record batch.
 
         Transient/traffic info is computed only where recorded *and*
         requested; dispatches to the closed-form continuous fast path when
-        the config is eligible (see :meth:`_fast_path_mode`).  The sharded
-        engine calls this per worker so shards stay columnar until the
-        final merge; :meth:`run` is the per-replica wrapper.
+        the config is eligible (see :meth:`_fast_path_mode`).  A config
+        with ``workers`` or ``pool`` runs in column shards on worker
+        processes, which call this again per shard, so shards stay
+        columnar until the final merge; :meth:`run` is the per-replica
+        wrapper.
         """
-        if config.arrivals is not None:
-            raise ConfigurationError(
-                "config has arrival models; dynamic workloads run through "
-                "run_dynamic()"
-            )
+        check_regime(config, dynamic=False)
         config.validate()
         # Checked here as well as in prepare(): the closed-form fast path
         # never reaches prepare().
         check_config(config, self.name)
+        if config.workers is not None or config.pool:
+            return self._run_sharded(topo, config, initial_loads, dynamic=False)
         if config.scheme == "sos" and not 0.0 < config.beta < 2.0:
             # prepare() enforces this for the edge-wise path; the fast path
             # never reaches prepare(), and a beta outside (0, 2) makes the
@@ -2334,25 +2344,19 @@ class BatchedVectorEngine(Engine):
                 record(r, cur)
         return finish(cur)
 
-    def run_dynamic(self, topo, config, initial_loads):
-        """Fused dynamic ensemble loop — :meth:`run_dynamic_batch` sliced
-        into per-replica :class:`~repro.core.dynamic.DynamicResult` objects.
-        """
-        return self.run_dynamic_batch(topo, config, initial_loads).dynamic_results()
-
     def run_dynamic_batch(self, topo, config, initial_loads) -> RecordBatch:
         """Fused dynamic ensemble loop returning the columnar record batch.
 
         Arrivals + balancing, all replicas per vectorised step;
         transient/traffic info is never materialised (dynamic records do
-        not carry it, exactly like ``DynamicSimulator``).  The sharded
-        engine calls this per worker; :meth:`run_dynamic` is the
+        not carry it, exactly like ``DynamicSimulator``).  A config with
+        ``workers`` or ``pool`` runs in column shards on worker processes,
+        which call this again per shard; :meth:`run_dynamic` is the
         per-replica wrapper.
         """
-        if config.arrivals is None:
-            raise ConfigurationError(
-                "run_dynamic() needs arrival models (set config.arrivals)"
-            )
+        check_regime(config, dynamic=True)
+        if config.workers is not None or config.pool:
+            return self._run_sharded(topo, config, initial_loads, dynamic=True)
         h = self.prepare(topo, config, initial_loads)
         for _ in range(config.rounds):
             self._advance(h, want_info=False)

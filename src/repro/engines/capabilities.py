@@ -11,12 +11,12 @@ that silently degrades makes cross-engine comparisons lie about what ran.
 The engine guide's knob matrix and the capability tests are generated
 from the same table.
 
-The ``sharded`` engine runs its shards on batched workers, or on
-staleness workers when the config sets a knob the staleness engine
-honours and the batched one does not (:func:`routes_to_staleness`).  A
-routed config is checked against the staleness column, except for the
-knobs the sharded parent consumes itself (:data:`SHARDED_PARENT_FIELDS`);
-the error still names ``sharded``.
+Splitting a batch over worker processes is a transport, not an engine:
+``workers`` and ``pool`` are knobs of the two vectorised engines, each of
+which runs its own shards (:func:`repro.engines.pool.run_sharded`).
+``make_engine("sharded")`` is an alias of ``batched`` and is checked
+against the batched column; a knob only the staleness engine honours is
+refused there with a pointer to ``engine="staleness"`` and ``workers``.
 """
 
 from __future__ import annotations
@@ -30,19 +30,18 @@ from ..exceptions import ConfigurationError
 __all__ = [
     "CAPABILITIES",
     "ENGINE_COLUMNS",
-    "SHARDED_PARENT_FIELDS",
     "UNIVERSAL",
     "Capability",
     "check_config",
-    "routes_to_staleness",
 ]
 
 #: The engine columns of the table, in documentation order.
-ENGINE_COLUMNS = ("reference", "batched", "network", "async", "staleness", "sharded")
+ENGINE_COLUMNS = ("reference", "batched", "network", "async", "staleness")
 
-#: Knobs the sharded engine's parent process consumes before any worker
-#: runs, so routing never hands them to the worker-side engine.
-SHARDED_PARENT_FIELDS = ("workers", "pool")
+#: Names :func:`check_config` reads another engine's column for: an
+#: :class:`~repro.engines.session.EngineSession` drives one reference
+#: replica, and ``sharded`` is the batched engine with ``workers="auto"``.
+_ALIASES = {"session": "reference", "sharded": "batched"}
 
 
 @dataclass(frozen=True)
@@ -76,47 +75,49 @@ def _non_fixed_switch(config) -> bool:
     )
 
 
-_VECTORISED = ("batched", "sharded")
-_TILED = ("batched", "staleness", "sharded")
-_LATENCY = ("async", "staleness", "sharded")
-_MATRIX = ("reference", "batched", "sharded")
+_BATCHED = ("batched",)
+_VECTORISED = ("batched", "staleness")
+_LATENCY = ("async", "staleness")
+_MATRIX = ("reference", "batched")
 
 CAPABILITIES: Tuple[Capability, ...] = (
     Capability("precision", "precision='float32'",
-               lambda c: c.precision != "float64", _VECTORISED),
+               lambda c: c.precision != "float64", _BATCHED),
     Capability("record_fields", "record_fields",
-               lambda c: c.record_fields is not None, _VECTORISED),
+               lambda c: c.record_fields is not None, _BATCHED),
     Capability("record_mode", "record_mode='summary'",
-               lambda c: c.record_mode != "table", _VECTORISED),
+               lambda c: c.record_mode != "table", _BATCHED),
     Capability("fast_path", "fast_path='matmul' or 'spectral'",
-               lambda c: c.fast_path in ("matmul", "spectral"), _VECTORISED),
+               lambda c: c.fast_path in ("matmul", "spectral"), _BATCHED),
     Capability("kernel", "kernel='cffi' or 'python'",
-               lambda c: c.kernel not in ("auto", "numpy"), _VECTORISED),
+               lambda c: c.kernel not in ("auto", "numpy"), _BATCHED),
     Capability("tile_size", "tile_size=int or 'auto'",
-               lambda c: c.tile_size is not None, _TILED),
+               lambda c: c.tile_size is not None, _VECTORISED),
     Capability("replica_keys", "replica_keys",
-               lambda c: c.replica_keys is not None, _TILED),
-    # One shared batch stream cannot split across shards bit-identically.
+               lambda c: c.replica_keys is not None, _VECTORISED),
     Capability("arrival_sampling", "arrival_sampling='batch'",
-               lambda c: c.arrival_sampling != "stream", ("batched",)),
+               lambda c: c.arrival_sampling != "stream", _BATCHED),
+    # Worker processes run the engine's own column shards; one shared
+    # arrival batch stream cannot split, so the shard planner refuses
+    # arrival_sampling='batch' on top of this row.
     Capability("workers", "workers",
-               lambda c: c.workers is not None, ("sharded",)),
+               lambda c: c.workers is not None, _VECTORISED),
     Capability("pool", "pool=True or a pool",
                lambda c: c.pool is not None and c.pool is not False,
-               ("sharded",)),
+               _VECTORISED),
     Capability("latency_model", "latency_model",
                lambda c: c.latency_model is not None, _LATENCY),
     Capability("max_skew", "max_skew",
                lambda c: c.max_skew is not None, _LATENCY),
     Capability("latency_buckets", "latency_buckets!='ceil'",
-               lambda c: c.latency_buckets != "ceil", ("staleness", "sharded")),
+               lambda c: c.latency_buckets != "ceil", ("staleness",)),
     Capability("faults", "faults",
                lambda c: c.faults is not None,
-               ("network", "async", "staleness", "sharded")),
+               ("network", "async", "staleness")),
     # The staleness engine's delayed-view rings assume a fixed topology.
     Capability("churn", "churn",
                lambda c: c.churn is not None,
-               ("reference", "batched", "network", "async", "sharded")),
+               ("reference", "batched", "network", "async")),
     # The message-passing nodes and the staleness core switch at one
     # agreed round (a metric-triggered switch needs global knowledge) and
     # derive their own per-arc alphas from the topology.
@@ -151,20 +152,6 @@ UNIVERSAL = (
 )
 
 
-#: The rows whose knobs route a sharded call to staleness workers: the
-#: staleness engine honours them and the batched one does not (latency,
-#: skew gate, latency buckets, faults).
-_ROUTING = tuple(
-    cap for cap in CAPABILITIES
-    if "staleness" in cap.engines and "batched" not in cap.engines
-)
-
-
-def routes_to_staleness(config) -> bool:
-    """Whether a sharded call runs its shards on the staleness engine."""
-    return any(cap.is_set(config) for cap in _ROUTING)
-
-
 def _describe(cap: Capability, config) -> str:
     """The knob as the error names it, with its value when that is short."""
     value = getattr(config, cap.field, None)
@@ -176,31 +163,27 @@ def _describe(cap: Capability, config) -> str:
 def check_config(config, engine: str) -> None:
     """Refuse every knob ``config`` sets that ``engine`` does not honour.
 
-    ``engine`` is a column of :data:`ENGINE_COLUMNS`, or ``"session"``: an
-    :class:`~repro.engines.session.EngineSession` drives one reference
-    replica, so it is checked against the reference column.  Raises one
+    ``engine`` is a column of :data:`ENGINE_COLUMNS` or one of its
+    aliases, ``"session"`` and ``"sharded"``.  Raises one
     :class:`ConfigurationError` naming every unsupported knob and the
     engines that do support it.
     """
-    column = "reference" if engine == "session" else engine
-    routed = column == "sharded" and routes_to_staleness(config)
-    refused = []
+    column = _ALIASES.get(engine, engine)
+    refused, for_staleness = [], False
     for cap in CAPABILITIES:
-        if not cap.is_set(config):
-            continue
-        cell = column
-        if routed and cap.field not in SHARDED_PARENT_FIELDS:
-            cell = "staleness"
-        if cell not in cap.engines:
+        if cap.is_set(config) and column not in cap.engines:
             noun = "engine" if len(cap.engines) == 1 else "engines"
             refused.append(
                 f"{_describe(cap, config)} "
                 f"({'/'.join(cap.engines)} {noun} only)"
             )
+            for_staleness |= "staleness" in cap.engines
     if not refused:
         return
     message = f"the {engine} engine does not support " + "; ".join(refused)
-    if routed:
-        routing = [_describe(cap, config) for cap in _ROUTING if cap.is_set(config)]
-        message += f" (routed to staleness workers by {', '.join(routing)})"
+    if engine == "sharded" and for_staleness:
+        message += (
+            " (sharded runs batched workers; shard a staleness run with "
+            "engine='staleness' and workers)"
+        )
     raise ConfigurationError(message)

@@ -1,7 +1,8 @@
-"""Shared-memory worker pool: the sharded engine's process transport.
+"""Shared-memory worker pool: the process transport of the vectorised engines.
 
-Every multi-shard call of the sharded engine (:mod:`repro.engines.sharded`)
-runs on a :class:`ShardedWorkerPool` — a persistent one named by
+The ``batched`` and ``staleness`` engines hand a config with ``workers``
+or ``pool`` to :func:`run_sharded`, and every multi-shard call runs on a
+:class:`ShardedWorkerPool` — a persistent one named by
 ``EngineConfig.pool``, or a fresh one the call opens and closes.  Sweeps
 and ensembles issue *many* calls on the *same* graph; a persistent pool
 pays worker start-up, topology transfer and operator preparation once
@@ -32,12 +33,12 @@ for all of them:
 
 Bit-identity
 ------------
-A call compiles the sharded engine's shard plan
-(:func:`repro.engines.sharded._shard_plan`) once and every worker runs
-its ``(lo, hi, config)`` entry through the same worker-side engine choice
+A call compiles the shard plan (:func:`repro.engines.sharded._shard_plan`)
+once, and every worker runs its ``(lo, hi, config)`` entry on the engine
+the call names, through the same entry point
 (:func:`repro.engines.sharded._run_shard`) an inline single-shard run
 uses.  Per-replica stream keys travel in the shard configs, so the
-merged columns are bit-identical to the batched engine for every
+merged columns are bit-identical to the unsharded run for every
 rounding, static and dynamic, and for any worker count.
 
 Teardown
@@ -49,8 +50,8 @@ replica range; a dead worker resets the pool so the next call starts
 from fresh processes.
 
 The process-wide default pool (:func:`default_pool`) is what
-``EngineConfig.pool=True`` / ``simulate --pool`` route through; it is
-created on first use and closed at interpreter exit.
+``EngineConfig.pool=True`` / ``simulate --pool`` run on; it is created
+on first use and closed at interpreter exit.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ from .base import (
     as_load_batch,
     merge_record_batches,
     resolve_workers,
+    shard_count,
 )
 from .sharded import (
     _run_shard,
@@ -280,7 +282,7 @@ def _execute_task(
     # Per-graph operator cache: the handle construction fills it on the
     # first call and reuses the CSR operators afterwards.
     batch = _run_shard(
-        topo, task["config"], loads, task["dynamic"],
+        topo, task["config"], loads, task["dynamic"], task["engine"],
         operator_cache=op_caches.setdefault(key, {}),
     )
     spec = task.get("shared")
@@ -329,14 +331,13 @@ def _pool_worker(conn, package_root: str, threads: int) -> None:
 # parent side
 # ======================================================================
 class ShardedWorkerPool:
-    """Long-lived worker processes running sharded engine calls.
+    """Long-lived worker processes running column shards of engine calls.
 
-    The transport of :class:`~repro.engines.sharded.ShardedEngine`:
     ``pool.run_batch(topo, config, loads)`` returns the merged
-    :class:`RecordBatch` (bit-identical to the batched engine), and the
+    :class:`RecordBatch` (bit-identical to the unsharded run), and the
     workers, their imports, the transferred topologies and the prepared
     CSR operators all persist across calls.  Use ``EngineConfig.pool=True``
-    (or ``simulate --pool``) to route through the process-wide
+    (or ``simulate --pool``) to run on the process-wide
     :func:`default_pool`, or construct and pass an instance explicitly
     (``EngineConfig(pool=my_pool)``) to own the lifecycle — ``close()`` it
     when done, or use it as a context manager.  Without either, each
@@ -344,7 +345,7 @@ class ShardedWorkerPool:
     """
 
     def __init__(self, workers: Any = "auto"):
-        #: worker count — resolved once, like the sharded engine's spec
+        #: worker count — resolved once, like a config's ``workers`` spec
         #: (the per-call shard floor of >= 2 columns still caps the number
         #: of shards actually dispatched for small batches).
         self.n_workers = resolve_workers(workers, 1 << 30)
@@ -456,17 +457,21 @@ class ShardedWorkerPool:
         config: EngineConfig,
         initial_loads,
         dynamic: bool = False,
+        engine: str = "batched",
     ) -> RecordBatch:
-        """Run one sharded call on the persistent workers.
+        """Run one call of ``engine`` (``"batched"`` or ``"staleness"``, or
+        the ``"sharded"`` alias) in column shards on the persistent workers.
 
         Returns the merged :class:`RecordBatch` — zero-copy views over
         shared blocks when the config is eligible, a pickled-and-merged
-        batch otherwise.  Bit-identical to the batched engine either way.
+        batch otherwise.  Bit-identical to the unsharded run either way.
         The shard plan is compiled once, for this pool's worker count.
         """
         loads = as_load_batch(initial_loads, topo.n)
         B = loads.shape[0]
-        plan = _shard_plan(topo, replace(config, workers=self.n_workers), B)
+        plan = _shard_plan(
+            topo, replace(config, workers=self.n_workers), B, engine
+        )
         self._ensure_workers()
         key = topology_fingerprint(topo)
         zero_copy = self._zero_copy_ok(config)
@@ -513,6 +518,7 @@ class ShardedWorkerPool:
             tasked: List[int] = []
             for i, (lo, hi, shard_config) in enumerate(plan):
                 task = {
+                    "engine": engine,
                     "graph_key": key,
                     "topo": topo if key not in self._known[i] else None,
                     "config": shard_config,
@@ -619,7 +625,7 @@ class ShardedWorkerPool:
 
 
 # ======================================================================
-# process-wide default pool
+# process-wide default pool and the engines' entry point
 # ======================================================================
 _DEFAULT_POOL: Optional[ShardedWorkerPool] = None
 
@@ -637,3 +643,27 @@ def default_pool() -> ShardedWorkerPool:
         _DEFAULT_POOL = ShardedWorkerPool()
         atexit.register(_DEFAULT_POOL.close)
     return _DEFAULT_POOL
+
+
+def run_sharded(
+    engine: str, topo: Topology, config: EngineConfig, initial_loads,
+    dynamic: bool,
+) -> RecordBatch:
+    """Run a ``workers``/``pool`` call of ``engine`` in column shards.
+
+    The one entry point of the vectorised engines' ``run_batch`` and
+    ``run_dynamic_batch``: the batch runs on ``config.pool`` (``True``
+    for :func:`default_pool`), on a fresh pool of one worker per shard,
+    or inline in this process when the plan has a single shard.  The
+    workers build ``engine`` by name.
+    """
+    loads = as_load_batch(initial_loads, topo.n)
+    pool = default_pool() if config.pool is True else config.pool
+    if pool:
+        return pool.run_batch(topo, config, loads, dynamic, engine=engine)
+    n_shards = shard_count(config.workers, loads.shape[0])
+    if n_shards > 1:
+        with ShardedWorkerPool(workers=n_shards) as fresh:
+            return fresh.run_batch(topo, config, loads, dynamic, engine=engine)
+    [(_lo, _hi, shard_config)] = _shard_plan(topo, config, loads.shape[0], engine)
+    return _run_shard(topo, shard_config, loads, dynamic, engine)

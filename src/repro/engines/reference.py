@@ -54,6 +54,7 @@ from .base import (
     StepBatch,
     apply_load_scales,
     as_load_batch,
+    check_regime,
     make_switch_policy,
     register_engine,
     resolve_arrival_models,
@@ -516,13 +517,7 @@ class ReferenceEngine(Engine):
 
     def run(self, topo, config, initial_loads):
         """Fused loop without per-round ``StepBatch`` materialisation."""
-        if config.arrivals is not None:
-            from ..exceptions import ConfigurationError
-
-            raise ConfigurationError(
-                "config has arrival models; dynamic workloads run through "
-                "run_dynamic()"
-            )
+        check_regime(config, dynamic=False)
         handle = self.prepare(topo, config, initial_loads)
         if isinstance(handle, _ChurnReferenceHandle):
             for _ in range(config.rounds):
@@ -535,12 +530,7 @@ class ReferenceEngine(Engine):
 
     def run_dynamic(self, topo, config, initial_loads):
         """Fused dynamic loop (``advance`` injects arrivals internally)."""
-        if config.arrivals is None:
-            from ..exceptions import ConfigurationError
-
-            raise ConfigurationError(
-                "run_dynamic() needs arrival models (set config.arrivals)"
-            )
+        check_regime(config, dynamic=True)
         handle = self.prepare(topo, config, initial_loads)
         if isinstance(handle, _ChurnReferenceHandle):
             for _ in range(config.rounds):

@@ -1,69 +1,40 @@
-"""Multiprocess sharded engine: column shards of one replica batch.
+"""Column shards of one replica batch: the shard planner and its workers.
 
-After the closed-form fast paths of PR 3 the batched engine is bound by a
-single core; the remaining multiplicative speedup for seed-averaged
-ensembles is process parallelism.  :class:`ShardedEngine` splits a
-``(B, n)`` replica batch into contiguous *column shards*, runs one
-:class:`~repro.engines.batched.BatchedVectorEngine` per worker process,
-and merges the per-shard record batches
-(:func:`~repro.engines.base.merge_record_batches`) into the exact batch a
+Splitting a batch over processes is a *transport*, not a backend: the
+``batched`` and ``staleness`` engines honour ``EngineConfig.workers`` and
+``EngineConfig.pool`` themselves.  Their whole-batch entry points hand
+such a config to :func:`repro.engines.pool.run_sharded`, which cuts the
+``(B, n)`` batch into contiguous *column shards* (:func:`_shard_plan`),
+runs each on the calling engine in a worker process (:func:`_run_shard`),
+and merges the per-shard record batches into the exact batch a
 single-process run would have produced.
 
-Bit-identity contract
----------------------
-The merge is **bit-identical** to the single-process batched engine for
-every rounding, static and dynamic, any worker count, because no random
-stream and no float expression ever crosses a replica boundary:
+The merge is **bit-identical** for every rounding, static and dynamic,
+any worker count, because no random stream and no float expression
+crosses a replica boundary:
 
-* rounding randomness comes from per-replica spawned streams
-  (:func:`~repro.engines.base.rounding_stream`), keyed by the replica's
-  *global* batch index — the shard passes ``replica_keys=range(lo, hi)``
-  so replica ``b`` draws the same stream in any shard;
-* arrival randomness is already per-replica
-  (:func:`~repro.core.dynamic.arrival_stream`); the shard pins
-  ``arrival_seeds`` the same way.  ``arrival_sampling="batch"`` draws the
-  whole batch from one shared stream and therefore cannot shard
-  bit-identically — the engine rejects it;
-* every kernel of the batched engine is column-independent (CSR matvecs,
-  reductions, clamping, switching all act per replica column), so a
-  shard's columns equal the same columns of the full-batch run.  One
-  subtlety: numpy reduces a *single*-column plane through a different
-  (contiguous pairwise) kernel than any wider plane, so shard plans keep
-  at least two columns per shard whenever the batch has two — otherwise
-  the fractional reductions (continuous ``identity`` runs, the dynamic
-  potential, plateau switching) would only agree to accumulation
-  accuracy.
+* rounding, fault and arrival randomness come from per-replica streams
+  keyed by the replica's *global* index — each shard config carries its
+  slice of ``replica_keys`` and ``arrival_seeds``.
+  ``arrival_sampling="batch"`` draws the whole batch from one shared
+  stream and cannot shard, so the planner refuses it;
+* every vectorised kernel is column-independent (CSR matvecs,
+  delayed-view planes, reductions, clamping, switching), so a shard's
+  columns equal the same columns of the full-batch run.  numpy reduces a
+  *single*-column plane through a different kernel than any wider plane,
+  so plans keep >= 2 columns per shard
+  (:func:`~repro.engines.base.shard_count`);
+* a churn schedule is drawn once, in the parent, and the compiled
+  :class:`~repro.core.churn.ChurnPlan` is broadcast to every shard.
 
-Topology churn shards too: the parent compiles the deterministic
-:class:`~repro.core.churn.ChurnPlan` exactly once (the random schedule
-draw happens before any shard exists) and broadcasts the plan in every
-shard config, so workers replay identical patches at identical rounds
-and the merge stays bit-identical to the batched engine under churn.
+A single-shard plan without a pool runs inline, through the same plan
+and :func:`_run_shard`.  Pool workers start with ``fork`` where
+available, ``forkserver`` once this process has loaded a compiled kernel
+provider (:func:`_start_method`), or what ``REPRO_SHARDED_START`` names.
 
-Worker lifecycle
-----------------
-Every multi-shard call runs on a
-:class:`~repro.engines.pool.ShardedWorkerPool`: the one named by
-``EngineConfig.pool`` (``True`` for the process-wide default, or an
-explicit instance), else a fresh pool of one worker per shard that the
-call opens and closes.  Either way the loads travel through shared
-memory, dense table records come back zero-copy, and a failing worker
-surfaces as a :class:`~repro.exceptions.ConfigurationError` naming its
-replica range.  A persistent pool also keeps its workers, their imports
-and their prepared operators across calls.  The start method defaults to
-``fork`` where available (no interpreter restart), switches to
-``forkserver`` once the process has loaded a compiled kernel provider
-whose OpenMP runtime a forked child would deadlock in, and can be forced
-with the ``REPRO_SHARDED_START`` environment variable (``spawn`` /
-``forkserver`` / ``fork``).  A single-shard plan (one worker, or ``B <=
-3`` — the >= 2-column shard floor caps the shard count at ``B // 2``)
-without a pool runs inline in the parent: no process is started, but the
-same shard plan and worker-side engine choice apply.
-
-The engine implements the fused :meth:`run` / :meth:`run_dynamic` surface
-only; the ``prepare()``/``step()`` protocol would need one IPC round trip
-per simulated round and is deliberately refused (use the batched engine
-for step-level access — the traces are identical).
+``make_engine("sharded")`` (:class:`ShardedEngine`) is kept as an alias:
+the batched engine with ``workers="auto"`` unless the config sets
+``workers`` or ``pool``.
 """
 
 from __future__ import annotations
@@ -81,21 +52,19 @@ from ..graphs.topology import Topology
 from ..kernels import fork_unsafe_loaded
 
 from .base import (
-    Engine,
     EngineConfig,
     RecordBatch,
-    as_load_batch,
+    make_engine,
     plan_shards,
     register_engine,
     resolve_arrival_models,
     resolve_replica_keys,
     resolve_replica_params,
-    resolve_workers,
+    shard_count,
     usable_cpus,
 )
 from .batched import BatchedVectorEngine
-from .capabilities import check_config, routes_to_staleness
-from .staleness import StalenessEngine
+from .capabilities import check_config
 
 __all__ = ["ShardedEngine"]
 
@@ -112,7 +81,7 @@ _DEFAULT_START = (
 
 
 def _start_method() -> str:
-    """Start method of the sharded engine's pool workers.
+    """Start method of the pool workers.
 
     ``REPRO_SHARDED_START`` wins.  Otherwise :data:`_DEFAULT_START`,
     except that ``fork`` becomes ``forkserver`` (``spawn`` where that is
@@ -157,32 +126,26 @@ def _worker_threads(n_workers: int) -> int:
     return max(1, usable_cpus() // max(1, n_workers))
 
 
-def _shard_count(workers, n_replicas: int) -> int:
-    """Shards of a ``n_replicas`` batch under a ``workers`` spec.
-
-    Shards keep >= 2 columns whenever the batch has >= 2: numpy sums a
-    single-column plane through its contiguous pairwise kernel, whose
-    *fractional* reductions differ at the ulp level from the strided
-    row-pairwise kernel every width >= 2 goes through — a width-1 shard
-    of a wider batch would break bit-identity for the continuous identity
-    process and the fractional dynamic/plateau reductions.
-    """
-    return max(1, min(resolve_workers(workers, n_replicas), n_replicas // 2 or 1))
-
-
-def _shard_plan(topo: Topology, config: EngineConfig, B: int) -> List[Shard]:
-    """Validate the config and cut a ``B``-replica batch into ``(lo, hi,
-    config)`` shards, ``config.workers`` of them (capped by
-    :func:`_shard_count`).
+def _shard_plan(
+    topo: Topology, config: EngineConfig, B: int, engine: str
+) -> List[Shard]:
+    """Validate the config for ``engine`` and cut a ``B``-replica batch
+    into ``(lo, hi, config)`` shards, ``config.workers`` of them (capped
+    by :func:`~repro.engines.base.shard_count`).
 
     The one compile step of a sharded call: the churn schedule draw, the
     replica keys, arrival seeds and parameter planes are resolved here,
     once, and every shard config carries its slice.
     """
     config.validate()
-    # A config routed to staleness workers is checked against the
-    # staleness column, here in the parent, before any worker starts.
-    check_config(config, "sharded")
+    # Checked here, in the parent, before any worker starts.
+    check_config(config, engine)
+    if config.arrival_sampling == "batch":
+        raise ConfigurationError(
+            "arrival_sampling='batch' draws the whole batch from one "
+            "stream, so it cannot split into worker shards; use "
+            "arrival_sampling='stream' or drop workers/pool"
+        )
     # Churn shards bit-identically once every worker replays the *same*
     # compiled plan: the random schedule draw happens exactly once, here
     # in the parent (resolve_churn seeds its own stream), and the
@@ -209,11 +172,11 @@ def _shard_plan(topo: Topology, config: EngineConfig, B: int) -> List[Shard]:
                 f"{len(arrival_seeds)} arrival_seeds for {B} replicas"
             )
     plan = []
-    for lo, hi in plan_shards(B, _shard_count(config.workers, B)):
+    for lo, hi in plan_shards(B, shard_count(config.workers, B)):
         shard_config = replace(
             config,
-            workers=None,  # the worker-side batched engine runs alone
-            pool=None,  # pooling is a parent-side routing decision
+            workers=None,  # the worker-side engine runs its shard alone
+            pool=None,
             churn=churn_plan,  # precompiled plan, identical per shard
             replica_keys=replica_keys[lo:hi],
             arrival_seeds=(
@@ -228,7 +191,7 @@ def _shard_plan(topo: Topology, config: EngineConfig, B: int) -> List[Shard]:
             ),
             # The parameter planes shard with their columns: replica b
             # carries the same plane entries in any shard assignment,
-            # so the merge stays bit-identical to the batched run.
+            # so the merge stays bit-identical to the unsharded run.
             replica_params=(
                 params.shard(lo, hi) if params is not None else None
             ),
@@ -242,93 +205,43 @@ def _run_shard(
     config: EngineConfig,
     loads: np.ndarray,
     dynamic: bool,
+    engine: str = "batched",
     operator_cache: Optional[Dict] = None,
 ) -> RecordBatch:
-    """Run one column shard's ``loads`` under its shard ``config``.
+    """Run one column shard's ``loads`` under its shard ``config`` on the
+    ``engine`` the call came from.
 
-    The one worker-side engine choice: pool workers call it for every
-    shard, and the parent inline for a single-shard plan.  The shard
-    config already carries the global ``replica_keys`` /
-    ``arrival_seeds``, so the returned :class:`RecordBatch` holds exactly
-    the full-batch run's columns for this shard's replicas.
-    ``operator_cache`` (a pool worker's per-graph cache) reaches the
-    batched engine only.
+    Pool workers call it for every shard, and the parent inline for a
+    single-shard plan.  The shard config already carries the global
+    ``replica_keys`` / ``arrival_seeds`` and no ``workers``/``pool``, so
+    the returned :class:`RecordBatch` holds exactly the full-batch run's
+    columns for this shard's replicas.  ``operator_cache`` is a pool
+    worker's per-graph cache.
     """
-    if routes_to_staleness(config):
-        # Its delayed-view planes slice by column exactly like the batched
-        # kernels, so the shard/merge contract carries over unchanged.
-        engine = StalenessEngine()
-    else:
-        engine = BatchedVectorEngine()
-        engine.operator_cache = operator_cache
+    backend = make_engine(engine)
+    backend.operator_cache = operator_cache
     if dynamic:
-        return engine.run_dynamic_batch(topo, config, loads)
-    return engine.run_batch(topo, config, loads)
+        return backend.run_dynamic_batch(topo, config, loads)
+    return backend.run_batch(topo, config, loads)
+
+
+def _auto_workers(config: EngineConfig) -> EngineConfig:
+    """``workers="auto"`` unless the config sets ``workers`` or a pool."""
+    if config.workers is None and not config.pool:
+        return replace(config, workers="auto")
+    return config
 
 
 @register_engine
-class ShardedEngine(Engine):
-    """Column shards of a replica batch across worker processes."""
+class ShardedEngine(BatchedVectorEngine):
+    """``make_engine("sharded")``: the batched engine, sharded over every
+    usable CPU (``workers="auto"``) unless the config sets ``workers`` or
+    ``pool``.  Bit-identical to ``batched`` for any worker count."""
 
     name = "sharded"
 
-    # ------------------------------------------------------------------
-    def _refuse_protocol(self, what: str):
-        raise ConfigurationError(
-            f"the sharded engine does not expose {what}; it runs whole "
-            "batches through run()/run_dynamic() (per-round IPC would cost "
-            "more than it parallelises — use the batched engine for "
-            "step-level access, the traces are identical)"
-        )
-
-    def prepare(self, topo, config, initial_loads):
-        self._refuse_protocol("prepare()")
-
-    def step(self, handle):
-        self._refuse_protocol("step()")
-
-    def arrive(self, handle):
-        self._refuse_protocol("arrive()")
-
-    def metrics(self, handle):
-        self._refuse_protocol("metrics()")
-
-    # ------------------------------------------------------------------
-    def _run(self, topo, config, initial_loads, dynamic: bool) -> RecordBatch:
-        """Run the batch on ``config.pool``, on a fresh pool of one worker
-        per shard, or inline when the plan has a single shard."""
-        if (config.arrivals is not None) != dynamic:
-            raise ConfigurationError(
-                "run_dynamic() needs arrival models (set config.arrivals)"
-                if dynamic
-                else "config has arrival models; dynamic workloads run "
-                "through run_dynamic()"
-            )
-        loads = as_load_batch(initial_loads, topo.n)
-        config.validate()  # before the shard count reads config.workers
-        from .pool import ShardedWorkerPool, default_pool  # pool imports us
-
-        if config.pool is True:
-            return default_pool().run_batch(topo, config, loads, dynamic)
-        if config.pool:  # an explicit ShardedWorkerPool
-            return config.pool.run_batch(topo, config, loads, dynamic)
-        n_shards = _shard_count(config.workers, loads.shape[0])
-        if n_shards > 1:
-            with ShardedWorkerPool(workers=n_shards) as pool:
-                return pool.run_batch(topo, config, loads, dynamic)
-        [(_lo, _hi, shard_config)] = _shard_plan(topo, config, loads.shape[0])
-        return _run_shard(topo, shard_config, loads, dynamic)
-
     def run(self, topo, config, initial_loads):
-        """Shard the batch across workers; one ``SimulationResult`` per
-        replica, bit-identical to the batched engine for any worker count.
-        """
-        return self._run(topo, config, initial_loads, dynamic=False).results()
+        return super().run(topo, _auto_workers(config), initial_loads)
 
     def run_dynamic(self, topo, config, initial_loads):
-        """Shard a dynamic batch across workers; one ``DynamicResult`` per
-        replica, bit-identical to the batched engine (stream sampling).
-        """
-        return self._run(
-            topo, config, initial_loads, dynamic=True
-        ).dynamic_results()
+        return super().run_dynamic(topo, _auto_workers(config), initial_loads)

@@ -53,8 +53,8 @@ the injected arrival/departure totals (dynamic).
 The engine accepts ``tile_size`` (bounding the excess-token dispatch
 scratch exactly like the batched engine — tiled runs are bit-identical
 to dense runs) and ``replica_keys`` (pinning fault/rounding streams to
-replica identities), which is what lets the sharded engine split a
-staleness batch into column shards bit-identically.
+replica identities), which is what lets it split a batch into column
+shards on worker processes (``workers`` / ``pool``) bit-identically.
 
 Records go into the batched engine's columnar record store, one
 ``(B,)`` row per field and recorded round, computed by ``(B, n)`` row
@@ -98,6 +98,7 @@ from .base import (
     StepBatch,
     apply_load_scales,
     as_load_batch,
+    check_in_process,
     parse_faults_spec,
     register_engine,
     replica_beta,
@@ -670,6 +671,7 @@ class StalenessEngine(Engine):
         check_config(config, self.name)
         loads = as_load_batch(initial_loads, topo.n)
         B = loads.shape[0]
+        check_in_process(config, B, self.name)
         params = resolve_replica_params(config.replica_params, B)
         loads = apply_load_scales(loads, params)
         if topo.link_bandwidth is not None:
@@ -923,18 +925,3 @@ class StalenessEngine(Engine):
             final_flows=core.E.T.copy(),
             switched_at=np.where(fired, sw, -1),
         )
-
-    # ------------------------------------------------------------------
-    # Whole-batch entry points for the sharded engine's column shards.
-    def run_batch(self, topo, config, loads) -> RecordBatch:
-        handle = self.prepare(topo, config, loads)
-        for _ in range(config.rounds):
-            self.step(handle)
-        return self.metrics(handle)
-
-    def run_dynamic_batch(self, topo, config, loads) -> RecordBatch:
-        handle = self.prepare(topo, config, loads)
-        for _ in range(config.rounds):
-            self.arrive(handle)
-            self.step(handle)
-        return self.metrics(handle)

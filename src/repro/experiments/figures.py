@@ -471,7 +471,7 @@ def fig08_switch_sweep(
     :func:`~repro.experiments.sweeps.sweep_ensemble` call: the switch
     rounds travel as a per-replica
     :class:`~repro.engines.ReplicaParams` plane, so every curve advances
-    per vectorised step on the batched/sharded engines instead of one
+    per vectorised step on the vectorised engines instead of one
     engine call per sweep point.  With ``n_seeds > 1`` the series come
     back seed-averaged with ``_std`` companions.
     """

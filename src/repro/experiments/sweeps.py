@@ -9,8 +9,8 @@ the exponent, which the scaling bench compares against 2 and 1.
 
 :func:`replica_ensemble` is the ensemble-throughput path: it submits a whole
 batch of seeds/initial loads as *one* engine call (the batched backend runs
-every replica per vectorised step; ``engine="sharded"`` additionally splits
-the batch across worker processes, bit-identical to the batched run) and
+every replica per vectorised step; ``config.workers`` additionally splits
+the batch across worker processes, bit-identical to the inline run) and
 reduces the per-replica results to mean/std statistics of the Section VI
 metrics.
 
@@ -26,7 +26,7 @@ scale, arrival-rate scale) times every seed becomes one replica of a
 single engine call, carried by the per-replica parameter planes of
 :class:`~repro.engines.ReplicaParams`.  The fig08 switch sweep and the
 beta-sensitivity sweep both run this way — sweep throughput scales with
-the batched/sharded engines instead of with Python loop iterations.
+the vectorised engines instead of with Python loop iterations.
 """
 
 from __future__ import annotations
@@ -161,11 +161,11 @@ def replica_ensemble(
     point load; replicas always differ in their random streams (replica
     ``b`` derives from ``config.seed + b`` on the per-replica backends, and
     from the spawned stream ``rounding_stream(config.seed, b)`` on the
-    vectorised ones).  ``engine="sharded"`` (with ``config.workers``) runs
-    the same ensemble split across worker processes — the per-replica
-    results are bit-identical to ``engine="batched"``.  Setting
-    ``config.pool=True`` additionally routes every sharded call in the
-    process through the shared persistent worker pool
+    vectorised ones).  ``config.workers`` (or ``engine="sharded"``, the
+    batched engine with ``workers="auto"``) runs the same ensemble split
+    across worker processes — the per-replica results are bit-identical
+    to the inline run.  Setting ``config.pool=True`` instead runs every
+    such call in the process on the shared persistent worker pool
     (:func:`repro.engines.pool.default_pool`), so an ensemble sweep reuses
     one set of warm workers — and their cached topology operators — for
     all of its points.
@@ -455,9 +455,9 @@ def sweep_ensemble(
     Every grid point becomes ``n_seeds`` consecutive replicas of a single
     batched submission: the sweep axes travel as
     :class:`~repro.engines.ReplicaParams` planes, so the engine advances
-    every sweep point per vectorised step (and the sharded engine splits
+    every sweep point per vectorised step (and ``config.workers`` splits
     them across worker processes, bit-identically).  With
-    ``config.pool=True`` every sharded call of a multi-sweep study runs on
+    ``config.pool=True`` every call of a multi-sweep study runs on
     the same persistent worker pool, amortising process startup and
     per-topology operator preparation across sweeps.
 

@@ -65,13 +65,13 @@ class TestGuards:
     @pytest.mark.parametrize("engine", ["reference", "batched", "network"])
     def test_latency_model_rejected_off_async(self, engine):
         cfg = EngineConfig(rounds=2, latency_model=1.0)
-        with pytest.raises(ConfigurationError, match="async/staleness/sharded engines only"):
+        with pytest.raises(ConfigurationError, match="async/staleness engines only"):
             make_engine(engine).run(TORUS, cfg, point_load(TORUS, 100))
 
     @pytest.mark.parametrize("engine", ["reference", "batched", "network"])
     def test_max_skew_rejected_off_async(self, engine):
         cfg = EngineConfig(rounds=2, max_skew=1)
-        with pytest.raises(ConfigurationError, match="async/staleness/sharded engines only"):
+        with pytest.raises(ConfigurationError, match="async/staleness engines only"):
             make_engine(engine).run(TORUS, cfg, point_load(TORUS, 100))
 
     @pytest.mark.parametrize("engine", ["reference", "batched"])

@@ -22,13 +22,11 @@ from repro.engines.base import REPLICA_PARAM_FIELDS
 from repro.engines.capabilities import (
     CAPABILITIES,
     ENGINE_COLUMNS,
-    SHARDED_PARENT_FIELDS,
     UNIVERSAL,
-    routes_to_staleness,
 )
 
 TOPO = torus_2d(4, 4)
-#: B = 3 keeps every sharded call on one inline shard (no worker process).
+#: B = 3 keeps every ``workers`` call on one inline shard (no worker process).
 B = 3
 LOADS = np.tile(point_load(TOPO, 10 * TOPO.n), (B, 1))
 NODE_FIELDS = ("max_minus_avg", "potential_per_node")
@@ -111,20 +109,26 @@ def test_supported_cell_runs(field, engine):
 
 
 @pytest.mark.parametrize("field", list(ROWS))
-def test_routed_sharded_follows_the_staleness_column(field):
-    """A latency knob routes a sharded call to staleness workers: every
-    knob but the parent's own is then checked against staleness."""
+def test_sharded_alias_follows_the_batched_column(field):
+    """``sharded`` is the batched engine with ``workers="auto"``: it runs
+    every knob the batched column lists and refuses the rest under its
+    own name, pointing staleness-only knobs to ``engine="staleness"``."""
     cap = ROWS[field]
-    routed = routes_to_staleness(EngineConfig(**EXAMPLES[field]))
-    extra = {} if routed else dict(latency_model=1.0)
-    supported = "sharded" in cap.engines and (
-        field in SHARDED_PARENT_FIELDS or "staleness" in cap.engines
-    )
-    if supported:
-        assert len(_run("sharded", field, **extra)) == B
-    else:
-        with pytest.raises(ConfigurationError, match="staleness workers"):
-            _run("sharded", field, **extra)
+    if field == "arrival_sampling":
+        # The one batched knob the shard planner refuses: a shared batch
+        # arrival stream cannot split into worker shards.
+        with pytest.raises(ConfigurationError, match="arrival_sampling"):
+            _run("sharded", field)
+        return
+    if "batched" in cap.engines:
+        assert len(_run("sharded", field)) == B
+        return
+    with pytest.raises(ConfigurationError) as info:
+        _run("sharded", field)
+    message = str(info.value)
+    assert "the sharded engine" in message and field in message
+    if "staleness" in cap.engines:
+        assert "engine='staleness' and workers" in message
 
 
 @pytest.mark.parametrize("engine", ["network", "async", "staleness"])

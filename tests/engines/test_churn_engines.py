@@ -284,12 +284,12 @@ class TestShardedChurn:
                 got.final_state.load, want.final_state.load
             )
 
-    def test_sharded_refuses_churn_with_staleness(self):
+    def test_staleness_workers_refuse_churn(self):
         # The heterogeneous guard that remains: churn cannot compose with
-        # the bounded-staleness knobs on the sharded engine.
+        # the bounded-staleness knobs, sharded over workers or not.
         cfg = _config(workers=2, latency_model=1.0)
         with pytest.raises(ConfigurationError, match="churn"):
-            _run("sharded", cfg, _loads(B=4))
+            _run("staleness", cfg, _loads(B=4))
 
 
 class TestGuards:

@@ -210,8 +210,8 @@ class TestFallback:
 
 
 class TestZeroCopyCoverage:
-    """Staleness-routed and closed-form shards record into the batched
-    engine's columnar store, so they take the zero-copy return too."""
+    """Staleness and closed-form shards record into the batched engine's
+    columnar store, so they take the zero-copy return too."""
 
     NODE_FIELDS = (
         "max_minus_avg", "min_minus_avg", "max_local_diff",
@@ -232,7 +232,7 @@ class TestZeroCopyCoverage:
     def test_staleness_static(self, pool, merges):
         cfg = _config(latency_model="fixed:1", faults="drop:0.2")
         loads = _loads()
-        pooled = pool.run_batch(TOPO, cfg, loads).results()
+        pooled = pool.run_batch(TOPO, cfg, loads, engine="staleness").results()
         want = StalenessEngine().run_batch(
             TOPO, replace(cfg, workers=None), loads
         ).results()
@@ -246,7 +246,9 @@ class TestZeroCopyCoverage:
             arrivals="poisson:3,depart=1",
         )
         loads = _loads()
-        pooled = pool.run_batch(TOPO, cfg, loads, dynamic=True).dynamic_results()
+        pooled = pool.run_batch(
+            TOPO, cfg, loads, dynamic=True, engine="staleness"
+        ).dynamic_results()
         want = StalenessEngine().run_dynamic_batch(
             TOPO, replace(cfg, workers=None), loads
         ).dynamic_results()
@@ -378,6 +380,7 @@ class TestWorkerBodyInProcess:
 
     def _task(self, cfg, loads, lo, hi, shared, loads_shm, topo=TOPO):
         return {
+            "engine": "batched",
             "graph_key": topology_fingerprint(topo),
             "topo": topo,
             "config": cfg,
@@ -445,10 +448,19 @@ class TestConfigPlumbing:
             with pytest.raises(ConfigurationError, match="pool"):
                 _config(pool=spec).validate()
 
-    def test_batched_rejects_pool(self):
+    @pytest.mark.parametrize("engine", ["reference", "network", "async"])
+    def test_per_replica_engines_reject_pool(self, engine):
         cfg = EngineConfig(scheme="sos", beta=1.7, rounds=5, pool=True)
-        with pytest.raises(ConfigurationError, match="sharded"):
-            make_engine("batched").run(TOPO, cfg, _loads(B=2))
+        with pytest.raises(ConfigurationError, match="batched/staleness"):
+            make_engine(engine).run(TOPO, cfg, _loads(B=2))
+
+    def test_pool_refuses_what_the_named_engine_refuses(self, pool):
+        """A task carries its engine's name: a latency config on the
+        default (batched) engine fails in the parent, before dispatch."""
+        cfg = _config(latency_model="fixed:1")
+        with pytest.raises(ConfigurationError, match="the batched engine"):
+            pool.run_batch(TOPO, cfg, _loads())
+        assert pool.calls_served == 0
 
 
 class TestForkWorkersPremise:

@@ -1,12 +1,13 @@
-"""Sharded engine: bit-identity to the batched engine + merge correctness.
+"""Worker shards: bit-identity to the unsharded run + merge correctness.
 
-The sharded backend's whole contract is that splitting a replica batch
-into per-worker column shards is *invisible* in the results: every
-rounding, static and dynamic, B=1 and B>1, any worker count.  These tests
-enforce the contract trace for trace, exercise the merge helpers
-(`merge_record_batches`, `StreamingStats.concat`) directly, and pin the
-per-replica rounding-stream layout (`rounding_stream`) that makes the
-whole thing possible — a replica's trajectory must not depend on its
+The contract of the ``workers``/``pool`` knobs is that splitting a replica
+batch into per-worker column shards is *invisible* in the results: every
+rounding, static and dynamic, B=1 and B>1, any worker count, on the
+batched and the staleness engine (and the ``sharded`` alias of batched).
+These tests enforce the contract trace for trace, exercise the merge
+helpers (`merge_record_batches`, `StreamingStats.concat`) directly, and
+pin the per-replica rounding-stream layout (`rounding_stream`) that makes
+the whole thing possible — a replica's trajectory must not depend on its
 batch position or shard assignment.
 """
 
@@ -28,6 +29,7 @@ from repro.core.records import StreamingStats
 from repro.engines import (
     EngineConfig,
     RecordBatch,
+    ShardedWorkerPool,
     make_engine,
     merge_record_batches,
     plan_shards,
@@ -35,7 +37,7 @@ from repro.engines import (
     resolve_workers,
     rounding_stream,
 )
-from repro.engines import sharded
+from repro.engines import pool as pool_module, sharded
 from repro.engines.sharded import _run_shard, _start_method
 from repro.graphs import random_regular_strict
 
@@ -225,6 +227,101 @@ class TestDynamicEquivalence:
             assert_dynamic_identical(a, b)
 
 
+#: One config per vectorised engine and regime: the staleness ones carry
+#: latency, skew and fault knobs, so their shards run delayed-view planes.
+KNOB_CONFIGS = {
+    "batched": EngineConfig(
+        scheme="sos", beta=1.7, rounding="randomized-excess", rounds=20,
+        record_every=3, seed=12,
+    ),
+    "staleness": EngineConfig(
+        scheme="fos", rounding="randomized-excess", rounds=20, seed=12,
+        latency_model="fixed:2", max_skew=1, faults="drop:0.2",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def two_worker_pool():
+    with ShardedWorkerPool(workers=2) as pool:
+        yield pool
+
+
+class TestWorkersAndPoolKnobs:
+    """The supported cells of ``workers`` and ``pool``: each vectorised
+    engine shards its own batches, bit-identically to its inline run."""
+
+    @pytest.mark.parametrize("knob", ["workers", "pool"])
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+    @pytest.mark.parametrize("engine", ["batched", "staleness"])
+    def test_sharded_equals_inline(self, engine, dynamic, knob, two_worker_pool):
+        config = KNOB_CONFIGS[engine]
+        if dynamic:
+            config = replace(config, arrivals="poisson:2.0,depart=1.0")
+        knobs = {"workers": 3} if knob == "workers" else {"pool": two_worker_pool}
+        backend = make_engine(engine)
+        run = backend.run_dynamic if dynamic else backend.run
+        same = assert_dynamic_identical if dynamic else assert_static_identical
+        loads = _batch(TORUS)
+        inline = run(TORUS, config, loads)
+        served = two_worker_pool.calls_served
+        got = run(TORUS, replace(config, **knobs), loads)
+        assert two_worker_pool.calls_served == served + (knob == "pool")
+        assert len(got) == len(inline)
+        for a, b in zip(inline, got):
+            same(a, b)
+
+    def test_sharded_alias_sets_auto_workers_only_when_unset(
+        self, monkeypatch, two_worker_pool
+    ):
+        calls = []
+        run_sharded = pool_module.run_sharded
+
+        def spy(engine, topo, config, loads, dynamic):
+            calls.append((engine, config.workers, config.pool))
+            return run_sharded(engine, topo, config, loads, dynamic)
+
+        monkeypatch.setattr(pool_module, "run_sharded", spy)
+        config = EngineConfig(rounding="nearest", rounds=4, seed=3)
+        loads = _batch(TORUS, 4)
+        alias = make_engine("sharded")
+        alias.run(TORUS, config, loads)
+        alias.run(TORUS, replace(config, workers=1), loads)
+        alias.run(TORUS, replace(config, pool=two_worker_pool), loads)
+        make_engine("batched").run(TORUS, config, loads)  # inline
+        assert calls == [
+            ("sharded", "auto", None),
+            ("sharded", 1, None),
+            ("sharded", None, two_worker_pool),
+        ]
+
+    def test_run_shard_builds_the_named_engine(self):
+        """The worker entry point reads no knob: the call names its
+        engine, and a config that engine refuses fails in the shard."""
+        config = replace(KNOB_CONFIGS["staleness"], replica_keys=[0, 1])
+        loads = _batch(TORUS, 2)
+        got = _run_shard(TORUS, config, loads, False, "staleness")
+        want = make_engine("staleness").run_batch(TORUS, config, loads)
+        np.testing.assert_array_equal(got.final_loads, want.final_loads)
+        with pytest.raises(ConfigurationError, match="the batched engine"):
+            _run_shard(TORUS, config, loads, False, "batched")
+
+    @pytest.mark.parametrize(
+        "knob",
+        [{"latency_model": 1.0}, {"max_skew": 1},
+         {"latency_buckets": "floor", "latency_model": 1.0},
+         {"faults": "drop:0.1"}],
+        ids=["latency_model", "max_skew", "latency_buckets", "faults"],
+    )
+    def test_sharded_alias_points_staleness_knobs_to_staleness(self, knob):
+        config = EngineConfig(rounds=2, workers=2, **knob)
+        with pytest.raises(
+            ConfigurationError, match="engine='staleness' and workers"
+        ) as info:
+            make_engine("sharded").run(TORUS, config, _batch(TORUS, 4))
+        assert "the sharded engine" in str(info.value)
+
+
 class TestPositionIndependence:
     """The per-replica stream layout behind the sharding contract."""
 
@@ -308,7 +405,7 @@ class TestRejections:
     def test_other_engines_reject_workers(self, small_torus):
         load = point_load(small_torus, 100)
         config = EngineConfig(rounding="nearest", rounds=2, workers=2)
-        for name in ("reference", "batched", "network"):
+        for name in ("reference", "network", "async"):
             with pytest.raises(ConfigurationError, match="workers"):
                 make_engine(name).run(small_torus, config, load)
 
@@ -329,17 +426,41 @@ class TestRejections:
                 TORUS, config, _batch(TORUS, 4)
             )
 
-    def test_sharded_refuses_step_protocol(self):
-        engine = make_engine("sharded")
-        config = EngineConfig(rounds=2)
-        for call in (
-            lambda: engine.prepare(TORUS, config, _batch(TORUS, 2)),
-            lambda: engine.step(None),
-            lambda: engine.arrive(None),
-            lambda: engine.metrics(None),
-        ):
-            with pytest.raises(ConfigurationError, match="run_dynamic"):
-                call()
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+    @pytest.mark.parametrize("engine", ["batched", "staleness", "sharded"])
+    def test_step_protocol_refuses_multi_shard_configs(self, engine, dynamic):
+        """prepare()/step() would need one IPC round trip per round: a
+        config that plans worker shards (or names a pool) is refused at
+        prepare(), while its single-shard twin prepares and steps."""
+        backend = make_engine(engine)
+        config = EngineConfig(
+            rounds=2, arrivals="poisson:1.0" if dynamic else None
+        )
+        loads = _batch(TORUS, 4)
+        with ShardedWorkerPool(workers=1) as pool:
+            for knob in ({"workers": 2}, {"pool": pool}):
+                with pytest.raises(ConfigurationError, match="run_dynamic"):
+                    backend.prepare(TORUS, replace(config, **knob), loads)
+        handle = backend.prepare(TORUS, replace(config, workers=1), loads)
+        if dynamic:
+            backend.arrive(handle)
+        backend.step(handle)
+        assert backend.metrics(handle).final_loads.shape == loads.shape
+
+    @pytest.mark.parametrize("knob", ["workers", "pool"])
+    def test_batch_sampling_refused_across_shards(self, knob):
+        """One shared arrival stream cannot split into column shards: the
+        shard planner refuses it before any worker starts."""
+        config = EngineConfig(
+            rounds=3, arrivals="poisson:1.0", arrival_sampling="batch",
+        )
+        with ShardedWorkerPool(workers=2) as pool:
+            knobs = {"workers": 2} if knob == "workers" else {"pool": pool}
+            with pytest.raises(ConfigurationError, match="arrival_sampling"):
+                make_engine("batched").run_dynamic(
+                    TORUS, replace(config, **knobs), _batch(TORUS, 4)
+                )
+            assert pool._procs == []  # refused in the parent
 
     def test_run_and_run_dynamic_refuse_wrong_regime(self):
         engine = make_engine("sharded")
@@ -401,7 +522,9 @@ class TestMergeHelpers:
         with pytest.raises(ConfigurationError, match="round_index"):
             merge_record_batches([a, b])
 
-    def test_merge_prebuilt_results(self):
+    def test_merge_refuses_prebuilt_results(self):
+        """Only columnar batches shard; the per-replica engines' pre-built
+        results are refused rather than chained."""
         loads = _batch(TORUS, 4)
         config = EngineConfig(rounding="nearest", rounds=4, seed=0)
         engine = make_engine("reference")
@@ -413,8 +536,9 @@ class TestMergeHelpers:
             for _ in range(config.rounds):
                 engine.step(handle)
             batches.append(engine.metrics(handle))
-        merged = merge_record_batches(batches)
-        assert len(merged.results()) == 4
+        assert all(len(b.results()) == 2 for b in batches)
+        with pytest.raises(ConfigurationError, match="pre-built"):
+            merge_record_batches(batches)
 
     def test_streaming_stats_concat(self):
         full = StreamingStats(("x", "y"), 5)

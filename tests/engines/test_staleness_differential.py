@@ -214,7 +214,7 @@ class TestComposition:
             _run("async", TORUS, cfg, loads),
         )
 
-    def test_sharded_routes_staleness_configs(self):
+    def test_workers_shard_staleness_configs(self):
         """A latency/fault config shards bit-identically: the delayed
         planes slice by column, so worker shards merge into exactly the
         dense staleness batch."""
@@ -228,17 +228,17 @@ class TestComposition:
             seed=4, faults="drop:0.2", max_skew=4, workers=2,
         )
         assert_results_identical(
-            _run("sharded", STAMPED, sharded, loads),
+            _run("staleness", STAMPED, sharded, loads),
             _run("staleness", STAMPED, dense, loads),
         )
 
-    def test_sharded_routes_dynamic_staleness_configs(self):
+    def test_workers_shard_dynamic_staleness_configs(self):
         loads = _loads(STAMPED, 8)
         kw = dict(
             scheme="fos", rounding="floor", rounds=6, seed=4,
             latency_model="fixed:1", arrivals="poisson:30",
         )
-        got = make_engine("sharded").run_dynamic(
+        got = make_engine("staleness").run_dynamic(
             STAMPED, EngineConfig(workers=2, **kw), loads
         )
         want = make_engine("staleness").run_dynamic(
@@ -342,5 +342,5 @@ class TestGuards:
 
     def test_latency_buckets_rejected_elsewhere(self):
         cfg = EngineConfig(rounds=2, latency_buckets="exact", latency_model=1.0)
-        with pytest.raises(ConfigurationError, match="staleness/sharded engines only"):
+        with pytest.raises(ConfigurationError, match="staleness engine only"):
             make_engine("async").run(TORUS, cfg, point_load(TORUS, 100))

@@ -267,8 +267,8 @@ class TestSharded:
 
         shard_plan = pool_module._shard_plan
         monkeypatch.setattr(pool_module, "_shard_plan", spy)
-        got = make_engine("sharded")._run(
-            topo, replace(config, workers=2), loads, dynamic=False
+        got = make_engine("batched").run_batch(
+            topo, replace(config, workers=2), loads
         )
         assert [len(plan) for plan in plans] == [2]
         assert_same_batch(got, want)
@@ -362,6 +362,29 @@ def test_take_columns_refuses_dynamic_runs():
     h = make_engine("batched").prepare(TOPO_C, config, np.ones((2, TOPO_C.n)))
     with pytest.raises(Exception, match="static run"):
         h.take_columns([0])
+
+
+def test_cloned_rng_draws_like_a_deepcopy():
+    """A repeated column's generator is a clone of the original's state:
+    it draws exactly what a deepcopy would, and independently of it."""
+    import copy
+
+    from repro.engines.base import rounding_stream
+
+    original = rounding_stream(11, 4)
+    original.random(5)  # mid-stream, with state past the seed
+    original.integers(0, 7, 3)
+    deep, witness = copy.deepcopy(original), copy.deepcopy(original)
+    clone = batched._clone_rng(original)
+    assert clone.bit_generator is not original.bit_generator
+    for draw in (
+        lambda g: g.random(9),
+        lambda g: g.integers(0, 1 << 40, 6),
+        lambda g: g.standard_normal(4),
+    ):
+        np.testing.assert_array_equal(draw(clone), draw(deep))
+    # The clone's draws left the original where it was.
+    np.testing.assert_array_equal(original.random(9), witness.random(9))
 
 
 # -- compiled excess dispatch scratch -----------------------------------------

@@ -207,6 +207,13 @@ class TestScalingFlags:
         assert code == 0
         assert (tmp_path / "fig02.json").exists()
 
+    def test_figure_rounds_on_driver_without_rounds_warns(self, capsys):
+        """fig09_11 renders fixed snapshot rounds: --rounds is refused with
+        a message instead of reaching the driver as an unknown argument."""
+        code = main(["figure", "fig09_11", "--scale", "tiny", "--rounds", "40"])
+        assert code == 0
+        assert "fig09_11 takes none" in capsys.readouterr().err
+
     def test_figure_seeds_on_single_seed_driver_warns(self, capsys):
         code = main(
             ["figure", "fig06", "--scale", "tiny", "--rounds", "40",

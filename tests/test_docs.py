@@ -120,27 +120,16 @@ class TestEnginesDocumented:
 
 def _capability_matrix() -> str:
     """The engine x knob matrix of ``docs/engines.md``, rendered from
-    :mod:`repro.engines.capabilities`.
-
-    A sharded cell reads ``✓ (routed)`` where the knob sends the shards to
-    staleness workers, and ``✓ (– if routed)`` where the staleness column
-    refuses a knob that the batched workers honour.
-    """
+    :mod:`repro.engines.capabilities`: one column per engine, a ✓ where
+    the engine honours the knob."""
     from repro.engines.capabilities import (
         CAPABILITIES,
         ENGINE_COLUMNS,
-        SHARDED_PARENT_FIELDS,
         UNIVERSAL,
     )
 
     def cell(cap, engine):
-        if engine not in cap.engines:
-            return "–"
-        if engine != "sharded" or cap.field in SHARDED_PARENT_FIELDS:
-            return "✓"
-        if "batched" not in cap.engines:
-            return "✓ (routed)"
-        return "✓" if "staleness" in cap.engines else "✓ (– if routed)"
+        return "✓" if engine in cap.engines else "–"
 
     lines = [
         "| setting | " + " | ".join(f"`{e}`" for e in ENGINE_COLUMNS) + " |",
