@@ -900,13 +900,16 @@ class _BatchedHandle:
             config.switch is not None and config.switch[0] == "plateau"
         )
         self.nb1 = np.empty((n, B), dtype=dtype) if need_nb1 else None
-        #: token-sized scratch of the excess dispatch (the compiled tier's
-        #: uniforms), reused across rounds
+        #: token-sized scratch of the numpy tier's excess dispatch, reused
+        #: across rounds
         self.tokens = _TokenScratch()
         # One spawned rounding stream per replica, keyed by the replica's
         # identity (config.replica_keys, default its global batch index) —
         # trajectories never depend on the batch composition.
         self.rngs = resolve_rounding_rngs(config, B)
+        if self.kernel is not None:
+            # the streams as the compiled dispatch draws from them
+            self.kern_rngs = self.kernel.bind_generators(self.rngs)
 
         #: round 0's is the loads' own minimum: over the live nodes under
         #: churn, else taken by the round-0 record (see _record_current)
@@ -1054,9 +1057,9 @@ class _BatchedHandle:
             self.adj_edges_flat = adj_edges.ravel()
             if self.kernel is not None:
                 # Compiled excess path: int8 slot signs plus the token-count
-                # and uniform-offset buffers replace the numpy tier's P/N
-                # blocks and cumulative planes — the dominant scratch
-                # allocation of large-n discrete runs disappears entirely.
+                # buffers replace the numpy tier's P/N blocks and cumulative
+                # planes — the dominant scratch allocation of large-n
+                # discrete runs disappears entirely.
                 self.kern_adj_edges, self.kern_adj_signs = _cached(
                     op_cache, "kern_adj",
                     lambda: (
@@ -1066,7 +1069,6 @@ class _BatchedHandle:
                 )
                 self.kern_counts = np.empty((n, B), dtype=np.int64)
                 self.kern_totals = np.empty(B, dtype=np.int64)
-                self.kern_uoff = np.empty(B + 1, dtype=np.int64)
                 # The dispatch's cumulative slot fractions of one node,
                 # every replica: heap scratch, since dmax * B of them
                 # overflow a C stack on a hub node with a wide batch.
@@ -1165,8 +1167,6 @@ class _BatchedHandle:
                 setattr(self, name, _width_plane(arr, axis, B, cap, owner))
         if getattr(self, "pn", None) is not None:
             self.pn.fill(0.0)  # the P/N block's padding rows must read zero
-        if getattr(self, "kern_uoff", None) is not None:
-            self.kern_uoff = np.empty(B + 1, dtype=np.int64)
         if self.alpha_per_replica:
             self.alphas = gather(self.alphas, 1)
             if self.kernel is not None:
@@ -1185,6 +1185,8 @@ class _BatchedHandle:
             rngs.append(_clone_rng(self.rngs[i]) if i in seen else self.rngs[i])
             seen.add(i)
         self.rngs = rngs
+        if self.kernel is not None:
+            self.kern_rngs = self.kernel.bind_generators(rngs)
         self.n_replicas = B
 
 
@@ -1528,16 +1530,16 @@ class BatchedVectorEngine(Engine):
 
         Resolves the round's schedule mode and coefficient strides exactly
         like the numpy branches in :meth:`_advance` (fused-operator form,
-        scalar/vector beta, the round-0 FOS opener), draws the token
-        uniforms from the same per-replica streams in the same order, and
-        hands flat buffers to the provider — bit-identical to
-        the numpy tier by construction.  Reads ``h.flows`` without writing
-        it; the actuals land in ``h.act`` and the caller's swap makes them
-        the next round's flow state, exactly like the numpy path (whose
-        in-place ``flows`` writes are discarded scratch after the swap).
+        scalar/vector beta, the round-0 FOS opener) and hands flat buffers
+        and the per-replica streams to the provider, whose dispatch draws
+        each token's uniform from its replica's stream in the numpy tier's
+        order — bit-identical to the numpy tier by construction.  Reads
+        ``h.flows`` without writing it; the actuals land in ``h.act`` and
+        the caller's swap makes them the next round's flow state, exactly
+        like the numpy path (whose in-place ``flows`` writes are discarded
+        scratch after the swap).
         """
         kern = h.kernel
-        B = h.n_replicas
         m = h.topo.m_edges
         if h.fused_sched and (h.round_index == 0 or h.scalar_beta):
             # Fused-operator schedule: per-edge coefficients straight from
@@ -1571,26 +1573,17 @@ class BatchedVectorEngine(Engine):
             fsg, alpha, ar, ac, h.kern_beta, h.kern_bm1, bs, mode,
             h.kern_consts,
         )
-        # Token budgets first, then exactly as many uniforms as there are
-        # tokens, drawn replica-major / node-ascending from the per-replica
-        # streams — the numpy tier's consumption order.
+        # Token budgets first; then each token draws its uniform from its
+        # replica's stream, node-ascending — the numpy tier's order.
         kern.excess_counts(
             h.kern_adj_edges, h.kern_adj_signs, h.dmax, m, fsg,
             h.kern_counts, h.kern_totals, h.kern_consts,
         )
-        per_replica = h.kern_totals
-        h.kern_uoff[0] = 0
-        np.cumsum(per_replica, out=h.kern_uoff[1:])
-        total = int(h.kern_uoff[B])
-        if total:
-            # Streams drawn straight into their slices of a reused
-            # buffer, in the numpy tier's consumption order.
-            uni_flat = h.tokens.get("uniforms", total, h.dtype)
-            _draw_grouped(h.rngs, per_replica, uni_flat)
+        if h.kern_totals.any():
             kern.excess_dispatch(
                 h.kern_adj_edges, h.kern_adj_signs, h.dmax, m, fsg,
-                h.kern_counts, uni_flat, h.kern_uoff, h.act,
-                h.kern_cums, h.kern_consts,
+                h.kern_counts, h.kern_rngs, h.act, h.kern_cums,
+                h.kern_consts,
             )
         return h.act
 

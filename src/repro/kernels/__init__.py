@@ -37,10 +37,11 @@ them, so they run on numpy only.
 
 Every provider is **bit-identical** to the numpy tier: it replays the
 exact elementwise expression trees and the exact CSR accumulation order,
-and the token scatter consumes uniforms pre-drawn from the same
-per-replica :func:`~repro.engines.base.rounding_stream` numpy generators
-in the same order (the provider compiles the expensive scatter, not the
-sampling).
+and the token scatter draws each token's uniform from its replica's own
+:func:`~repro.engines.base.rounding_stream` numpy generator, node-ascending
+within a replica — the numpy tier's order, so every generator ends a
+round in the same state on both tiers (the cffi provider draws in C
+through numpy's public ``bitgen_t``, as ``Generator.random`` does).
 The record reductions are serial and add every sum in row order in the
 array dtype — numpy's order for an axis-0 sum over a C-contiguous
 ``(rows, B)`` plane with ``B > 1``.  For ``B == 1`` numpy sums pairwise
@@ -52,8 +53,8 @@ in the engine's dtype; ``consts = [0.0, 1.0, frac_tol, 0.5]`` in that
 dtype so no float literal ever enters the kernels at a foreign precision;
 the edge/adjacency index arrays ``eu``/``ev``/``adj_edges``/``edges`` are
 **int32** — half the index traffic of the memory-bound large-n runs —
-while ``indptr``/``counts``/``totals``/``uoff`` stay int64 and
-``adj_signs`` is int8):
+while ``indptr``/``counts``/``totals`` stay int64 and ``adj_signs`` is
+int8):
 
 * ``round_edges(eu, ev, load, speeds, flows, act, fsg, alpha, ar, ac,
   beta, bm1, bs, mode, consts)`` — fused schedule + round:
@@ -63,15 +64,20 @@ while ``indptr``/``counts``/``totals``/``uoff`` stay int64 and
   ``E_alpha[_beta].data`` coefficients; ``(ar, ac)`` / ``bs`` are element
   strides into the flat ``alpha`` / ``beta`` rows.  It writes the signed
   base ``act = trunc(s)`` and the signed fractional parts
-  ``fsg = s - act``.
+  ``fsg = s - act``; ``act`` and ``fsg`` overlap no input.
 * ``excess_counts(adj_edges, adj_signs, dmax, m, fsg, counts, totals,
   consts)`` — per-(node, replica) token budgets ``ceil(r - tol)`` from a
   walk of the padded adjacency (slot ``e == m`` is padding), plus the
   per-replica token totals reduced into ``totals``.
-* ``excess_dispatch(adj_edges, adj_signs, dmax, m, fsg, counts, uni,
-  uoff, act, cums, consts)`` — serial token scatter consuming the
-  pre-drawn uniforms replica-major (``uoff`` offsets), node-ascending
-  within a replica — exactly the numpy tier's stream consumption order.
+* ``bind_generators(rngs)`` — the replicas' generators (one distinct
+  ``numpy.random.Generator`` per replica) in the form ``excess_dispatch``
+  takes them; bind once per batch and again after the columns change.
+* ``excess_dispatch(adj_edges, adj_signs, dmax, m, fsg, counts, rngs, act,
+  cums, consts)`` — serial token scatter: node ``i``'s ``counts[i, b]``
+  tokens each draw one uniform from ``rngs[b]`` (bound or a plain
+  sequence), node after node, so each stream is consumed node-ascending
+  — exactly the numpy tier's order.  ``counts`` is ``excess_counts``'s
+  output for this ``fsg``; padding slots trail each node's real ones.
   ``cums`` is caller-owned ``(dmax, B)`` scratch for one node's
   cumulative slot fractions.
 * ``apply_flows(indptr, edges, signs, act, load)`` — the incidence
@@ -346,11 +352,9 @@ def _warm_provider(provider) -> None:
         provider.excess_counts(
             adj_edges, adj_signs, 1, 1, fsg, counts, totals, consts
         )
-        total = int(counts.sum())
-        uoff = np.array([0, total], dtype=np.int64)
-        udraws = np.full(max(total, 1), 0.5, dtype=dtype)[:total]
         provider.excess_dispatch(
-            adj_edges, adj_signs, 1, 1, fsg, counts, udraws, uoff, act,
+            adj_edges, adj_signs, 1, 1, fsg, counts,
+            provider.bind_generators([np.random.default_rng(0)]), act,
             np.empty((1, 1), dtype=dtype), consts,
         )
         provider.apply_flows(indptr, edges, signs, act, load.copy())

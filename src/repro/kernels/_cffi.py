@@ -16,12 +16,28 @@ static schedules, so thread count never affects results (each iteration
 owns its output row).  The record-round reductions (``record_metrics``,
 ``apply_info``) are serial, so their sums keep one fixed order.
 
+No flag picks the instruction set.  On x86-64 glibc every kernel carries
+``target_clones("arch=x86-64-v3", "default")``, so it is built twice, for
+AVX2 and for the baseline, and the loader picks one per CPU; elsewhere
+(and with a compiler without the attribute) the baseline alone is built.
+The clones run the same IEEE operations in the same order (no FMA: the
+flag above), so they agree bit for bit.  There is no ``x86-64-v4``
+(AVX-512) clone: on a 2-vCPU AVX-512 Xeon it made ``excess_counts`` at
+``n = 10^6, B = 4`` slower (46 against 24 ms a call), and won nothing
+elsewhere.  The hot loops call no libm function: ``trunc`` and ``ceil``
+are exact branchless code (see ``trunc_*`` and ``excess_counts``), which
+both clones vectorise.  The dispatch draws each token's uniform through
+numpy's public ``bitgen_t`` of the replica's generator, as numpy's own
+``Generator.random`` fills do, so both tiers leave every stream in the
+same state.
+
 Arguments cross into C as ``ffi.from_buffer`` views of the numpy arrays
 (no pointer arithmetic, no ``ctypes``).  Those views carry raw bytes, so
 :class:`CffiKernels` guards every array argument of every entry point —
 dtype and C-contiguity — and the record passes and the dispatch scratch
-also by extent, raising ``ValueError("cffi kernel argument: ...")``
-before any C code runs.
+also by extent, and the generators of ``excess_dispatch`` (one distinct
+``numpy.random.Generator`` per replica), raising
+``ValueError("cffi kernel argument: ...")`` before any C code runs.
 """
 
 from __future__ import annotations
@@ -32,6 +48,7 @@ import os
 import shutil
 import sys
 import tempfile
+from typing import Optional
 
 import numpy as np
 
@@ -51,8 +68,7 @@ void excess_counts_@S@(
 void excess_dispatch_@S@(
     long long n, long long B, long long m, long long dmax,
     const int *adj_edges, const signed char *adj_signs,
-    const @R@ *fsg, const long long *counts,
-    const @R@ *uni, const long long *uoff,
+    const @R@ *fsg, const long long *counts, const uintptr_t *gens,
     @R@ *act, @R@ *cums, const @R@ *consts);
 void apply_flows_@S@(
     long long n, long long B, const long long *indptr,
@@ -69,7 +85,61 @@ void apply_info_@S@(
 """
 
 _BODY_TEMPLATE = r"""
-void round_edges_@S@(
+/* trunc without libm: below 2^(mantissa bits), adding and removing that
+   power rounds |s| to an integer, which steps down by one where it
+   rounded up; at or above it (and for inf and NaN) |s| is its own trunc.
+   Every step is exact and branchless, so the loops around it vectorise. */
+static inline @R@ trunc_@S@(@R@ s, @R@ zero, @R@ one)
+{
+    const @R@ mag = @FABS@(s);
+    const @R@ big = (mag < @BIG@) ? @BIG@ : zero;
+    const @R@ r = (mag + big) - big;
+    return @COPYSIGN@(r + ((r > mag) ? -one : zero), s);
+}
+
+/* One edge of round_edges: the schedule s of its mode, then the signed
+   base act = trunc(s) and the fractional part fsg = s - act.  The rows
+   are restrict (the outputs overlap no input), so each mode's loop
+   vectorises without run-time alias checks. */
+static inline void edge_row_@S@(
+    long long B, int mode, const @R@ *restrict nu, const @R@ *restrict nv,
+    const @R@ *restrict alpha, long long ac, const @R@ *restrict flows,
+    const @R@ *restrict beta, const @R@ *restrict bm1, long long bs,
+    @R@ *restrict act, @R@ *restrict fsg, @R@ zero, @R@ one)
+{
+    long long b;
+    if (mode == 2) {
+        /* fused operators: flows*bm1, then +c*nu, then +(-c)*nv — the
+           csr_matvecs accumulation over interleaved data */
+        for (b = 0; b < B; b++) {
+            const @R@ c = alpha[b * ac];
+            @R@ s = flows[b] * bm1[b * bs];
+            s = s + c * nu[b];
+            s = s + (-c) * nv[b];
+            const @R@ a = trunc_@S@(s, zero, one);
+            act[b] = a;
+            fsg[b] = s - a;
+        }
+    } else if (mode == 1) {
+        for (b = 0; b < B; b++) {
+            @R@ d = (nu[b] - nv[b]) * alpha[b * ac];
+            d = d * beta[b * bs];
+            const @R@ s = flows[b] * bm1[b * bs] + d;
+            const @R@ a = trunc_@S@(s, zero, one);
+            act[b] = a;
+            fsg[b] = s - a;
+        }
+    } else {
+        for (b = 0; b < B; b++) {
+            const @R@ s = (nu[b] - nv[b]) * alpha[b * ac];  /* FOS opener */
+            const @R@ a = trunc_@S@(s, zero, one);
+            act[b] = a;
+            fsg[b] = s - a;
+        }
+    }
+}
+
+KERNEL void round_edges_@S@(
     long long m, long long B, const int *eu, const int *ev,
     const @R@ *load, const @R@ *speeds, const @R@ *flows,
     @R@ *act, @R@ *fsg,
@@ -82,40 +152,25 @@ void round_edges_@S@(
     for (e = 0; e < m; e++) {
         const long long u = eu[e];
         const long long v = ev[e];
-        long long b;
-        for (b = 0; b < B; b++) {
-            @R@ nu = load[u * B + b];
-            @R@ nv = load[v * B + b];
-            @R@ s, a;
-            if (speeds) {
-                nu = nu / speeds[u];
-                nv = nv / speeds[v];
+        const @R@ *nu = load + u * B;
+        const @R@ *nv = load + v * B;
+        @R@ su[B > 0 ? B : 1], sv[B > 0 ? B : 1];
+        if (speeds) {
+            long long b;
+            for (b = 0; b < B; b++) {
+                su[b] = nu[b] / speeds[u];
+                sv[b] = nv[b] / speeds[v];
             }
-            if (mode == 2) {
-                /* fused operators: flows*bm1, then +c*nu, then +(-c)*nv —
-                   the csr_matvecs accumulation over interleaved data */
-                const @R@ c = alpha[e * ar + b * ac];
-                s = flows[e * B + b] * bm1[b * bs];
-                s = s + c * nu;
-                s = s + (-c) * nv;
-            } else {
-                @R@ d = (nu - nv) * alpha[e * ar + b * ac];
-                if (mode == 1) {
-                    d = d * beta[b * bs];
-                    s = flows[e * B + b] * bm1[b * bs] + d;
-                } else {
-                    s = d;  /* round-0 FOS opener */
-                }
-            }
-            /* randomized-excess: signed base + fractional part */
-            a = @TRUNC@(s);
-            act[e * B + b] = a;
-            fsg[e * B + b] = s - a;
+            nu = su;
+            nv = sv;
         }
+        edge_row_@S@(
+            B, mode, nu, nv, alpha + e * ar, ac, flows + e * B, beta, bm1,
+            bs, act + e * B, fsg + e * B, consts[0], consts[1]);
     }
 }
 
-void excess_counts_@S@(
+KERNEL void excess_counts_@S@(
     long long n, long long B, long long m, long long dmax,
     const int *adj_edges, const signed char *adj_signs,
     const @R@ *fsg, long long *counts, long long *totals,
@@ -155,11 +210,16 @@ void excess_counts_@S@(
             }
         }
         for (bb = 0; bb < B; bb++) {
-            counts[i * B + bb] = (long long)@CEIL@(cum[bb] - tol);
+            /* ceil without libm: the budget is below dmax, so an int
+               holds it; truncate, then step up where that cut a
+               fraction off (a budget in (-1, 0] truncates to 0) */
+            const @R@ x = cum[bb] - tol;
+            const int k = (int)x;
+            counts[i * B + bb] = k + (x > (@R@)k);
         }
     }
-    /* per-replica token totals, reduced here so the caller sizes the
-       uniform stream without an extra numpy pass over (n, B) */
+    /* per-replica token totals, reduced here so the caller learns
+       without an extra numpy pass over (n, B) whether any token moves */
     for (b = 0; b < B; b++) {
         totals[b] = 0;
     }
@@ -170,27 +230,20 @@ void excess_counts_@S@(
     }
 }
 
-void excess_dispatch_@S@(
+KERNEL void excess_dispatch_@S@(
     long long n, long long B, long long m, long long dmax,
     const int *adj_edges, const signed char *adj_signs,
-    const @R@ *fsg, const long long *counts,
-    const @R@ *uni, const long long *uoff,
+    const @R@ *fsg, const long long *counts, const uintptr_t *gens,
     @R@ *act, @R@ *cums, const @R@ *consts)
 {
     /* cums: caller-owned (dmax, B) scratch — dmax * B values overflow the
        C stack on a hub node with a wide batch */
     const @R@ zero = consts[0];
-    const @R@ tol = consts[2];
-    long long off[B > 0 ? B : 1];  /* next unread uniform per replica */
     long long b, i;
-    for (b = 0; b < B; b++) {
-        off[b] = uoff[b];
-    }
-    /* serial, node-major for locality.  A token's uniform is addressed by
-       (replica, rank-within-replica) via the off counters, and within a
-       replica the node order is preserved — so the values consumed are
-       exactly the replica-major / node-ascending stream order of the
-       numpy tier, whatever the visit order here. */
+    /* serial, node-major for locality.  Replica b's tokens draw from its
+       own generator gens[b], node after node, so each stream is consumed
+       node-ascending — exactly the numpy tier's order for that stream,
+       whatever the interleaving of the replicas here. */
     for (i = 0; i < n; i++) {
         long long rowtot = 0;
         for (b = 0; b < B; b++) {
@@ -201,8 +254,8 @@ void excess_dispatch_@S@(
         }
         /* cumulative slot fractions for every replica of this node at
            once: each slot reads one contiguous fsg row, and per (i, b)
-           the slots accumulate in ascending order — the exact summation
-           chain of the numpy tier */
+           the slots accumulate in ascending order — the chain that
+           excess_counts rounded to this node's budgets */
         long long j;
         for (j = 0; j < dmax; j++) {
             const long long e = adj_edges[i * dmax + j];
@@ -230,14 +283,15 @@ void excess_dispatch_@S@(
         }
         for (b = 0; b < B; b++) {
             const long long k = counts[i * B + b];
-            if (k == 0) {
+            if (k <= 0) {
                 continue;
             }
+            bitgen_t *gen = (bitgen_t *)gens[b];
             const @R@ *cb = cums + b;
-            const @R@ c = @CEIL@(cb[(dmax - 1) * B] - tol);
+            const @R@ c = (@R@)k;  /* ceil(surplus - tol), exactly */
             long long t;
             for (t = 0; t < k; t++) {
-                const @R@ target = uni[off[b] + t] * c;
+                const @R@ target = uniform_@S@(gen) * c;
                 /* slot = #(cumulative fractions <= target); branchless
                    count — the running sum is non-decreasing, so the
                    count equals the first-crossing position without the
@@ -246,17 +300,21 @@ void excess_dispatch_@S@(
                 for (j = 0; j < dmax; j++) {
                     pos += (cb[j * B] <= target);
                 }
-                if (pos < dmax) {  /* otherwise the token stays home */
-                    const long long sl = i * dmax + pos;
-                    act[adj_edges[sl] * B + b] += (@R@)adj_signs[sl];
-                }
+                /* a token past the last slot stays home: it adds -0.0
+                   (x + -0.0 is x for every float x) to slot 0, a real
+                   edge of any node with a budget (padding trails).  The
+                   landing is integer arithmetic, negated twice so home
+                   gives -0.0: a select here compiles to a branch that
+                   mispredicts on about every other token. */
+                const long long moved = pos < dmax;
+                const long long sl = i * dmax + pos * moved;
+                act[adj_edges[sl] * B + b] += -(@R@)(-adj_signs[sl] * moved);
             }
-            off[b] += k;
         }
     }
 }
 
-void apply_flows_@S@(
+KERNEL void apply_flows_@S@(
     long long n, long long B, const long long *indptr,
     const int *edges, const @R@ *signs,
     const @R@ *act, @R@ *load)
@@ -291,7 +349,7 @@ void apply_flows_@S@(
    reductions over a C-contiguous (rows, B > 1) plane — so thread count
    can never change a recorded value. */
 
-void record_metrics_@S@(
+KERNEL void record_metrics_@S@(
     long long B, const @R@ *load, const @R@ *targets, long long trow,
     long long tcol, long long lo, long long hi, const int *eu, const int *ev,
     long long elo, long long ehi, @R@ *out, const @R@ *consts)
@@ -342,7 +400,7 @@ void record_metrics_@S@(
     }
 }
 
-void apply_info_@S@(
+KERNEL void apply_info_@S@(
     long long n, long long B, long long m, const long long *indptr,
     const int *edges, const @R@ *signs,
     const @R@ *act, @R@ *load, @R@ *info, const @R@ *consts)
@@ -391,12 +449,12 @@ void apply_info_@S@(
 
 _VARIANTS = {
     "f64": {
-        "@R@": "double", "@TRUNC@": "trunc", "@CEIL@": "ceil",
-        "@FABS@": "fabs",
+        "@R@": "double", "@BIG@": "0x1p52", "@FABS@": "fabs",
+        "@COPYSIGN@": "copysign",
     },
     "f32": {
-        "@R@": "float", "@TRUNC@": "truncf", "@CEIL@": "ceilf",
-        "@FABS@": "fabsf",
+        "@R@": "float", "@BIG@": "0x1p23f", "@FABS@": "fabsf",
+        "@COPYSIGN@": "copysignf",
     },
 }
 
@@ -437,10 +495,48 @@ int limit_threads(int k)
 }
 """
 
+#: The clone attribute every kernel carries where the compiler supports it.
+_CLONES = '__attribute__((target_clones("arch=x86-64-v3", "default")))'
+
+_PREAMBLE = r"""
+#include <math.h>
+#include <stdint.h>
+
+/* numpy's public bit generator interface (numpy/random/bitgen.h): the
+   excess dispatch draws each token's uniform through it, as numpy's own
+   Generator.random fills do. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+static inline double uniform_f64(bitgen_t *gen)
+{
+    return gen->next_double(gen->state);
+}
+
+static inline float uniform_f32(bitgen_t *gen)
+{
+    return (gen->next_uint32(gen->state) >> 8) * (1.0f / 16777216.0f);
+}
+
+/* Every kernel is built twice, for x86-64-v3 (AVX2) and the baseline,
+   and the loader picks one per CPU (an ifunc: x86-64 glibc only). */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define KERNEL @CLONES@
+#endif
+#endif
+#ifndef KERNEL
+#define KERNEL
+#endif
+""".replace("@CLONES@", _CLONES)
+
 _CDEF = _instantiate(_DECL_TEMPLATE) + _THREADS_DECL
-_SOURCE = (
-    "#include <math.h>\n" + _instantiate(_BODY_TEMPLATE) + _THREADS_BODY
-)
+_SOURCE = _PREAMBLE + _instantiate(_BODY_TEMPLATE) + _THREADS_BODY
 
 _BASE_FLAGS = ["-O3", "-ffp-contract=off"]
 
@@ -467,12 +563,14 @@ def _cache_dir() -> str:
     raise OSError("no writable kernel cache directory")
 
 
-def _load_or_build():
+def _load_or_build(source: str = _SOURCE, cache: Optional[str] = None):
+    """The compiled module of ``source``, built into ``cache`` (default
+    :func:`_cache_dir`) on the first call."""
     key = hashlib.sha1(
-        (_SOURCE + _CDEF + " ".join(_BASE_FLAGS)).encode()
+        (source + _CDEF + " ".join(_BASE_FLAGS)).encode()
     ).hexdigest()[:16]
     modname = f"_repro_kern_{key}"
-    cache = _cache_dir()
+    cache = cache or _cache_dir()
     if cache not in sys.path:
         sys.path.insert(0, cache)
     try:
@@ -492,7 +590,7 @@ def _load_or_build():
             ffi.cdef(_CDEF)
             args = _BASE_FLAGS + (["-fopenmp"] if openmp else [])
             ffi.set_source(
-                modname, _SOURCE,
+                modname, source,
                 extra_compile_args=args,
                 extra_link_args=["-fopenmp"] if openmp else [],
             )
@@ -514,6 +612,7 @@ def _load_or_build():
 _INT8 = (np.dtype(np.int8), "signed char[]")
 _INT32 = (np.dtype(np.int32), "int[]")
 _INT64 = (np.dtype(np.int64), "long long[]")
+_UINTP = (np.dtype(np.uintp), "uintptr_t[]")
 #: dtype char -> (symbol suffix, (dtype, cffi array type)) of the reals
 _REALS = {
     "d": ("f64", (np.dtype(np.float64), "double[]")),
@@ -523,6 +622,31 @@ _STEMS = (
     "round_edges", "excess_counts", "excess_dispatch", "apply_flows",
     "record_metrics", "apply_info",
 )
+
+
+class Generators(tuple):
+    """The replicas' rounding generators, and the address of each one's
+    numpy ``bitgen_t`` in ``plane`` (one per replica, for
+    ``excess_dispatch``).  The tuple holds the generators, so every
+    address stays valid while it lives."""
+
+    def __new__(cls, rngs):
+        rngs = super().__new__(cls, rngs)
+        if not all(isinstance(g, np.random.Generator) for g in rngs):
+            raise ValueError(
+                "cffi kernel argument: rngs must be numpy Generators"
+            )
+        if len({id(g) for g in rngs}) != len(rngs):
+            # one stream drawn node-major for two replicas would not be
+            # the replica-major order the numpy tier draws it in
+            raise ValueError(
+                "cffi kernel argument: one generator per replica, unshared"
+            )
+        rngs.plane = np.array(
+            [g.bit_generator.ctypes.bit_generator.value for g in rngs],
+            dtype=np.uintp,
+        )
+        return rngs
 
 
 class CffiKernels:
@@ -607,18 +731,27 @@ class CffiKernels:
         )
         return counts
 
+    @staticmethod
+    def bind_generators(rngs) -> Generators:
+        """``rngs`` with their bit generators' addresses, for
+        :meth:`excess_dispatch` (bind once per batch, not per round)."""
+        return Generators(rngs)
+
     def excess_dispatch(
-        self, adj_edges, adj_signs, dmax, m, fsg, counts, uni, uoff, act,
-        cums, consts,
+        self, adj_edges, adj_signs, dmax, m, fsg, counts, rngs, act, cums,
+        consts,
     ):
         fn, r = self._fn("excess_dispatch", fsg.dtype)
         p = self._p
         n, B = counts.shape
+        if type(rngs) is not Generators:
+            rngs = Generators(rngs)
+        self._check(len(rngs) == B, "one generator per replica")
         self._check(cums.size >= max(dmax, 1) * max(B, 1), "cums size")
         fn(
             n, B, int(m), int(dmax), p(adj_edges, _INT32),
             p(adj_signs, _INT8), p(fsg, r), p(counts, _INT64),
-            p(uni, r), p(uoff, _INT64), p(act, r), p(cums, r), p(consts, r),
+            p(rngs.plane, _UINTP), p(act, r), p(cums, r), p(consts, r),
         )
         return act
 

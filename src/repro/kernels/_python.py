@@ -1,8 +1,9 @@
 """Pure numpy/python provider of the kernel API (reference tier).
 
-Exists so the kernel orchestration — mode/coefficient resolution, the RNG
-pre-draw protocol, the padded-adjacency token walk, the sequential apply
-order — can be validated on any machine with no compiler and no optional
+Exists so the kernel orchestration — mode/coefficient resolution, the
+per-replica stream each token draws from (node-ascending within a
+replica), the padded-adjacency token walk, the sequential apply order —
+can be validated on any machine with no compiler and no optional
 dependency.  Every expression mirrors the C provider operation for
 operation, so it is bit-identical to it and to the engine's own numpy
 tier (for which it is *not* a speedup: the token/apply loops are plain
@@ -93,33 +94,35 @@ class PythonKernels:
         totals[...] = counts.sum(axis=0)
         return counts
 
+    @staticmethod
+    def bind_generators(rngs):
+        return tuple(rngs)
+
     def excess_dispatch(
-        self, adj_edges, adj_signs, dmax, m, fsg, counts, uni, uoff, act,
-        cums, consts,
+        self, adj_edges, adj_signs, dmax, m, fsg, counts, rngs, act, cums,
+        consts,
     ):
         n, B = counts.shape
         dtype = fsg.dtype
-        tol = consts[2]
         sl_e = adj_edges.reshape(n, dmax)
         sl_s = adj_signs.reshape(n, dmax)
         p = self._slot_fractions(adj_edges, adj_signs, dmax, m, fsg)
         for b in range(B):
-            off = int(uoff[b])
             for i in range(n):
                 k = int(counts[i, b])
-                if not k:
+                if k <= 0:
                     continue
                 cums = np.empty(dmax, dtype=dtype)
                 cum = dtype.type(0.0)
                 for j in range(dmax):
                     cum = cum + p[i, j, b]
                     cums[j] = cum
-                c = np.ceil(cum - tol)
-                for _ in range(k):
-                    target = uni[off] * c
-                    off += 1
+                c = dtype.type(k)  # ceil(cum - tol), as excess_counts rounded it
+                # the node's k uniforms, next in replica b's own stream
+                for u in rngs[b].random(k, dtype=dtype):
+                    target = u * c
                     pos = int(np.count_nonzero(cums <= target))
-                    if pos < dmax:
+                    if pos < dmax:  # otherwise the token stays home
                         act[sl_e[i, pos], b] += dtype.type(sl_s[i, pos])
         return act
 

@@ -8,7 +8,7 @@ dense/tiled/sharded execution, static and dynamic runs, B=1 and B>1,
 every other rounding.  A provider that is not available in the
 environment (no C compiler) is skip-marked, never failed; the pure-python
 provider always runs, so the orchestration (mode resolution, RNG
-pre-draws, token walk, apply order) is validated on every machine.
+streams, token walk, apply order) is validated on every machine.
 """
 
 import numpy as np
@@ -513,8 +513,7 @@ class TestRecordProviders:
         counts = np.zeros((n, B), dtype=np.int64)
         totals = np.zeros(B, dtype=np.int64)
         prov.excess_counts(adj_edges, adj_signs, dmax, m, fsg, counts, totals, c)
-        uoff = np.concatenate([[0], np.cumsum(totals)]).astype(np.int64)
-        uni = rng.random(int(uoff[-1]))
+        streams = [default_rng(10 + b) for b in range(B)]
         _, indptr, edges, signs = _incidence(RR, np.float64)
         calls = {
             "round_edges": [
@@ -526,7 +525,7 @@ class TestRecordProviders:
                 adj_edges, adj_signs, dmax, m, fsg, counts, totals, c,
             ],
             "excess_dispatch": [
-                adj_edges, adj_signs, dmax, m, fsg, counts, uni, uoff,
+                adj_edges, adj_signs, dmax, m, fsg, counts, streams,
                 np.zeros((m, B)), np.empty((dmax, B)), c,
             ],
             "apply_flows": [indptr, edges, signs, act, load.copy()],
@@ -559,6 +558,22 @@ class TestRecordProviders:
                         call(*args[:i], bad, *args[i + 1:])
             for a, b in zip(arrays, before):
                 np.testing.assert_array_equal(a, b)
+        # The generators: one numpy Generator per replica, else refused
+        # before any C code runs (no stream advances, no act changes).
+        args = calls["excess_dispatch"]
+        states = [g.bit_generator.state for g in streams]
+        act_before = args[7].copy()
+        for bad in (
+            streams[:-1],  # too few
+            streams + [default_rng(99)],  # too many
+            streams[:-1] + [np.random.PCG64(3)],  # a bit generator
+            streams[:-1] + [None],
+            streams[:-1] + [streams[0]],  # one stream for two replicas
+        ):
+            with pytest.raises(ValueError, match="cffi kernel argument"):
+                prov.excess_dispatch(*args[:6], bad, *args[7:])
+        assert [g.bit_generator.state for g in streams] == states
+        np.testing.assert_array_equal(args[7], act_before)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_python_matches_numpy_expressions(self, dtype):
