@@ -69,9 +69,10 @@ int8):
   consts)`` — per-(node, replica) token budgets ``ceil(r - tol)`` from a
   walk of the padded adjacency (slot ``e == m`` is padding), plus the
   per-replica token totals reduced into ``totals``.
-* ``bind_generators(rngs)`` — the replicas' generators (one distinct
-  ``numpy.random.Generator`` per replica) in the form ``excess_dispatch``
-  takes them; bind once per batch and again after the columns change.
+* ``bind_generators(rngs)`` — the replicas' generators (one
+  ``numpy.random.Generator`` per replica, no two on one bit generator)
+  in the form ``excess_dispatch`` takes them; bind once per batch and
+  again after the columns change.
 * ``excess_dispatch(adj_edges, adj_signs, dmax, m, fsg, counts, rngs, act,
   cums, consts)`` — serial token scatter: node ``i``'s ``counts[i, b]``
   tokens each draw one uniform from ``rngs[b]`` (bound or a plain

@@ -23,8 +23,8 @@ AVX2 and for the baseline, and the loader picks one per CPU; elsewhere
 The clones run the same IEEE operations in the same order (no FMA: the
 flag above), so they agree bit for bit.  There is no ``x86-64-v4``
 (AVX-512) clone: on a 2-vCPU AVX-512 Xeon it made ``excess_counts`` at
-``n = 10^6, B = 4`` slower (46 against 24 ms a call), and won nothing
-elsewhere.  The hot loops call no libm function: ``trunc`` and ``ceil``
+``n = 10^6, B = 4`` about twice as slow (47 against 24 ms a call, one
+thread).  The hot loops call no libm function: ``trunc`` and ``ceil``
 are exact branchless code (see ``trunc_*`` and ``excess_counts``), which
 both clones vectorise.  The dispatch draws each token's uniform through
 numpy's public ``bitgen_t`` of the replica's generator, as numpy's own
@@ -35,8 +35,9 @@ Arguments cross into C as ``ffi.from_buffer`` views of the numpy arrays
 (no pointer arithmetic, no ``ctypes``).  Those views carry raw bytes, so
 :class:`CffiKernels` guards every array argument of every entry point —
 dtype and C-contiguity — and the record passes and the dispatch scratch
-also by extent, and the generators of ``excess_dispatch`` (one distinct
-``numpy.random.Generator`` per replica), raising
+also by extent, and the generators of ``excess_dispatch`` (one
+``numpy.random.Generator`` per replica, no two on one bit generator),
+raising
 ``ValueError("cffi kernel argument: ...")`` before any C code runs.
 """
 
@@ -636,16 +637,16 @@ class Generators(tuple):
             raise ValueError(
                 "cffi kernel argument: rngs must be numpy Generators"
             )
-        if len({id(g) for g in rngs}) != len(rngs):
-            # one stream drawn node-major for two replicas would not be
-            # the replica-major order the numpy tier draws it in
-            raise ValueError(
-                "cffi kernel argument: one generator per replica, unshared"
-            )
         rngs.plane = np.array(
             [g.bit_generator.ctypes.bit_generator.value for g in rngs],
             dtype=np.uintp,
         )
+        if np.unique(rngs.plane).size != rngs.plane.size:
+            # one stream drawn node-major for two replicas would not be
+            # the replica-major order the numpy tier draws it in
+            raise ValueError(
+                "cffi kernel argument: one bit generator per replica"
+            )
         return rngs
 
 

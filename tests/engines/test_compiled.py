@@ -569,6 +569,8 @@ class TestRecordProviders:
             streams[:-1] + [np.random.PCG64(3)],  # a bit generator
             streams[:-1] + [None],
             streams[:-1] + [streams[0]],  # one stream for two replicas
+            # two Generators on one bit generator: one stream again
+            streams[:-1] + [np.random.Generator(streams[0].bit_generator)],
         ):
             with pytest.raises(ValueError, match="cffi kernel argument"):
                 prov.excess_dispatch(*args[:6], bad, *args[7:])
