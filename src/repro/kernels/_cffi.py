@@ -19,7 +19,8 @@ owns its output row).  The record-round reductions (``record_metrics``,
 No flag picks the instruction set.  On x86-64 glibc every kernel carries
 ``target_clones("arch=x86-64-v3", "default")``, so it is built twice, for
 AVX2 and for the baseline, and the loader picks one per CPU; elsewhere
-(and with a compiler without the attribute) the baseline alone is built.
+(and with a compiler that lacks the attribute or that target) the
+baseline alone is built.
 The clones run the same IEEE operations in the same order (no FMA: the
 flag above), so they agree bit for bit.  There is no ``x86-64-v4``
 (AVX-512) clone: on a 2-vCPU AVX-512 Xeon it made ``excess_counts`` at
@@ -584,14 +585,21 @@ def _load_or_build(source: str = _SOURCE, cache: Optional[str] = None):
     # the shared cache: processes starting cold at once then import either
     # nothing or a complete extension, never a half-written one.
     build = tempfile.mkdtemp(prefix=".build-", dir=cache)
+    # A compiler that has the clone attribute but not the x86-64-v3
+    # target (GCC before 11) builds the baseline alone.
+    attempts = [
+        (text, openmp)
+        for text in dict.fromkeys((source, source.replace(_CLONES, "")))
+        for openmp in (True, False)
+    ]
     try:
         last_error = None
-        for openmp in (True, False):
+        for text, openmp in attempts:
             ffi = cffi.FFI()
             ffi.cdef(_CDEF)
             args = _BASE_FLAGS + (["-fopenmp"] if openmp else [])
             ffi.set_source(
-                modname, source,
+                modname, text,
                 extra_compile_args=args,
                 extra_link_args=["-fopenmp"] if openmp else [],
             )
