@@ -89,8 +89,12 @@ CAPABILITIES: Tuple[Capability, ...] = (
                lambda c: c.record_mode != "table", _BATCHED),
     Capability("fast_path", "fast_path='matmul' or 'spectral'",
                lambda c: c.fast_path in ("matmul", "spectral"), _BATCHED),
-    Capability("kernel", "kernel='cffi' or 'python'",
-               lambda c: c.kernel not in ("auto", "numpy"), _BATCHED),
+    # The cffi provider has a staleness round; the python test oracle
+    # has not.
+    Capability("kernel", "kernel='cffi'",
+               lambda c: c.kernel == "cffi", _VECTORISED),
+    Capability("kernel", "kernel='python'",
+               lambda c: c.kernel == "python", _BATCHED),
     Capability("tile_size", "tile_size=int or 'auto'",
                lambda c: c.tile_size is not None, _VECTORISED),
     Capability("replica_keys", "replica_keys",

@@ -56,6 +56,14 @@ to dense runs) and ``replica_keys`` (pinning fault/rounding streams to
 replica identities), which is what lets it split a batch into column
 shards on worker processes (``workers`` / ``pool``) bit-identically.
 
+The engine honours ``kernel`` like the batched engine: a
+``randomized-excess`` batch that :func:`~repro.kernels.compiled_pays`
+gives to the compiled tier (or a forced ``kernel="cffi"``) runs each
+round through the cffi provider's staleness round, bit-identical to the
+numpy step below, which stays the reference tier and serves every other
+rounding, ``LinkOutage`` and custom fault models, and a fault model with
+one generator shared by every replica (:func:`~repro.kernels.kernel_blockers`).
+
 Records go into the batched engine's columnar record store, one
 ``(B,)`` row per field and recorded round, computed by ``(B, n)`` row
 reductions that equal the per-replica metric helpers bit for bit.
@@ -70,6 +78,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..exceptions import ConfigurationError, SimulationError
 from ..core.dynamic import ArrivalModel, ScaledArrivals
@@ -85,6 +94,7 @@ from ..core.metrics import (
 )
 from ..graphs.speeds import uniform_speeds, validate_speeds
 from ..graphs.topology import Topology
+from ..kernels import ensure_warm, resolve_kernel
 from ..network.engine import FAULT_STREAM_KEY
 from ..network.faults import LinkOutage, NoFaults, RandomLinkDrop
 from ..network.messages import TokenTransfer
@@ -210,6 +220,7 @@ class _StalenessCore:
         fault_models: Optional[List] = None,
         rngs: Optional[List[np.random.Generator]] = None,
         tile: Optional[int] = None,
+        kernel=None,
     ):
         if rounding not in _KNOWN_ROUNDINGS:
             raise ConfigurationError(f"unknown rounding {rounding!r}")
@@ -299,14 +310,30 @@ class _StalenessCore:
         # Arc- and edge-plane scratch, reused every round.
         self._view, self._flow, self._amt = np.empty((3, na, B))
         self._edge = np.empty((3, self.m, B))
-        # Segment-sum plumbing (arc -> source-node reduction).
-        self._red_idx = np.minimum(self.indptr[:-1], max(na - 1, 0))
-        empty = np.flatnonzero(degrees == 0)
-        self._empty_rows = empty if empty.size else None
-        #: ``edge_u + n * b`` / ``edge_v + n * b`` over a ``(B, m)`` flow
-        #: plane: one flat bincount is every replica's send-side sum.
-        span = n * np.arange(B)[:, None]
-        self.send_keys = ((topo.edge_u + span).ravel(), (topo.edge_v + span).ravel())
+        # Arc -> source-node sums.  A discrete rounding ships integral
+        # amounts, which add exactly in any order: one unit-data CSR
+        # matvec.  identity keeps reduceat's order, x0 + (x1 + ... + xk)
+        # (pairwise inside the brackets when B == 1), which no matvec
+        # reproduces.
+        self._sources = self._red_idx = self._empty_rows = None
+        if rounding == "identity":
+            self._red_idx = np.minimum(self.indptr[:-1], max(na - 1, 0))
+            empty = np.flatnonzero(degrees == 0)
+            self._empty_rows = empty if empty.size else None
+        else:
+            self._sources = sp.csr_matrix(
+                (np.ones(na), np.arange(na), self.indptr), shape=(n, na)
+            )
+        #: Edge -> endpoint sums (``u`` side, ``v`` side) as unit-data CSR
+        #: matvecs: each node adds its edges in edge order from +0.0, which
+        #: is the order of a per-replica ``bincount`` over the edge list.
+        edge_ids = np.arange(self.m)
+        self.send_ops = tuple(
+            sp.csr_matrix(
+                (np.ones(self.m), (ends, edge_ids)), shape=(n, self.m)
+            )
+            for ends in (topo.edge_u, topo.edge_v)
+        )
 
         self.round_index = 0
         # Conservation ledger + observability counters (per replica).
@@ -321,6 +348,10 @@ class _StalenessCore:
         self._stale_count = 0
         self.max_staleness = 0
 
+        #: compiled provider of the round (None: the numpy step below);
+        #: the engine hands one over only for randomized-excess with arcs
+        #: and RandomLinkDrop faults on per-replica streams, if any
+        self.kernel = kernel
         # -- excess-token dispatch tables ------------------------------
         if rounding == "randomized-excess" and na:
             self.dmax = int(degrees.max())
@@ -330,21 +361,45 @@ class _StalenessCore:
             self.slot_take = np.where(
                 j_rows < degrees[None, :], self.indptr[:-1][None, :] + j_rows, na
             )
-            #: padded slot ``node * dmax + j`` -> arc id
-            self._slot_arc = self.slot_take.T.ravel()
             self._frac_ext = np.zeros((na + 1, B), dtype=np.float64)
-            rows = min(tile, n) if tile else n
-            self.node_tiles = _tiles(n, rows)
-            self._planes = np.empty((self.dmax, rows, B), dtype=np.float64)
-            self._tokens = _TokenScratch()
+            if kernel is None:
+                #: padded slot ``node * dmax + j`` -> arc id
+                self._slot_arc = self.slot_take.T.ravel()
+                rows = min(tile, n) if tile else n
+                self.node_tiles = _tiles(n, rows)
+                self._planes = np.empty((self.dmax, rows, B), dtype=np.float64)
+                self._tokens = _TokenScratch()
+            else:
+                # The compiled dispatch on the arc layout: node i's slots
+                # are its outgoing arcs (padding na), every sign +1.
+                self.kern_adj = np.ascontiguousarray(
+                    self.slot_take.T, dtype=np.int32
+                )
+                self.kern_signs = np.ones(self.kern_adj.shape, dtype=np.int8)
+                self.kern_counts = np.empty((n, B), dtype=np.int64)
+                self.kern_totals = np.empty(B, dtype=np.int64)
+                self.kern_cums = np.empty((self.dmax, B), dtype=np.float64)
+                self.kern_consts = np.array([0.0, 1.0, _FRAC_TOL, 0.5])
+                self.kern_rngs = kernel.bind_generators(rngs)
+                #: drops waiting in each bounce slot (the compiled round
+                #: scans a slot's plane only when some are due)
+                self.kern_pending = np.zeros(Lb, dtype=np.int64)
+                self.kern_p = fault_models[0].p if fault_models else 0.0
+                self.kern_faults = self.kern_picks = None
+                if self.kern_p:
+                    self.kern_faults = kernel.bind_generators(
+                        [f.rng for f in fault_models]
+                    )
+                    self.kern_picks = np.empty((B, na), dtype=np.int32)
         # Per-replica LinkOutage arc masks, built lazily per model.
         self._outage_masks: dict = {}
 
     # ------------------------------------------------------------------
     def _segment_sum(self, x: np.ndarray) -> np.ndarray:
         """Sum arc values into their source node: ``out[i] = sum over
-        node i's outgoing arcs`` in one ``reduceat`` (exact for the
-        integral amounts every deterministic rounding produces)."""
+        node i's outgoing arcs``, a node without arcs 0.0."""
+        if self._sources is not None:
+            return self._sources @ x
         out = np.add.reduceat(x, self._red_idx, axis=0)
         if self._empty_rows is not None:
             out[self._empty_rows] = 0.0
@@ -491,6 +546,11 @@ class _StalenessCore:
         r = self.round_index
         B, na = self.B, self.n_arcs
         slot = r % self.La
+        if self.kernel is not None:
+            self._count_staleness(r)
+            self._step_compiled(r, slot)
+            self.round_index = r + 1
+            return
 
         # Phase 0 — announce: snapshot this round's normalised loads.
         xn = np.divide(self.loads, self._speed_col, out=self.A[slot])
@@ -506,10 +566,7 @@ class _StalenessCore:
             self.A.reshape(-1, B), self._view_rows[slot], axis=0,
             out=self._view, mode="clip",
         )
-        s = np.minimum(self.d_arc, r + 1)
-        self._stale_sum += int(s.sum())
-        self._stale_count += na
-        self.max_staleness = max(self.max_staleness, int(s.max()))
+        self._count_staleness(r)
 
         F = np.take(xn, self.arc_src, axis=0, out=self._flow, mode="clip")
         F -= V
@@ -604,6 +661,53 @@ class _StalenessCore:
             arr[...] = 0.0
         self.round_index = r + 1
 
+    def _count_staleness(self, r: int) -> None:
+        s = np.minimum(self.d_arc, r + 1) if r < self.D else self.d_arc
+        self._stale_sum += int(s.sum())
+        self._stale_count += self.n_arcs
+        self.max_staleness = max(self.max_staleness, int(s.max()))
+
+    def _step_compiled(self, r: int, slot: int) -> None:
+        """The round of :meth:`step` through the compiled provider:
+        ``stale_schedule`` (announce, delayed views, schedule, floor and
+        fractional planes), the excess dispatch on the arc layout, then
+        ``stale_ship`` (edge record, send, ledger, shipment ring, link
+        drops, bounces, deliveries and ``P``), bit for bit."""
+        kern, na = self.kernel, self.n_arcs
+        sos = None
+        if self.scheme == "sos" and r > 0:
+            cols = (self.switch_rounds < 0) | (r < self.switch_rounds)
+            if cols.any():
+                sos = cols.astype(np.float64)
+        frac = self._frac_ext[:na]
+        kern.stale_schedule(
+            self.A, slot, self.loads, self.speeds, self._view_rows[slot],
+            self.arc_src, self.alpha_arc, self.P, self.betas, self.bm1, sos,
+            self._flow, self._amt, frac, self.kern_consts,
+        )
+        # Token budgets, then each token's uniform from its replica's
+        # stream, node-ascending — the numpy dispatch's order.
+        kern.excess_counts(
+            self.kern_adj, self.kern_signs, self.dmax, na, frac,
+            self.kern_counts, self.kern_totals, self.kern_consts,
+        )
+        if self.kern_totals.any():
+            kern.excess_dispatch(
+                self.kern_adj, self.kern_signs, self.dmax, na, frac,
+                self.kern_counts, self.kern_rngs, self._amt, self.kern_cums,
+                self.kern_consts,
+            )
+        slot_b = r % self.Lb
+        kern.stale_ship(
+            slot_b, self.loads, self._flow, self._amt, self.P, self.E,
+            self.S.reshape(-1, self.B), self._ship_rows[slot], self.S[slot],
+            self.bounce, self.bounce_slot[slot_b], self.kern_pending,
+            self.indptr, self.arc_edge, self.rev, self.arc_of_lo,
+            self.arc_of_hi, self.kern_faults, self.kern_p, self.kern_picks,
+            self.in_flight_amount, self.in_flight_messages,
+            self.delivered_count, self.bounced_count, self.kern_consts,
+        )
+
     # ------------------------------------------------------------------
     def total_load(self) -> np.ndarray:
         """Per-replica total including in-flight tokens (conserved)."""
@@ -619,10 +723,13 @@ class _StalenessCore:
 
 
 def _local_diff_rows(topo: Topology, loads: np.ndarray) -> np.ndarray:
-    """:func:`max_local_difference` of every ``(B, n)`` load row."""
+    """:func:`max_local_difference` of every ``(B, n)`` load row (a max,
+    so the gather order cannot change it)."""
     if not topo.m_edges:
         return np.zeros(loads.shape[0])
-    return np.abs(loads[:, topo.edge_u] - loads[:, topo.edge_v]).max(axis=1)
+    diff = np.take(loads, topo.edge_u, axis=1)
+    diff -= np.take(loads, topo.edge_v, axis=1)
+    return np.abs(diff, out=diff).max(axis=1)
 
 
 def _potential_rows(dev: np.ndarray) -> np.ndarray:
@@ -736,6 +843,9 @@ class StalenessEngine(Engine):
             else 0
         )
         tile = resolve_tile_size(config, topo.n, B, 8, planes=planes)
+        kernel = resolve_kernel(config, topo.n, topo.m_edges, B)
+        if kernel is not None:
+            ensure_warm(kernel)
 
         core = _StalenessCore(
             topo,
@@ -751,6 +861,7 @@ class StalenessEngine(Engine):
             fault_models=fault_models,
             rngs=rngs,
             tile=tile,
+            kernel=kernel,
         )
 
         records = _RecordStore(config, B, config.arrivals is not None)
@@ -846,19 +957,18 @@ class StalenessEngine(Engine):
     def _advance(core: _StalenessCore):
         """Step ``core`` once; return the ``(B, n)`` loads, the ``(B, m)``
         flows and every replica's ``min(transient_loads(...))`` and
-        ``abs(flows).sum()`` for the round.  Each flat bincount adds
-        replica ``b``'s edges in edge order into its own ``n``-block, and
-        contiguous row sums are pairwise like a lone vector's, so both
-        equal the per-replica helpers bit for bit."""
+        ``abs(flows).sum()`` for the round.  Each send-side matvec adds
+        a node's edges in edge order from +0.0 (the helper's per-replica
+        sums), and contiguous row sums are pairwise like a lone vector's,
+        so both equal the per-replica helpers bit for bit."""
         before = core.loads.copy()
         core.step()
         loads, flows = core.loads.T.copy(), core.E.T.copy()
-        size = core.n * core.B
-        key_u, key_v = core.send_keys
-        sent = np.bincount(key_u, np.maximum(flows, 0.0).ravel(), size)
-        sent += np.bincount(key_v, np.maximum(-flows, 0.0).ravel(), size)
-        transient = before.T - sent.reshape(core.B, core.n)
-        return loads, flows, transient.min(axis=1), np.abs(flows).sum(axis=1)
+        send_u, send_v = core.send_ops
+        sent = send_u @ np.maximum(core.E, 0.0)
+        sent += send_v @ np.maximum(-core.E, 0.0)
+        transient = np.subtract(before, sent, out=before)
+        return loads, flows, transient.min(axis=0), np.abs(flows).sum(axis=1)
 
     def step(self, handle) -> StepBatch:
         if isinstance(handle, _DynamicStalenessHandle):

@@ -4,9 +4,13 @@ The batched engine's randomized-excess rounds are dominated by the
 excess-token dispatch (a per-token scatter over each node's incident
 edges) and by elementwise numpy passes over ``(m, B)`` planes (schedule,
 round, apply); its record rounds by axis-0 reductions over ``(n, B)``
-planes whose inner loops are only ``B`` wide.  This package provides
-*fused* single-pass implementations of both behind one provider API,
-selected by ``EngineConfig.kernel``:
+planes whose inner loops are only ``B`` wide.  The staleness engine's
+rounds are the same dispatch over positive arcs plus numpy passes over
+``(n_arcs, B)`` arc planes (delayed views, shipment rings, link drops,
+deliveries).  This package provides *fused* single-pass implementations
+of all three behind one provider API, selected by ``EngineConfig.kernel``
+(the batched and staleness engines honour it; only the cffi provider has
+a staleness round):
 
 * ``"cffi"`` — the kernels in C, compiled once through cffi with the
   system compiler (:mod:`._cffi`), cached on disk (the first process on
@@ -28,7 +32,10 @@ selected by ``EngineConfig.kernel``:
 
 The providers cover ``randomized-excess`` only: a forced ``"cffi"`` or
 ``"python"`` on any other rounding raises
-:class:`~repro.exceptions.ConfigurationError`.  The elementwise roundings
+:class:`~repro.exceptions.ConfigurationError`, and so does a forced
+``"cffi"`` on a staleness run with a fault model other than
+``RandomLinkDrop`` or with one fault generator shared by every replica
+(:func:`kernel_blockers`; ``"auto"`` runs those on the numpy step).  The elementwise roundings
 (``floor``/``nearest``/``ceil``/``unbiased-edge``) are one vectorised
 numpy expression each; their compiled bodies lost on one thread and near
 the ``auto`` threshold (0.55-1.13x, docs/benchmarks.md), won only on two
@@ -100,6 +107,35 @@ int8):
   traffic ``sum |act|`` in edge order, and ``load <- load + delta``.
 
 Neither record entry point allocates ``(n, B)`` or ``(m, B)`` scratch.
+
+The staleness round (cffi only, float64 only; ``na`` arcs ``src -> dst``
+in CSR order, the arc-layout dispatch in between: ``excess_counts`` /
+``excess_dispatch`` with ``adj_edges`` = each node's outgoing arcs padded
+with ``na``, every ``adj_signs`` entry +1, ``m = na`` and the ``base``
+plane as ``act``; its ring and arc index arrays are int64):
+
+* ``stale_schedule(ring, slot, load, speeds, view_rows, arc_src, alpha,
+  prev, beta, bm1, sos_cols, flow, base, frac, consts)`` — the announce
+  ``ring[slot] = load / speeds``, the delayed views ``ring`` rows
+  ``view_rows``, the schedule ``flow = (x_src - view) * alpha`` (on the
+  columns where the float64 row ``sos_cols`` is non-zero
+  ``prev * bm1 + flow * beta``; ``None`` on FOS rounds), and its positive
+  part ``max(flow, 0) + 0.0`` split into ``base = floor`` and
+  ``frac = rest``.
+* ``stale_ship(slot_b, load, flow, amt, prev, edge, ship, ship_rows,
+  arrive, bounce, bounce_land, pending, indptr, arc_edge, rev, arc_of_lo,
+  arc_of_hi, gens, p_drop, picks, in_flight, messages, delivered,
+  bounced, consts)`` — in the numpy step's phase order: the per-edge flow
+  record ``edge``, the send deduction and in-flight ledger, the shipment
+  ring ``ship`` (flat rows ``ship_rows``), ``RandomLinkDrop`` draws (one
+  ``next_double`` per emitted arc from each replica's bound fault
+  generator ``gens``, replica after replica, arcs ascending: the numpy
+  tier's ``rng.random(k) < p_drop``; ``picks`` is ``(B, na)`` int32
+  scratch; ``gens=None`` draws nothing), dropped shipments onto the
+  ``bounce`` ring at ``bounce_land`` (``pending`` counts them per slot),
+  ``prev = amt``, the bounces due in slot ``slot_b``, then the
+  deliveries out of ``arrive`` (the ring slot landing this round), which
+  it zeroes.  Every node sum runs from +0.0 in arc order.
 """
 
 from __future__ import annotations
@@ -218,6 +254,24 @@ def kernel_blockers(config, m_edges: int) -> List[str]:
         )
     if m_edges == 0:
         blockers.append("an edgeless topology (no edge-wise hot loop exists)")
+    if getattr(config, "faults", None) is not None:
+        # Only the staleness engine honours faults; its compiled round
+        # draws RandomLinkDrop's uniforms, one stream per replica.
+        from ..engines.base import parse_faults_spec
+        from ..network.faults import NoFaults, RandomLinkDrop
+
+        model = parse_faults_spec(config.faults)
+        if not isinstance(model, (NoFaults, RandomLinkDrop)):
+            blockers.append(
+                f"fault model {type(model).__name__} (the compiled "
+                "staleness round covers RandomLinkDrop only)"
+            )
+        elif isinstance(model, RandomLinkDrop) and model.rng is not None:
+            blockers.append(
+                "a shared fault generator (a RandomLinkDrop built with its "
+                "own rng keeps it for every replica; the compiled staleness "
+                "round draws each replica's own stream)"
+            )
     return blockers
 
 
@@ -273,7 +327,9 @@ def resolve_kernel(config, n_nodes: int, m_edges: int, n_replicas: int):
             f"kernel must be one of {KERNEL_CHOICES}, got {name!r}"
         )
     if name == "auto":
-        if not compiled_pays(config.rounding, n_nodes, m_edges, n_replicas):
+        if not compiled_pays(
+            config.rounding, n_nodes, m_edges, n_replicas
+        ) or kernel_blockers(config, m_edges):
             return None
         provider = get_provider("cffi")
         if provider is not None:

@@ -1,7 +1,10 @@
 """C provider of the kernel API, compiled once through cffi.
 
 The kernels are instantiated for float64 and float32 from one
-template and built with the system C compiler into a module cached under
+template; the staleness round (``stale_schedule`` and ``stale_ship``, see
+:mod:`repro.kernels`) is float64 only, the staleness engine's one
+precision.  All of them are built with the system C compiler into a
+module cached under
 ``src/repro/kernels/_cache/`` (override with ``REPRO_KERNEL_CACHE``; a
 temp directory is the fallback when the package directory is read-only).
 The module name carries a hash of the source and flags, so editing the
@@ -14,7 +17,12 @@ question for the same reason).  ``-fopenmp`` is attempted and dropped if
 the toolchain lacks it; the parallel pragmas are over edges/nodes with
 static schedules, so thread count never affects results (each iteration
 owns its output row).  The record-round reductions (``record_metrics``,
-``apply_info``) are serial, so their sums keep one fixed order.
+``apply_info``) and the staleness round are serial, so their sums keep
+one fixed order and the link drops draw in one fixed order.  The
+staleness row loops use only selects between operands loaded up front,
+which GCC vectorises; a select it would have to evaluate conditionally
+stays a branch, and on the round's near-random zero/non-zero amounts
+those branches made its two entry points two to four times as slow.
 
 No flag picks the instruction set.  On x86-64 glibc every kernel carries
 ``target_clones("arch=x86-64-v3", "default")``, so it is built twice, for
@@ -35,8 +43,9 @@ same state.
 Arguments cross into C as ``ffi.from_buffer`` views of the numpy arrays
 (no pointer arithmetic, no ``ctypes``).  Those views carry raw bytes, so
 :class:`CffiKernels` guards every array argument of every entry point —
-dtype and C-contiguity — and the record passes and the dispatch scratch
-also by extent, and the generators of ``excess_dispatch`` (one
+dtype and C-contiguity — and the record passes, the dispatch scratch and
+the staleness round also by extent, and the generators of
+``excess_dispatch`` and of the staleness link drops (one
 ``numpy.random.Generator`` per replica, no two on one bit generator),
 raising
 ``ValueError("cffi kernel argument: ...")`` before any C code runs.
@@ -471,6 +480,323 @@ def _instantiate(template: str) -> str:
     return "\n".join(parts)
 
 
+_STALE_DECL = """
+void stale_schedule(
+    long long n, long long B, long long na, long long slot,
+    const double *load, const double *speeds, double *ring,
+    const long long *view_rows, const long long *arc_src,
+    const double *alpha, const double *prev, const double *beta,
+    const double *bm1, const double *sos_cols,
+    double *flow, double *base, double *frac, const double *consts);
+void stale_ship(
+    long long n, long long B, long long na, long long m, long long slot_b,
+    double *load, const double *flow, const double *amt, double *prev,
+    double *edge, double *ship, const long long *ship_rows, double *arrive,
+    double *bounce, const long long *bounce_land, long long *pending,
+    const long long *indptr, const long long *arc_edge, const long long *rev,
+    const long long *arc_of_lo, const long long *arc_of_hi,
+    const uintptr_t *gens, double p, int *picks, double *in_flight,
+    long long *messages, long long *delivered, long long *bounced,
+    const double *consts);
+"""
+
+_STALE_BODY = r"""
+/* The staleness engine's round around the excess dispatch (float64 only,
+   the engine's one precision).  Serial: every sum adds in arc order from
+   zero, the numpy tier's order, and the drop draws consume each replica's
+   fault stream arc-ascending. */
+
+/* The staleness kernels' row loops use only double selects between
+   operands loaded up front (counters are doubles, converted once per
+   call): gcc vectorises those, and keeps a select whose operand it would
+   have to load or compute conditionally as a branch. */
+
+/* One arc of stale_schedule: the schedule (x_src - view) * w, on SOS
+   columns prev * (beta - 1) + that * beta (a select, never a blend), then
+   its positive part max(F, 0) + 0.0 floored into base, the rest in frac. */
+static inline void stale_row(
+    long long B, const double *restrict x, const double *restrict v,
+    double w, const double *restrict prev, const double *restrict beta,
+    const double *restrict bm1, const double *restrict sos,
+    double *restrict flow, double *restrict base, double *restrict frac,
+    double zero, double one)
+{
+    long long b;
+    if (sos) {
+        for (b = 0; b < B; b++) {
+            const double f = (x[b] - v[b]) * w;
+            const double g = prev[b] * bm1[b] + f * beta[b];
+            flow[b] = (sos[b] != zero) ? g : f;
+        }
+    } else {
+        for (b = 0; b < B; b++) {
+            flow[b] = (x[b] - v[b]) * w;
+        }
+    }
+    for (b = 0; b < B; b++) {
+        const double f = flow[b];
+        const double pos = ((f > zero) ? f : zero) + zero;
+        const double fl = trunc_f64(pos, zero, one);  /* pos >= +0 */
+        base[b] = fl;
+        frac[b] = pos - fl;
+    }
+}
+
+KERNEL void stale_schedule(
+    long long n, long long B, long long na, long long slot,
+    const double *load, const double *speeds, double *ring,
+    const long long *view_rows, const long long *arc_src,
+    const double *alpha, const double *prev, const double *beta,
+    const double *bm1, const double *sos_cols,
+    double *flow, double *base, double *frac, const double *consts)
+{
+    /* announce into ring slot `slot`, then stale_row per arc on the views
+       view_rows name; sos_cols (1.0 on an SOS column) is NULL on FOS
+       rounds */
+    double *ann = ring + slot * n * B;
+    long long i, a, b;
+    for (i = 0; i < n; i++) {
+        const double s = speeds[i];
+        for (b = 0; b < B; b++) {
+            ann[i * B + b] = load[i * B + b] / s;
+        }
+    }
+    for (a = 0; a < na; a++) {
+        stale_row(
+            B, ann + arc_src[a] * B, ring + view_rows[a] * B, alpha[a],
+            prev + a * B, beta, bm1, sos_cols, flow + a * B, base + a * B,
+            frac + a * B, consts[0], consts[1]);
+    }
+}
+
+/* stale_ship's per-row steps, one loop over the replicas each, every
+   operand loaded before its select.  Every amount is finite and >= +0.0,
+   so a select of x or +0.0 is the numpy tier's x * 1.0 or x * 0.0. */
+static inline void stale_edge_row(
+    long long B, const double *restrict alo, const double *restrict ahi,
+    const double *restrict flo, const double *restrict fhi,
+    double *restrict edge, double zero)
+{
+    /* the closed form of the per-edge flow record (see _StalenessCore) */
+    long long b;
+    for (b = 0; b < B; b++) {
+        const double al = alo[b], fh = fhi[b], ed = edge[b];
+        const double val = ((fh < zero) ? al : zero) + ahi[b];
+        const double nf = zero - fh;
+        const double c = copysign(val, nf);
+        const double keep = (flo[b] >= zero) ? c : ed;
+        edge[b] = (nf <= zero) ? c : keep;
+    }
+}
+
+static inline void stale_send_row(
+    long long B, const double *restrict amt, double *restrict dst,
+    double *restrict prev, double *restrict acc, double *restrict tot,
+    double *restrict cnt, double zero, double one)
+{
+    long long b;
+    for (b = 0; b < B; b++) {
+        const double x = amt[b];
+        acc[b] = acc[b] + x;
+        tot[b] = tot[b] + x;
+        cnt[b] = cnt[b] + ((x != zero) ? one : zero);
+        dst[b] = x;
+        prev[b] = x;
+    }
+}
+
+static inline void stale_bounce_row(
+    long long B, double *restrict row, double *restrict prev,
+    double *restrict edge, double *restrict acc, double *restrict tot,
+    double *restrict cnt, double zero, double one)
+{
+    /* a due bounce is the only non-zero entry; adding the zeros changes
+       no sum (each runs from +0.0 over non-negative amounts) */
+    long long b;
+    for (b = 0; b < B; b++) {
+        const double x = row[b], pr = prev[b], ed = edge[b];
+        acc[b] = acc[b] + x;
+        tot[b] = tot[b] + x;
+        cnt[b] = cnt[b] + ((x != zero) ? one : zero);
+        row[b] = zero;
+        prev[b] = (x != zero) ? zero : pr;
+        edge[b] = (x != zero) ? zero : ed;
+    }
+}
+
+static inline void stale_deliver_row(
+    long long B, double *restrict in, double *restrict prev,
+    double *restrict acc, double *restrict cnt, double zero, double one)
+{
+    /* two loops: gcc vectorises each alone, not the two fused; the
+       second also consumes the shipment */
+    long long b;
+    for (b = 0; b < B; b++) {
+        const double x = in[b];
+        acc[b] = acc[b] + x;
+        cnt[b] = cnt[b] + ((x != zero) ? one : zero);
+    }
+    for (b = 0; b < B; b++) {
+        const double x = in[b], pr = prev[b];
+        prev[b] = ((x != zero) ? zero : pr) - x;
+        in[b] = zero;
+    }
+}
+
+KERNEL void stale_ship(
+    long long n, long long B, long long na, long long m, long long slot_b,
+    double *load, const double *flow, const double *amt, double *prev,
+    double *edge, double *ship, const long long *ship_rows, double *arrive,
+    double *bounce, const long long *bounce_land, long long *pending,
+    const long long *indptr, const long long *arc_edge, const long long *rev,
+    const long long *arc_of_lo, const long long *arc_of_hi,
+    const uintptr_t *gens, double p, int *picks, double *in_flight,
+    long long *messages, long long *delivered, long long *bounced,
+    const double *consts)
+{
+    /* One round's traffic, in the numpy tier's phase order: the per-edge
+       flow record, the send deduction and in-flight ledger, the shipment
+       ring and P = amt, the link drops onto the bounce ring (bounce NULL:
+       no faults; gens NULL: no draws; picks: (B, na) scratch), the due
+       bounces, then the deliveries out of `arrive` (the ring slot landing
+       this round).  Node sums run from +0.0 over the node's arcs in
+       order. */
+    const double zero = consts[0];
+    const double one = consts[1];
+    double acc[B > 0 ? B : 1], tot[B > 0 ? B : 1], cnt[B > 0 ? B : 1];
+    long long i, a, b, e;
+
+    for (e = 0; e < m; e++) {
+        /* the higher endpoint computes later in node order, so it wins */
+        stale_edge_row(
+            B, amt + arc_of_lo[e] * B, amt + arc_of_hi[e] * B,
+            flow + arc_of_lo[e] * B, flow + arc_of_hi[e] * B, edge + e * B,
+            zero);
+    }
+
+    for (b = 0; b < B; b++) {
+        tot[b] = zero;
+        cnt[b] = zero;
+    }
+    for (i = 0; i < n; i++) {
+        for (b = 0; b < B; b++) {
+            acc[b] = zero;
+        }
+        for (a = indptr[i]; a < indptr[i + 1]; a++) {
+            stale_send_row(
+                B, amt + a * B, ship + ship_rows[a] * B, prev + a * B, acc,
+                tot, cnt, zero, one);
+        }
+        for (b = 0; b < B; b++) {
+            load[i * B + b] = load[i * B + b] - acc[b];
+        }
+    }
+    for (b = 0; b < B; b++) {
+        in_flight[b] = in_flight[b] + tot[b];
+        messages[b] += (long long)cnt[b];
+    }
+
+    if (bounce && gens && p != zero) {
+        /* one uniform per emitted shipment, each replica's own stream
+           arc-ascending: the numpy tier's rng.random(k) < p.  One pass
+           lists every replica's emitted arcs in picks[b * na ...] without
+           a branch on the amounts. */
+        long long k[B > 0 ? B : 1], t;
+        for (b = 0; b < B; b++) {
+            k[b] = 0;
+        }
+        for (a = 0; a < na; a++) {
+            const double *row = amt + a * B;
+            for (b = 0; b < B; b++) {
+                picks[b * na + k[b]] = (int)a;
+                k[b] += (row[b] != zero);
+            }
+        }
+        for (b = 0; b < B; b++) {
+            bitgen_t *gen = (bitgen_t *)gens[b];
+            for (t = 0; t < k[b]; t++) {
+                if (!(uniform_f64(gen) < p)) {
+                    continue;
+                }
+                a = picks[b * na + t];
+                const long long land = bounce_land[a];
+                ship[ship_rows[a] * B + b] = zero;
+                bounce[(land * na + a) * B + b] = amt[a * B + b];
+                pending[land] += 1;
+            }
+        }
+    }
+
+    if (bounce && pending[slot_b]) {
+        /* bounces first: they carry earlier event seqs than this round's
+           deliveries, which overwrite their zeroed P below */
+        double *ring = bounce + slot_b * na * B;
+        for (b = 0; b < B; b++) {
+            tot[b] = zero;
+            cnt[b] = zero;
+        }
+        for (i = 0; i < n; i++) {
+            for (b = 0; b < B; b++) {
+                acc[b] = zero;
+            }
+            for (a = indptr[i]; a < indptr[i + 1]; a++) {
+                stale_bounce_row(
+                    B, ring + a * B, prev + a * B, edge + arc_edge[a] * B,
+                    acc, tot, cnt, zero, one);
+            }
+            for (b = 0; b < B; b++) {
+                load[i * B + b] = load[i * B + b] + acc[b];
+            }
+        }
+        pending[slot_b] = 0;
+        for (b = 0; b < B; b++) {
+            bounced[b] += (long long)cnt[b];
+            messages[b] -= (long long)cnt[b];
+            in_flight[b] = in_flight[b] - tot[b];
+        }
+    }
+
+    /* the per-replica totals landing this round (each from +0.0 in arc
+       order); the amounts are >= +0.0, so all-zero totals mean nothing
+       lands and the numpy tier skips the delivery */
+    long long any = 0;
+    for (b = 0; b < B; b++) {
+        tot[b] = zero;
+        cnt[b] = zero;
+    }
+    for (a = 0; a < na; a++) {
+        for (b = 0; b < B; b++) {
+            tot[b] = tot[b] + arrive[a * B + b];
+        }
+    }
+    for (b = 0; b < B; b++) {
+        any |= (tot[b] != zero);
+    }
+    if (!any) {
+        return;
+    }
+    for (i = 0; i < n; i++) {
+        /* arc a's delivery is its reverse arc's shipment, credited to a's
+           source, which remembers it as a negative flow */
+        for (b = 0; b < B; b++) {
+            acc[b] = zero;
+        }
+        for (a = indptr[i]; a < indptr[i + 1]; a++) {
+            stale_deliver_row(B, arrive + rev[a] * B, prev + a * B, acc, cnt,
+                              zero, one);
+        }
+        for (b = 0; b < B; b++) {
+            load[i * B + b] = load[i * B + b] + acc[b];
+        }
+    }
+    for (b = 0; b < B; b++) {
+        delivered[b] += (long long)cnt[b];
+        messages[b] -= (long long)cnt[b];
+        in_flight[b] = in_flight[b] - tot[b];
+    }
+}
+"""
+
 _THREADS_DECL = """
 int limit_threads(int k);
 """
@@ -537,8 +863,10 @@ static inline float uniform_f32(bitgen_t *gen)
 #endif
 """.replace("@CLONES@", _CLONES)
 
-_CDEF = _instantiate(_DECL_TEMPLATE) + _THREADS_DECL
-_SOURCE = _PREAMBLE + _instantiate(_BODY_TEMPLATE) + _THREADS_BODY
+_CDEF = _instantiate(_DECL_TEMPLATE) + _STALE_DECL + _THREADS_DECL
+_SOURCE = (
+    _PREAMBLE + _instantiate(_BODY_TEMPLATE) + _STALE_BODY + _THREADS_BODY
+)
 
 _BASE_FLAGS = ["-O3", "-ffp-contract=off"]
 
@@ -627,6 +955,8 @@ _REALS = {
     "d": ("f64", (np.dtype(np.float64), "double[]")),
     "f": ("f32", (np.dtype(np.float32), "float[]")),
 }
+#: the staleness round's reals (float64 only)
+_F64 = _REALS["d"][1]
 _STEMS = (
     "round_edges", "excess_counts", "excess_dispatch", "apply_flows",
     "record_metrics", "apply_info",
@@ -798,6 +1128,78 @@ class CffiKernels:
             p(out, r), p(consts, r),
         )
         return out
+
+    def stale_schedule(
+        self, ring, slot, load, speeds, view_rows, arc_src, alpha, prev,
+        beta, bm1, sos_cols, flow, base, frac, consts,
+    ):
+        p = self._p
+        n, B = load.shape
+        na = flow.shape[0]
+        La = ring.shape[0]
+        self._check(
+            ring.shape[1:] == (n, B) and 0 <= slot < La
+            and view_rows.size == arc_src.size == alpha.size == na
+            and prev.shape == base.shape == frac.shape == (na, B)
+            and speeds.size == n and beta.size == bm1.size == B
+            and (sos_cols is None or sos_cols.size == B)
+            and consts.size >= 2,
+            "staleness schedule shapes",
+        )
+        self._lib.stale_schedule(
+            n, B, na, int(slot), p(load, _F64), p(speeds, _F64),
+            p(ring, _F64), p(view_rows, _INT64), p(arc_src, _INT64),
+            p(alpha, _F64), p(prev, _F64), p(beta, _F64), p(bm1, _F64),
+            p(sos_cols, _F64), p(flow, _F64), p(base, _F64), p(frac, _F64),
+            p(consts, _F64),
+        )
+        return base
+
+    def stale_ship(
+        self, slot_b, load, flow, amt, prev, edge, ship, ship_rows, arrive,
+        bounce, bounce_land, pending, indptr, arc_edge, rev, arc_of_lo,
+        arc_of_hi, gens, p_drop, picks, in_flight, messages, delivered,
+        bounced, consts,
+    ):
+        p = self._p
+        n, B = load.shape
+        na = amt.shape[0]
+        m = edge.shape[0]
+        self._check(
+            amt.shape == flow.shape == prev.shape == arrive.shape == (na, B)
+            and ship.shape[1] == edge.shape[1] == B
+            and ship_rows.size == arc_edge.size == rev.size == na
+            and arc_of_lo.size == arc_of_hi.size == m
+            and indptr.size == n + 1 and 0 <= slot_b < pending.size
+            and in_flight.size == messages.size == delivered.size
+            == bounced.size == B
+            and consts.size >= 2
+            and (bounce is None or bounce.shape[1:] == (na, B)
+                 and bounce_land.size == na
+                 and pending.size == bounce.shape[0]),
+            "staleness ship shapes",
+        )
+        if gens is not None:
+            if type(gens) is not Generators:
+                gens = Generators(gens)
+            self._check(
+                len(gens) == B and bounce is not None
+                and picks.size >= na * B,
+                "one fault generator per replica, bounce ring, picks size",
+            )
+        self._lib.stale_ship(
+            n, B, na, m, int(slot_b), p(load, _F64), p(flow, _F64),
+            p(amt, _F64), p(prev, _F64), p(edge, _F64), p(ship, _F64),
+            p(ship_rows, _INT64), p(arrive, _F64), p(bounce, _F64),
+            p(bounce_land, _INT64), p(pending, _INT64), p(indptr, _INT64),
+            p(arc_edge, _INT64), p(rev, _INT64), p(arc_of_lo, _INT64),
+            p(arc_of_hi, _INT64),
+            p(gens.plane if gens is not None else None, _UINTP),
+            float(p_drop), p(picks, _INT32), p(in_flight, _F64),
+            p(messages, _INT64), p(delivered, _INT64), p(bounced, _INT64),
+            p(consts, _F64),
+        )
+        return load
 
     def apply_info(self, indptr, edges, signs, act, load, info, consts):
         fn, r = self._fn("apply_info", load.dtype)

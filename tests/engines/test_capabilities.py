@@ -12,6 +12,7 @@ Every test here is generated from :mod:`repro.engines.capabilities`:
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.engines.capabilities import (
     ENGINE_COLUMNS,
     UNIVERSAL,
 )
+from repro.kernels import get_provider
 
 TOPO = torus_2d(4, 4)
 #: B = 3 keeps every ``workers`` call on one inline shard (no worker process).
@@ -31,8 +33,9 @@ B = 3
 LOADS = np.tile(point_load(TOPO, 10 * TOPO.n), (B, 1))
 NODE_FIELDS = ("max_minus_avg", "potential_per_node")
 
-#: One example setting per table row, on a FOS/floor base config.  A
-#: forced ``kernel`` runs ``randomized-excess`` only, and ``fast_path``
+#: One example setting per table row, keyed by the row's field (by its
+#: setting where one field has several rows), on a FOS/floor base config.
+#: A forced ``kernel`` runs ``randomized-excess`` only, and ``fast_path``
 #: needs the closed-form preconditions (identity rounding, no transient
 #: columns); ``rounding`` is universal and ``record_fields`` shares the
 #: ``fast_path`` column, so the verdicts are unchanged.
@@ -43,7 +46,8 @@ EXAMPLES = {
     "fast_path": dict(
         fast_path="matmul", rounding="identity", record_fields=NODE_FIELDS
     ),
-    "kernel": dict(kernel="python", rounding="randomized-excess"),
+    "kernel='cffi'": dict(kernel="cffi", rounding="randomized-excess"),
+    "kernel='python'": dict(kernel="python", rounding="randomized-excess"),
     "tile_size": dict(tile_size=4),
     "replica_keys": dict(replica_keys=[5, 6, 7]),
     "arrival_sampling": dict(arrival_sampling="batch", arrivals="poisson:1.0"),
@@ -61,8 +65,18 @@ EXAMPLES = {
     "alphas": dict(alphas=np.full(TOPO.m_edges, 0.05)),
 }
 
-ROWS = {cap.field: cap for cap in CAPABILITIES}
+_FIELD_ROWS = Counter(cap.field for cap in CAPABILITIES)
+ROWS = {
+    cap.field if _FIELD_ROWS[cap.field] == 1 else cap.setting: cap
+    for cap in CAPABILITIES
+}
 CELLS = [(field, engine) for field in ROWS for engine in ENGINE_COLUMNS]
+
+
+def _skip_without_provider(field):
+    """A forced cffi kernel runs only where the provider builds."""
+    if EXAMPLES[field].get("kernel") == "cffi" and get_provider("cffi") is None:
+        pytest.skip("the cffi provider is unavailable")
 
 
 def _run(engine, field, **extra):
@@ -104,6 +118,7 @@ def test_refused_cell_raises(field, engine):
     [c for c in CELLS if c[1] in ROWS[c[0]].engines],
 )
 def test_supported_cell_runs(field, engine):
+    _skip_without_provider(field)
     results = _run(engine, field)
     assert len(results) == B
 
@@ -121,6 +136,7 @@ def test_sharded_alias_follows_the_batched_column(field):
             _run("sharded", field)
         return
     if "batched" in cap.engines:
+        _skip_without_provider(field)
         assert len(_run("sharded", field)) == B
         return
     with pytest.raises(ConfigurationError) as info:
@@ -156,6 +172,7 @@ def test_every_config_field_is_declared():
     fields.remove("replica_params")
     fields |= {f"replica_params.{plane}" for plane in REPLICA_PARAM_FIELDS}
     rows = [cap.field for cap in CAPABILITIES]
-    assert len(rows) == len(set(rows))
+    settings = [cap.setting for cap in CAPABILITIES]
+    assert len(settings) == len(set(settings))
     assert not set(rows) & set(UNIVERSAL)
     assert set(rows) | set(UNIVERSAL) == fields
