@@ -62,7 +62,8 @@ gives to the compiled tier (or a forced ``kernel="cffi"``) runs each
 round through the cffi provider's staleness round, bit-identical to the
 numpy step below, which stays the reference tier and serves every other
 rounding, ``LinkOutage`` and custom fault models, and a fault model with
-one generator shared by every replica (:func:`~repro.kernels.kernel_blockers`).
+one generator shared by every replica
+(:func:`~repro.kernels.kernel_blockers`).
 
 Records go into the batched engine's columnar record store, one
 ``(B,)`` row per field and recorded round, computed by ``(B, n)`` row
@@ -670,9 +671,10 @@ class _StalenessCore:
     def _step_compiled(self, r: int, slot: int) -> None:
         """The round of :meth:`step` through the compiled provider:
         ``stale_schedule`` (announce, delayed views, schedule, floor and
-        fractional planes), the excess dispatch on the arc layout, then
-        ``stale_ship`` (edge record, send, ledger, shipment ring, link
-        drops, bounces, deliveries and ``P``), bit for bit."""
+        fractional planes, token budgets), ``excess_dispatch`` on the arc
+        layout, then ``stale_ship`` (edge record, send, ledger, shipment
+        ring, link drops, bounces, deliveries and ``P``), bit for bit.
+        No OpenMP region runs in the round."""
         kern, na = self.kernel, self.n_arcs
         sos = None
         if self.scheme == "sos" and r > 0:
@@ -680,16 +682,14 @@ class _StalenessCore:
             if cols.any():
                 sos = cols.astype(np.float64)
         frac = self._frac_ext[:na]
+        # The schedule also leaves the token budgets; then each token
+        # draws its uniform from its replica's stream, node-ascending —
+        # the numpy dispatch's order.
         kern.stale_schedule(
             self.A, slot, self.loads, self.speeds, self._view_rows[slot],
-            self.arc_src, self.alpha_arc, self.P, self.betas, self.bm1, sos,
-            self._flow, self._amt, frac, self.kern_consts,
-        )
-        # Token budgets, then each token's uniform from its replica's
-        # stream, node-ascending — the numpy dispatch's order.
-        kern.excess_counts(
-            self.kern_adj, self.kern_signs, self.dmax, na, frac,
-            self.kern_counts, self.kern_totals, self.kern_consts,
+            self.indptr, self.alpha_arc, self.P, self.betas, self.bm1, sos,
+            self._flow, self._amt, frac, self.kern_counts, self.kern_totals,
+            self.kern_consts,
         )
         if self.kern_totals.any():
             kern.excess_dispatch(

@@ -109,19 +109,22 @@ int8):
 Neither record entry point allocates ``(n, B)`` or ``(m, B)`` scratch.
 
 The staleness round (cffi only, float64 only; ``na`` arcs ``src -> dst``
-in CSR order, the arc-layout dispatch in between: ``excess_counts`` /
-``excess_dispatch`` with ``adj_edges`` = each node's outgoing arcs padded
-with ``na``, every ``adj_signs`` entry +1, ``m = na`` and the ``base``
-plane as ``act``; its ring and arc index arrays are int64):
+in CSR order ``indptr``, and ``excess_dispatch`` in between on the arc
+layout: ``adj_edges`` = each node's outgoing arcs padded with ``na``,
+every ``adj_signs`` entry +1, ``m = na``, ``fsg = frac`` and the ``base``
+plane as ``act``; its ring and arc index arrays are int64; neither entry
+point runs an OpenMP region, whose spinning team slowed the serial
+kernels after it several times over on 2 vCPUs):
 
-* ``stale_schedule(ring, slot, load, speeds, view_rows, arc_src, alpha,
-  prev, beta, bm1, sos_cols, flow, base, frac, consts)`` — the announce
-  ``ring[slot] = load / speeds``, the delayed views ``ring`` rows
-  ``view_rows``, the schedule ``flow = (x_src - view) * alpha`` (on the
-  columns where the float64 row ``sos_cols`` is non-zero
-  ``prev * bm1 + flow * beta``; ``None`` on FOS rounds), and its positive
+* ``stale_schedule(ring, slot, load, speeds, view_rows, indptr, alpha,
+  prev, beta, bm1, sos_cols, flow, base, frac, counts, totals, consts)``
+  — the announce ``ring[slot] = load / speeds``, the delayed views
+  ``ring`` rows ``view_rows``, the schedule ``flow = (x_src - view) *
+  alpha`` (on the columns where the float64 row ``sos_cols`` is non-zero
+  ``prev * bm1 + flow * beta``; ``None`` on FOS rounds), its positive
   part ``max(flow, 0) + 0.0`` split into ``base = floor`` and
-  ``frac = rest``.
+  ``frac = rest``, and ``excess_counts``' ``counts`` and ``totals`` of
+  ``frac`` on the arc layout (same summation chain).
 * ``stale_ship(slot_b, load, flow, amt, prev, edge, ship, ship_rows,
   arrive, bounce, bounce_land, pending, indptr, arc_edge, rev, arc_of_lo,
   arc_of_hi, gens, p_drop, picks, in_flight, messages, delivered,

@@ -482,12 +482,13 @@ def _instantiate(template: str) -> str:
 
 _STALE_DECL = """
 void stale_schedule(
-    long long n, long long B, long long na, long long slot,
+    long long n, long long B, long long slot,
     const double *load, const double *speeds, double *ring,
-    const long long *view_rows, const long long *arc_src,
+    const long long *view_rows, const long long *indptr,
     const double *alpha, const double *prev, const double *beta,
     const double *bm1, const double *sos_cols,
-    double *flow, double *base, double *frac, const double *consts);
+    double *flow, double *base, double *frac, long long *counts,
+    long long *totals, const double *consts);
 void stale_ship(
     long long n, long long B, long long na, long long m, long long slot_b,
     double *load, const double *flow, const double *amt, double *prev,
@@ -543,17 +544,25 @@ static inline void stale_row(
 }
 
 KERNEL void stale_schedule(
-    long long n, long long B, long long na, long long slot,
+    long long n, long long B, long long slot,
     const double *load, const double *speeds, double *ring,
-    const long long *view_rows, const long long *arc_src,
+    const long long *view_rows, const long long *indptr,
     const double *alpha, const double *prev, const double *beta,
     const double *bm1, const double *sos_cols,
-    double *flow, double *base, double *frac, const double *consts)
+    double *flow, double *base, double *frac, long long *counts,
+    long long *totals, const double *consts)
 {
-    /* announce into ring slot `slot`, then stale_row per arc on the views
-       view_rows name; sos_cols (1.0 on an SOS column) is NULL on FOS
-       rounds */
+    /* announce into ring slot `slot`, then per node stale_row for each of
+       its arcs (in CSR order: indptr) on the views view_rows name, and
+       the node's token budgets ceil(sum frac - tol) — excess_counts'
+       summation chain on the arc layout, folded in here because its
+       OpenMP region left a spinning team that slowed the serial kernels
+       after it several times over on 2 vCPUs.  sos_cols (1.0 on an SOS
+       column) is NULL on FOS rounds. */
+    const double zero = consts[0];
+    const double tol = consts[2];
     double *ann = ring + slot * n * B;
+    double cum[B > 0 ? B : 1];
     long long i, a, b;
     for (i = 0; i < n; i++) {
         const double s = speeds[i];
@@ -561,11 +570,29 @@ KERNEL void stale_schedule(
             ann[i * B + b] = load[i * B + b] / s;
         }
     }
-    for (a = 0; a < na; a++) {
-        stale_row(
-            B, ann + arc_src[a] * B, ring + view_rows[a] * B, alpha[a],
-            prev + a * B, beta, bm1, sos_cols, flow + a * B, base + a * B,
-            frac + a * B, consts[0], consts[1]);
+    for (b = 0; b < B; b++) {
+        totals[b] = 0;
+    }
+    for (i = 0; i < n; i++) {
+        for (b = 0; b < B; b++) {
+            cum[b] = zero;
+        }
+        for (a = indptr[i]; a < indptr[i + 1]; a++) {
+            stale_row(
+                B, ann + i * B, ring + view_rows[a] * B, alpha[a],
+                prev + a * B, beta, bm1, sos_cols, flow + a * B,
+                base + a * B, frac + a * B, zero, consts[1]);
+            const double *f = frac + a * B;
+            for (b = 0; b < B; b++) {
+                cum[b] = cum[b] + ((f[b] > zero) ? f[b] : zero);
+            }
+        }
+        for (b = 0; b < B; b++) {
+            const double x = cum[b] - tol;
+            const int k = (int)x;
+            counts[i * B + b] = k + (x > (double)k);
+            totals[b] += counts[i * B + b];
+        }
     }
 }
 
@@ -1130,8 +1157,8 @@ class CffiKernels:
         return out
 
     def stale_schedule(
-        self, ring, slot, load, speeds, view_rows, arc_src, alpha, prev,
-        beta, bm1, sos_cols, flow, base, frac, consts,
+        self, ring, slot, load, speeds, view_rows, indptr, alpha, prev,
+        beta, bm1, sos_cols, flow, base, frac, counts, totals, consts,
     ):
         p = self._p
         n, B = load.shape
@@ -1139,19 +1166,21 @@ class CffiKernels:
         La = ring.shape[0]
         self._check(
             ring.shape[1:] == (n, B) and 0 <= slot < La
-            and view_rows.size == arc_src.size == alpha.size == na
+            and view_rows.size == alpha.size == na
+            and indptr.size == n + 1 and indptr[-1] == na
             and prev.shape == base.shape == frac.shape == (na, B)
+            and counts.shape == (n, B) and totals.size == B
             and speeds.size == n and beta.size == bm1.size == B
             and (sos_cols is None or sos_cols.size == B)
-            and consts.size >= 2,
+            and consts.size >= 3,
             "staleness schedule shapes",
         )
         self._lib.stale_schedule(
-            n, B, na, int(slot), p(load, _F64), p(speeds, _F64),
-            p(ring, _F64), p(view_rows, _INT64), p(arc_src, _INT64),
+            n, B, int(slot), p(load, _F64), p(speeds, _F64),
+            p(ring, _F64), p(view_rows, _INT64), p(indptr, _INT64),
             p(alpha, _F64), p(prev, _F64), p(beta, _F64), p(bm1, _F64),
             p(sos_cols, _F64), p(flow, _F64), p(base, _F64), p(frac, _F64),
-            p(consts, _F64),
+            p(counts, _INT64), p(totals, _INT64), p(consts, _F64),
         )
         return base
 
