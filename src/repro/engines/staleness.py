@@ -311,20 +311,10 @@ class _StalenessCore:
         # Arc- and edge-plane scratch, reused every round.
         self._view, self._flow, self._amt = np.empty((3, na, B))
         self._edge = np.empty((3, self.m, B))
-        # Arc -> source-node sums.  A discrete rounding ships integral
-        # amounts, which add exactly in any order: one unit-data CSR
-        # matvec.  identity keeps reduceat's order, x0 + (x1 + ... + xk)
-        # (pairwise inside the brackets when B == 1), which no matvec
-        # reproduces.
-        self._sources = self._red_idx = self._empty_rows = None
-        if rounding == "identity":
-            self._red_idx = np.minimum(self.indptr[:-1], max(na - 1, 0))
-            empty = np.flatnonzero(degrees == 0)
-            self._empty_rows = empty if empty.size else None
-        else:
-            self._sources = sp.csr_matrix(
-                (np.ones(na), np.arange(na), self.indptr), shape=(n, na)
-            )
+        # Segment-sum plumbing (arc -> source-node reduction).
+        self._red_idx = np.minimum(self.indptr[:-1], max(na - 1, 0))
+        empty = np.flatnonzero(degrees == 0)
+        self._empty_rows = empty if empty.size else None
         #: Edge -> endpoint sums (``u`` side, ``v`` side) as unit-data CSR
         #: matvecs: each node adds its edges in edge order from +0.0, which
         #: is the order of a per-replica ``bincount`` over the edge list.
@@ -398,9 +388,9 @@ class _StalenessCore:
     # ------------------------------------------------------------------
     def _segment_sum(self, x: np.ndarray) -> np.ndarray:
         """Sum arc values into their source node: ``out[i] = sum over
-        node i's outgoing arcs``, a node without arcs 0.0."""
-        if self._sources is not None:
-            return self._sources @ x
+        node i's outgoing arcs`` in one ``reduceat``, which adds
+        ``x0 + (x1 + ... + xk)``, the bracket pairwise when ``B == 1``
+        (the compiled round's ``stale_node_sum`` replays that order)."""
         out = np.add.reduceat(x, self._red_idx, axis=0)
         if self._empty_rows is not None:
             out[self._empty_rows] = 0.0
@@ -704,7 +694,7 @@ class _StalenessCore:
             self.bounce, self.bounce_slot[slot_b], self.kern_pending,
             self.indptr, self.arc_edge, self.rev, self.arc_of_lo,
             self.arc_of_hi, self.kern_faults, self.kern_p, self.kern_picks,
-            self.in_flight_amount, self.in_flight_messages,
+            self._view, self.in_flight_amount, self.in_flight_messages,
             self.delivered_count, self.bounced_count, self.kern_consts,
         )
 

@@ -496,9 +496,9 @@ void stale_ship(
     double *bounce, const long long *bounce_land, long long *pending,
     const long long *indptr, const long long *arc_edge, const long long *rev,
     const long long *arc_of_lo, const long long *arc_of_hi,
-    const uintptr_t *gens, double p, int *picks, double *in_flight,
-    long long *messages, long long *delivered, long long *bounced,
-    const double *consts);
+    const uintptr_t *gens, double p, int *picks, double *gather,
+    double *in_flight, long long *messages, long long *delivered,
+    long long *bounced, const double *consts);
 """
 
 _STALE_BODY = r"""
@@ -596,6 +596,63 @@ KERNEL void stale_schedule(
     }
 }
 
+/* numpy's pairwise summation of n doubles at stride (its add.reduce
+   inner loop).  negzero is -0.0. */
+static double stale_pairwise(
+    const double *a, long long n, long long stride, double negzero)
+{
+    long long i, j;
+    if (n < 8) {
+        double res = negzero;
+        for (i = 0; i < n; i++) {
+            res = res + a[i * stride];
+        }
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        for (j = 0; j < 8; j++) {
+            r[j] = a[j * stride];
+        }
+        for (i = 8; i < n - (n % 8); i += 8) {
+            for (j = 0; j < 8; j++) {
+                r[j] = r[j] + a[(i + j) * stride];
+            }
+        }
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) {
+            res = res + a[i * stride];
+        }
+        return res;
+    }
+    long long n2 = n / 2;
+    n2 -= n2 % 8;
+    return stale_pairwise(a, n2, stride, negzero)
+           + stale_pairwise(a + n2 * stride, n - n2, stride, negzero);
+}
+
+/* A node's sum over its deg arc rows x (contiguous, (deg, B)) in the
+   order of np.add.reduceat: x[0] + pairwise(x[1:]) per replica column.
+   Below 8 rest rows the pairwise sum runs left to right from -0.0, so
+   with amounts >= +0.0 it is first + rest, the caller's running sums from
+   +0.0 (a node without arcs sums to 0.0). */
+static inline void stale_node_sum(
+    long long B, const double *x, long long deg,
+    const double *restrict first, const double *restrict rest,
+    double *restrict out, double zero)
+{
+    long long b;
+    if (deg > 8) {
+        for (b = 0; b < B; b++) {
+            out[b] = x[b] + stale_pairwise(x + B + b, deg - 1, B, -zero);
+        }
+        return;
+    }
+    for (b = 0; b < B; b++) {
+        out[b] = first[b] + rest[b];
+    }
+}
+
 /* stale_ship's per-row steps, one loop over the replicas each, every
    operand loaded before its select.  Every amount is finite and >= +0.0,
    so a select of x or +0.0 is the numpy tier's x * 1.0 or x * 0.0. */
@@ -677,20 +734,21 @@ KERNEL void stale_ship(
     double *bounce, const long long *bounce_land, long long *pending,
     const long long *indptr, const long long *arc_edge, const long long *rev,
     const long long *arc_of_lo, const long long *arc_of_hi,
-    const uintptr_t *gens, double p, int *picks, double *in_flight,
-    long long *messages, long long *delivered, long long *bounced,
-    const double *consts)
+    const uintptr_t *gens, double p, int *picks, double *gather,
+    double *in_flight, long long *messages, long long *delivered,
+    long long *bounced, const double *consts)
 {
     /* One round's traffic, in the numpy tier's phase order: the per-edge
        flow record, the send deduction and in-flight ledger, the shipment
        ring and P = amt, the link drops onto the bounce ring (bounce NULL:
        no faults; gens NULL: no draws; picks: (B, na) scratch), the due
        bounces, then the deliveries out of `arrive` (the ring slot landing
-       this round).  Node sums run from +0.0 over the node's arcs in
-       order. */
+       this round).  Every sum adds in the numpy tier's order (see
+       stale_node_sum; gather: (na, B) scratch for nodes past 8 arcs). */
     const double zero = consts[0];
     const double one = consts[1];
     double acc[B > 0 ? B : 1], tot[B > 0 ? B : 1], cnt[B > 0 ? B : 1];
+    double first[B > 0 ? B : 1], sum[B > 0 ? B : 1];
     long long i, a, b, e;
 
     for (e = 0; e < m; e++) {
@@ -707,16 +765,22 @@ KERNEL void stale_ship(
     }
     for (i = 0; i < n; i++) {
         for (b = 0; b < B; b++) {
+            first[b] = zero;
             acc[b] = zero;
         }
         for (a = indptr[i]; a < indptr[i + 1]; a++) {
             stale_send_row(
-                B, amt + a * B, ship + ship_rows[a] * B, prev + a * B, acc,
-                tot, cnt, zero, one);
+                B, amt + a * B, ship + ship_rows[a] * B, prev + a * B,
+                (a == indptr[i]) ? first : acc, tot, cnt, zero, one);
         }
+        stale_node_sum(B, amt + indptr[i] * B, indptr[i + 1] - indptr[i],
+                       first, acc, sum, zero);
         for (b = 0; b < B; b++) {
-            load[i * B + b] = load[i * B + b] - acc[b];
+            load[i * B + b] = load[i * B + b] - sum[b];
         }
+    }
+    if (B == 1) {
+        tot[0] = stale_pairwise(amt, na, 1, -zero);  /* amt.sum(axis=0) */
     }
     for (b = 0; b < B; b++) {
         in_flight[b] = in_flight[b] + tot[b];
@@ -802,18 +866,34 @@ KERNEL void stale_ship(
     if (!any) {
         return;
     }
+    if (B == 1) {
+        tot[0] = stale_pairwise(arrive, na, 1, -zero);  /* arr.sum(axis=0) */
+    }
     for (i = 0; i < n; i++) {
         /* arc a's delivery is its reverse arc's shipment, credited to a's
            source, which remembers it as a negative flow */
+        const long long lo = indptr[i], deg = indptr[i + 1] - lo;
         for (b = 0; b < B; b++) {
+            first[b] = zero;
             acc[b] = zero;
         }
-        for (a = indptr[i]; a < indptr[i + 1]; a++) {
-            stale_deliver_row(B, arrive + rev[a] * B, prev + a * B, acc, cnt,
-                              zero, one);
+        if (deg > 8) {
+            /* the pairwise node sum reads the rows in arc order (the
+               numpy tier's arr_rev): gather them, before the rows below
+               consume the shipments */
+            for (a = lo; a < lo + deg; a++) {
+                for (b = 0; b < B; b++) {
+                    gather[a * B + b] = arrive[rev[a] * B + b];
+                }
+            }
         }
+        for (a = lo; a < lo + deg; a++) {
+            stale_deliver_row(B, arrive + rev[a] * B, prev + a * B,
+                              (a == lo) ? first : acc, cnt, zero, one);
+        }
+        stale_node_sum(B, gather + lo * B, deg, first, acc, sum, zero);
         for (b = 0; b < B; b++) {
-            load[i * B + b] = load[i * B + b] + acc[b];
+            load[i * B + b] = load[i * B + b] + sum[b];
         }
     }
     for (b = 0; b < B; b++) {
@@ -1187,8 +1267,8 @@ class CffiKernels:
     def stale_ship(
         self, slot_b, load, flow, amt, prev, edge, ship, ship_rows, arrive,
         bounce, bounce_land, pending, indptr, arc_edge, rev, arc_of_lo,
-        arc_of_hi, gens, p_drop, picks, in_flight, messages, delivered,
-        bounced, consts,
+        arc_of_hi, gens, p_drop, picks, gather, in_flight, messages,
+        delivered, bounced, consts,
     ):
         p = self._p
         n, B = load.shape
@@ -1196,7 +1276,7 @@ class CffiKernels:
         m = edge.shape[0]
         self._check(
             amt.shape == flow.shape == prev.shape == arrive.shape == (na, B)
-            and ship.shape[1] == edge.shape[1] == B
+            and gather.size >= na * B and ship.shape[1] == edge.shape[1] == B
             and ship_rows.size == arc_edge.size == rev.size == na
             and arc_of_lo.size == arc_of_hi.size == m
             and indptr.size == n + 1 and 0 <= slot_b < pending.size
@@ -1224,7 +1304,8 @@ class CffiKernels:
             p(arc_edge, _INT64), p(rev, _INT64), p(arc_of_lo, _INT64),
             p(arc_of_hi, _INT64),
             p(gens.plane if gens is not None else None, _UINTP),
-            float(p_drop), p(picks, _INT32), p(in_flight, _F64),
+            float(p_drop), p(picks, _INT32), p(gather, _F64),
+            p(in_flight, _F64),
             p(messages, _INT64), p(delivered, _INT64), p(bounced, _INT64),
             p(consts, _F64),
         )

@@ -15,8 +15,10 @@ side and compares, after every round and bit for bit:
 The grid covers static and dynamic (Poisson) runs, FOS and SOS with a
 per-replica switch plane (dynamic runs do not switch), zero latency and
 skew-gated random latencies, no faults and ``drop:0`` / ``drop:0.05`` /
-``drop:1``, and B in {2, 3, 16}, on an irregular graph with an isolated
-node (padding slots in the dispatch, empty rows in every node sum).  The rest of the file pins
+``drop:1``, and B in {1, 2, 3, 16}, on an irregular graph with a hub and
+an isolated node (padding slots in the dispatch, empty rows in every
+node sum), plus loads whose sums pass ``2**53``, where the summation
+order of every node and ledger sum shows.  The rest of the file pins
 the tier choice: blocked configs, ``auto``, and the python provider.
 """
 
@@ -37,21 +39,33 @@ needs_cffi = pytest.mark.skipif(
 )
 
 #: A 5-clique (degree 4 and 5), a path tail (degrees 2 and 1), a star
-#: hub (degree 4) and node 12 with no edge at all.
+#: hub of degree 13 (numpy sums the arcs of a single replica's node
+#: pairwise past 8 of them) and node 21 with no edge at all.
 EDGES = (
     [(u, v) for u in range(5) for v in range(u + 1, 5)]
-    + [(4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (8, 10), (8, 11)]
+    + [(4, 5), (5, 6), (6, 7), (7, 8)]
+    + [(8, leaf) for leaf in range(9, 21)]
 )
-TOPO = Topology(13, EDGES, name="clique-tail-isolated")
-SPEEDS = np.array([1.0, 2.0, 1.0, 3.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0])
+TOPO = Topology(22, EDGES, name="clique-tail-star-isolated")
+SPEEDS = np.where(np.arange(TOPO.n) % 3 == 1, 2.0, 1.0)
 ROUNDS = 12
 
 MODES = ("static", "dynamic")
 SCHEMES = ("fos", "sos")
 LATENCIES = ("zero", "uniform")
 FAULTS = (None, "drop:0", "drop:0.05", "drop:1")
-WIDTHS = (2, 3, 16)
-CASES = list(itertools.product(MODES, SCHEMES, LATENCIES, FAULTS, WIDTHS))
+WIDTHS = (1, 2, 3, 16)
+#: Tokens on the point-loaded node: a few hundred per node, and a load
+#: whose arc sums pass 2**53, where the order of every sum shows.
+LOADS = {"small": 40.0 * TOPO.n, "huge": 1e18}
+CASES = [
+    case + ("small",)
+    for case in itertools.product(MODES, SCHEMES, LATENCIES, FAULTS, WIDTHS)
+]
+CASES += [
+    ("static", scheme, latency, "drop:0.05", B, "huge")
+    for scheme in SCHEMES for latency in LATENCIES for B in WIDTHS
+]
 
 #: The core planes and ledger counters compared after every round.
 PLANES = ("loads", "P", "E", "A", "S", "bounce")
@@ -59,12 +73,12 @@ LEDGER = ("in_flight_amount", "in_flight_messages", "delivered_count", "bounced_
 
 
 def _case_id(case) -> str:
-    mode, scheme, latency, faults, B = case
-    return f"{mode}-{scheme}-{latency}-{faults or 'nofaults'}-B{B}"
+    mode, scheme, latency, faults, B, size = case
+    return f"{mode}-{scheme}-{latency}-{faults or 'nofaults'}-B{B}-{size}"
 
 
 def _config(case, kernel) -> EngineConfig:
-    mode, scheme, latency, faults, B = case
+    mode, scheme, latency, faults, B, _ = case
     extra = {}
     if scheme == "sos" and mode == "static":
         # -1 never switches; the rest switch inside the run.
@@ -82,8 +96,8 @@ def _config(case, kernel) -> EngineConfig:
     )
 
 
-def _loads(B: int) -> np.ndarray:
-    base = point_load(TOPO, 40.0 * TOPO.n, 0)
+def _loads(B: int, size: str) -> np.ndarray:
+    base = point_load(TOPO, LOADS[size], 8)
     return np.stack([np.roll(base, 3 * b) for b in range(B)])
 
 
@@ -121,11 +135,13 @@ def _assert_batches_equal(a, b, r):
 @needs_cffi
 @pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
 def test_compiled_round_matches_numpy_step(case):
-    mode, B = case[0], case[-1]
+    mode, B, size = case[0], case[4], case[5]
     engines, handles = [], []
     for kernel in ("cffi", "numpy"):
         engine = make_engine("staleness")
-        handles.append(engine.prepare(TOPO, _config(case, kernel), _loads(B)))
+        handles.append(
+            engine.prepare(TOPO, _config(case, kernel), _loads(B, size))
+        )
         engines.append(engine)
     (ec, en), (hc, hn) = engines, handles
     assert hc.core.kernel is not None and hn.core.kernel is None
