@@ -688,6 +688,8 @@ class _StalenessCore:
                 self.kern_consts,
             )
         slot_b = r % self.Lb
+        # The view plane, free in this round, is stale_ship's gather
+        # scratch.
         kern.stale_ship(
             slot_b, self.loads, self._flow, self._amt, self.P, self.E,
             self.S.reshape(-1, self.B), self._ship_rows[slot], self.S[slot],
