@@ -35,7 +35,8 @@ The providers cover ``randomized-excess`` only: a forced ``"cffi"`` or
 :class:`~repro.exceptions.ConfigurationError`, and so does a forced
 ``"cffi"`` on a staleness run with a fault model other than
 ``RandomLinkDrop`` or with one fault generator shared by every replica
-(:func:`kernel_blockers`; ``"auto"`` runs those on the numpy step).  The elementwise roundings
+(:func:`kernel_blockers`; ``"auto"`` runs those on the numpy step).  The
+elementwise roundings
 (``floor``/``nearest``/``ceil``/``unbiased-edge``) are one vectorised
 numpy expression each; their compiled bodies lost on one thread and near
 the ``auto`` threshold (0.55-1.13x, docs/benchmarks.md), won only on two

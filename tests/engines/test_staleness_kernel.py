@@ -39,8 +39,8 @@ needs_cffi = pytest.mark.skipif(
 )
 
 #: A 5-clique (degree 4 and 5), a path tail (degrees 2 and 1), a star
-#: hub of degree 13 (numpy sums the arcs of a single replica's node
-#: pairwise past 8 of them) and node 21 with no edge at all.
+#: hub of degree 13 (``reduceat`` adds a node's arcs pairwise past the
+#: ninth) and node 21 with no edge at all.
 EDGES = (
     [(u, v) for u in range(5) for v in range(u + 1, 5)]
     + [(4, 5), (5, 6), (6, 7), (7, 8)]
