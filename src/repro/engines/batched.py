@@ -280,24 +280,27 @@ def _round_elementwise(
 
 
 def _incidence_dirs(topo: Topology) -> np.ndarray:
-    """Per CSR incidence of ``topo``: ``+1.0`` when the node is its edge's
-    ``u`` endpoint (below its neighbour), ``-1.0`` when it is ``v``."""
+    """Per CSR incidence of ``topo`` (int8): ``+1`` when the node is its
+    edge's ``u`` endpoint (below its neighbour), ``-1`` when it is ``v``."""
     node = np.repeat(np.arange(topo.n), topo.degrees)
-    return np.where(node < topo.adj_indices, 1.0, -1.0)
+    return np.where(node < topo.adj_indices, 1, -1).astype(np.int8)
 
 
-def _padded_adjacency(topo: Topology) -> tuple:
-    """``(dmax, adj_edges, slot_dirs)``: node ``i``'s ``j``-th incident edge
-    (``m`` past its degree) and its direction (+1 when ``i`` is the edge's
-    ``u`` endpoint, -1 when it is ``v``, 0 for padding), ``(n, dmax)``."""
+def _padded_adjacency(topo: Topology, dirs: Optional[np.ndarray] = None) -> tuple:
+    """``(dmax, adj_edges, adj_signs)``: node ``i``'s ``j``-th incident edge
+    (int32, ``m`` past its degree) and its direction (int8: +1 when ``i`` is
+    the edge's ``u`` endpoint, -1 when it is ``v``, 0 for padding), both
+    ``(n, dmax)``.  Row ``i`` is CSR row ``i`` in order, padding trailing;
+    ``dirs`` are :func:`_incidence_dirs` of ``topo`` when the caller has
+    them."""
     n, m = topo.n, topo.m_edges
     dmax = int(topo.degrees.max())
     filled = np.arange(dmax) < topo.degrees[:, None]  # row-major = CSR order
-    adj_edges = np.full((n, dmax), m, dtype=np.int64)
-    slot_dirs = np.zeros((n, dmax))
+    adj_edges = np.full((n, dmax), m, dtype=np.int32)
+    adj_signs = np.zeros((n, dmax), dtype=np.int8)
     adj_edges[filled] = topo.adj_edge_ids
-    slot_dirs[filled] = _incidence_dirs(topo)
-    return dmax, adj_edges, slot_dirs
+    adj_signs[filled] = _incidence_dirs(topo) if dirs is None else dirs
+    return dmax, adj_edges, adj_signs
 
 
 def _cached(cache: Optional[Dict], key, build, slot=None):
@@ -317,16 +320,17 @@ def _cached(cache: Optional[Dict], key, build, slot=None):
     return held[1]
 
 
-def _slot_take(adj_edges: np.ndarray, slot_dirs: np.ndarray, m: int) -> list:
-    """Outgoing-fraction gather rows per slot plane: a slot routes to the P
-    block (positive fsg) when the node is the edge's u endpoint, to the N
-    block (negative fsg) when it is v, and to the always-zero padding row
-    otherwise."""
+def _slot_take(adj_edges: np.ndarray, adj_signs: np.ndarray, m: int) -> list:
+    """Outgoing-fraction gather rows per slot plane (int64): a slot routes
+    to the P block (positive fsg) when the node is the edge's u endpoint,
+    to the N block (negative fsg) when it is v, and to the always-zero
+    padding row otherwise."""
+    edges = adj_edges.astype(np.int64)
     return [
         np.where(
-            slot_dirs[:, j] > 0,
-            adj_edges[:, j],
-            np.where(slot_dirs[:, j] < 0, adj_edges[:, j] + (m + 1), m),
+            adj_signs[:, j] > 0,
+            edges[:, j],
+            np.where(adj_signs[:, j] < 0, edges[:, j] + (m + 1), m),
         )
         for j in range(adj_edges.shape[1])
     ]
@@ -476,13 +480,36 @@ def _difference_operator(topo: Topology, dtype) -> sp.csr_matrix:
     )
 
 
-def _incidence_operators(topo: Topology, dtype) -> tuple:
+def _scaled_difference(E: sp.csr_matrix, coef: np.ndarray) -> sp.csr_matrix:
+    """``E`` with row ``k`` scaled by ``coef[k]`` (a one-entry ``coef``
+    scales every row): entries ``(+c @ eu, -c @ ev)`` on ``E``'s own index
+    arrays."""
+    data = np.empty_like(E.data)
+    data[0::2] = coef
+    data[1::2] = np.negative(data[0::2])
+    return sp.csr_matrix((data, E.indices, E.indptr), shape=E.shape)
+
+
+def _fused_coef(alphas, scale: float, dtype) -> np.ndarray:
+    """The fused schedule's per-edge coefficients ``alpha_e * scale``,
+    multiplied in float64 and then cast to ``dtype``: one entry for a
+    scalar alpha, else one per edge."""
+    coef = np.multiply(alphas, scale, dtype=np.float64)
+    return np.atleast_1d(coef).astype(dtype)
+
+
+def _incidence_operators(
+    topo: Topology, dtype, dirs: Optional[np.ndarray] = None
+) -> tuple:
     """``(D, W)``: the signed incidence (``-1`` at ``(edge_u, k)``, ``+1``
     at ``(edge_v, k)``) and its unsigned twin, both ``(n, m)`` CSR on the
     topology's own CSR adjacency (its rows list edge ids in ascending
-    order, so no COO assembly or index sort is needed)."""
+    order, so no COO assembly or index sort is needed).  ``dirs`` are
+    :func:`_incidence_dirs` of ``topo`` when the caller has them."""
     shape = (topo.n, topo.m_edges)
-    sign = (-_incidence_dirs(topo)).astype(dtype)
+    if dirs is None:
+        dirs = _incidence_dirs(topo)
+    sign = np.negative(dirs).astype(dtype)
     D = sp.csr_matrix((sign, topo.adj_edge_ids, topo.adj_indptr), shape=shape)
     W = sp.csr_matrix((np.ones_like(sign), D.indices, D.indptr), shape=shape)
     return D, W
@@ -808,8 +835,11 @@ class _BatchedHandle:
         speeds = validate_speeds(
             config.speeds if config.speeds is not None else uniform_speeds(n), n
         )
-        self.speeds_col = speeds[:, None].astype(dtype)
         self.uniform_speeds = bool(np.all(speeds == 1.0))
+        #: the speed column of the non-uniform paths (None when uniform)
+        self.speeds_col = (
+            None if self.uniform_speeds else speeds[:, None].astype(dtype)
+        )
         # -- per-replica parameter planes --------------------------------
         alpha_scales = params.alpha_scales if params is not None else None
         betas = params.betas if params is not None else None
@@ -836,21 +866,15 @@ class _BatchedHandle:
 
         self._build_operators(topo, speeds, alpha_scales, op_cache)
         if self.kernel is not None:
-            # Flat buffers of the compiled provider: edge endpoints, the
-            # incidence CSR (the compiled apply replays csr_matvecs'
-            # per-row accumulation order; W shares D's structure, so it
-            # needs no copy), per-node speeds, and the dtype-pinned
-            # constants [0, 1, frac_tol, 0.5] so no float literal enters
-            # the kernels at a foreign precision.
-            (self.kern_eu, self.kern_ev, self.inc_indptr, self.inc_edges,
-             self.inc_signs) = _cached(
-                op_cache, ("kern", np.dtype(dtype).char),
+            # Flat buffers of the compiled provider: edge endpoints (the
+            # padded adjacency carries the apply's incidence walk), per-node
+            # speeds, and the dtype-pinned constants [0, 1, frac_tol, 0.5]
+            # so no float literal enters the kernels at a foreign precision.
+            self.kern_eu, self.kern_ev = _cached(
+                op_cache, "kern_edges",
                 lambda: (
                     np.ascontiguousarray(topo.edge_u, dtype=np.int32),
                     np.ascontiguousarray(topo.edge_v, dtype=np.int32),
-                    np.ascontiguousarray(self.D.indptr, dtype=np.int64),
-                    np.ascontiguousarray(self.D.indices, dtype=np.int32),
-                    np.ascontiguousarray(self.D.data),
                 ),
             )
             self.kern_speeds = (
@@ -968,7 +992,10 @@ class _BatchedHandle:
         op_cache: Optional[Dict] = None,
     ) -> None:
         """Build the topology-shaped state of ``topo``: edge alphas, the
-        CSR operators, the excess-token adjacency and the edge scratch.
+        fused schedule's coefficients, the excess-token adjacency and the
+        edge scratch.  The CSR operators ``E``/``D``/``W`` are built on
+        first use (:meth:`_operator`): only the numpy tier and
+        single-replica compiled record rounds read them.
 
         ``__init__`` builds it for the run's topology; a churn patch
         rebuilds it for each new segment (churn runs use no operator
@@ -978,6 +1005,9 @@ class _BatchedHandle:
         config, dtype, B = self.config, self.dtype, self.n_replicas
         n, m = topo.n, topo.m_edges
         self.topo = topo
+        self.op_cache = op_cache
+        #: this segment's values built on first use (see _operator)
+        self.lazy: Dict[str, object] = {}
         self.edge_tiles = _tiles(m, self.tile_rows)
         # Cache key of the resolved alphas: the alpha spec under default
         # speeds; caller arrays, callables and speeds are never cached.
@@ -987,8 +1017,10 @@ class _BatchedHandle:
         ) else None
 
         def edge_alphas():
+            # one alpha for every edge keeps only that one value
             a = resolve_alphas(config.alphas, topo, speeds)
-            return a, m == 0 or bool(np.all(a == a[0]))
+            one = m == 0 or bool(np.all(a == a[0]))
+            return (a[:1].copy() if one else a), one
 
         alphas, one_alpha = _cached(op_cache, akey, edge_alphas)
         if one_alpha:
@@ -1008,65 +1040,50 @@ class _BatchedHandle:
                     dtype
                 )
 
-        # -- CSR operators (node tiles run row blocks of them in place,
-        #    see _csr_dot) -----------------------------------------------
-        self.E, self.D, self.W = _cached(
-            op_cache, ("csr", np.dtype(dtype).char),
-            lambda: (_difference_operator(topo, dtype),)
-            + _incidence_operators(topo, dtype),
-        )
-        # Fused gradient operators with the edge weights folded into the CSR
-        # data — a float-reassociation shortcut, used only where bitwise
-        # fidelity to the reference is not part of the contract (statistical
-        # roundings, the continuous identity process, and float32 mode).
+        # Fused schedule: the edge weights folded into the gradient — a
+        # float-reassociation shortcut, used only where bitwise fidelity to
+        # the reference is not part of the contract (statistical roundings,
+        # the continuous identity process, and float32 mode).  The numpy
+        # tier folds ``alpha_e * scale`` into ``E``'s data, the compiled
+        # tier reads the same coefficients as a row (one entry under
+        # uniform alphas); scale 1 opens the run, scale beta follows.
         self.fused_sched = m > 0 and alpha_scales is None and (
             dtype == np.float32
             or config.rounding in ("randomized-excess", "unbiased-edge", "identity")
         )
         if self.fused_sched:
-            alpha_edge = (
-                np.full(m, self.alphas)
-                if np.isscalar(self.alphas)
-                else np.asarray(alphas, dtype=np.float64)
-            )
+            alpha_edge = self.alphas if np.isscalar(self.alphas) else alphas
+            compiled = self.kernel is not None
+            form = "alpha_coef" if compiled else "E_alpha"
 
-            def _scaled_e(scale):
-                data = np.repeat(alpha_edge * scale, 2).astype(dtype)
-                data[1::2] *= -1.0
-                return sp.csr_matrix(
-                    (data, self.E.indices, self.E.indptr), shape=(m, n)
-                )
+            def build(scale):
+                coef = _fused_coef(alpha_edge, scale, dtype)
+                return coef if compiled else _scaled_difference(self.E, coef)
 
-            ekey = None if akey is None else (
-                "E_alpha", np.dtype(dtype).char, spec
-            )
-            self.E_alpha = _cached(op_cache, ekey, lambda: _scaled_e(1.0))
-            if self.scalar_beta:  # the only runs that read E_alpha_beta
+            ekey = None if akey is None else (form, np.dtype(dtype).char, spec)
+            self.fused = [_cached(op_cache, ekey, lambda: build(1.0)), None]
+            if self.scalar_beta:  # the only runs that read the beta form
                 beta = float(self.beta_row[0, 0])
-                self.E_alpha_beta = _cached(
+                self.fused[1] = _cached(
                     op_cache, None if ekey is None else ekey + (beta,),
-                    lambda: _scaled_e(beta), slot="E_alpha_beta",
+                    lambda: build(beta), slot="E_alpha_beta",
                 )
 
-        # -- padded adjacency for the excess-token machinery ------------
+        # -- padded adjacency for the excess-token machinery (the compiled
+        #    apply walks it too) ----------------------------------------
         if config.rounding == "randomized-excess" and m:
-            dmax, adj_edges, slot_dirs = _cached(
-                op_cache, "adj", lambda: _padded_adjacency(topo)
+            dmax, adj_edges, adj_signs = _cached(
+                op_cache, "adj",
+                lambda: _padded_adjacency(topo, self._segment_dirs()),
             )
             self.dmax = dmax
-            self.adj_edges_flat = adj_edges.ravel()
+            self.adj_edges = adj_edges.ravel()
+            self.adj_signs = adj_signs.ravel()
             if self.kernel is not None:
-                # Compiled excess path: int8 slot signs plus the token-count
-                # buffers replace the numpy tier's P/N blocks and cumulative
-                # planes — the dominant scratch allocation of large-n
-                # discrete runs disappears entirely.
-                self.kern_adj_edges, self.kern_adj_signs = _cached(
-                    op_cache, "kern_adj",
-                    lambda: (
-                        self.adj_edges_flat.astype(np.int32),
-                        slot_dirs.ravel().astype(np.int8),
-                    ),
-                )
+                # Compiled excess path: the token-count buffers replace the
+                # numpy tier's P/N blocks and cumulative planes — the
+                # dominant scratch allocation of large-n discrete runs
+                # disappears entirely.
                 self.kern_counts = np.empty((n, B), dtype=np.int64)
                 self.kern_totals = np.empty(B, dtype=np.int64)
                 # The dispatch's cumulative slot fractions of one node,
@@ -1074,10 +1091,9 @@ class _BatchedHandle:
                 # overflow a C stack on a hub node with a wide batch.
                 self.kern_cums = np.empty((dmax, B), dtype=dtype)
             else:
-                self.slot_dirs_flat = slot_dirs.ravel()
                 self.slot_take = _cached(
                     op_cache, "slot_take",
-                    lambda: _slot_take(adj_edges, slot_dirs, m),
+                    lambda: _slot_take(adj_edges, adj_signs, m),
                 )
                 # P/N blocks: rows [0, m) positive parts, row m zero padding,
                 # rows [m+1, 2m+1) negative parts, row 2m+1 zero padding.
@@ -1088,13 +1104,58 @@ class _BatchedHandle:
                 self.cum_planes = np.empty(
                     (dmax, self.tile_rows, B), dtype=dtype
                 )
+        if self.kern_records:
+            self.lazy.pop("dirs", None)  # no D will be built from them
 
         # -- edge-space scratch: inherent state of the discrete process
-        #    (the flow history and per-edge actuals) ---------------------
-        self.mb1 = np.empty((m, B), dtype=dtype)
-        self.mb2 = np.empty((m, B), dtype=dtype)
+        #    (the flow history and per-edge actuals), plus the planes of
+        #    the numpy schedule (mb1) and of the numpy step info and
+        #    elementwise roundings (mb2) ---------------------------------
+        self.mb1 = np.empty((m, B), dtype=dtype) if self.kernel is None else None
+        self.mb2 = None if self.kern_records else np.empty((m, B), dtype=dtype)
         self.mb3 = np.empty((m, B), dtype=dtype)
         self.act = np.empty((m, B), dtype=dtype)
+
+    def _operator(self, name: str, build, cached: bool = True):
+        """This segment's ``name``, built by ``build()`` on first use — taken
+        from the operator cache under ``(name, dtype)`` when ``cached`` —
+        and kept until the next :meth:`_build_operators`."""
+        if name not in self.lazy:
+            key = (name, np.dtype(self.dtype).char) if cached else None
+            self.lazy[name] = _cached(self.op_cache, key, build)
+        return self.lazy[name]
+
+    def _segment_dirs(self) -> np.ndarray:
+        """:func:`_incidence_dirs` of the segment, computed once for the
+        padded adjacency and ``D`` alike."""
+        return self._operator(
+            "dirs", lambda: _incidence_dirs(self.topo), cached=False
+        )
+
+    @property
+    def E(self) -> sp.csr_matrix:
+        """The per-edge difference operator (see :func:`_difference_operator`)."""
+        return self._operator(
+            "E", lambda: _difference_operator(self.topo, self.dtype)
+        )
+
+    @property
+    def D(self) -> sp.csr_matrix:
+        """The signed incidence (see :func:`_incidence_operators`)."""
+        return self._incidence_pair()[0]
+
+    @property
+    def W(self) -> sp.csr_matrix:
+        """The unsigned incidence (see :func:`_incidence_operators`)."""
+        return self._incidence_pair()[1]
+
+    def _incidence_pair(self) -> tuple:
+        return self._operator(
+            "DW",
+            lambda: _incidence_operators(
+                self.topo, self.dtype, self._segment_dirs()
+            ),
+        )
 
     def _set_kern_alpha(self) -> None:
         """The compiled tier's flat alpha buffer and its element strides."""
@@ -1329,11 +1390,13 @@ class BatchedVectorEngine(Engine):
 
     With an ``operator_cache`` (an ordinary dict; pool workers and
     ``perfbench`` set one) a warm call reuses the CSR operators, padded
-    adjacency, resolved alphas, fused ``E_alpha`` and compiled
-    edge/incidence arrays, keyed by dtype and alpha spec, and
-    ``E_alpha_beta`` from one slot keyed by beta too; explicit alpha/speed
-    arrays, callables and churn are never cached.  Load, flow and scratch
-    planes, rng streams and targets are built per call.
+    adjacency, resolved alphas, fused ``E_alpha`` (compiled tier: its
+    coefficient row) and compiled edge arrays, keyed by dtype and alpha
+    spec, and the beta-scaled fused form from one slot keyed by beta too;
+    explicit alpha/speed arrays, callables and churn are never cached.
+    A compiled batch of two or more replicas builds no CSR operator at
+    all.  Load, flow and scratch planes, rng streams and targets are built
+    per call.
     """
 
     name = "batched"
@@ -1444,11 +1507,11 @@ class BatchedVectorEngine(Engine):
                 # statistical roundings may do; round 0 uses the
                 # plain-alpha operator (FOS opener).
                 if h.round_index == 0:
-                    _csr_dot(h.E_alpha, norm, flows, accumulate=True)
+                    _csr_dot(h.fused[0], norm, flows, accumulate=True)
                 else:
                     beta = float(h.beta_row[0, 0])
                     np.multiply(flows, beta - 1.0, out=flows)
-                    _csr_dot(h.E_alpha_beta, norm, flows, accumulate=True)
+                    _csr_dot(h.fused[1], norm, flows, accumulate=True)
                 sched = flows
             else:
                 diff = _csr_dot(h.E, norm, h.mb1)  # x_u/s_u - x_v/s_v per edge
@@ -1474,12 +1537,13 @@ class BatchedVectorEngine(Engine):
         # -- step info (transients / traffic), then apply ------------------
         if want_info:
             if h.kern_records:
-                # One serial CSR walk: transients, traffic and the apply,
-                # bit-identical to the numpy branches below.
+                # One serial walk of the padded adjacency: transients,
+                # traffic and the apply, bit-identical to the numpy
+                # branches below.
                 info = h.kern_info
                 h.kernel.apply_info(
-                    h.inc_indptr, h.inc_edges, h.inc_signs, act, load, info,
-                    h.kern_consts,
+                    h.adj_edges, h.adj_signs, h.dmax, h.topo.m_edges, act,
+                    load, info, h.kern_consts,
                 )
                 h.last_min_transient = info[0].copy()
                 h.last_traffic = info[1].copy()
@@ -1500,11 +1564,12 @@ class BatchedVectorEngine(Engine):
                     np.add(load[a:b], delta, out=load[a:b])
                 h.last_min_transient = mins
         elif h.kernel is not None:
-            # Compiled apply: the same per-row sequential accumulation as
-            # csr_matvecs over D's CSR structure — bit-identical, without
-            # scipy's per-call overhead.
+            # Compiled apply over the padded adjacency, whose rows are D's
+            # CSR rows in order: the same per-row sequential accumulation
+            # as csr_matvecs — bit-identical, without scipy's per-call
+            # overhead.
             h.kernel.apply_flows(
-                h.inc_indptr, h.inc_edges, h.inc_signs, act, load
+                h.adj_edges, h.adj_signs, h.dmax, h.topo.m_edges, act, load
             )
         else:
             for a, b in h.node_tiles:
@@ -1542,18 +1607,19 @@ class BatchedVectorEngine(Engine):
         kern = h.kernel
         m = h.topo.m_edges
         if h.fused_sched and (h.round_index == 0 or h.scalar_beta):
-            # Fused-operator schedule: per-edge coefficients straight from
-            # the interleaved E_alpha[_beta].data (+c at even slots), with
-            # flows scaled by beta-1 (round 0: by 1 — the flows are +0.0,
-            # matching the accumulate-into-zeros opener bit for bit).
+            # Fused-operator schedule: the coefficients alpha_e * scale the
+            # numpy tier folds into E_alpha[_beta] (stride 0 when one
+            # coefficient serves every edge), with flows scaled by beta-1
+            # (round 0: by 1 — the flows are +0.0, matching the
+            # accumulate-into-zeros opener bit for bit).
             mode = 2
             if h.round_index == 0:
-                alpha = h.E_alpha.data
+                alpha = h.fused[0]
                 h.kern_bm1[0] = 1.0
             else:
-                alpha = h.E_alpha_beta.data
+                alpha = h.fused[1]
                 h.kern_bm1[0] = float(h.beta_row[0, 0]) - 1.0
-            ar, ac, bs = 2, 0, 0
+            ar, ac, bs = int(alpha.size > 1), 0, 0
         else:
             alpha, ar, ac = h.kern_alpha
             if h.round_index == 0:
@@ -1576,12 +1642,12 @@ class BatchedVectorEngine(Engine):
         # Token budgets first; then each token draws its uniform from its
         # replica's stream, node-ascending — the numpy tier's order.
         kern.excess_counts(
-            h.kern_adj_edges, h.kern_adj_signs, h.dmax, m, fsg,
+            h.adj_edges, h.adj_signs, h.dmax, m, fsg,
             h.kern_counts, h.kern_totals, h.kern_consts,
         )
         if h.kern_totals.any():
             kern.excess_dispatch(
-                h.kern_adj_edges, h.kern_adj_signs, h.dmax, m, fsg,
+                h.adj_edges, h.adj_signs, h.dmax, m, fsg,
                 h.kern_counts, h.kern_rngs, h.act, h.kern_cums,
                 h.kern_consts,
             )
@@ -1639,11 +1705,10 @@ class BatchedVectorEngine(Engine):
         )
         if moved is not None:
             slot, col = moved
-            cells = h.adj_edges_flat[slot]
-            cells *= B
+            cells = np.multiply(h.adj_edges[slot], B, dtype=np.int64)
             cells += col
             extra = np.bincount(
-                cells, weights=h.slot_dirs_flat[slot], minlength=m * B
+                cells, weights=h.adj_signs[slot], minlength=m * B
             )
             np.add(act, extra.reshape(m, B), out=act)
         return act

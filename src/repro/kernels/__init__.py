@@ -59,19 +59,26 @@ The contract is enforced by ``tests/engines/test_compiled.py``.
 Provider API (all arrays C-contiguous, loads/flows ``(n, B)``/``(m, B)``
 in the engine's dtype; ``consts = [0.0, 1.0, frac_tol, 0.5]`` in that
 dtype so no float literal ever enters the kernels at a foreign precision;
-the edge/adjacency index arrays ``eu``/``ev``/``adj_edges``/``edges`` are
+the edge/adjacency index arrays ``eu``/``ev``/``adj_edges`` are
 **int32** — half the index traffic of the memory-bound large-n runs —
-while ``indptr``/``counts``/``totals`` stay int64 and ``adj_signs`` is
-int8):
+while ``counts``/``totals`` stay int64 and ``adj_signs`` is int8.  The
+padded adjacency ``(adj_edges, adj_signs)`` is the topology's CSR
+adjacency in ``(n, dmax)`` slots: row ``i`` lists node ``i``'s edges in
+CSR order, then trailing padding slots ``e == m`` with sign 0; a real
+slot's sign is +1 where ``i`` is the edge's u endpoint and -1 where it
+is v, so its incidence sign, the entry of ``D``, is ``-adj_signs``):
 
 * ``round_edges(eu, ev, load, speeds, flows, act, fsg, alpha, ar, ac,
   beta, bm1, bs, mode, consts)`` — fused schedule + round:
   mode 0 is the round-0 FOS opener ``s = (nu - nv) * alpha``, mode 1 the
   SOS update ``s = flows * (beta - 1) + ((nu - nv) * alpha) * beta``,
-  mode 2 the fused-operator form reading the interleaved
-  ``E_alpha[_beta].data`` coefficients; ``(ar, ac)`` / ``bs`` are element
-  strides into the flat ``alpha`` / ``beta`` rows.  It writes the signed
-  base ``act = trunc(s)`` and the signed fractional parts
+  mode 2 the fused-operator form ``s = flows * bm1 + c * nu + (-c) * nv``
+  with the per-edge coefficient ``c = alpha_e * scale`` the numpy tier
+  folds into ``E_alpha[_beta]``: the engine passes one ``(m,)`` row per
+  scale, or one entry with ``ar = 0`` when every edge has the same alpha.
+  ``(ar, ac)`` / ``bs`` are element strides into the flat ``alpha`` /
+  ``beta`` rows.  It writes the signed base ``act = trunc(s)`` and the
+  signed fractional parts
   ``fsg = s - act``; ``act`` and ``fsg`` overlap no input.
 * ``excess_counts(adj_edges, adj_signs, dmax, m, fsg, counts, totals,
   consts)`` — per-(node, replica) token budgets ``ceil(r - tol)`` from a
@@ -89,9 +96,10 @@ int8):
   output for this ``fsg``; padding slots trail each node's real ones.
   ``cums`` is caller-owned ``(dmax, B)`` scratch for one node's
   cumulative slot fractions.
-* ``apply_flows(indptr, edges, signs, act, load)`` — the incidence
-  accumulation ``load[i] += sum(signs * act[edges])`` replaying scipy's
-  ``csr_matvecs`` per-row sequential order.
+* ``apply_flows(adj_edges, adj_signs, dmax, m, act, load)`` — the
+  incidence accumulation ``load[i] += sum(-adj_signs * act[adj_edges])``
+  over node ``i``'s slots up to its padding, replaying scipy's
+  ``csr_matvecs`` per-row sequential order over ``D``.
 * ``record_metrics(load, targets, lo, hi, eu, ev, elo, ehi, out,
   consts)`` — one serial pass writing the ``(6, B)`` rows of ``out``:
   max and min of ``load - targets``, the sum of its squares, min load and
@@ -101,8 +109,9 @@ int8):
   row and column strides; an empty range leaves its rows as they were,
   so the engine calls it per node tile and adds the partial sums into
   its running totals.
-* ``apply_info(indptr, edges, signs, act, load, info, consts)`` — the
-  ``apply_flows`` walk of a record round: ``delta = D @ act`` and
+* ``apply_info(adj_edges, adj_signs, dmax, m, act, load, info,
+  consts)`` — the ``apply_flows`` walk of a record round:
+  ``delta = D @ act`` and
   ``outgoing = W @ |act|`` each from zero in CSR order, ``info[0]`` the
   min transient ``load - (outgoing - delta) * 0.5``, ``info[1]`` the
   traffic ``sum |act|`` in edge order, and ``load <- load + delta``.
@@ -388,8 +397,6 @@ def _warm_provider(provider) -> None:
     """
     eu = np.array([0], dtype=np.int32)
     ev = np.array([1], dtype=np.int32)
-    indptr = np.array([0, 1, 2], dtype=np.int64)
-    edges = np.array([0, 0], dtype=np.int32)
     adj_edges = np.array([0, 0], dtype=np.int32)
     adj_signs = np.array([1, -1], dtype=np.int8)
     for dtype in (np.float64, np.float32):
@@ -402,7 +409,6 @@ def _warm_provider(provider) -> None:
         alpha = np.array([0.25], dtype=dtype)
         beta = np.array([1.5], dtype=dtype)
         bm1 = np.array([0.5], dtype=dtype)
-        signs = np.array([-1.0, 1.0], dtype=dtype)
         for mode in (0, 1, 2):
             provider.round_edges(
                 eu, ev, load, speeds, flows, act, fsg,
@@ -418,14 +424,14 @@ def _warm_provider(provider) -> None:
             provider.bind_generators([np.random.default_rng(0)]), act,
             np.empty((1, 1), dtype=dtype), consts,
         )
-        provider.apply_flows(indptr, edges, signs, act, load.copy())
+        provider.apply_flows(adj_edges, adj_signs, 1, 1, act, load.copy())
         for targets in (load[:1], load):
             provider.record_metrics(
                 load, targets, 0, 2, eu, ev, 0, 1,
                 np.empty((6, 1), dtype=dtype), consts,
             )
         provider.apply_info(
-            indptr, edges, signs, act, load.copy(),
+            adj_edges, adj_signs, 1, 1, act, load.copy(),
             np.empty((2, 1), dtype=dtype), consts,
         )
 

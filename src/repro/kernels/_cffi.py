@@ -82,16 +82,16 @@ void excess_dispatch_@S@(
     const @R@ *fsg, const long long *counts, const uintptr_t *gens,
     @R@ *act, @R@ *cums, const @R@ *consts);
 void apply_flows_@S@(
-    long long n, long long B, const long long *indptr,
-    const int *edges, const @R@ *signs,
+    long long n, long long B, long long m, long long dmax,
+    const int *adj_edges, const signed char *adj_signs,
     const @R@ *act, @R@ *load);
 void record_metrics_@S@(
     long long B, const @R@ *load, const @R@ *targets, long long trow,
     long long tcol, long long lo, long long hi, const int *eu, const int *ev,
     long long elo, long long ehi, @R@ *out, const @R@ *consts);
 void apply_info_@S@(
-    long long n, long long B, long long m, const long long *indptr,
-    const int *edges, const @R@ *signs,
+    long long n, long long B, long long m, long long dmax,
+    const int *adj_edges, const signed char *adj_signs,
     const @R@ *act, @R@ *load, @R@ *info, const @R@ *consts);
 """
 
@@ -325,16 +325,19 @@ KERNEL void excess_dispatch_@S@(
     }
 }
 
+/* The apply passes walk the padded adjacency, whose rows are the
+   incidence CSR rows in order with the padding (e == m) trailing: the
+   incidence sign of slot j is -adj_signs[j] (-1 where the node is the
+   edge's u endpoint, +1 where it is v). */
+
 KERNEL void apply_flows_@S@(
-    long long n, long long B, const long long *indptr,
-    const int *edges, const @R@ *signs,
+    long long n, long long B, long long m, long long dmax,
+    const int *adj_edges, const signed char *adj_signs,
     const @R@ *act, @R@ *load)
 {
     long long i;
     #pragma omp parallel for schedule(static)
     for (i = 0; i < n; i++) {
-        const long long lo = indptr[i];
-        const long long hi = indptr[i + 1];
         /* replica-inner: each incident edge contributes one contiguous
            act row; per (i, b) the edges still add in CSR order */
         @R@ acc[B > 0 ? B : 1];
@@ -342,9 +345,13 @@ KERNEL void apply_flows_@S@(
         for (b = 0; b < B; b++) {
             acc[b] = load[i * B + b];
         }
-        for (j = lo; j < hi; j++) {
-            const @R@ s = signs[j];
-            const @R@ *row = act + edges[j] * B;
+        for (j = 0; j < dmax; j++) {
+            const long long e = adj_edges[i * dmax + j];
+            if (e == m) {
+                break;  /* padding: the node's edges are done */
+            }
+            const @R@ s = -(@R@)adj_signs[i * dmax + j];
+            const @R@ *row = act + e * B;
             for (b = 0; b < B; b++) {
                 acc[b] = acc[b] + s * row[b];
             }
@@ -412,8 +419,8 @@ KERNEL void record_metrics_@S@(
 }
 
 KERNEL void apply_info_@S@(
-    long long n, long long B, long long m, const long long *indptr,
-    const int *edges, const @R@ *signs,
+    long long n, long long B, long long m, long long dmax,
+    const int *adj_edges, const signed char *adj_signs,
     const @R@ *act, @R@ *load, @R@ *info, const @R@ *consts)
 {
     /* info rows: min transient load - (sum|act| - delta) * 0.5 over nodes,
@@ -431,9 +438,13 @@ KERNEL void apply_info_@S@(
             delta[b] = zero;
             outg[b] = zero;
         }
-        for (j = indptr[i]; j < indptr[i + 1]; j++) {
-            const @R@ s = signs[j];
-            const @R@ *row = act + (long long)edges[j] * B;
+        for (j = 0; j < dmax; j++) {
+            e = adj_edges[i * dmax + j];
+            if (e == m) {
+                break;  /* padding: the node's edges are done */
+            }
+            const @R@ s = -(@R@)adj_signs[i * dmax + j];
+            const @R@ *row = act + e * B;
             for (b = 0; b < B; b++) {
                 delta[b] = delta[b] + s * row[b];
                 outg[b] = outg[b] + @FABS@(row[b]);
@@ -1201,13 +1212,14 @@ class CffiKernels:
         )
         return act
 
-    def apply_flows(self, indptr, edges, signs, act, load):
+    def apply_flows(self, adj_edges, adj_signs, dmax, m, act, load):
         fn, r = self._fn("apply_flows", load.dtype)
         p = self._p
         n, B = load.shape
+        self._check_adjacency(adj_edges, adj_signs, dmax, m, act, n, B)
         fn(
-            n, B, p(indptr, _INT64), p(edges, _INT32), p(signs, r),
-            p(act, r), p(load, r),
+            n, B, int(m), int(dmax), p(adj_edges, _INT32),
+            p(adj_signs, _INT8), p(act, r), p(load, r),
         )
         return load
 
@@ -1216,6 +1228,14 @@ class CffiKernels:
         """Refuse a buffer the C side would index out of bounds."""
         if not ok:
             raise ValueError(f"cffi kernel argument: {what}")
+
+    def _check_adjacency(self, adj_edges, adj_signs, dmax, m, act, n, B):
+        """The apply passes' padded adjacency and flow plane extents."""
+        self._check(
+            adj_edges.size == adj_signs.size == n * dmax
+            and act.shape == (m, B),
+            "padded adjacency / act shape",
+        )
 
     def record_metrics(
         self, load, targets, lo, hi, eu, ev, elo, ehi, out, consts,
@@ -1311,20 +1331,19 @@ class CffiKernels:
         )
         return load
 
-    def apply_info(self, indptr, edges, signs, act, load, info, consts):
+    def apply_info(
+        self, adj_edges, adj_signs, dmax, m, act, load, info, consts,
+    ):
         fn, r = self._fn("apply_info", load.dtype)
         p = self._p
         n, B = load.shape
-        self._check(
-            indptr.dtype == np.int64 and indptr.size == n + 1
-            and edges.size == signs.size == indptr[-1],
-            "incidence CSR shape",
-        )
-        self._check(act.shape[1] == B and info.shape == (2, B)
-                    and consts.size >= 4, "act/info/consts shape")
+        self._check_adjacency(adj_edges, adj_signs, dmax, m, act, n, B)
+        self._check(info.shape == (2, B) and consts.size >= 4,
+                    "info/consts shape")
         fn(
-            n, B, act.shape[0], p(indptr, _INT64), p(edges, _INT32),
-            p(signs, r), p(act, r), p(load, r), p(info, r), p(consts, r),
+            n, B, int(m), int(dmax), p(adj_edges, _INT32),
+            p(adj_signs, _INT8), p(act, r), p(load, r), p(info, r),
+            p(consts, r),
         )
         return load
 

@@ -40,8 +40,8 @@ class PythonKernels:
             nv = nv / speeds[ev][:, None]
         if mode == 2:
             # Fused-operator order: acc = flows*bm1, then +c*nu, then +(-c)*nv
-            # — exactly the csr_matvecs accumulation over the interleaved
-            # E_alpha[_beta] data.
+            # — exactly the csr_matvecs accumulation over E_alpha[_beta],
+            # whose row e holds (+c_e, -c_e).
             s = flows * bm1v
             s = s + av * nu
             s = s + (-av) * nv
@@ -127,15 +127,24 @@ class PythonKernels:
         return act
 
     # ------------------------------------------------------------------
-    def apply_flows(self, indptr, edges, signs, act, load):
+    @staticmethod
+    def _incidences(adj_edges, adj_signs, dmax, m, i, dtype):
+        """Node ``i``'s ``(edge, incidence sign)`` pairs in CSR order: its
+        padded slots up to the trailing padding (``e == m``), each signed
+        ``-adj_sign`` (``-1`` at the edge's u endpoint, ``+1`` at v)."""
+        for j in range(i * dmax, (i + 1) * dmax):
+            e = int(adj_edges[j])
+            if e == m:
+                return
+            yield e, -dtype.type(adj_signs[j])
+
+    def apply_flows(self, adj_edges, adj_signs, dmax, m, act, load):
         n = load.shape[0]
+        walk = (adj_edges, adj_signs, dmax, m)
         for i in range(n):
-            lo, hi = int(indptr[i]), int(indptr[i + 1])
-            if lo == hi:
-                continue
             acc = load[i].copy()
-            for j in range(lo, hi):
-                acc += signs[j] * act[edges[j]]
+            for e, s in self._incidences(*walk, i, load.dtype):
+                acc += s * act[e]
             load[i] = acc
         return load
 
@@ -164,17 +173,20 @@ class PythonKernels:
             out[5] = np.abs(diff).max(axis=0)
         return out
 
-    def apply_info(self, indptr, edges, signs, act, load, info, consts):
+    def apply_info(
+        self, adj_edges, adj_signs, dmax, m, act, load, info, consts,
+    ):
         n, B = load.shape
+        walk = (adj_edges, adj_signs, dmax, m)
         delta = np.empty_like(load)
         outgoing = np.empty_like(load)
         absf = np.abs(act)
         for i in range(n):
             d = np.full(B, consts[0], dtype=load.dtype)
             o = d.copy()
-            for j in range(int(indptr[i]), int(indptr[i + 1])):
-                d = d + signs[j] * act[edges[j]]
-                o = o + absf[edges[j]]
+            for e, s in self._incidences(*walk, i, load.dtype):
+                d = d + s * act[e]
+                o = o + absf[e]
             delta[i] = d
             outgoing[i] = o
         info[0] = (load - (outgoing - delta) * consts[3]).min(axis=0)

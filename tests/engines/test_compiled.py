@@ -384,7 +384,11 @@ class TestProviderCross:
 
 
 def _incidence(topo, dtype):
-    """The engine's incidence CSR ``D`` as the provider's flat arrays."""
+    """The engine's incidence CSR ``D``, and the padded adjacency the
+    provider's apply passes walk in its place."""
+    from repro.engines.batched import _padded_adjacency
+
+    dmax, adj, dirs = _padded_adjacency(topo)
     m = topo.m_edges
     ar = np.arange(m)
     D = sp.coo_matrix(
@@ -394,7 +398,7 @@ def _incidence(topo, dtype):
         ),
         shape=(topo.n, m),
     ).tocsr()
-    return D, D.indptr.astype(np.int64), D.indices.astype(np.int32), D.data
+    return D, (adj.ravel(), dirs.ravel(), dmax, m)
 
 
 def _consts(dtype):
@@ -457,12 +461,12 @@ class TestRecordProviders:
         other = kernels.get_provider(kernel)
         base = kernels.get_provider("python")
         load, _, act = self._data(dtype, B)
-        _, indptr, edges, signs = _incidence(RR, dtype)
+        _, adj = _incidence(RR, dtype)
         outs = []
         for prov in (base, other):
             x = load.copy()
             info = np.full((2, B), 7.0, dtype=dtype)
-            prov.apply_info(indptr, edges, signs, act, x, info, _consts(dtype))
+            prov.apply_info(*adj, act, x, info, _consts(dtype))
             outs.append((x, info))
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
         np.testing.assert_array_equal(outs[0][1], outs[1][1])
@@ -486,11 +490,11 @@ class TestRecordProviders:
         for x, t, lo, hi, elo, ehi, o in bad_calls:
             with pytest.raises(ValueError, match="cffi kernel argument"):
                 prov.record_metrics(x, t, lo, hi, self.EU, self.EV, elo, ehi, o, c)
-        _, indptr, edges, signs = _incidence(RR, np.float64)
+        _, (edges, signs, dmax, m) = _incidence(RR, np.float64)
         with pytest.raises(ValueError, match="cffi kernel argument"):
-            prov.apply_info(indptr[:-1], edges, signs, act, load, np.empty((2, 4)), c)
+            prov.apply_info(edges[:-1], signs, dmax, m, act, load, np.empty((2, 4)), c)
         with pytest.raises(ValueError, match="cffi kernel argument"):
-            prov.apply_info(indptr, edges, signs, act, load, np.empty((2, 3)), c)
+            prov.apply_info(edges, signs, dmax, m, act, load, np.empty((2, 3)), c)
 
     @pytest.mark.skipif(
         kernels.get_provider("cffi") is None, reason="cffi unavailable"
@@ -514,7 +518,7 @@ class TestRecordProviders:
         totals = np.zeros(B, dtype=np.int64)
         prov.excess_counts(adj_edges, adj_signs, dmax, m, fsg, counts, totals, c)
         streams = [default_rng(10 + b) for b in range(B)]
-        _, indptr, edges, signs = _incidence(RR, np.float64)
+        _, adj = _incidence(RR, np.float64)
         calls = {
             "round_edges": [
                 self.EU, self.EV, load, rng.uniform(1.0, 2.0, n), act.copy(),
@@ -528,12 +532,12 @@ class TestRecordProviders:
                 adj_edges, adj_signs, dmax, m, fsg, counts, streams,
                 np.zeros((m, B)), np.empty((dmax, B)), c,
             ],
-            "apply_flows": [indptr, edges, signs, act, load.copy()],
+            "apply_flows": [*adj, act, load.copy()],
             "record_metrics": [
                 load, plane, 0, n, self.EU, self.EV, 0, m, np.empty((6, B)), c,
             ],
             "apply_info": [
-                indptr, edges, signs, act, load.copy(), np.empty((2, B)), c,
+                *adj, act, load.copy(), np.empty((2, B)), c,
             ],
         }
         foreign = {
@@ -598,13 +602,13 @@ class TestRecordProviders:
             np.testing.assert_array_equal(
                 out[5], np.abs(load[self.EU] - load[self.EV]).max(axis=0)
             )
-        D, indptr, edges, signs = _incidence(RR, dtype)
+        D, adj = _incidence(RR, dtype)
         W = abs(D)
         delta = D @ act
         outgoing = W @ np.abs(act)
         x = load.copy()
         info = np.empty((2, B), dtype=dtype)
-        prov.apply_info(indptr, edges, signs, act, x, info, _consts(dtype))
+        prov.apply_info(*adj, act, x, info, _consts(dtype))
         np.testing.assert_array_equal(x, load + delta)
         np.testing.assert_array_equal(
             info[0], (load - (outgoing - delta) * 0.5).min(axis=0)

@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from numpy.random import default_rng
 
 from repro import kernels, point_load, random_load, torus_2d
@@ -184,14 +183,6 @@ def _kernel_calls(B, dtype, seed):
     topo = LOLLIPOP
     n, m = topo.n, topo.m_edges
     dmax, adj, dirs = _padded_adjacency(topo)
-    ar = np.arange(m)
-    D = sp.coo_matrix(
-        (
-            np.concatenate([-np.ones(m), np.ones(m)]).astype(dtype),
-            (np.concatenate([topo.edge_u, topo.edge_v]), np.concatenate([ar, ar])),
-        ),
-        shape=(n, m),
-    ).tocsr()
     beta = rng.uniform(1.2, 1.9, B).astype(dtype)
     return {
         "B": B, "dtype": dtype, "n": n, "m": m, "dmax": dmax,
@@ -204,8 +195,6 @@ def _kernel_calls(B, dtype, seed):
         "beta": beta, "bm1": beta - dtype(1.0), "c": _consts(dtype),
         "adj_edges": adj.ravel().astype(np.int32),
         "adj_signs": dirs.ravel().astype(np.int8),
-        "indptr": D.indptr.astype(np.int64),
-        "edges": D.indices.astype(np.int32), "signs": D.data,
     }
 
 
@@ -242,7 +231,7 @@ def _run_all(prov, d, streams):
     )
     out += [act.tobytes(), repr(_states(streams))]
     x = d["load"].copy()
-    prov.apply_flows(d["indptr"], d["edges"], d["signs"], act, x)
+    prov.apply_flows(d["adj_edges"], d["adj_signs"], d["dmax"], m, act, x)
     out.append(x.tobytes())
     rec = np.empty((6, B), dtype=dtype)
     for targets in (x[:1], x[:, :1].copy(), x[::-1].copy()):
@@ -250,7 +239,9 @@ def _run_all(prov, d, streams):
         out.append(rec.tobytes())
     info = np.empty((2, B), dtype=dtype)
     y = d["load"].copy()
-    prov.apply_info(d["indptr"], d["edges"], d["signs"], act, y, info, d["c"])
+    prov.apply_info(
+        d["adj_edges"], d["adj_signs"], d["dmax"], m, act, y, info, d["c"]
+    )
     out += [y.tobytes(), info.tobytes()]
     return out
 

@@ -1,15 +1,28 @@
 """The batched engine's incidence operators and padded adjacency are read
 off the topology's CSR adjacency; they must equal, bit for bit, the
 COO-assembled operators and the scatter-built padded adjacency kept here
-as the oracle (data, indices, indptr, index dtypes and the sorted flag)."""
+as the oracle (data, indices, indptr, index dtypes and the sorted flag).
+
+The compiled apply passes walk the padded adjacency in place of ``D`` and
+``W``; they must equal the numpy tier's CSR walk bit for bit, and a
+compiled batch of two or more replicas must build no scipy operator at
+all, while the numpy tier and single-replica compiled runs still build
+and use them."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.random import default_rng
 
+from repro import kernels, random_load
 from repro.core.churn import ChurnSchedule, node_join, plan_churn
-from repro.engines.batched import _incidence_operators, _padded_adjacency
-from repro.graphs import Topology, star, torus_2d
+from repro.engines import EngineConfig, make_engine
+from repro.engines.batched import (
+    _csr_dot,
+    _incidence_operators,
+    _padded_adjacency,
+)
+from repro.graphs import Topology, lollipop, star, torus_2d
 
 
 def _coo_incidence(topo, dtype):
@@ -32,13 +45,13 @@ def _scatter_padded(topo):
     """The padded adjacency scattered row by row into an ``(n, dmax)`` block."""
     n, m = topo.n, topo.m_edges
     dmax = int(topo.degrees.max())
-    adj_edges = np.full((n, dmax), m, dtype=np.int64)
-    slot_dirs = np.zeros((n, dmax))
+    adj_edges = np.full((n, dmax), m, dtype=np.int32)
+    slot_dirs = np.zeros((n, dmax), dtype=np.int8)
     idx_node = np.repeat(np.arange(n), topo.degrees)
     pos_in_row = np.arange(idx_node.size) - topo.adj_indptr[idx_node]
     adj_edges[idx_node, pos_in_row] = topo.adj_edge_ids
     slot_dirs[idx_node, pos_in_row] = np.where(
-        idx_node < topo.adj_indices, 1.0, -1.0
+        idx_node < topo.adj_indices, 1, -1
     )
     return dmax, adj_edges, slot_dirs
 
@@ -86,3 +99,167 @@ def test_padded_adjacency_matches_scatter_oracle(graph):
     for got, want in ((adj_edges, want_edges), (slot_dirs, want_dirs)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the compiled apply passes over the padded adjacency
+# ----------------------------------------------------------------------
+def _isolated_node():
+    """An irregular graph whose last node has no edge at all."""
+    return Topology(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
+
+
+APPLY_GRAPHS = {
+    "star": lambda: star(9),
+    "isolated-node": _isolated_node,
+    "churn-universe": _churn_universe,
+}
+
+PROVIDERS = [
+    "python",
+    pytest.param(
+        "cffi",
+        marks=pytest.mark.skipif(
+            kernels.get_provider("cffi") is None,
+            reason="kernel provider 'cffi' unavailable",
+        ),
+    ),
+]
+
+
+def _apply_inputs(topo, dtype, B=3):
+    """Fractional loads and signed flows (every sum depends on its order),
+    with ``act`` a view whose next row is NaN: a pass that reads a
+    padding slot's row ``m`` poisons its output."""
+    rng = default_rng(17)
+    m = topo.m_edges
+    load = rng.normal(40.0, 25.0, (topo.n, B)).astype(dtype)
+    buf = rng.normal(0.0, 3.0, (m + 1, B)).astype(dtype)
+    buf[m] = np.nan
+    return load, buf[:m]
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("graph", sorted(APPLY_GRAPHS))
+def test_padded_apply_matches_csr_walk(graph, dtype, provider):
+    topo = APPLY_GRAPHS[graph]()
+    assert topo.min_degree < topo.max_degree  # some node has padding slots
+    prov = kernels.get_provider(provider)
+    dmax, adj_edges, adj_signs = _padded_adjacency(topo)
+    adj = (adj_edges.ravel(), adj_signs.ravel(), dmax, topo.m_edges)
+    D, W = _incidence_operators(topo, dtype)
+    load, act = _apply_inputs(topo, dtype)
+    consts = np.array([0.0, 1.0, 1e-9, 0.5], dtype=dtype)
+
+    # apply_flows: the numpy tier's load += D @ act, row by row in place
+    want = _csr_dot(D, act, load.copy(), accumulate=True)
+    got = load.copy()
+    prov.apply_flows(*adj, act, got)
+    assert got.tobytes() == want.tobytes()
+
+    # apply_info: D @ act and W @ |act| from zero, the transient minimum,
+    # the traffic summed edge after edge, then load + delta
+    absf = np.abs(act)
+    delta = _csr_dot(D, act, np.empty_like(load))
+    outgoing = _csr_dot(W, absf, np.empty_like(load))
+    transient = load - (outgoing - delta) * dtype(0.5)
+    traffic = np.add.accumulate(
+        np.concatenate([np.zeros((1, act.shape[1]), dtype), absf]), axis=0
+    )[-1]
+    got = load.copy()
+    info = np.full((2, act.shape[1]), 7.0, dtype=dtype)
+    prov.apply_info(*adj, act, got, info, consts)
+    assert got.tobytes() == (load + delta).tobytes()
+    assert info[0].tobytes() == transient.min(axis=0).tobytes()
+    assert info[1].tobytes() == traffic.tobytes()
+
+
+# ----------------------------------------------------------------------
+# which handles build the scipy operators
+# ----------------------------------------------------------------------
+#: graph -> (topology, alpha spec): one alpha for every edge (a scalar
+#: fused coefficient), and an alpha per edge (a coefficient row)
+HANDLE_GRAPHS = {
+    "torus": lambda: (torus_2d(6, 7), None),
+    "lollipop": lambda: (lollipop(8, 5), "lazy-metropolis"),
+}
+
+
+def _prepared(graph, kernel, B, cache, **kw):
+    topo, alphas = HANDLE_GRAPHS[graph]()
+    loads = np.stack(
+        [random_load(topo, 50.0, rng=default_rng(b)) for b in range(B)]
+    )
+    config = EngineConfig(
+        scheme="sos", beta=1.5, rounding="randomized-excess", rounds=4,
+        seed=3, kernel=kernel, alphas=alphas, **kw,
+    )
+    engine = make_engine("batched")
+    engine.operator_cache = cache
+    return engine, engine.prepare(topo, config, loads)
+
+
+def _leaves(obj):
+    """Every value inside ``obj``'s tuples, lists and dicts."""
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from _leaves(v)
+    elif isinstance(obj, (tuple, list)):
+        for v in obj:
+            yield from _leaves(v)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("graph", sorted(HANDLE_GRAPHS))
+def test_compiled_batch_builds_no_scipy_operator(graph, precision, provider):
+    cache = {}
+    engine, h = _prepared(graph, provider, 4, cache, precision=precision)
+    topo, m = h.topo, h.topo.m_edges
+    assert h.kern_records
+    for _ in range(3):
+        engine.step(h)  # record-round walks: apply_info, then apply_flows
+    engine.run_batch(
+        topo, h.config, np.stack([random_load(topo, 9.0)] * 4)
+    )
+    h.take_columns([0, 1, 1, 2, 3])  # a twin fork re-shapes the scratch
+    engine.step(h)
+    held = list(_leaves(vars(h))) + list(_leaves(cache))
+    assert not [v for v in held if sp.issparse(v)]
+    # no interleaved (2m,) copy of the fused coefficients
+    assert not [
+        v for v in held
+        if isinstance(v, np.ndarray) and v.dtype.kind == "f" and v.shape == (2 * m,)
+    ]
+    assert h.fused[0].shape == ((1,) if graph == "torus" else (m,))
+    assert h.mb1 is None and h.mb2 is None
+    assert not h.lazy  # nothing built on demand, not even the directions
+
+
+@pytest.mark.parametrize("graph", sorted(HANDLE_GRAPHS))
+def test_numpy_tier_builds_and_uses_csr(graph):
+    cache = {}
+    engine, h = _prepared(graph, "numpy", 4, cache)
+    engine.step(h)
+    for name, kind in (("E", sp.csr_matrix), ("DW", tuple)):
+        assert isinstance(h.lazy[name], kind)
+        assert cache[name, "d"] is h.lazy[name]
+    assert all(sp.issparse(op) for op in (h.E, h.D, h.W, h.fused[0], h.fused[1]))
+    assert np.shares_memory(h.fused[0].indices, h.E.indices)  # E's indices
+    assert h.mb1.shape == h.mb2.shape == (h.topo.m_edges, 4)
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+def test_single_replica_compiled_builds_incidence_on_first_use(provider):
+    cache = {}
+    engine, h = _prepared("lollipop", provider, 1, cache)
+    assert h.kernel is not None and not h.kern_records
+    assert "DW" not in h.lazy  # round 0 records without an operator
+    engine.step(h)  # step info goes through numpy: D @ act, W @ |act|
+    assert isinstance(cache["DW", "d"][0], sp.csr_matrix)
+    assert h.lazy["DW"] is cache["DW", "d"]
+    assert "E" not in h.lazy  # the compiled schedule reads no E
+    assert h.mb1 is None and h.mb2.shape == (h.topo.m_edges, 1)

@@ -2,8 +2,9 @@
 planes ``run_batch`` hands out without a copy.
 
 * An engine with an ``operator_cache`` serves the resolved edge alphas,
-  the fused ``E_alpha``/``E_alpha_beta`` operators and the compiled
-  tier's edge and incidence arrays from the cache.  Every call on a
+  the fused ``E_alpha``/``E_alpha_beta`` operators (on the compiled tier,
+  their coefficient rows) and the compiled tier's edge arrays from the
+  cache.  Every call on a
   shared cache must equal, bit for bit, the same call on a cache-less
   engine, whatever the calls before it changed (beta, the alpha spec,
   explicit alphas, speeds, precision, tier, tiling), and a long beta sweep
@@ -134,10 +135,16 @@ def test_warm_calls_equal_cold_calls(graph, tier):
     cache = warm.operator_cache
     # The config-keyed entries were really served from the cache.
     assert ("alphas", None) in cache and ("alphas", "lazy-metropolis") in cache
-    assert ("E_alpha", "d", None) in cache and ("E_alpha", "f", None) in cache
+    fused = "E_alpha" if tier == "numpy" else "alpha_coef"
+    assert (fused, "d", None) in cache and (fused, "f", None) in cache
     assert "E_alpha_beta" in cache
     if tier == "cffi":
-        assert ("kern", "d") in cache and ("kern", "f") in cache
+        # edge arrays and padded adjacency only: no CSR operator is built
+        assert "kern_edges" in cache and "adj" in cache
+        assert not [
+            k for k in cache
+            if isinstance(k, tuple) and k[0] in ("E", "DW", "E_alpha")
+        ]
 
 
 def test_explicit_arrays_are_not_cached():
