@@ -1084,7 +1084,8 @@ class _BatchedHandle:
                 # numpy tier's P/N blocks and cumulative planes — the
                 # dominant scratch allocation of large-n discrete runs
                 # disappears entirely.
-                self.kern_counts = np.empty((n, B), dtype=np.int64)
+                # A budget is below dmax: int32 holds it.
+                self.kern_counts = np.empty((n, B), dtype=np.int32)
                 self.kern_totals = np.empty(B, dtype=np.int64)
                 # The dispatch's cumulative slot fractions of one node,
                 # every replica: heap scratch, since dmax * B of them
@@ -1109,11 +1110,11 @@ class _BatchedHandle:
 
         # -- edge-space scratch: inherent state of the discrete process
         #    (the flow history and per-edge actuals), plus the planes of
-        #    the numpy schedule (mb1) and of the numpy step info and
-        #    elementwise roundings (mb2) ---------------------------------
+        #    the numpy schedule (mb1) and of the numpy step info, the
+        #    elementwise roundings and the excess fractions (mb2).  The
+        #    compiled round writes its fractions over the spent flows. ----
         self.mb1 = np.empty((m, B), dtype=dtype) if self.kernel is None else None
         self.mb2 = None if self.kern_records else np.empty((m, B), dtype=dtype)
-        self.mb3 = np.empty((m, B), dtype=dtype)
         self.act = np.empty((m, B), dtype=dtype)
 
     def _operator(self, name: str, build, cached: bool = True):
@@ -1178,7 +1179,7 @@ class _BatchedHandle:
     }
     #: per-replica scratch, re-shaped at the new width
     _SCRATCH_AXES = {
-        "mb1": 1, "mb2": 1, "mb3": 1, "act": 1,
+        "mb1": 1, "mb2": 1, "act": 1,
         "nb1": 1, "ts1": 1, "ts2": 1, "ts3": 1,
         "pn": 1, "cum_planes": 2, "kern_rec": 2, "kern_info": 1,
         "kern_beta": 0, "kern_bm1": 0, "kern_counts": 1,
@@ -1598,11 +1599,13 @@ class BatchedVectorEngine(Engine):
         scalar/vector beta, the round-0 FOS opener) and hands flat buffers
         and the per-replica streams to the provider, whose dispatch draws
         each token's uniform from its replica's stream in the numpy tier's
-        order — bit-identical to the numpy tier by construction.  Reads
-        ``h.flows`` without writing it; the actuals land in ``h.act`` and
-        the caller's swap makes them the next round's flow state, exactly
-        like the numpy path (whose in-place ``flows`` writes are discarded
-        scratch after the swap).
+        order — bit-identical to the numpy tier by construction.  The
+        actuals land in ``h.act`` and the caller's swap makes them the next
+        round's flow state, exactly like the numpy path.  ``h.flows`` is
+        spent once ``round_edges`` has read it, so that kernel writes the
+        fractional parts over it, row by row, for the token passes (the
+        numpy path's in-place ``flows`` writes are discarded scratch after
+        the swap too).
         """
         kern = h.kernel
         m = h.topo.m_edges
@@ -1633,7 +1636,7 @@ class BatchedVectorEngine(Engine):
                 mode, bs = 1, 1
                 np.copyto(h.kern_beta, h.beta_row[0])
                 np.subtract(h.beta_row[0], 1.0, out=h.kern_bm1)
-        fsg = h.mb3  # the fractional-part plane of the excess rounding
+        fsg = h.flows  # the fractional parts replace the flows they came from
         kern.round_edges(
             h.kern_eu, h.kern_ev, h.load, h.kern_speeds, h.flows, h.act,
             fsg, alpha, ar, ac, h.kern_beta, h.kern_bm1, bs, mode,
@@ -1692,7 +1695,9 @@ class BatchedVectorEngine(Engine):
         # Signed base and fractional parts in two passes:
         # trunc(x) == sign(x) * floor(|x|), and fsg = sched - trunc(sched).
         np.trunc(sched, out=act)
-        fsg = np.subtract(sched, act, out=h.mb3)
+        # mb2 stays free until the step info, and the caller's sched is
+        # left untouched
+        fsg = np.subtract(sched, act, out=h.mb2)
         # Split into positive / negative outgoing-fraction blocks so a slot's
         # outgoing fraction is a single gather: P = max(fsg, 0), N = P - fsg.
         pn = h.pn

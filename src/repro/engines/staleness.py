@@ -367,7 +367,7 @@ class _StalenessCore:
                     self.slot_take.T, dtype=np.int32
                 )
                 self.kern_signs = np.ones(self.kern_adj.shape, dtype=np.int8)
-                self.kern_counts = np.empty((n, B), dtype=np.int64)
+                self.kern_counts = np.empty((n, B), dtype=np.int32)
                 self.kern_totals = np.empty(B, dtype=np.int64)
                 self.kern_cums = np.empty((self.dmax, B), dtype=np.float64)
                 self.kern_consts = np.array([0.0, 1.0, _FRAC_TOL, 0.5])

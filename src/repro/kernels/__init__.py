@@ -61,7 +61,9 @@ in the engine's dtype; ``consts = [0.0, 1.0, frac_tol, 0.5]`` in that
 dtype so no float literal ever enters the kernels at a foreign precision;
 the edge/adjacency index arrays ``eu``/``ev``/``adj_edges`` are
 **int32** — half the index traffic of the memory-bound large-n runs —
-while ``counts``/``totals`` stay int64 and ``adj_signs`` is int8.  The
+and so are the ``(n, B)`` token budgets ``counts`` (a budget is below
+``dmax``), while the per-replica ``totals`` are int64 and ``adj_signs``
+is int8.  The
 padded adjacency ``(adj_edges, adj_signs)`` is the topology's CSR
 adjacency in ``(n, dmax)`` slots: row ``i`` lists node ``i``'s edges in
 CSR order, then trailing padding slots ``e == m`` with sign 0; a real
@@ -79,10 +81,13 @@ is v, so its incidence sign, the entry of ``D``, is ``-adj_signs``):
   ``(ar, ac)`` / ``bs`` are element strides into the flat ``alpha`` /
   ``beta`` rows.  It writes the signed base ``act = trunc(s)`` and the
   signed fractional parts
-  ``fsg = s - act``; ``act`` and ``fsg`` overlap no input.
+  ``fsg = s - act``.  ``fsg`` may be ``flows`` itself: each flow row is
+  read, then overwritten with its fractions (the engine's flows are
+  spent once scheduled, so the batch keeps two ``(m, B)`` planes, not
+  three); otherwise ``fsg`` overlaps no input, and ``act`` never does.
 * ``excess_counts(adj_edges, adj_signs, dmax, m, fsg, counts, totals,
-  consts)`` — per-(node, replica) token budgets ``ceil(r - tol)`` from a
-  walk of the padded adjacency (slot ``e == m`` is padding), plus the
+  consts)`` — per-(node, replica) token budgets ``ceil(r - tol)``, into
+  the int32 ``(n, B)`` plane ``counts``, from a walk of the padded adjacency (slot ``e == m`` is padding), plus the
   per-replica token totals reduced into ``totals``.
 * ``bind_generators(rngs)`` — the replicas' generators (one
   ``numpy.random.Generator`` per replica, no two on one bit generator)
@@ -405,7 +410,7 @@ def _warm_provider(provider) -> None:
         speeds = np.array([1.0, 2.0], dtype=dtype)
         flows = np.zeros((1, 1), dtype=dtype)
         act = np.zeros((1, 1), dtype=dtype)
-        fsg = np.zeros((1, 1), dtype=dtype)
+        fsg = flows  # the engine's in-place form: fractions over the flows
         alpha = np.array([0.25], dtype=dtype)
         beta = np.array([1.5], dtype=dtype)
         bm1 = np.array([0.5], dtype=dtype)
@@ -414,7 +419,7 @@ def _warm_provider(provider) -> None:
                 eu, ev, load, speeds, flows, act, fsg,
                 alpha, 0, 0, beta, bm1, 0, mode, consts,
             )
-        counts = np.zeros((2, 1), dtype=np.int64)
+        counts = np.zeros((2, 1), dtype=np.int32)
         totals = np.zeros(1, dtype=np.int64)
         provider.excess_counts(
             adj_edges, adj_signs, 1, 1, fsg, counts, totals, consts

@@ -74,12 +74,12 @@ void round_edges_@S@(
 void excess_counts_@S@(
     long long n, long long B, long long m, long long dmax,
     const int *adj_edges, const signed char *adj_signs,
-    const @R@ *fsg, long long *counts, long long *totals,
+    const @R@ *fsg, int *counts, long long *totals,
     const @R@ *consts);
 void excess_dispatch_@S@(
     long long n, long long B, long long m, long long dmax,
     const int *adj_edges, const signed char *adj_signs,
-    const @R@ *fsg, const long long *counts, const uintptr_t *gens,
+    const @R@ *fsg, const int *counts, const uintptr_t *gens,
     @R@ *act, @R@ *cums, const @R@ *consts);
 void apply_flows_@S@(
     long long n, long long B, long long m, long long dmax,
@@ -109,14 +109,16 @@ static inline @R@ trunc_@S@(@R@ s, @R@ zero, @R@ one)
 }
 
 /* One edge of round_edges: the schedule s of its mode, then the signed
-   base act = trunc(s) and the fractional part fsg = s - act.  The rows
-   are restrict (the outputs overlap no input), so each mode's loop
-   vectorises without run-time alias checks. */
+   base act = trunc(s) and the fractional part s - act.  fl is the edge's
+   flow row on entry and its fraction row on exit: each flow is read
+   before its slot is written.  The rows are restrict (act overlaps no
+   input, fl only itself), so each mode's loop vectorises without
+   run-time alias checks. */
 static inline void edge_row_@S@(
     long long B, int mode, const @R@ *restrict nu, const @R@ *restrict nv,
-    const @R@ *restrict alpha, long long ac, const @R@ *restrict flows,
+    const @R@ *restrict alpha, long long ac,
     const @R@ *restrict beta, const @R@ *restrict bm1, long long bs,
-    @R@ *restrict act, @R@ *restrict fsg, @R@ zero, @R@ one)
+    @R@ *restrict act, @R@ *restrict fl, @R@ zero, @R@ one)
 {
     long long b;
     if (mode == 2) {
@@ -124,28 +126,28 @@ static inline void edge_row_@S@(
            csr_matvecs accumulation over interleaved data */
         for (b = 0; b < B; b++) {
             const @R@ c = alpha[b * ac];
-            @R@ s = flows[b] * bm1[b * bs];
+            @R@ s = fl[b] * bm1[b * bs];
             s = s + c * nu[b];
             s = s + (-c) * nv[b];
             const @R@ a = trunc_@S@(s, zero, one);
             act[b] = a;
-            fsg[b] = s - a;
+            fl[b] = s - a;
         }
     } else if (mode == 1) {
         for (b = 0; b < B; b++) {
             @R@ d = (nu[b] - nv[b]) * alpha[b * ac];
             d = d * beta[b * bs];
-            const @R@ s = flows[b] * bm1[b * bs] + d;
+            const @R@ s = fl[b] * bm1[b * bs] + d;
             const @R@ a = trunc_@S@(s, zero, one);
             act[b] = a;
-            fsg[b] = s - a;
+            fl[b] = s - a;
         }
     } else {
         for (b = 0; b < B; b++) {
             const @R@ s = (nu[b] - nv[b]) * alpha[b * ac];  /* FOS opener */
             const @R@ a = trunc_@S@(s, zero, one);
             act[b] = a;
-            fsg[b] = s - a;
+            fl[b] = s - a;
         }
     }
 }
@@ -158,6 +160,8 @@ KERNEL void round_edges_@S@(
     const @R@ *beta, const @R@ *bm1, long long bs, int mode,
     const @R@ *consts)
 {
+    /* fsg is flows itself (each row read, then overwritten with its
+       fractions) or a plane of its own, which takes a copy of the row */
     long long e;
     #pragma omp parallel for schedule(static)
     for (e = 0; e < m; e++) {
@@ -165,9 +169,15 @@ KERNEL void round_edges_@S@(
         const long long v = ev[e];
         const @R@ *nu = load + u * B;
         const @R@ *nv = load + v * B;
+        @R@ *fl = fsg + e * B;
         @R@ su[B > 0 ? B : 1], sv[B > 0 ? B : 1];
+        long long b;
+        if (fsg != flows) {
+            for (b = 0; b < B; b++) {
+                fl[b] = flows[e * B + b];
+            }
+        }
         if (speeds) {
-            long long b;
             for (b = 0; b < B; b++) {
                 su[b] = nu[b] / speeds[u];
                 sv[b] = nv[b] / speeds[v];
@@ -176,15 +186,15 @@ KERNEL void round_edges_@S@(
             nv = sv;
         }
         edge_row_@S@(
-            B, mode, nu, nv, alpha + e * ar, ac, flows + e * B, beta, bm1,
-            bs, act + e * B, fsg + e * B, consts[0], consts[1]);
+            B, mode, nu, nv, alpha + e * ar, ac, beta, bm1, bs,
+            act + e * B, fl, consts[0], consts[1]);
     }
 }
 
 KERNEL void excess_counts_@S@(
     long long n, long long B, long long m, long long dmax,
     const int *adj_edges, const signed char *adj_signs,
-    const @R@ *fsg, long long *counts, long long *totals,
+    const @R@ *fsg, int *counts, long long *totals,
     const @R@ *consts)
 {
     const @R@ zero = consts[0];
@@ -221,9 +231,9 @@ KERNEL void excess_counts_@S@(
             }
         }
         for (bb = 0; bb < B; bb++) {
-            /* ceil without libm: the budget is below dmax, so an int
-               holds it; truncate, then step up where that cut a
-               fraction off (a budget in (-1, 0] truncates to 0) */
+            /* ceil without libm: the budget is below dmax, so the int
+               budget plane holds it; truncate, then step up where that
+               cut a fraction off (a budget in (-1, 0] truncates to 0) */
             const @R@ x = cum[bb] - tol;
             const int k = (int)x;
             counts[i * B + bb] = k + (x > (@R@)k);
@@ -244,7 +254,7 @@ KERNEL void excess_counts_@S@(
 KERNEL void excess_dispatch_@S@(
     long long n, long long B, long long m, long long dmax,
     const int *adj_edges, const signed char *adj_signs,
-    const @R@ *fsg, const long long *counts, const uintptr_t *gens,
+    const @R@ *fsg, const int *counts, const uintptr_t *gens,
     @R@ *act, @R@ *cums, const @R@ *consts)
 {
     /* cums: caller-owned (dmax, B) scratch — dmax * B values overflow the
@@ -498,7 +508,7 @@ void stale_schedule(
     const long long *view_rows, const long long *indptr,
     const double *alpha, const double *prev, const double *beta,
     const double *bm1, const double *sos_cols,
-    double *flow, double *base, double *frac, long long *counts,
+    double *flow, double *base, double *frac, int *counts,
     long long *totals, const double *consts);
 void stale_ship(
     long long n, long long B, long long na, long long m, long long slot_b,
@@ -560,7 +570,7 @@ KERNEL void stale_schedule(
     const long long *view_rows, const long long *indptr,
     const double *alpha, const double *prev, const double *beta,
     const double *bm1, const double *sos_cols,
-    double *flow, double *base, double *frac, long long *counts,
+    double *flow, double *base, double *frac, int *counts,
     long long *totals, const double *consts)
 {
     /* announce into ring slot `slot`, then per node stale_row for each of
@@ -1081,6 +1091,12 @@ _STEMS = (
 )
 
 
+def _apart(a, b) -> bool:
+    """Whether the memory bounds of ``a`` and ``b`` are disjoint (no scan
+    of their elements)."""
+    return not np.may_share_memory(a, b)
+
+
 class Generators(tuple):
     """The replicas' rounding generators, and the address of each one's
     numpy ``bitgen_t`` in ``plane`` (one per replica, for
@@ -1167,6 +1183,23 @@ class CffiKernels:
         fn, r = self._fn("round_edges", act.dtype)
         p = self._p
         m, B = act.shape
+        self._check(
+            flows.shape == fsg.shape == (m, B) and eu.size == ev.size == m
+            and load.ndim == 2 and load.shape[1] == B,
+            "edge plane / endpoint / load shapes",
+        )
+        self._check(
+            (fsg is flows or _apart(fsg, flows)) and _apart(fsg, act)
+            and _apart(fsg, load) and _apart(act, flows) and _apart(act, load),
+            "fsg may be flows; act, fsg and load must not overlap",
+        )
+        self._check(
+            (speeds is None or speeds.size == load.shape[0])
+            and alpha.size > max(m - 1, 0) * ar + max(B - 1, 0) * ac
+            and beta.size > max(B - 1, 0) * bs
+            and bm1.size > max(B - 1, 0) * bs and consts.size >= 2,
+            "speeds / coefficient extents",
+        )
         fn(
             m, B, p(eu, _INT32), p(ev, _INT32),
             p(load, r), p(speeds, r), p(flows, r), p(act, r), p(fsg, r),
@@ -1181,9 +1214,12 @@ class CffiKernels:
         fn, r = self._fn("excess_counts", fsg.dtype)
         p = self._p
         n, B = counts.shape
+        self._check_adjacency(adj_edges, adj_signs, dmax, m, n, B, fsg)
+        self._check(totals.size == B and consts.size >= 3,
+                    "totals/consts size")
         fn(
             n, B, int(m), int(dmax), p(adj_edges, _INT32),
-            p(adj_signs, _INT8), p(fsg, r), p(counts, _INT64),
+            p(adj_signs, _INT8), p(fsg, r), p(counts, _INT32),
             p(totals, _INT64), p(consts, r),
         )
         return counts
@@ -1201,13 +1237,15 @@ class CffiKernels:
         fn, r = self._fn("excess_dispatch", fsg.dtype)
         p = self._p
         n, B = counts.shape
+        self._check_adjacency(adj_edges, adj_signs, dmax, m, n, B, fsg, act)
+        self._check(_apart(act, fsg), "act must not overlap fsg")
         if type(rngs) is not Generators:
             rngs = Generators(rngs)
         self._check(len(rngs) == B, "one generator per replica")
         self._check(cums.size >= max(dmax, 1) * max(B, 1), "cums size")
         fn(
             n, B, int(m), int(dmax), p(adj_edges, _INT32),
-            p(adj_signs, _INT8), p(fsg, r), p(counts, _INT64),
+            p(adj_signs, _INT8), p(fsg, r), p(counts, _INT32),
             p(rngs.plane, _UINTP), p(act, r), p(cums, r), p(consts, r),
         )
         return act
@@ -1216,7 +1254,7 @@ class CffiKernels:
         fn, r = self._fn("apply_flows", load.dtype)
         p = self._p
         n, B = load.shape
-        self._check_adjacency(adj_edges, adj_signs, dmax, m, act, n, B)
+        self._check_adjacency(adj_edges, adj_signs, dmax, m, n, B, act)
         fn(
             n, B, int(m), int(dmax), p(adj_edges, _INT32),
             p(adj_signs, _INT8), p(act, r), p(load, r),
@@ -1229,12 +1267,12 @@ class CffiKernels:
         if not ok:
             raise ValueError(f"cffi kernel argument: {what}")
 
-    def _check_adjacency(self, adj_edges, adj_signs, dmax, m, act, n, B):
-        """The apply passes' padded adjacency and flow plane extents."""
+    def _check_adjacency(self, adj_edges, adj_signs, dmax, m, n, B, *planes):
+        """The padded adjacency of ``n`` nodes and ``(m, B)`` edge planes."""
         self._check(
             adj_edges.size == adj_signs.size == n * dmax
-            and act.shape == (m, B),
-            "padded adjacency / act shape",
+            and all(plane.shape == (m, B) for plane in planes),
+            "padded adjacency / (m, B) plane shape",
         )
 
     def record_metrics(
@@ -1280,7 +1318,7 @@ class CffiKernels:
             p(ring, _F64), p(view_rows, _INT64), p(indptr, _INT64),
             p(alpha, _F64), p(prev, _F64), p(beta, _F64), p(bm1, _F64),
             p(sos_cols, _F64), p(flow, _F64), p(base, _F64), p(frac, _F64),
-            p(counts, _INT64), p(totals, _INT64), p(consts, _F64),
+            p(counts, _INT32), p(totals, _INT64), p(consts, _F64),
         )
         return base
 
@@ -1337,7 +1375,7 @@ class CffiKernels:
         fn, r = self._fn("apply_info", load.dtype)
         p = self._p
         n, B = load.shape
-        self._check_adjacency(adj_edges, adj_signs, dmax, m, act, n, B)
+        self._check_adjacency(adj_edges, adj_signs, dmax, m, n, B, act)
         self._check(info.shape == (2, B) and consts.size >= 4,
                     "info/consts shape")
         fn(

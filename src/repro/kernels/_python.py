@@ -52,7 +52,8 @@ class PythonKernels:
                 s = flows * bm1v + d
             else:
                 s = d
-        # randomized-excess: signed base + fractional parts
+        # randomized-excess: signed base + fractional parts (s is a fresh
+        # array, so fsg may be flows)
         np.trunc(s, out=act)
         np.subtract(s, act, out=fsg)
         return act
@@ -90,8 +91,8 @@ class PythonKernels:
         for j in range(dmax):
             np.add(cum, p[:, j], out=cum)
         c = np.ceil(cum - consts[2])
-        counts[...] = c.astype(np.int64)
-        totals[...] = counts.sum(axis=0)
+        counts[...] = c.astype(np.int32)
+        totals[...] = counts.sum(axis=0, dtype=np.int64)
         return counts
 
     @staticmethod

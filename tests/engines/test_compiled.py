@@ -383,6 +383,51 @@ class TestProviderCross:
             np.testing.assert_array_equal(outs[0][1], outs[1][1])
 
 
+    @pytest.mark.parametrize("kernel", PROVIDERS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("with_speeds", [False, True])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_round_edges_in_place_fractions(
+        self, mode, with_speeds, dtype, kernel
+    ):
+        # The engine passes its flows as fsg: each flow row is read, then
+        # overwritten with its fractions.  act and the fractions must equal,
+        # bit for bit, those written beside the flows into a plane of
+        # their own, by this provider and by the python one.
+        prov = kernels.get_provider(kernel)
+        base = kernels.get_provider("python")
+        rng = default_rng(31)
+        m, n, B = 70, 30, 5  # B = 5: a vector body and a tail
+        eu = rng.integers(0, n // 2, m).astype(np.int32)
+        ev = (eu + 1 + rng.integers(0, n // 2 - 1, m)).astype(np.int32)
+        load = rng.normal(50.0, 40.0, (n, B)).astype(dtype)
+        speeds = (1.0 + rng.random(n)).astype(dtype) if with_speeds else None
+        flows = rng.normal(0.0, 5.0, (m, B)).astype(dtype)
+        alpha = rng.uniform(0.05, 0.3, m * B).astype(dtype)  # per edge, replica
+        beta = rng.uniform(1.2, 1.9, B).astype(dtype)
+        bm1 = beta - dtype(1.0)
+        consts = _consts(dtype)
+
+        def run(p, flows, fsg):
+            act = np.full((m, B), 7.0, dtype=dtype)
+            p.round_edges(
+                eu, ev, load, speeds, flows, act, fsg, alpha, B, 1, beta,
+                bm1, 1, mode, consts,
+            )
+            return act
+
+        want = []
+        for p in (base, prov):
+            fsg = np.full((m, B), 7.0, dtype=dtype)
+            f = flows.copy()
+            act = run(p, f, fsg)
+            assert f.tobytes() == flows.tobytes()  # a separate fsg: read only
+            want.append((act.tobytes(), fsg.tobytes()))
+        assert want[0] == want[1]
+        f = flows.copy()
+        act = run(prov, f, f)
+        assert (act.tobytes(), f.tobytes()) == want[0]
+
 def _incidence(topo, dtype):
     """The engine's incidence CSR ``D``, and the padded adjacency the
     provider's apply passes walk in its place."""
@@ -514,7 +559,7 @@ class TestRecordProviders:
         adj_edges = adj.ravel().astype(np.int32)
         adj_signs = dirs.ravel().astype(np.int8)
         fsg = rng.uniform(-0.9, 0.9, (m, B))
-        counts = np.zeros((n, B), dtype=np.int64)
+        counts = np.zeros((n, B), dtype=np.int32)
         totals = np.zeros(B, dtype=np.int64)
         prov.excess_counts(adj_edges, adj_signs, dmax, m, fsg, counts, totals, c)
         streams = [default_rng(10 + b) for b in range(B)]
@@ -580,6 +625,17 @@ class TestRecordProviders:
                 prov.excess_dispatch(*args[:6], bad, *args[7:])
         assert [g.bit_generator.state for g in streams] == states
         np.testing.assert_array_equal(args[7], act_before)
+        # int64 budgets (the plane's width before it shrank to int32) are
+        # refused by both budget passes, and leave the outputs unchanged
+        wide = counts.astype(np.int64)
+        for name in ("excess_counts", "excess_dispatch"):
+            args = calls[name]
+            before = [a.copy() for a in args if isinstance(a, np.ndarray)]
+            with pytest.raises(ValueError, match="cffi kernel argument"):
+                getattr(prov, name)(*args[:5], wide, *args[6:])
+            after = [a for a in args if isinstance(a, np.ndarray)]
+            for a, b in zip(after, before):
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_python_matches_numpy_expressions(self, dtype):
@@ -615,6 +671,166 @@ class TestRecordProviders:
         )
         np.testing.assert_array_equal(info[1], np.abs(act).sum(axis=0))
 
+
+
+@pytest.mark.skipif(
+    kernels.get_provider("cffi") is None, reason="cffi unavailable"
+)
+class TestRoundKernelExtents:
+    """The round kernels' extent and overlap guards: a plane the C side
+    would index out of bounds, or an output overlapping an input it is
+    still to read, is refused before any C code runs."""
+
+    N, M, B = RR.n, RR.m_edges, 4
+
+    def _round_args(self):
+        rng = default_rng(7)
+        n, m, B = self.N, self.M, self.B
+        return dict(
+            eu=RR.edge_u.astype(np.int32), ev=RR.edge_v.astype(np.int32),
+            load=rng.normal(60.0, 45.0, (n, B)),
+            speeds=rng.uniform(1.0, 2.0, n),
+            flows=rng.normal(0.0, 4.0, (m, B)), act=np.zeros((m, B)),
+            fsg=np.zeros((m, B)), alpha=rng.uniform(0.1, 0.2, m), ar=1, ac=0,
+            beta=np.full(B, 1.5), bm1=np.full(B, 0.5), bs=1, mode=1,
+            consts=_consts(np.float64),
+        )
+
+    def _excess_args(self):
+        from repro.engines.batched import _padded_adjacency
+
+        rng = default_rng(8)
+        n, m, B = self.N, self.M, self.B
+        dmax, adj, dirs = _padded_adjacency(RR)
+        return dict(
+            adj_edges=adj.ravel().astype(np.int32),
+            adj_signs=dirs.ravel().astype(np.int8), dmax=dmax, m=m,
+            fsg=rng.uniform(-0.9, 0.9, (m, B)),
+            counts=np.zeros((n, B), dtype=np.int32),
+            totals=np.zeros(B, dtype=np.int64),
+            rngs=[default_rng(20 + b) for b in range(B)],
+            act=np.zeros((m, B)), cums=np.empty((dmax, B)),
+            consts=_consts(np.float64),
+        )
+
+    @staticmethod
+    def _refused(call, kw, **bad):
+        arrays = {k: v for k, v in kw.items() if isinstance(v, np.ndarray)}
+        before = {k: v.copy() for k, v in arrays.items()}
+        with pytest.raises(ValueError, match="cffi kernel argument"):
+            call(**{**kw, **bad})
+        for k, v in arrays.items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
+
+    def test_round_edges_runs_in_place_and_apart(self):
+        prov = kernels.get_provider("cffi")
+        kw = self._round_args()
+        prov.round_edges(**kw)  # a separate fraction plane
+        kw["fsg"] = kw["flows"]
+        prov.round_edges(**kw)  # the fractions over the flows
+
+    @pytest.mark.parametrize(
+        "case",
+        ["flows-rows", "fsg-rows", "act-rows", "eu-size", "ev-size",
+         "load-cols", "speeds-size", "alpha-size", "beta-size", "bm1-size",
+         "consts-size"],
+    )
+    def test_round_edges_refuses_bad_extents(self, case):
+        prov = kernels.get_provider("cffi")
+        kw = self._round_args()
+        m, B = self.M, self.B
+        bad = {
+            "flows-rows": dict(flows=np.zeros((m - 1, B))),
+            "fsg-rows": dict(fsg=np.zeros((m + 1, B))),
+            # act sets (m, B): one edge short of eu, ev and the planes
+            "act-rows": dict(act=np.zeros((m - 1, B))),
+            "eu-size": dict(eu=kw["eu"][:-1].copy()),
+            "ev-size": dict(ev=np.append(kw["ev"], np.int32(0))),
+            "load-cols": dict(load=kw["load"][:, :-1].copy()),
+            "speeds-size": dict(speeds=kw["speeds"][:-1].copy()),
+            "alpha-size": dict(alpha=kw["alpha"][:-1].copy()),
+            "beta-size": dict(beta=kw["beta"][:-1].copy()),
+            "bm1-size": dict(bm1=kw["bm1"][:-1].copy()),
+            "consts-size": dict(consts=kw["consts"][:1].copy()),
+        }[case]
+        self._refused(prov.round_edges, kw, **bad)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["fsg-is-act", "fsg-over-load", "fsg-shifted-flows", "act-is-flows",
+         "act-over-load"],
+    )
+    def test_round_edges_refuses_overlap(self, case):
+        # fsg may be flows itself, nothing else; act overlaps no input
+        prov = kernels.get_provider("cffi")
+        kw = self._round_args()
+        n, m, B = self.N, self.M, self.B
+        buf = np.zeros((m + 1, B))
+        if case == "fsg-is-act":
+            bad = dict(fsg=kw["act"])
+        elif case == "fsg-over-load":
+            bad = dict(fsg=buf[:m], load=buf[1:n + 1])
+        elif case == "fsg-shifted-flows":
+            buf[:m] = kw["flows"]
+            bad = dict(flows=buf[:m], fsg=buf[1:])
+        elif case == "act-is-flows":
+            bad = dict(act=kw["flows"])
+        else:
+            bad = dict(act=buf[:m], load=buf[1:n + 1])
+        self._refused(prov.round_edges, kw, **bad)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["counts-rows", "counts-cols", "adj-edges-size", "adj-signs-size",
+         "dmax", "fsg-rows", "totals-size", "consts-size"],
+    )
+    def test_excess_counts_refuses_bad_extents(self, case):
+        prov = kernels.get_provider("cffi")
+        kw = self._excess_args()
+        for key in ("rngs", "act", "cums"):
+            del kw[key]
+        n, B = self.N, self.B
+        bad = {
+            "counts-rows": dict(counts=np.zeros((n + 1, B), dtype=np.int32)),
+            "counts-cols": dict(counts=np.zeros((n, B + 1), dtype=np.int32)),
+            "adj-edges-size": dict(adj_edges=kw["adj_edges"][:-1].copy()),
+            "adj-signs-size": dict(adj_signs=kw["adj_signs"][:-1].copy()),
+            "dmax": dict(dmax=kw["dmax"] + 1),
+            "fsg-rows": dict(fsg=kw["fsg"][:-1].copy()),
+            "totals-size": dict(totals=np.zeros(B - 1, dtype=np.int64)),
+            "consts-size": dict(consts=kw["consts"][:2].copy()),
+        }[case]
+        prov.excess_counts(**kw)  # the valid arguments run
+        self._refused(prov.excess_counts, kw, **bad)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["counts-rows", "counts-cols", "adj-edges-size", "adj-signs-size",
+         "fsg-rows", "act-rows", "act-is-fsg"],
+    )
+    def test_excess_dispatch_refuses_bad_extents(self, case):
+        prov = kernels.get_provider("cffi")
+        kw = self._excess_args()
+        prov.excess_counts(
+            kw["adj_edges"], kw["adj_signs"], kw["dmax"], kw["m"], kw["fsg"],
+            kw["counts"], kw["totals"], kw["consts"],
+        )
+        assert kw["totals"].sum() > 0
+        del kw["totals"]
+        n, m, B = self.N, self.M, self.B
+        bad = {
+            "counts-rows": dict(counts=np.zeros((n - 1, B), dtype=np.int32)),
+            "counts-cols": dict(counts=np.ones((n, B + 1), dtype=np.int32),
+                                rngs=kw["rngs"] + [default_rng(99)]),
+            "adj-edges-size": dict(adj_edges=kw["adj_edges"][:-1].copy()),
+            "adj-signs-size": dict(adj_signs=kw["adj_signs"][:-1].copy()),
+            "fsg-rows": dict(fsg=kw["fsg"][:-1].copy()),
+            "act-rows": dict(act=np.zeros((m - 1, B))),
+            "act-is-fsg": dict(act=kw["fsg"]),
+        }[case]
+        states = [g.bit_generator.state for g in kw["rngs"]]
+        self._refused(prov.excess_dispatch, kw, **bad)
+        assert [g.bit_generator.state for g in kw["rngs"]] == states
 
 class TestRecordRounds:
     """Record columns the compiled record pass fills, against numpy."""

@@ -217,7 +217,7 @@ def _run_all(prov, d, streams):
             alpha, ar, ac, d["beta"], d["bm1"], bs, mode, d["c"],
         )
         out += [act.tobytes(), fsg.tobytes()]
-    counts = np.empty((n, B), dtype=np.int64)
+    counts = np.empty((n, B), dtype=np.int32)
     totals = np.empty(B, dtype=np.int64)
     prov.excess_counts(
         d["adj_edges"], d["adj_signs"], d["dmax"], m, fsg, counts, totals,

@@ -12,11 +12,12 @@ and use them."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from dataclasses import replace
 from numpy.random import default_rng
 
 from repro import kernels, random_load
 from repro.core.churn import ChurnSchedule, node_join, plan_churn
-from repro.engines import EngineConfig, make_engine
+from repro.engines import EngineConfig, ReplicaParams, make_engine
 from repro.engines.batched import (
     _csr_dot,
     _incidence_operators,
@@ -238,6 +239,66 @@ def test_compiled_batch_builds_no_scipy_operator(graph, precision, provider):
     assert h.mb1 is None and h.mb2 is None
     assert not h.lazy  # nothing built on demand, not even the directions
 
+
+
+def _planes(h, rows):
+    """``{attribute: dtype}`` of the ``(rows, B)`` arrays ``h`` holds, one
+    entry per buffer (a view names the buffer it lives in)."""
+    owners = {}
+    for name, value in vars(h).items():
+        for v in _leaves(value):
+            if isinstance(v, np.ndarray) and v.shape == (rows, h.n_replicas):
+                owner = v if v.base is None else v.base
+                owners.setdefault(id(owner), (name, v.dtype))
+    return dict(owners.values())
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_compiled_batch_holds_two_edge_planes(precision, provider, monkeypatch):
+    # Per replica, a compiled batch keeps the flows and the actuals as its
+    # only (m, B) planes (the fractions overwrite the spent flows) and one
+    # int32 (n, B) plane of token budgets: after steps, in a warm call on
+    # the filled cache whose switch twins fork, and after a fork by hand.
+    cache = {}
+    engine, h = _prepared("lollipop", provider, 4, cache, precision=precision)
+    topo, n, m = h.topo, h.topo.n, h.topo.m_edges
+    dtype = np.dtype(precision)
+    handles, widths = [h], []
+    for _ in range(3):
+        engine.step(h)
+    prepare, advance = engine.prepare, engine._advance
+
+    def keep(*args):
+        handles.append(prepare(*args))
+        return handles[-1]
+
+    def spy(h, want_info):
+        widths.append(h.n_replicas)
+        advance(h, want_info)
+
+    monkeypatch.setattr(engine, "prepare", keep)
+    monkeypatch.setattr(engine, "_advance", spy)
+    twins = replace(
+        h.config, rounds=12, replica_keys=[0, 0, 1, 1],
+        replica_params=ReplicaParams(switch_rounds=[None, 4, None, 7]),
+    )
+    loads = np.stack(
+        [random_load(topo, 9.0, rng=default_rng(k)) for k in (0, 0, 1, 1)]
+    )
+    engine.run_batch(topo, twins, loads)
+    assert min(widths) < 4 and widths[-1] == 4  # the twins did fork
+    h.take_columns([0, 1, 1, 2, 3])
+    engine.step(h)
+    for x in handles:
+        assert x.kernel is not None and x.kern_records
+        assert _planes(x, m) == {"flows": dtype, "act": dtype}
+        ints = {k: v for k, v in _planes(x, n).items() if v.kind == "i"}
+        assert ints == {"kern_counts": np.dtype(np.int32)}
+        assert not hasattr(x, "mb3")
+    _, x = _prepared("lollipop", "numpy", 4, {}, precision=precision)
+    engine.step(x)
+    assert not hasattr(x, "mb3")
 
 @pytest.mark.parametrize("graph", sorted(HANDLE_GRAPHS))
 def test_numpy_tier_builds_and_uses_csr(graph):
