@@ -87,8 +87,9 @@ is v, so its incidence sign, the entry of ``D``, is ``-adj_signs``):
   three); otherwise ``fsg`` overlaps no input, and ``act`` never does.
 * ``excess_counts(adj_edges, adj_signs, dmax, m, fsg, counts, totals,
   consts)`` — per-(node, replica) token budgets ``ceil(r - tol)``, into
-  the int32 ``(n, B)`` plane ``counts``, from a walk of the padded adjacency (slot ``e == m`` is padding), plus the
-  per-replica token totals reduced into ``totals``.
+  the int32 ``(n, B)`` plane ``counts``, from a walk of the padded
+  adjacency (slot ``e == m`` is padding), plus the per-replica token
+  totals reduced into ``totals``.
 * ``bind_generators(rngs)`` — the replicas' generators (one
   ``numpy.random.Generator`` per replica, no two on one bit generator)
   in the form ``excess_dispatch`` takes them; bind once per batch and

@@ -43,12 +43,26 @@ same state.
 Arguments cross into C as ``ffi.from_buffer`` views of the numpy arrays
 (no pointer arithmetic, no ``ctypes``).  Those views carry raw bytes, so
 :class:`CffiKernels` guards every array argument of every entry point —
-dtype and C-contiguity — and the record passes, the dispatch scratch and
-the staleness round also by extent, and the generators of
-``excess_dispatch`` and of the staleness link drops (one
-``numpy.random.Generator`` per replica, no two on one bit generator),
-raising
-``ValueError("cffi kernel argument: ...")`` before any C code runs.
+dtype and C-contiguity — and checks by extent, comparing shapes and
+sizes only (no scan of the elements):
+
+* ``round_edges``: ``flows``, ``act`` and ``fsg`` share one ``(m, B)``
+  shape with ``m`` the size of ``eu`` and ``ev``; ``load`` has ``B``
+  columns and ``speeds`` one entry per load row; the ``alpha``, ``beta``
+  and ``bm1`` strides stay inside their rows.  ``fsg`` is ``flows``
+  itself or overlaps neither it nor ``act`` nor ``load``, and ``act``
+  overlaps neither ``flows`` nor ``load`` (memory bounds only);
+* ``excess_counts`` and ``excess_dispatch``: ``counts`` is ``(n, B)``,
+  the padded adjacency holds ``n * dmax`` slots, ``fsg`` (and the
+  dispatch's ``act``, which must not overlap it) is ``(m, B)``, and
+  ``totals`` has ``B`` entries;
+* the apply and record passes, the dispatch scratch and the staleness
+  round;
+
+and the generators of ``excess_dispatch`` and of the staleness link
+drops (one ``numpy.random.Generator`` per replica, no two on one bit
+generator), raising ``ValueError("cffi kernel argument: ...")`` before
+any C code runs.
 """
 
 from __future__ import annotations
@@ -1131,8 +1145,9 @@ class CffiKernels:
     ``from_buffer`` sees raw bytes only, so this guard is what stops a
     float32 plane being read as ``double *`` or a strided view as a dense
     one; its error message is built only when a check fails.  Extent
-    checks (:meth:`_check`) guard the record passes and the dispatch
-    scratch.  The entry points of both precisions are resolved once, here.
+    and overlap checks (:meth:`_check`, listed in the module docstring)
+    guard every entry point.  The entry points of both precisions are
+    resolved once, here.
     """
 
     name = "cffi"
@@ -1183,22 +1198,19 @@ class CffiKernels:
         fn, r = self._fn("round_edges", act.dtype)
         p = self._p
         m, B = act.shape
+        # one expression: this guard runs every round
         self._check(
             flows.shape == fsg.shape == (m, B) and eu.size == ev.size == m
-            and load.ndim == 2 and load.shape[1] == B,
-            "edge plane / endpoint / load shapes",
-        )
-        self._check(
-            (fsg is flows or _apart(fsg, flows)) and _apart(fsg, act)
-            and _apart(fsg, load) and _apart(act, flows) and _apart(act, load),
-            "fsg may be flows; act, fsg and load must not overlap",
-        )
-        self._check(
-            (speeds is None or speeds.size == load.shape[0])
-            and alpha.size > max(m - 1, 0) * ar + max(B - 1, 0) * ac
-            and beta.size > max(B - 1, 0) * bs
-            and bm1.size > max(B - 1, 0) * bs and consts.size >= 2,
-            "speeds / coefficient extents",
+            and load.ndim == 2 and load.shape[1] == B
+            and (speeds is None or speeds.size == load.shape[0])
+            and alpha.size > (m - 1) * ar + (B - 1) * ac
+            and beta.size > (B - 1) * bs and bm1.size > (B - 1) * bs
+            and consts.size >= 2
+            and _apart(act, flows) and _apart(act, load)
+            and (fsg is flows or _apart(fsg, flows) and _apart(fsg, act)
+                 and _apart(fsg, load)),
+            "round_edges extents, or an output overlapping an input "
+            "(fsg may be flows itself)",
         )
         fn(
             m, B, p(eu, _INT32), p(ev, _INT32),
@@ -1214,7 +1226,7 @@ class CffiKernels:
         fn, r = self._fn("excess_counts", fsg.dtype)
         p = self._p
         n, B = counts.shape
-        self._check_adjacency(adj_edges, adj_signs, dmax, m, n, B, fsg)
+        self._check_adjacency(adj_edges, adj_signs, dmax, m, fsg, n, B)
         self._check(totals.size == B and consts.size >= 3,
                     "totals/consts size")
         fn(
@@ -1237,8 +1249,9 @@ class CffiKernels:
         fn, r = self._fn("excess_dispatch", fsg.dtype)
         p = self._p
         n, B = counts.shape
-        self._check_adjacency(adj_edges, adj_signs, dmax, m, n, B, fsg, act)
-        self._check(_apart(act, fsg), "act must not overlap fsg")
+        self._check_adjacency(adj_edges, adj_signs, dmax, m, fsg, n, B)
+        self._check(act.shape == fsg.shape and _apart(act, fsg),
+                    "act shape / act must not overlap fsg")
         if type(rngs) is not Generators:
             rngs = Generators(rngs)
         self._check(len(rngs) == B, "one generator per replica")
@@ -1254,7 +1267,7 @@ class CffiKernels:
         fn, r = self._fn("apply_flows", load.dtype)
         p = self._p
         n, B = load.shape
-        self._check_adjacency(adj_edges, adj_signs, dmax, m, n, B, act)
+        self._check_adjacency(adj_edges, adj_signs, dmax, m, act, n, B)
         fn(
             n, B, int(m), int(dmax), p(adj_edges, _INT32),
             p(adj_signs, _INT8), p(act, r), p(load, r),
@@ -1267,11 +1280,12 @@ class CffiKernels:
         if not ok:
             raise ValueError(f"cffi kernel argument: {what}")
 
-    def _check_adjacency(self, adj_edges, adj_signs, dmax, m, n, B, *planes):
-        """The padded adjacency of ``n`` nodes and ``(m, B)`` edge planes."""
+    def _check_adjacency(self, adj_edges, adj_signs, dmax, m, plane, n, B):
+        """The padded adjacency of ``n`` nodes and an ``(m, B)`` edge
+        plane."""
         self._check(
             adj_edges.size == adj_signs.size == n * dmax
-            and all(plane.shape == (m, B) for plane in planes),
+            and plane.shape == (m, B),
             "padded adjacency / (m, B) plane shape",
         )
 
@@ -1375,7 +1389,7 @@ class CffiKernels:
         fn, r = self._fn("apply_info", load.dtype)
         p = self._p
         n, B = load.shape
-        self._check_adjacency(adj_edges, adj_signs, dmax, m, n, B, act)
+        self._check_adjacency(adj_edges, adj_signs, dmax, m, act, n, B)
         self._check(info.shape == (2, B) and consts.size >= 4,
                     "info/consts shape")
         fn(

@@ -382,7 +382,6 @@ class TestProviderCross:
             np.testing.assert_array_equal(outs[0][0], outs[1][0])
             np.testing.assert_array_equal(outs[0][1], outs[1][1])
 
-
     @pytest.mark.parametrize("kernel", PROVIDERS)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("with_speeds", [False, True])
@@ -416,17 +415,19 @@ class TestProviderCross:
             )
             return act
 
-        want = []
-        for p in (base, prov):
+        def separate(p):
             fsg = np.full((m, B), 7.0, dtype=dtype)
             f = flows.copy()
             act = run(p, f, fsg)
             assert f.tobytes() == flows.tobytes()  # a separate fsg: read only
-            want.append((act.tobytes(), fsg.tobytes()))
-        assert want[0] == want[1]
+            return act.tobytes(), fsg.tobytes()
+
+        want = separate(base)
         f = flows.copy()
         act = run(prov, f, f)
-        assert (act.tobytes(), f.tobytes()) == want[0]
+        assert (act.tobytes(), f.tobytes()) == want
+        assert separate(prov) == want
+
 
 def _incidence(topo, dtype):
     """The engine's incidence CSR ``D``, and the padded adjacency the
@@ -625,8 +626,8 @@ class TestRecordProviders:
                 prov.excess_dispatch(*args[:6], bad, *args[7:])
         assert [g.bit_generator.state for g in streams] == states
         np.testing.assert_array_equal(args[7], act_before)
-        # int64 budgets (the plane's width before it shrank to int32) are
-        # refused by both budget passes, and leave the outputs unchanged
+        # int64 budgets are refused by both budget passes, which leave
+        # every output unchanged
         wide = counts.astype(np.int64)
         for name in ("excess_counts", "excess_dispatch"):
             args = calls[name]
@@ -670,7 +671,6 @@ class TestRecordProviders:
             info[0], (load - (outgoing - delta) * 0.5).min(axis=0)
         )
         np.testing.assert_array_equal(info[1], np.abs(act).sum(axis=0))
-
 
 
 @pytest.mark.skipif(
