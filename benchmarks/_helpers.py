@@ -61,9 +61,16 @@ def _git(*args: str) -> Optional[str]:
 def provenance() -> dict:
     """What produced an artifact: the commit, whether tracked files differ
     from it (``git_dirty``), the cores this process may run on, the
-    numeric library versions and the bench scale."""
+    numeric library versions and the bench scale.
+
+    The root ``BENCH_*.json`` records are left out of ``git_dirty``: they
+    are the outputs, so a bench re-run after another one rewrote its
+    committed record still reads clean."""
     sha = _git("rev-parse", "HEAD")
-    status = _git("status", "--porcelain", "--untracked-files=no")
+    status = _git(
+        "status", "--porcelain", "--untracked-files=no",
+        "--", ".", ":(top,exclude,glob)BENCH_*.json",
+    )
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from ..exceptions import ConfigurationError
 from ..graphs.topology import Topology
@@ -97,6 +96,8 @@ class EigenbasisAnalyzer:
                 f"dense eigenbasis for n={topo.n} is too large; "
                 "use TorusFourierAnalyzer for tori or subsample"
             )
+        import scipy.linalg
+
         sym, sqrt_s = symmetrized_matrix(topo, speeds, alphas)
         vals, vecs = scipy.linalg.eigh(sym)
         order = np.argsort(vals)[::-1]

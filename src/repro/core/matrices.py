@@ -19,15 +19,17 @@ spectral analysis and for the theory-validation test-suite.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..exceptions import ConfigurationError
 from ..graphs.speeds import uniform_speeds, validate_speeds
 from ..graphs.topology import Topology
 from .alphas import resolve_alphas
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "diffusion_matrix",
@@ -86,6 +88,8 @@ def diffusion_matrix_sparse(
     alphas=None,
 ) -> sp.csr_matrix:
     """Sparse CSR version of :func:`diffusion_matrix` for large graphs."""
+    import scipy.sparse as sp
+
     speeds = validate_speeds(speeds if speeds is not None else uniform_speeds(topo.n), topo.n)
     alpha_arr = resolve_alphas(alphas, topo, speeds)
     u, v = topo.edge_u, topo.edge_v
@@ -120,6 +124,8 @@ def symmetrized_matrix(
     speeds = validate_speeds(speeds if speeds is not None else uniform_speeds(topo.n), topo.n)
     sqrt_s = np.sqrt(speeds)
     if sparse:
+        import scipy.sparse as sp
+
         m = diffusion_matrix_sparse(topo, speeds, alphas)
         d_inv = sp.diags(1.0 / sqrt_s)
         d = sp.diags(sqrt_s)

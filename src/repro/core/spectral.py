@@ -24,9 +24,6 @@ import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from ..exceptions import ConfigurationError, SchemeError
 from ..graphs.topology import Topology
@@ -71,6 +68,8 @@ def eigenvalues(
             f"dense spectrum for n={topo.n} would be too expensive; "
             "use second_largest_eigenvalue() or an analytic spectrum"
         )
+    import scipy.linalg
+
     sym, _ = symmetrized_matrix(topo, speeds, alphas)
     return scipy.linalg.eigvalsh(sym)
 
@@ -99,6 +98,8 @@ def second_largest_eigenvalue(
         idx = int(np.argmax(vals))
         rest = np.delete(vals, idx)
         return float(np.abs(rest).max()) if rest.size else 0.0
+    import scipy.sparse.linalg
+
     sym, _ = symmetrized_matrix(topo, speeds, alphas, sparse=True)
     k = min(3, topo.n - 1)
     top = scipy.sparse.linalg.eigsh(sym, k=k, which="LA", return_eigenvectors=False)

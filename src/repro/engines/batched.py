@@ -39,10 +39,9 @@ import logging
 import math
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..exceptions import ConfigurationError, SchemeError, SimulationError
 from ..core.alphas import resolve_alphas
@@ -89,6 +88,9 @@ from .base import (
     uniform_plane_value,
 )
 from .capabilities import check_config
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["BatchedVectorEngine"]
 
@@ -402,49 +404,48 @@ def _metric_values(fields, n: int, mx, mn, pot, mload, totals) -> tuple:
     }
     return {k: v for k, v in reduced.items() if k in fields}, totals
 
-try:  # pragma: no cover - exercised implicitly by every batched run
-    from scipy.sparse import _sparsetools as _st
+#: scipy's ``csr_matvecs``, resolved by the first :func:`_csr_dot` call;
+#: ``False`` when scipy's internals have moved.
+_csr_matvecs = None
 
-    def _csr_dot(
-        matrix: sp.csr_matrix,
-        x: np.ndarray,
-        out: np.ndarray,
-        accumulate: bool = False,
-        rows: Optional[tuple] = None,
-    ) -> np.ndarray:
-        """``out [+]= matrix[a:b] @ x`` for the row block ``rows = (a, b)``
-        (every row by default), without allocating the result or copying
-        the block: each row accumulates exactly as in the whole product."""
-        a, b = rows if rows is not None else (0, matrix.shape[0])
-        if not accumulate:
-            out.fill(0.0)
-        _st.csr_matvecs(
-            b - a,
-            matrix.shape[1],
-            x.shape[1],
-            matrix.indptr[a : b + 1],
-            matrix.indices,
-            matrix.data,
-            x.ravel(),
-            out.ravel(),
-        )
-        return out
 
-except Exception:  # pragma: no cover - scipy internals moved
-
-    def _csr_dot(
-        matrix: sp.csr_matrix,
-        x: np.ndarray,
-        out: np.ndarray,
-        accumulate: bool = False,
-        rows: Optional[tuple] = None,
-    ) -> np.ndarray:
-        block = matrix if rows is None else matrix[rows[0] : rows[1]]
+def _csr_dot(
+    matrix: sp.csr_matrix,
+    x: np.ndarray,
+    out: np.ndarray,
+    accumulate: bool = False,
+    rows: Optional[tuple] = None,
+) -> np.ndarray:
+    """``out [+]= matrix[a:b] @ x`` for the row block ``rows = (a, b)``
+    (every row by default), without allocating the result or copying
+    the block: each row accumulates exactly as in the whole product."""
+    global _csr_matvecs
+    if _csr_matvecs is None:
+        try:
+            from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+        except ImportError:  # pragma: no cover - scipy internals moved
+            _csr_matvecs = False
+    a, b = rows if rows is not None else (0, matrix.shape[0])
+    if not _csr_matvecs:  # pragma: no cover - scipy internals moved
+        block = matrix if rows is None else matrix[a:b]
         if accumulate:
             out += block @ x
         else:
             out[...] = block @ x
         return out
+    if not accumulate:
+        out.fill(0.0)
+    _csr_matvecs(
+        b - a,
+        matrix.shape[1],
+        x.shape[1],
+        matrix.indptr[a : b + 1],
+        matrix.indices,
+        matrix.data,
+        x.ravel(),
+        out.ravel(),
+    )
+    return out
 
 
 def _max_local_diff(
@@ -468,6 +469,8 @@ def _max_local_diff(
 
 def _difference_operator(topo: Topology, dtype) -> sp.csr_matrix:
     """``E``: the per-edge difference, entries ordered (+1 @ eu, -1 @ ev)."""
+    import scipy.sparse as sp
+
     m = topo.m_edges
     return sp.csr_matrix(
         (
@@ -484,6 +487,8 @@ def _scaled_difference(E: sp.csr_matrix, coef: np.ndarray) -> sp.csr_matrix:
     """``E`` with row ``k`` scaled by ``coef[k]`` (a one-entry ``coef``
     scales every row): entries ``(+c @ eu, -c @ ev)`` on ``E``'s own index
     arrays."""
+    import scipy.sparse as sp
+
     data = np.empty_like(E.data)
     data[0::2] = coef
     data[1::2] = np.negative(data[0::2])
@@ -506,6 +511,8 @@ def _incidence_operators(
     topology's own CSR adjacency (its rows list edge ids in ascending
     order, so no COO assembly or index sort is needed).  ``dirs`` are
     :func:`_incidence_dirs` of ``topo`` when the caller has them."""
+    import scipy.sparse as sp
+
     shape = (topo.n, topo.m_edges)
     if dirs is None:
         dirs = _incidence_dirs(topo)
@@ -526,6 +533,8 @@ def _assemble_diffusion(
     the folded diffusion matrix ``M``, ``0`` for the increment operator
     ``K = M - I``.
     """
+    import scipy.sparse as sp
+
     n, m = topo.n, topo.m_edges
     eu, ev = topo.edge_u, topo.edge_v
     alpha_edge = np.asarray(alphas, dtype=np.float64)
@@ -914,10 +923,13 @@ class _BatchedHandle:
         self.last_recorded_round = -1
 
         # -- node-space scratch: one (tile rows, B) bank, all n rows in a
-        #    dense run ----------------------------------------------------
-        self.ts1 = np.empty((self.tile_rows, B), dtype=dtype)
-        self.ts2 = np.empty((self.tile_rows, B), dtype=dtype)
-        self.ts3 = np.empty((self.tile_rows, B), dtype=dtype)
+        #    dense run, read by the numpy step info and node metrics, the
+        #    dynamic records and the arrival clamp ----------------------
+        need_ts = not self.kern_records or config.arrivals is not None
+        self.ts1, self.ts2, self.ts3 = (
+            np.empty((self.tile_rows, B), dtype=dtype) if need_ts else None
+            for _ in range(3)
+        )
         # Full-width node scratch only where a kernel is not tileable:
         # the speed-normalised gradient input and the plateau policy.
         need_nb1 = not self.uniform_speeds or (
@@ -2338,6 +2350,8 @@ class BatchedVectorEngine(Engine):
                 topo, config, record, finish, x, speeds, alphas, beta,
                 beta_vec, scale_vec, dtype,
             )
+
+        import scipy.sparse as sp
 
         m1 = _diffusion_matrix(topo, alphas, speeds, dtype)
         mb = sp.csr_matrix(

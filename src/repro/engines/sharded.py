@@ -105,8 +105,9 @@ def _start_method() -> str:
 
 
 #: What a forkserver imports once, before it forks any worker: the engines
-#: with numpy and scipy, so each worker starts warm (no compiled provider
-#: loads with them).  ``__main__`` is multiprocessing's own default.
+#: with numpy, so each worker starts warm (no compiled provider loads with
+#: them, and no scipy: a numpy-tier worker imports it on its first sparse
+#: operator build).  ``__main__`` is multiprocessing's own default.
 _FORKSERVER_PRELOAD = ["__main__", "repro.engines.pool"]
 
 

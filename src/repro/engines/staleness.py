@@ -79,7 +79,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..exceptions import ConfigurationError, SimulationError
 from ..core.dynamic import ArrivalModel, ScaledArrivals
@@ -315,14 +314,13 @@ class _StalenessCore:
         self._red_idx = np.minimum(self.indptr[:-1], max(na - 1, 0))
         empty = np.flatnonzero(degrees == 0)
         self._empty_rows = empty if empty.size else None
-        #: Edge -> endpoint sums (``u`` side, ``v`` side) as unit-data CSR
-        #: matvecs: each node adds its edges in edge order from +0.0, which
-        #: is the order of a per-replica ``bincount`` over the edge list.
-        edge_ids = np.arange(self.m)
-        self.send_ops = tuple(
-            sp.csr_matrix(
-                (np.ones(self.m), (ends, edge_ids)), shape=(n, self.m)
-            )
+        #: Edge -> endpoint ``bincount`` keys (``u`` side, ``v`` side) of
+        #: the flat ``(m, B)`` edge plane, ``edge_end * B + b``: each node
+        #: adds its edges in edge order from +0.0, the order of a
+        #: per-replica ``bincount`` over the edge list.
+        reps = np.arange(B, dtype=np.int64)
+        self.send_keys = tuple(
+            (np.asarray(ends, dtype=np.int64)[:, None] * B + reps).ravel()
             for ends in (topo.edge_u, topo.edge_v)
         )
 
@@ -384,6 +382,17 @@ class _StalenessCore:
                     self.kern_picks = np.empty((B, na), dtype=np.int32)
         # Per-replica LinkOutage arc masks, built lazily per model.
         self._outage_masks: dict = {}
+
+    # ------------------------------------------------------------------
+    def send_sums(self) -> np.ndarray:
+        """The ``(n, B)`` tokens each node sent over its edges in the last
+        round, from the edge flow record: one flat ``bincount`` per edge
+        side over :attr:`send_keys`."""
+        size = self.n * self.B
+        keys_u, keys_v = self.send_keys
+        sent = np.bincount(keys_u, np.maximum(self.E, 0.0).ravel(), size)
+        sent += np.bincount(keys_v, np.maximum(-self.E, 0.0).ravel(), size)
+        return sent.reshape(self.n, self.B)
 
     # ------------------------------------------------------------------
     def _segment_sum(self, x: np.ndarray) -> np.ndarray:
@@ -949,17 +958,14 @@ class StalenessEngine(Engine):
     def _advance(core: _StalenessCore):
         """Step ``core`` once; return the ``(B, n)`` loads, the ``(B, m)``
         flows and every replica's ``min(transient_loads(...))`` and
-        ``abs(flows).sum()`` for the round.  Each send-side matvec adds
-        a node's edges in edge order from +0.0 (the helper's per-replica
-        sums), and contiguous row sums are pairwise like a lone vector's,
-        so both equal the per-replica helpers bit for bit."""
+        ``abs(flows).sum()`` for the round.  Each send-side ``bincount``
+        adds a node's edges in edge order from +0.0 (the helper's
+        per-replica sums), and contiguous row sums are pairwise like a
+        lone vector's, so both equal the per-replica helpers bit for bit."""
         before = core.loads.copy()
         core.step()
         loads, flows = core.loads.T.copy(), core.E.T.copy()
-        send_u, send_v = core.send_ops
-        sent = send_u @ np.maximum(core.E, 0.0)
-        sent += send_v @ np.maximum(-core.E, 0.0)
-        transient = np.subtract(before, sent, out=before)
+        transient = np.subtract(before, core.send_sums(), out=before)
         return loads, flows, transient.min(axis=0), np.abs(flows).sum(axis=1)
 
     def step(self, handle) -> StepBatch:

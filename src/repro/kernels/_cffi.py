@@ -1127,7 +1127,9 @@ class Generators(tuple):
             [g.bit_generator.ctypes.bit_generator.value for g in rngs],
             dtype=np.uintp,
         )
-        if np.unique(rngs.plane).size != rngs.plane.size:
+        # (a set: np.unique would import numpy.ma into a process that
+        # has not loaded it yet)
+        if len(set(rngs.plane.tolist())) != rngs.plane.size:
             # one stream drawn node-major for two replicas would not be
             # the replica-major order the numpy tier draws it in
             raise ValueError(

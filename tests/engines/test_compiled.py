@@ -832,6 +832,16 @@ class TestRoundKernelExtents:
         self._refused(prov.excess_dispatch, kw, **bad)
         assert [g.bit_generator.state for g in kw["rngs"]] == states
 
+    def test_bind_generators_refuses_a_shared_generator(self):
+        # One stream drawn for two replicas would not be drawn in the
+        # numpy tier's replica-major order.
+        prov = kernels.get_provider("cffi")
+        shared = default_rng(0)
+        with pytest.raises(ValueError, match="one bit generator per replica"):
+            prov.bind_generators([default_rng(1), shared, shared])
+        bound = prov.bind_generators([default_rng(k) for k in range(3)])
+        assert len(set(bound.plane.tolist())) == len(bound) == 3
+
 class TestRecordRounds:
     """Record columns the compiled record pass fills, against numpy."""
 

@@ -260,6 +260,7 @@ def test_compiled_batch_holds_two_edge_planes(precision, provider, monkeypatch):
     # only (m, B) planes (the fractions overwrite the spent flows) and one
     # int32 (n, B) plane of token budgets: after steps, in a warm call on
     # the filled cache whose switch twins fork, and after a fork by hand.
+    # Its record pass needs no node scratch plane either.
     cache = {}
     engine, h = _prepared("lollipop", provider, 4, cache, precision=precision)
     topo, n, m = h.topo, h.topo.n, h.topo.m_edges
@@ -296,9 +297,12 @@ def test_compiled_batch_holds_two_edge_planes(precision, provider, monkeypatch):
         ints = {k: v for k, v in _planes(x, n).items() if v.kind == "i"}
         assert ints == {"kern_counts": np.dtype(np.int32)}
         assert not hasattr(x, "mb3")
+        assert x.ts1 is x.ts2 is x.ts3 is None
+        assert not any(k.startswith("ts") for k in _planes(x, n))
     _, x = _prepared("lollipop", "numpy", 4, {}, precision=precision)
     engine.step(x)
     assert not hasattr(x, "mb3")
+    assert all(p.shape == (n, 4) for p in (x.ts1, x.ts2, x.ts3))
 
 @pytest.mark.parametrize("graph", sorted(HANDLE_GRAPHS))
 def test_numpy_tier_builds_and_uses_csr(graph):

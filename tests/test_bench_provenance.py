@@ -94,3 +94,20 @@ def test_rewriting_a_committed_artifact_reads_clean(tmp_path, monkeypatch):
     data = json.loads(Path(path).read_text())
     assert data["summary"] == {"x": 2}
     assert data["provenance"]["git_dirty"] is False
+
+
+def test_rewritten_root_records_do_not_dirty_the_tree(tmp_path, monkeypatch):
+    # A second bench in one re-run stamps clean although the first one
+    # rewrote its committed record; an edited source file still reads dirty.
+    try:
+        _init_checkout(tmp_path)
+        (tmp_path / "BENCH_x.json").write_text("{}\n")
+        _git(tmp_path, "add", "BENCH_x.json")
+        _git(tmp_path, "commit", "-q", "-m", "record")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs a working git")
+    monkeypatch.setattr(_helpers, "REPO_ROOT", str(tmp_path))
+    (tmp_path / "BENCH_x.json").write_text('{"rewritten": true}\n')
+    assert _helpers.provenance()["git_dirty"] is False
+    (tmp_path / "tracked.txt").write_text("b\n")
+    assert _helpers.provenance()["git_dirty"] is True
