@@ -893,9 +893,9 @@ class _BatchedHandle:
             self.kern_consts = np.array(
                 [0.0, 1.0, self.frac_tol, 0.5], dtype=dtype
             )
-            # Record-pass outputs (see repro.kernels): the metric rows, a
-            # second stack for per-tile partials, and the info rows.
-            self.kern_rec = np.empty((2, 6, B), dtype=dtype)
+            # Record-walk outputs (see repro.kernels): the metric rows and
+            # the info rows.
+            self.kern_rec = np.empty((6, B), dtype=dtype)
             self.kern_info = np.empty((2, B), dtype=dtype)
             self.kern_beta = np.ones(B, dtype=dtype)
             self.kern_bm1 = np.zeros(B, dtype=dtype)
@@ -1193,7 +1193,7 @@ class _BatchedHandle:
     _SCRATCH_AXES = {
         "mb1": 1, "mb2": 1, "act": 1,
         "nb1": 1, "ts1": 1, "ts2": 1, "ts3": 1,
-        "pn": 1, "cum_planes": 2, "kern_rec": 2, "kern_info": 1,
+        "pn": 1, "cum_planes": 2, "kern_rec": 1, "kern_info": 1,
         "kern_beta": 0, "kern_bm1": 0, "kern_counts": 1,
         "kern_totals": 0, "kern_cums": 1,
     }
@@ -1548,34 +1548,35 @@ class BatchedVectorEngine(Engine):
             act = self._round_flows(h, sched)
 
         # -- step info (transients / traffic), then apply ------------------
-        if want_info:
-            if h.kern_records:
-                # One serial walk of the padded adjacency: transients,
-                # traffic and the apply, bit-identical to the numpy
-                # branches below.
-                info = h.kern_info
-                h.kernel.apply_info(
-                    h.adj_edges, h.adj_signs, h.dmax, h.topo.m_edges, act,
-                    load, info, h.kern_consts,
-                )
-                h.last_min_transient = info[0].copy()
-                h.last_traffic = info[1].copy()
-            else:
-                absf = np.abs(act, out=h.mb2)
-                h.last_traffic = absf.sum(axis=0)
-                mins = np.full(h.n_replicas, np.inf, dtype=h.dtype)
-                for a, b in h.node_tiles:
-                    k = b - a
-                    delta = _csr_dot(h.D, act, h.ts1[:k], rows=(a, b))
-                    outgoing = _csr_dot(h.W, absf, h.ts2[:k], rows=(a, b))
-                    np.subtract(outgoing, delta, out=outgoing)
-                    np.multiply(outgoing, 0.5, out=outgoing)
-                    transient = np.subtract(load[a:b], outgoing, out=outgoing)
-                    if h.churn_plan is not None:  # churn never tiles
-                        transient = transient[h.churn_active_idx]
-                    np.minimum(mins, transient.min(axis=0), out=mins)
-                    np.add(load[a:b], delta, out=load[a:b])
-                h.last_min_transient = mins
+        record = (
+            h.arrival_models is None
+            and (h.round_index + 1) % config.record_every == 0
+        )
+        walked = h.kern_records and (want_info or record)
+        if walked:
+            # One serial walk of the padded adjacency: the apply, the step
+            # info and a record round's metrics, bit-identical to the
+            # numpy passes below and _record_current's.
+            self._walk(h, act, record, record and "max_local_diff" in h.fields)
+            if want_info:
+                h.last_min_transient = h.kern_info[0].copy()
+                h.last_traffic = h.kern_info[1].copy()
+        elif want_info:
+            absf = np.abs(act, out=h.mb2)
+            h.last_traffic = absf.sum(axis=0)
+            mins = np.full(h.n_replicas, np.inf, dtype=h.dtype)
+            for a, b in h.node_tiles:
+                k = b - a
+                delta = _csr_dot(h.D, act, h.ts1[:k], rows=(a, b))
+                outgoing = _csr_dot(h.W, absf, h.ts2[:k], rows=(a, b))
+                np.subtract(outgoing, delta, out=outgoing)
+                np.multiply(outgoing, 0.5, out=outgoing)
+                transient = np.subtract(load[a:b], outgoing, out=outgoing)
+                if h.churn_plan is not None:  # churn never tiles
+                    transient = transient[h.churn_active_idx]
+                np.minimum(mins, transient.min(axis=0), out=mins)
+                np.add(load[a:b], delta, out=load[a:b])
+            h.last_min_transient = mins
         elif h.kernel is not None:
             # Compiled apply over the padded adjacency, whose rows are D's
             # CSR rows in order: the same per-row sequential accumulation
@@ -1596,8 +1597,8 @@ class BatchedVectorEngine(Engine):
         if h.arrival_models is not None:
             self._record_dynamic(h)
             h.arrivals_applied = False
-        elif h.round_index % config.record_every == 0:
-            self._record_current(h)
+        elif record:
+            self._record_current(h, walked)
 
         # -- hybrid switch (checked after recording, like the simulator) ---
         if h.switch.kind is not None:
@@ -1876,41 +1877,24 @@ class BatchedVectorEngine(Engine):
         if h.topo.m_edges == 0:
             return np.zeros(h.n_replicas)
         if h.kernel is not None:
-            out = h.kern_rec[0]
-            h.kernel.record_metrics(
-                h.load, h.targets, 0, 0, h.kern_eu, h.kern_ev,
-                0, h.topo.m_edges, out, h.kern_consts,
-            )
-            return out[5].copy()
+            return self._walk(h, None, False, True)[5].copy()
         return _max_local_diff(h.E, h.load, h.edge_tiles, h.ts1)
 
-    def _kernel_node_metrics(self, h: _BatchedHandle, want_mld: bool) -> tuple:
-        """:func:`_node_metrics` (plus the max local difference when
-        ``want_mld``) through the provider's serial record pass.
+    @staticmethod
+    def _walk(h: _BatchedHandle, act, metrics: bool, mld: bool) -> np.ndarray:
+        """The provider's record walk of ``h``'s loads in its node tiles
+        (``act=None``: no apply and no step info); returns the metric
+        rows ``h.kern_rec``, of which it fills rows 0-4 with ``metrics``
+        and row 5 with ``mld``."""
+        return h.kernel.record_walk(
+            h.adj_edges, h.adj_signs, h.dmax, h.kern_eu, act, h.load,
+            h.targets, h.tile_rows, metrics, mld, h.kern_info, h.kern_rec,
+            h.kern_consts,
+        )
 
-        One call per node tile, the first also walking every edge; the
-        partial sums add into the running totals tile by tile, exactly as
-        the tiled numpy reductions do.
-        """
-        n, m = h.topo.n, h.topo.m_edges
-        out, part = h.kern_rec
-        for k, (a, b) in enumerate(h.node_tiles):
-            h.kernel.record_metrics(
-                h.load, h.targets, a, b, h.kern_eu, h.kern_ev,
-                0, m if want_mld and k == 0 else 0, part if k else out,
-                h.kern_consts,
-            )
-            if k:
-                np.maximum(out[0], part[0], out=out[0])
-                np.minimum(out[1], part[1], out=out[1])
-                np.add(out[2], part[2], out=out[2])
-                np.minimum(out[3], part[3], out=out[3])
-                np.add(out[4], part[4], out=out[4])
-        values, totals = _metric_values(h.fields, n, *out[:5].copy())
-        return values, totals, out[5].copy() if want_mld else None
-
-    def _record_current(self, h: _BatchedHandle) -> None:
-        """Append the requested Section VI metrics of the current state.
+    def _record_current(self, h: _BatchedHandle, walked: bool = False) -> None:
+        """Append the requested Section VI metrics of the current state
+        (``walked``: this round's record walk already reduced them).
 
         Churn runs mask them to the live nodes and reject
         ``record_mode='summary'`` and trimmed ``record_fields``, so they
@@ -1922,19 +1906,22 @@ class BatchedVectorEngine(Engine):
             values["round_traffic"] = h.last_traffic
             totals = values["total_load"]
         else:
-            values, totals = self._static_values(h)
+            values, totals = self._static_values(h, walked)
         h.records.append(h.round_index, values, h.sos_active, h.load.T)
         h.last_recorded_round = h.round_index
         _check_conserved(totals, h.totals0, h.conserve_tol, h.round_index)
 
-    def _static_values(self, h: _BatchedHandle) -> tuple:
+    def _static_values(self, h: _BatchedHandle, walked: bool) -> tuple:
         """The requested record metrics of the current loads, and the
-        per-replica totals."""
+        per-replica totals (``walked``: read them off this round's record
+        walk)."""
         load = h.load
         fields = h.fields
         want_mld = "max_local_diff" in fields
         if h.kern_records:
-            values, totals, mld = self._kernel_node_metrics(h, want_mld)
+            rec = h.kern_rec if walked else self._walk(h, None, True, want_mld)
+            values, totals = _metric_values(fields, h.topo.n, *rec[:5].copy())
+            mld = rec[5].copy() if want_mld else None
         else:
             values, totals = _node_metrics(
                 load, h.targets, fields, h.ts1, h.node_tiles

@@ -614,7 +614,9 @@ class _StalenessCore:
                 land = self.bounce_slot[r % self.Lb, rows]
                 self.bounce[land, rows, cols] = amt[rows, cols]
                 keys = rows * B + cols
-                for s_b in np.unique(land):
+                # the landing slots in ascending order (np.unique would
+                # import numpy.ma on its first call in a process)
+                for s_b in np.flatnonzero(np.bincount(land)):
                     self._bounce_due[s_b].append(keys[land == s_b])
 
         # Phase 3 — deliveries due this round; with phase 4 (finish) they

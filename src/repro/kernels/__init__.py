@@ -50,10 +50,11 @@ and the token scatter draws each token's uniform from its replica's own
 within a replica — the numpy tier's order, so every generator ends a
 round in the same state on both tiers (the cffi provider draws in C
 through numpy's public ``bitgen_t``, as ``Generator.random`` does).
-The record reductions are serial and add every sum in row order in the
-array dtype — numpy's order for an axis-0 sum over a C-contiguous
-``(rows, B)`` plane with ``B > 1``.  For ``B == 1`` numpy sums pairwise
-instead, so the engine keeps single-replica record rounds on numpy.
+The record walk is serial and adds every sum in row order in the array
+dtype — numpy's order for an axis-0 sum over a C-contiguous ``(rows, B)``
+plane with ``B > 1``.  For ``B == 1`` numpy sums pairwise instead, so the
+engine keeps single-replica record rounds on numpy (a max local
+difference, which no summation order touches, still walks).
 The contract is enforced by ``tests/engines/test_compiled.py``.
 
 Provider API (all arrays C-contiguous, loads/flows ``(n, B)``/``(m, B)``
@@ -106,23 +107,23 @@ is v, so its incidence sign, the entry of ``D``, is ``-adj_signs``):
   incidence accumulation ``load[i] += sum(-adj_signs * act[adj_edges])``
   over node ``i``'s slots up to its padding, replaying scipy's
   ``csr_matvecs`` per-row sequential order over ``D``.
-* ``record_metrics(load, targets, lo, hi, eu, ev, elo, ehi, out,
-  consts)`` — one serial pass writing the ``(6, B)`` rows of ``out``:
-  max and min of ``load - targets``, the sum of its squares, min load and
-  total over the nodes ``[lo, hi)``, then max ``|x_u - x_v|`` over the
-  edges ``[elo, ehi)``.  ``targets`` is a ``(1, B)`` row, an ``(n, 1)``
-  column or an ``(n, B)`` plane, broadcast against ``load`` through its
-  row and column strides; an empty range leaves its rows as they were,
-  so the engine calls it per node tile and adds the partial sums into
-  its running totals.
-* ``apply_info(adj_edges, adj_signs, dmax, m, act, load, info,
-  consts)`` — the ``apply_flows`` walk of a record round:
-  ``delta = D @ act`` and
-  ``outgoing = W @ |act|`` each from zero in CSR order, ``info[0]`` the
-  min transient ``load - (outgoing - delta) * 0.5``, ``info[1]`` the
-  traffic ``sum |act|`` in edge order, and ``load <- load + delta``.
-
-Neither record entry point allocates ``(n, B)`` or ``(m, B)`` scratch.
+* ``record_walk(adj_edges, adj_signs, dmax, eu, act, load, targets, tile,
+  metrics, mld, info, out, consts)`` — a record round in one serial,
+  node-ascending walk of the padded adjacency (``m = eu.size``).  With
+  ``act``, node ``i`` first takes ``apply_flows``' update as
+  ``delta = D @ act`` and ``outgoing = W @ |act|``, each from zero:
+  ``info[0]`` is the min transient ``load - (outgoing - delta) * 0.5``
+  and ``info[1]`` the traffic ``sum |act|``, added at each edge's u
+  endpoint, i.e. in edge order.  Then, on its new load, ``metrics``
+  fills rows 0-4 of ``out`` (max and min of ``load - targets``, the sum
+  of its squares, min load, total), reduced per tile of ``tile`` nodes
+  and folded tile by tile as the engine's tiled numpy reductions fold
+  them, and ``mld`` row 5, the max ``|x_u - x_v|``, taken at each edge's
+  v endpoint, whose u endpoint already holds its final load.
+  ``targets`` is a ``(1, B)`` row, an ``(n, 1)`` column or an ``(n, B)``
+  plane.  ``act=None`` applies nothing and writes no ``info`` (which may
+  be ``None``).  Rows a call does not compute keep their values; the walk
+  allocates no ``(n, B)`` or ``(m, B)`` scratch.
 
 The staleness round (cffi only, float64 only; ``na`` arcs ``src -> dst``
 in CSR order ``indptr``, and ``excess_dispatch`` in between on the arc
@@ -398,7 +399,7 @@ def _warm_provider(provider) -> None:
 
     Triggers compilation outside any measured loop (both dtypes, all
     schedule modes, the excess passes, the apply pass and the record
-    passes).  The warm-up draws no engine randomness
+    walk).  The warm-up draws no engine randomness
     — every buffer is built locally.
     """
     eu = np.array([0], dtype=np.int32)
@@ -431,15 +432,12 @@ def _warm_provider(provider) -> None:
             np.empty((1, 1), dtype=dtype), consts,
         )
         provider.apply_flows(adj_edges, adj_signs, 1, 1, act, load.copy())
-        for targets in (load[:1], load):
-            provider.record_metrics(
-                load, targets, 0, 2, eu, ev, 0, 1,
+        for targets, walked in ((load[:1], act), (load, None)):
+            provider.record_walk(
+                adj_edges, adj_signs, 1, eu, walked, load.copy(), targets, 1,
+                True, True, np.empty((2, 1), dtype=dtype),
                 np.empty((6, 1), dtype=dtype), consts,
             )
-        provider.apply_info(
-            adj_edges, adj_signs, 1, 1, act, load.copy(),
-            np.empty((2, 1), dtype=dtype), consts,
-        )
 
 
 def ensure_warm(provider) -> None:

@@ -16,13 +16,13 @@ bit-identity contract with the numpy tier (``-ffast-math`` is out of the
 question for the same reason).  ``-fopenmp`` is attempted and dropped if
 the toolchain lacks it; the parallel pragmas are over edges/nodes with
 static schedules, so thread count never affects results (each iteration
-owns its output row).  The record-round reductions (``record_metrics``,
-``apply_info``) and the staleness round are serial, so their sums keep
-one fixed order and the link drops draw in one fixed order.  The
-staleness row loops use only selects between operands loaded up front,
-which GCC vectorises; a select it would have to evaluate conditionally
-stays a branch, and on the round's near-random zero/non-zero amounts
-those branches made its two entry points two to four times as slow.
+owns its output row).  The record walk (``record_walk``) and the
+staleness round are serial, so their sums keep one fixed order and the
+link drops draw in one fixed order.  The staleness row loops use only
+selects between operands loaded up front, which GCC vectorises; a select
+it would have to evaluate conditionally stays a branch, and on the
+round's near-random zero/non-zero amounts those branches made its two
+entry points two to four times as slow.
 
 No flag picks the instruction set.  On x86-64 glibc every kernel carries
 ``target_clones("arch=x86-64-v3", "default")``, so it is built twice, for
@@ -56,8 +56,9 @@ sizes only (no scan of the elements):
   the padded adjacency holds ``n * dmax`` slots, ``fsg`` (and the
   dispatch's ``act``, which must not overlap it) is ``(m, B)``, and
   ``totals`` has ``B`` entries;
-* the apply and record passes, the dispatch scratch and the staleness
-  round;
+* ``apply_flows`` and ``record_walk`` (whose ``targets`` broadcast as a
+  ``(1, B)`` row, an ``(n, 1)`` column or an ``(n, B)`` plane), the
+  dispatch scratch and the staleness round;
 
 and the generators of ``excess_dispatch`` and of the staleness link
 drops (one ``numpy.random.Generator`` per replica, no two on one bit
@@ -99,14 +100,12 @@ void apply_flows_@S@(
     long long n, long long B, long long m, long long dmax,
     const int *adj_edges, const signed char *adj_signs,
     const @R@ *act, @R@ *load);
-void record_metrics_@S@(
-    long long B, const @R@ *load, const @R@ *targets, long long trow,
-    long long tcol, long long lo, long long hi, const int *eu, const int *ev,
-    long long elo, long long ehi, @R@ *out, const @R@ *consts);
-void apply_info_@S@(
+void record_walk_@S@(
     long long n, long long B, long long m, long long dmax,
-    const int *adj_edges, const signed char *adj_signs,
-    const @R@ *act, @R@ *load, @R@ *info, const @R@ *consts);
+    const int *adj_edges, const signed char *adj_signs, const int *eu,
+    const @R@ *act, @R@ *load, const @R@ *targets, long long trow,
+    long long tcol, long long tile, int metrics, int mld, @R@ *info,
+    @R@ *out, const @R@ *consts);
 """
 
 _BODY_TEMPLATE = r"""
@@ -386,108 +385,121 @@ KERNEL void apply_flows_@S@(
     }
 }
 
-/* Record-round reductions.  Serial on purpose: every sum accumulates in
-   node (or edge) order in the array dtype — the order of numpy's axis-0
-   reductions over a C-contiguous (rows, B > 1) plane — so thread count
-   can never change a recorded value. */
+/* The record walk, serial so that every sum adds in node (or edge) order
+   in the array dtype, numpy's order for an axis-0 reduction over a
+   C-contiguous (rows, B > 1) plane.  Node by node: with act, the apply
+   (delta, outgoing from zero in CSR order; the transient
+   load - (outgoing - delta) * 0.5; load + delta) and |act| at its u slots
+   into the traffic, which come in edge order (edges sorted by (u, v),
+   rows by neighbour); then, from its new load, its tile's partial node
+   metrics, folded into out at the tile's end, and |x_u - x_i| at its v
+   slots, where u < i already holds its final load.  info: min transient,
+   traffic; out: max dev, min dev, sum dev^2, min load, total, max local
+   difference.  The running minimum, traffic and max local difference
+   are local rows, copied out at the end: stores into info or out may
+   alias the rows the loops read, and cost ~10% at n = 10^6, B = 4. */
 
-KERNEL void record_metrics_@S@(
-    long long B, const @R@ *load, const @R@ *targets, long long trow,
-    long long tcol, long long lo, long long hi, const int *eu, const int *ev,
-    long long elo, long long ehi, @R@ *out, const @R@ *consts)
-{
-    /* out rows: max dev, min dev, sum dev^2, min load, total over nodes
-       [lo, hi); max |x_u - x_v| over edges [elo, ehi).  An empty range
-       leaves its rows untouched. */
-    const @R@ zero = consts[0];
-    @R@ *mx = out, *mn = out + B, *sq = out + 2 * B;
-    @R@ *ml = out + 3 * B, *tot = out + 4 * B, *mld = out + 5 * B;
-    long long i, e, b;
-    if (hi > lo) {
-        for (b = 0; b < B; b++) {
-            const @R@ d = load[lo * B + b] - targets[lo * trow + b * tcol];
-            mx[b] = d;
-            mn[b] = d;
-            sq[b] = zero;
-            ml[b] = load[lo * B + b];
-            tot[b] = zero;
-        }
-        for (i = lo; i < hi; i++) {
-            const @R@ *x = load + i * B;
-            const @R@ *t = targets + i * trow;
-            for (b = 0; b < B; b++) {
-                const @R@ v = x[b];
-                const @R@ d = v - t[b * tcol];
-                mx[b] = (d > mx[b]) ? d : mx[b];
-                mn[b] = (d < mn[b]) ? d : mn[b];
-                sq[b] = sq[b] + d * d;
-                ml[b] = (v < ml[b]) ? v : ml[b];
-                tot[b] = tot[b] + v;
-            }
-        }
-    }
-    if (ehi > elo) {
-        for (b = 0; b < B; b++) {
-            mld[b] = @FABS@(load[(long long)eu[elo] * B + b]
-                            - load[(long long)ev[elo] * B + b]);
-        }
-        for (e = elo; e < ehi; e++) {
-            const @R@ *xu = load + (long long)eu[e] * B;
-            const @R@ *xv = load + (long long)ev[e] * B;
-            for (b = 0; b < B; b++) {
-                const @R@ a = @FABS@(xu[b] - xv[b]);
-                mld[b] = (a > mld[b]) ? a : mld[b];
-            }
-        }
-    }
-}
-
-KERNEL void apply_info_@S@(
+KERNEL void record_walk_@S@(
     long long n, long long B, long long m, long long dmax,
-    const int *adj_edges, const signed char *adj_signs,
-    const @R@ *act, @R@ *load, @R@ *info, const @R@ *consts)
+    const int *adj_edges, const signed char *adj_signs, const int *eu,
+    const @R@ *act, @R@ *load, const @R@ *targets, long long trow,
+    long long tcol, long long tile, int metrics, int mld, @R@ *info,
+    @R@ *out, const @R@ *consts)
 {
-    /* info rows: min transient load - (sum|act| - delta) * 0.5 over nodes,
-       traffic sum|act| over edges.  delta and sum|act| start from zero and
-       add in CSR order, as the numpy tier's D @ act and W @ |act| do, and
-       the load then takes load + delta. */
     const @R@ zero = consts[0];
     const @R@ half = consts[3];
-    @R@ delta[B > 0 ? B : 1];
-    @R@ outg[B > 0 ? B : 1];
-    @R@ *mn = info, *traffic = info + B;
-    long long i, j, e, b;
-    for (i = 0; i < n; i++) {
-        for (b = 0; b < B; b++) {
-            delta[b] = zero;
-            outg[b] = zero;
-        }
-        for (j = 0; j < dmax; j++) {
-            e = adj_edges[i * dmax + j];
-            if (e == m) {
-                break;  /* padding: the node's edges are done */
+    @R@ delta[B > 0 ? B : 1], outg[B > 0 ? B : 1];
+    @R@ pmx[B > 0 ? B : 1], pmn[B > 0 ? B : 1], psq[B > 0 ? B : 1];
+    @R@ pml[B > 0 ? B : 1], ptot[B > 0 ? B : 1];
+    @R@ tmin[B > 0 ? B : 1], traffic[B > 0 ? B : 1], mldr[B > 0 ? B : 1];
+    @R@ *mx = out, *mn = out + B, *sq = out + 2 * B;
+    @R@ *ml = out + 3 * B, *tot = out + 4 * B;
+    long long lo, hi, i, j, b;
+    for (b = 0; b < B; b++) {
+        traffic[b] = zero;
+        mldr[b] = zero;  /* every |x_u - x_v| is >= +0.0 */
+    }
+    for (lo = 0; lo < n; lo = hi) {
+        hi = (n - lo > tile) ? lo + tile : n;
+        for (i = lo; i < hi; i++) {
+            const int *edges = adj_edges + i * dmax;
+            const signed char *signs = adj_signs + i * dmax;
+            @R@ *x = load + i * B;
+            if (act) {
+                for (b = 0; b < B; b++) {
+                    delta[b] = zero;
+                    outg[b] = zero;
+                }
+                for (j = 0; j < dmax && edges[j] != m; j++) {
+                    const @R@ s = -(@R@)signs[j];
+                    const @R@ *row = act + (long long)edges[j] * B;
+                    if (signs[j] > 0) {
+                        for (b = 0; b < B; b++) {
+                            const @R@ a = @FABS@(row[b]);
+                            delta[b] = delta[b] + s * row[b];
+                            outg[b] = outg[b] + a;
+                            traffic[b] = traffic[b] + a;
+                        }
+                    } else {
+                        for (b = 0; b < B; b++) {
+                            delta[b] = delta[b] + s * row[b];
+                            outg[b] = outg[b] + @FABS@(row[b]);
+                        }
+                    }
+                }
+                for (b = 0; b < B; b++) {
+                    const @R@ t = x[b] - (outg[b] - delta[b]) * half;
+                    tmin[b] = (i == 0 || t < tmin[b]) ? t : tmin[b];
+                    x[b] = x[b] + delta[b];
+                }
             }
-            const @R@ s = -(@R@)adj_signs[i * dmax + j];
-            const @R@ *row = act + e * B;
-            for (b = 0; b < B; b++) {
-                delta[b] = delta[b] + s * row[b];
-                outg[b] = outg[b] + @FABS@(row[b]);
+            if (metrics) {
+                const @R@ *t = targets + i * trow;
+                const int first = i == lo;  /* the tile's partial starts */
+                for (b = 0; b < B; b++) {
+                    const @R@ v = x[b];
+                    const @R@ d = v - t[b * tcol];
+                    pmx[b] = (first || d > pmx[b]) ? d : pmx[b];
+                    pmn[b] = (first || d < pmn[b]) ? d : pmn[b];
+                    psq[b] = (first ? zero : psq[b]) + d * d;
+                    pml[b] = (first || v < pml[b]) ? v : pml[b];
+                    ptot[b] = (first ? zero : ptot[b]) + v;
+                }
+            }
+            if (mld) {
+                for (j = 0; j < dmax && edges[j] != m; j++) {
+                    if (signs[j] > 0) {
+                        continue;  /* i is u: its neighbour is still to come */
+                    }
+                    const @R@ *xu = load + (long long)eu[edges[j]] * B;
+                    for (b = 0; b < B; b++) {
+                        const @R@ a = @FABS@(xu[b] - x[b]);
+                        mldr[b] = (a > mldr[b]) ? a : mldr[b];
+                    }
+                }
             }
         }
+        if (!metrics) {
+            continue;
+        }
+        /* the tile's partial into the running rows: the first tile's as
+           it is, later ones as numpy's maximum / minimum / add combine
+           two rows (a tie or a NaN in the second operand takes it) */
         for (b = 0; b < B; b++) {
-            const @R@ x = load[i * B + b];
-            const @R@ t = x - (outg[b] - delta[b]) * half;
-            mn[b] = (i == 0 || t < mn[b]) ? t : mn[b];
-            load[i * B + b] = x + delta[b];
+            mx[b] = (lo && (mx[b] > pmx[b] || mx[b] != mx[b])) ? mx[b] : pmx[b];
+            mn[b] = (lo && (mn[b] < pmn[b] || mn[b] != mn[b])) ? mn[b] : pmn[b];
+            sq[b] = lo ? sq[b] + psq[b] : psq[b];
+            ml[b] = (lo && (ml[b] < pml[b] || ml[b] != ml[b])) ? ml[b] : pml[b];
+            tot[b] = lo ? tot[b] + ptot[b] : ptot[b];
         }
     }
     for (b = 0; b < B; b++) {
-        traffic[b] = zero;
-    }
-    for (e = 0; e < m; e++) {
-        const @R@ *row = act + e * B;
-        for (b = 0; b < B; b++) {
-            traffic[b] = traffic[b] + @FABS@(row[b]);
+        if (act) {
+            info[b] = tmin[b];
+            info[B + b] = traffic[b];
+        }
+        if (mld) {
+            out[5 * B + b] = mldr[b];
         }
     }
 }
@@ -1101,7 +1113,7 @@ _REALS = {
 _F64 = _REALS["d"][1]
 _STEMS = (
     "round_edges", "excess_counts", "excess_dispatch", "apply_flows",
-    "record_metrics", "apply_info",
+    "record_walk",
 )
 
 
@@ -1276,6 +1288,33 @@ class CffiKernels:
         )
         return load
 
+    def record_walk(
+        self, adj_edges, adj_signs, dmax, eu, act, load, targets, tile,
+        metrics, mld, info, out, consts,
+    ):
+        fn, r = self._fn("record_walk", load.dtype)
+        p = self._p
+        n, B = load.shape
+        m = eu.size
+        rows, cols = targets.shape
+        self._check(
+            adj_edges.size == adj_signs.size == n * dmax
+            and (act is None or act.shape == (m, B) and _apart(act, load)
+                 and info.shape == (2, B))
+            and rows in (1, n) and cols in (1, B) and out.shape == (6, B)
+            and consts.size >= 4 and tile >= 1,
+            "record walk extents (padded adjacency, act, targets, info, "
+            "out, consts, tile), or act overlapping load",
+        )
+        fn(
+            n, B, m, int(dmax), p(adj_edges, _INT32), p(adj_signs, _INT8),
+            p(eu, _INT32), p(act, r), p(load, r), p(targets, r),
+            cols if rows > 1 else 0, 1 if cols > 1 else 0, int(tile),
+            int(bool(metrics)), int(bool(mld)), p(info, r), p(out, r),
+            p(consts, r),
+        )
+        return out
+
     @staticmethod
     def _check(ok: bool, what: str) -> None:
         """Refuse a buffer the C side would index out of bounds."""
@@ -1290,25 +1329,6 @@ class CffiKernels:
             and plane.shape == (m, B),
             "padded adjacency / (m, B) plane shape",
         )
-
-    def record_metrics(
-        self, load, targets, lo, hi, eu, ev, elo, ehi, out, consts,
-    ):
-        fn, r = self._fn("record_metrics", load.dtype)
-        p = self._p
-        n, B = load.shape
-        rows, cols = targets.shape
-        self._check(rows in (1, n) and cols in (1, B), "targets shape")
-        self._check(out.shape == (6, B) and consts.size >= 4, "out/consts shape")
-        self._check(0 <= lo <= hi <= n, "node range")
-        self._check(0 <= elo <= ehi <= min(eu.size, ev.size), "edge range")
-        fn(
-            B, p(load, r), p(targets, r),
-            cols if rows > 1 else 0, 1 if cols > 1 else 0, int(lo), int(hi),
-            p(eu, _INT32), p(ev, _INT32), int(elo), int(ehi),
-            p(out, r), p(consts, r),
-        )
-        return out
 
     def stale_schedule(
         self, ring, slot, load, speeds, view_rows, indptr, alpha, prev,
@@ -1384,23 +1404,6 @@ class CffiKernels:
             p(consts, _F64),
         )
         return load
-
-    def apply_info(
-        self, adj_edges, adj_signs, dmax, m, act, load, info, consts,
-    ):
-        fn, r = self._fn("apply_info", load.dtype)
-        p = self._p
-        n, B = load.shape
-        self._check_adjacency(adj_edges, adj_signs, dmax, m, act, n, B)
-        self._check(info.shape == (2, B) and consts.size >= 4,
-                    "info/consts shape")
-        fn(
-            n, B, int(m), int(dmax), p(adj_edges, _INT32),
-            p(adj_signs, _INT8), p(act, r), p(load, r), p(info, r),
-            p(consts, r),
-        )
-        return load
-
 
 def make_provider() -> CffiKernels:
     return CffiKernels(_load_or_build())

@@ -129,24 +129,24 @@ class PythonKernels:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _incidences(adj_edges, adj_signs, dmax, m, i, dtype):
-        """Node ``i``'s ``(edge, incidence sign)`` pairs in CSR order: its
-        padded slots up to the trailing padding (``e == m``), each signed
-        ``-adj_sign`` (``-1`` at the edge's u endpoint, ``+1`` at v)."""
-        for j in range(i * dmax, (i + 1) * dmax):
-            e = int(adj_edges[j])
-            if e == m:
-                return
-            yield e, -dtype.type(adj_signs[j])
+    def _slots(adj_edges, adj_signs, dmax, act):
+        """Per slot ``j`` of the padded adjacency, every node's incidence
+        sign ``-adj_signs`` (an ``(n, 1)`` column) and ``act`` row; a
+        padding slot pairs -0.0 with a zero row, which adds -0.0 and
+        changes no sum.  Summed slot by slot, each node's rows add in CSR
+        order."""
+        n = adj_edges.size // dmax
+        pad = np.concatenate([act, np.zeros((1, act.shape[1]), act.dtype)])
+        edges = adj_edges.reshape(n, dmax)
+        signs = adj_signs.reshape(n, dmax)
+        for j in range(dmax):
+            yield -signs[:, j, None].astype(act.dtype), pad[edges[:, j]]
 
     def apply_flows(self, adj_edges, adj_signs, dmax, m, act, load):
-        n = load.shape[0]
-        walk = (adj_edges, adj_signs, dmax, m)
-        for i in range(n):
-            acc = load[i].copy()
-            for e, s in self._incidences(*walk, i, load.dtype):
-                acc += s * act[e]
-            load[i] = acc
+        acc = load
+        for s, rows in self._slots(adj_edges, adj_signs, dmax, act):
+            acc = acc + s * rows
+        load[...] = acc
         return load
 
     # ------------------------------------------------------------------
@@ -158,42 +158,45 @@ class PythonKernels:
         head = np.full((1, x.shape[1]), zero, dtype=x.dtype)
         return np.add.accumulate(np.concatenate([head, x]), axis=0)[-1]
 
-    def record_metrics(
-        self, load, targets, lo, hi, eu, ev, elo, ehi, out, consts,
+    def record_walk(
+        self, adj_edges, adj_signs, dmax, eu, act, load, targets, tile,
+        metrics, mld, info, out, consts,
     ):
-        if hi > lo:
-            x = load[lo:hi]
-            dev = x - (targets[lo:hi] if targets.shape[0] > 1 else targets)
-            out[0] = dev.max(axis=0)
-            out[1] = dev.min(axis=0)
-            out[2] = self._running_sum(dev * dev, consts[0])
-            out[3] = x.min(axis=0)
-            out[4] = self._running_sum(x, consts[0])
-        if ehi > elo:
-            diff = load[eu[elo:ehi]] - load[ev[elo:ehi]]
-            out[5] = np.abs(diff).max(axis=0)
+        n = load.shape[0]
+        zero = consts[0]
+        if act is not None:
+            # delta = D @ act and outgoing = W @ |act|, each from zero
+            delta = outgoing = np.full_like(load, zero)
+            for s, rows in self._slots(adj_edges, adj_signs, dmax, act):
+                delta = delta + s * rows
+                outgoing = outgoing + np.abs(rows)
+            info[0] = (load - (outgoing - delta) * consts[3]).min(axis=0)
+            info[1] = self._running_sum(np.abs(act), zero)
+            np.add(load, delta, out=load)
+        if metrics:
+            for lo in range(0, n, tile):
+                x = load[lo:lo + tile]
+                dev = x - (targets[lo:lo + tile] if targets.shape[0] > 1
+                           else targets)
+                part = (
+                    dev.max(axis=0), dev.min(axis=0),
+                    self._running_sum(dev * dev, zero), x.min(axis=0),
+                    self._running_sum(x, zero),
+                )
+                if lo == 0:
+                    out[:5] = part
+                    continue
+                np.maximum(out[0], part[0], out=out[0])
+                np.minimum(out[1], part[1], out=out[1])
+                np.add(out[2], part[2], out=out[2])
+                np.minimum(out[3], part[3], out=out[3])
+                np.add(out[4], part[4], out=out[4])
+        if mld:
+            # each edge at its v endpoint: |x_u - x_v|
+            v, j = np.nonzero(adj_signs.reshape(n, dmax) < 0)
+            diff = load[eu[adj_edges.reshape(n, dmax)[v, j]]] - load[v]
+            out[5] = np.abs(diff).max(axis=0, initial=zero)
         return out
-
-    def apply_info(
-        self, adj_edges, adj_signs, dmax, m, act, load, info, consts,
-    ):
-        n, B = load.shape
-        walk = (adj_edges, adj_signs, dmax, m)
-        delta = np.empty_like(load)
-        outgoing = np.empty_like(load)
-        absf = np.abs(act)
-        for i in range(n):
-            d = np.full(B, consts[0], dtype=load.dtype)
-            o = d.copy()
-            for e, s in self._incidences(*walk, i, load.dtype):
-                d = d + s * act[e]
-                o = o + absf[e]
-            delta[i] = d
-            outgoing[i] = o
-        info[0] = (load - (outgoing - delta) * consts[3]).min(axis=0)
-        info[1] = self._running_sum(absf, consts[0])
-        np.add(load, delta, out=load)
-        return load
 
 
 def make_provider() -> PythonKernels:

@@ -20,6 +20,7 @@ from numpy.random import default_rng
 from repro import ConfigurationError, point_load, random_load, torus_2d
 from repro import kernels
 from repro.engines import EngineConfig, make_engine
+from repro.engines.base import resolve_record_fields
 from repro.graphs import random_regular_strict
 
 TORUS = torus_2d(6, 7)
@@ -452,16 +453,19 @@ def _consts(dtype):
 
 
 class TestRecordProviders:
-    """``record_metrics`` / ``apply_info``: every provider against python,
-    and python against the numpy expressions the engine replaces."""
+    """``record_walk``: every provider against python, and python against
+    the numpy expressions the engine replaces."""
 
     N, M = RR.n, RR.m_edges
     EU = RR.edge_u.astype(np.int32)
     EV = RR.edge_v.astype(np.int32)
-    #: (lo, hi, elo, ehi): whole run, node tiles with and without edges,
-    #: an edges-only call (the engine's max-local-difference pass)
-    RANGES = [(0, N, 0, M), (0, 13, 0, M), (13, 29, 0, 0), (29, N, 0, 0),
-              (0, 0, 0, M), (7, 8, 11, 12)]
+    #: node-tile widths: one tile, tiles that do and do not divide N, and
+    #: one node a tile
+    TILES = [N, 13, 8, 1]
+    #: (metrics, mld): every row, the node metrics alone (the round-0
+    #: record without a max local difference), the max local difference
+    #: alone (the local-diff switch)
+    ROWS = [(True, True), (True, False), (False, True)]
 
     @staticmethod
     def _data(dtype, B, seed=23):
@@ -472,50 +476,68 @@ class TestRecordProviders:
         act = rng.normal(0.0, 4.0, (RR.m_edges, B)).astype(dtype)
         return load, plane, act
 
+    def _walk(self, prov, load, act, targets, tile, metrics, mld, dtype):
+        """One walk on copies; ``(loads, info, out)`` after it, info and
+        out pre-filled with 7.0."""
+        _, (edges, signs, dmax, _m) = _incidence(RR, dtype)
+        B = load.shape[1]
+        x = load.copy()
+        info = np.full((2, B), 7.0, dtype=dtype)
+        out = np.full((6, B), 7.0, dtype=dtype)
+        prov.record_walk(
+            edges, signs, dmax, self.EU, act, x, targets, tile, metrics, mld,
+            info, out, _consts(dtype),
+        )
+        return x, info, out
+
     @pytest.mark.parametrize("kernel", PROVIDERS)
     @pytest.mark.parametrize("B", [1, 4])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_record_metrics_matches_python(self, dtype, B, kernel):
+    def test_record_walk_metrics_match_python(self, dtype, B, kernel):
         if kernel == "python":
             pytest.skip("python is the baseline")
         other = kernels.get_provider(kernel)
         base = kernels.get_provider("python")
         load, plane, _ = self._data(dtype, B)
         for targets in (plane[:1].copy(), plane[:, :1].copy(), plane):
-            for lo, hi, elo, ehi in self.RANGES:
-                outs = []
-                for prov in (base, other):
-                    out = np.full((6, B), 7.0, dtype=dtype)
-                    prov.record_metrics(
-                        load, targets, lo, hi, self.EU, self.EV, elo, ehi,
-                        out, _consts(dtype),
-                    )
-                    outs.append(out)
-                np.testing.assert_array_equal(outs[0], outs[1])
-                # an empty range leaves its rows untouched
-                if hi == lo:
-                    assert (outs[1][:5] == 7.0).all()
-                if ehi == elo:
-                    assert (outs[1][5] == 7.0).all()
+            for tile in self.TILES:
+                for metrics, mld in self.ROWS:
+                    outs = [
+                        self._walk(
+                            prov, load, None, targets, tile, metrics, mld,
+                            dtype,
+                        )
+                        for prov in (base, other)
+                    ]
+                    for a, b in zip(*outs):
+                        np.testing.assert_array_equal(a, b)
+                    x, info, out = outs[1]
+                    # act=None: no apply, no info; rows not asked for
+                    # keep their values
+                    np.testing.assert_array_equal(x, load)
+                    assert (info == 7.0).all()
+                    assert (out[:5] == 7.0).all() != metrics
+                    assert (out[5] == 7.0).all() != mld
 
     @pytest.mark.parametrize("kernel", PROVIDERS)
     @pytest.mark.parametrize("B", [1, 4])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_apply_info_matches_python(self, dtype, B, kernel):
+    def test_record_walk_apply_matches_python(self, dtype, B, kernel):
         if kernel == "python":
             pytest.skip("python is the baseline")
         other = kernels.get_provider(kernel)
         base = kernels.get_provider("python")
-        load, _, act = self._data(dtype, B)
-        _, adj = _incidence(RR, dtype)
-        outs = []
-        for prov in (base, other):
-            x = load.copy()
-            info = np.full((2, B), 7.0, dtype=dtype)
-            prov.apply_info(*adj, act, x, info, _consts(dtype))
-            outs.append((x, info))
-        np.testing.assert_array_equal(outs[0][0], outs[1][0])
-        np.testing.assert_array_equal(outs[0][1], outs[1][1])
+        load, plane, act = self._data(dtype, B)
+        for tile in self.TILES:
+            for metrics, mld in self.ROWS + [(False, False)]:
+                outs = [
+                    self._walk(
+                        prov, load, act, plane, tile, metrics, mld, dtype
+                    )
+                    for prov in (base, other)
+                ]
+                for a, b in zip(*outs):
+                    np.testing.assert_array_equal(a, b)
 
     @pytest.mark.skipif(
         kernels.get_provider("cffi") is None, reason="cffi unavailable"
@@ -523,24 +545,36 @@ class TestRecordProviders:
     def test_cffi_refuses_out_of_bounds_buffers(self):
         prov = kernels.get_provider("cffi")
         load, plane, act = self._data(np.float64, 4)
-        out = np.empty((6, 4))
-        c = _consts(np.float64)
-        bad_calls = [
-            (load, plane, 0, self.N + 1, 0, 0, out),  # node range
-            (load, plane, 0, 0, 0, self.M + 1, out),  # edge range
-            (load, plane[:5], 0, 1, 0, 0, out),  # targets rows
-            (load, plane, 0, 1, 0, 0, out[:5]),  # out rows
-            (load.astype(np.float32), plane, 0, 1, 0, 0, out),  # dtype
-            (np.asfortranarray(load), plane, 0, 1, 0, 0, out),  # layout
-        ]
-        for x, t, lo, hi, elo, ehi, o in bad_calls:
-            with pytest.raises(ValueError, match="cffi kernel argument"):
-                prov.record_metrics(x, t, lo, hi, self.EU, self.EV, elo, ehi, o, c)
         _, (edges, signs, dmax, m) = _incidence(RR, np.float64)
-        with pytest.raises(ValueError, match="cffi kernel argument"):
-            prov.apply_info(edges[:-1], signs, dmax, m, act, load, np.empty((2, 4)), c)
-        with pytest.raises(ValueError, match="cffi kernel argument"):
-            prov.apply_info(edges, signs, dmax, m, act, load, np.empty((2, 3)), c)
+        info, out = np.empty((2, 4)), np.empty((6, 4))
+        c = _consts(np.float64)
+        good = dict(
+            adj_edges=edges, adj_signs=signs, eu=self.EU, act=act, load=load,
+            targets=plane, tile=13, info=info, out=out,
+        )
+        bad_calls = [
+            dict(adj_edges=edges[:-1]),  # padded adjacency size
+            dict(eu=self.EU[:-1]),  # m, against act's rows
+            dict(act=act[:, :3]),  # act columns
+            dict(act=load),  # act overlapping load
+            dict(targets=plane[:5]),  # targets rows
+            dict(targets=plane[:, :3].copy()),  # targets columns
+            dict(info=info[:1]),  # info rows
+            dict(out=out[:5]),  # out rows
+            dict(tile=0),  # tile width
+            dict(load=load.astype(np.float32)),  # dtype
+            dict(load=np.asfortranarray(load)),  # layout
+        ]
+        for bad in bad_calls:
+            a = {**good, **bad}
+            before = load.copy()
+            with pytest.raises(ValueError, match="cffi kernel argument"):
+                prov.record_walk(
+                    a["adj_edges"], a["adj_signs"], dmax, a["eu"], a["act"],
+                    a["load"], a["targets"], a["tile"], True, True,
+                    a["info"], a["out"], c,
+                )
+            np.testing.assert_array_equal(load, before)
 
     @pytest.mark.skipif(
         kernels.get_provider("cffi") is None, reason="cffi unavailable"
@@ -579,11 +613,9 @@ class TestRecordProviders:
                 np.zeros((m, B)), np.empty((dmax, B)), c,
             ],
             "apply_flows": [*adj, act, load.copy()],
-            "record_metrics": [
-                load, plane, 0, n, self.EU, self.EV, 0, m, np.empty((6, B)), c,
-            ],
-            "apply_info": [
-                *adj, act, load.copy(), np.empty((2, B)), c,
+            "record_walk": [
+                adj_edges, adj_signs, dmax, self.EU, act, load.copy(), plane,
+                13, True, True, np.empty((2, B)), np.empty((6, B)), c,
             ],
         }
         foreign = {
@@ -644,11 +676,12 @@ class TestRecordProviders:
         B = 4
         prov = kernels.get_provider("python")
         load, plane, act = self._data(dtype, B)
+        _, (edges, signs, dmax, _m) = _incidence(RR, dtype)
         for targets in (plane[:1].copy(), plane[:, :1].copy(), plane):
             out = np.empty((6, B), dtype=dtype)
-            prov.record_metrics(
-                load, targets, 0, self.N, self.EU, self.EV, 0, self.M, out,
-                _consts(dtype),
+            prov.record_walk(
+                edges, signs, dmax, self.EU, None, load, targets, self.N,
+                True, True, None, out, _consts(dtype),
             )
             dev = load - targets
             np.testing.assert_array_equal(out[0], dev.max(axis=0))
@@ -665,7 +698,10 @@ class TestRecordProviders:
         outgoing = W @ np.abs(act)
         x = load.copy()
         info = np.empty((2, B), dtype=dtype)
-        prov.apply_info(*adj, act, x, info, _consts(dtype))
+        prov.record_walk(
+            *adj[:3], self.EU, act, x, plane, self.N, False, False, info,
+            np.empty((6, B), dtype=dtype), _consts(dtype),
+        )
         np.testing.assert_array_equal(x, load + delta)
         np.testing.assert_array_equal(
             info[0], (load - (outgoing - delta) * 0.5).min(axis=0)
@@ -901,6 +937,32 @@ class TestRecordRounds:
         ref = eng.run_batch(TORUS, cfg, loads)
         assert ((ref.switched_at > 0) & (ref.switched_at < 40)).any()
         self._check(cfg, kernel, loads=loads)
+
+    @pytest.mark.parametrize("kernel", PROVIDERS)
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_tiled_record_walk_every_field(self, precision, kernel):
+        # Four node tiles (the last one node wide), every record field,
+        # records on the grid (every 3rd round) and off it (the last of
+        # 31), heterogeneous speeds, and a local-diff switch that fires on
+        # a record round (reading the walk's max local difference) and off
+        # one (walking for its own).
+        speeds = 1.0 + (np.arange(RR.n) % 3) * 0.5
+        cfg = EngineConfig(
+            scheme="sos", beta=1.8, rounding=EXCESS, rounds=31,
+            record_every=3, seed=4, switch=("local-diff", 150.0, 2),
+            speeds=speeds, tile_size=13, precision=precision,
+        )
+        loads = _batch(RR)
+        eng = make_engine("batched")
+        h = eng.prepare(RR, replace(cfg, kernel=kernel), loads)
+        assert len(h.node_tiles) == 4 and h.kern_records
+        ref = eng.run_batch(RR, replace(cfg, kernel="numpy"), loads)
+        fired = set(ref.switched_at.tolist())
+        assert any(r % 3 == 0 for r in fired if r > 0)
+        assert any(r % 3 for r in fired if r > 0)
+        got = eng.run_batch(RR, replace(cfg, kernel=kernel), loads)
+        assert sorted(got.columns) == sorted(resolve_record_fields(None))
+        _assert_same_batch(ref, got)
 
     @pytest.mark.parametrize("kernel", PROVIDERS)
     @pytest.mark.parametrize("tile", [None, 11])

@@ -234,15 +234,19 @@ def _run_all(prov, d, streams):
     prov.apply_flows(d["adj_edges"], d["adj_signs"], d["dmax"], m, act, x)
     out.append(x.tobytes())
     rec = np.empty((6, B), dtype=dtype)
+    walk = (d["adj_edges"], d["adj_signs"], d["dmax"], d["eu"])
     for targets in (x[:1], x[:, :1].copy(), x[::-1].copy()):
-        prov.record_metrics(x, targets, 0, n, d["eu"], d["ev"], 0, m, rec, d["c"])
+        prov.record_walk(
+            *walk, None, x, targets, n, True, True, None, rec, d["c"]
+        )
         out.append(rec.tobytes())
     info = np.empty((2, B), dtype=dtype)
     y = d["load"].copy()
-    prov.apply_info(
-        d["adj_edges"], d["adj_signs"], d["dmax"], m, act, y, info, d["c"]
+    prov.record_walk(
+        *walk, act, y, y[::-1].copy(), n // 3 + 1, True, True, info, rec,
+        d["c"],
     )
-    out += [y.tobytes(), info.tobytes()]
+    out += [y.tobytes(), info.tobytes(), rec.tobytes()]
     return out
 
 

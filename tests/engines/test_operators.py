@@ -159,8 +159,8 @@ def test_padded_apply_matches_csr_walk(graph, dtype, provider):
     prov.apply_flows(*adj, act, got)
     assert got.tobytes() == want.tobytes()
 
-    # apply_info: D @ act and W @ |act| from zero, the transient minimum,
-    # the traffic summed edge after edge, then load + delta
+    # record_walk with act: D @ act and W @ |act| from zero, the transient
+    # minimum, the traffic summed edge after edge, then load + delta
     absf = np.abs(act)
     delta = _csr_dot(D, act, np.empty_like(load))
     outgoing = _csr_dot(W, absf, np.empty_like(load))
@@ -170,10 +170,94 @@ def test_padded_apply_matches_csr_walk(graph, dtype, provider):
     )[-1]
     got = load.copy()
     info = np.full((2, act.shape[1]), 7.0, dtype=dtype)
-    prov.apply_info(*adj, act, got, info, consts)
+    out = np.full((6, act.shape[1]), 7.0, dtype=dtype)
+    eu = topo.edge_u.astype(np.int32)
+    prov.record_walk(
+        *adj[:3], eu, act, got, load[:1], 5, False, False, info, out, consts
+    )
     assert got.tobytes() == (load + delta).tobytes()
     assert info[0].tobytes() == transient.min(axis=0).tobytes()
     assert info[1].tobytes() == traffic.tobytes()
+    assert (out == 7.0).all()  # no metric row was asked for
+
+
+def _walk_targets(topo, dtype, B, rng):
+    """Non-integral targets as a ``(1, B)`` row, an ``(n, 1)`` column and
+    an ``(n, B)`` plane."""
+    plane = rng.normal(40.0, 5.0, (topo.n, B)).astype(dtype)
+    return plane[:1].copy(), plane[:, :1].copy(), plane
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+@pytest.mark.parametrize("with_act", [True, False], ids=["act", "no-act"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("graph", sorted(APPLY_GRAPHS))
+def test_record_walk_matches_numpy_tier(graph, dtype, with_act, provider):
+    # One walk against the numpy tier's separate passes: D @ act and
+    # W @ |act| (the step info), _node_metrics over the same node tiles
+    # and _max_local_diff, on fractional planes (every sum shows its
+    # order; B > 1, where numpy's axis-0 sums add row by row).
+    from repro.engines.batched import (
+        _difference_operator,
+        _max_local_diff,
+        _node_metrics,
+        _tiles,
+    )
+
+    topo = APPLY_GRAPHS[graph]()
+    n, m = topo.n, topo.m_edges
+    prov = kernels.get_provider(provider)
+    dmax, adj_edges, adj_signs = _padded_adjacency(topo)
+    adj = (adj_edges.ravel(), adj_signs.ravel(), dmax)
+    eu = topo.edge_u.astype(np.int32)
+    D, W = _incidence_operators(topo, dtype)
+    E = _difference_operator(topo, dtype)
+    load, act = _apply_inputs(topo, dtype)
+    B = load.shape[1]
+    consts = np.array([0.0, 1.0, 1e-9, 0.5], dtype=dtype)
+    fields = (
+        "max_minus_avg", "min_minus_avg", "potential_per_node", "min_load",
+        "total_load",
+    )
+    if with_act:
+        delta = _csr_dot(D, act, np.empty_like(load))
+        outgoing = _csr_dot(W, np.abs(act), np.empty_like(load))
+        transient = (load - (outgoing - delta) * dtype(0.5)).min(axis=0)
+        x = load + delta
+    else:
+        x = load
+    want_mld = _max_local_diff(E, x, [(0, m)], np.empty((m, B), dtype))
+    tiles = [t for t in (2, 3, 4, 5) if n % t] + [n]
+    assert len(tiles) > 2  # widths that do not divide n
+    for targets in _walk_targets(topo, dtype, B, default_rng(29)):
+        for tile in tiles:
+            want, totals = _node_metrics(
+                x, targets, fields, np.empty((tile, B), dtype),
+                _tiles(n, tile),
+            )
+            for metrics, mld in ((True, True), (True, False), (False, True)):
+                got = load.copy()
+                info = np.full((2, B), 7.0, dtype) if with_act else None
+                out = np.full((6, B), 7.0, dtype=dtype)
+                prov.record_walk(
+                    *adj, eu, act if with_act else None, got, targets, tile,
+                    metrics, mld, info, out, consts,
+                )
+                assert got.tobytes() == x.tobytes()
+                if with_act:
+                    assert info[0].tobytes() == transient.tobytes()
+                    assert info[1].tobytes() == np.abs(act).sum(axis=0).tobytes()
+                if metrics:
+                    rows = (out[0], out[1], out[2] / dtype(n), out[3], out[4])
+                    for name, row in zip(fields, rows):
+                        assert row.tobytes() == want[name].tobytes(), name
+                    assert out[4].tobytes() == totals.tobytes()
+                else:
+                    assert (out[:5] == 7.0).all()
+                if mld:
+                    assert out[5].tobytes() == want_mld.tobytes()
+                else:
+                    assert (out[5] == 7.0).all()
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +306,7 @@ def test_compiled_batch_builds_no_scipy_operator(graph, precision, provider):
     topo, m = h.topo, h.topo.m_edges
     assert h.kern_records
     for _ in range(3):
-        engine.step(h)  # record-round walks: apply_info, then apply_flows
+        engine.step(h)  # step-info walks: record_walk, no apply_flows
     engine.run_batch(
         topo, h.config, np.stack([random_load(topo, 9.0)] * 4)
     )

@@ -42,11 +42,11 @@ needs_cffi = pytest.mark.skipif(
 )
 
 
-def _loaded_after(code: str) -> list:
-    """The :data:`SCIPY_MODULES` a fresh interpreter holds after ``code``."""
+def _loaded_after(code: str, modules=SCIPY_MODULES) -> list:
+    """The ``modules`` a fresh interpreter holds after ``code``."""
     probe = (
         f"{code}\nimport json, sys\n"
-        f"print(json.dumps([m for m in {SCIPY_MODULES!r} if m in sys.modules]))"
+        f"print(json.dumps([m for m in {tuple(modules)!r} if m in sys.modules]))"
     )
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
@@ -83,7 +83,7 @@ loads = np.stack(
 )
 config = EngineConfig(
     scheme="sos", beta=1.5, rounding="randomized-excess", rounds=12,
-    seed=1, kernel="cffi", {extra}
+    seed=1, kernel="{kernel}", {extra}
 )
 engine = make_engine("{engine}")
 handle = engine.prepare(topo, config, loads)
@@ -91,13 +91,15 @@ assert {compiled}
 for _ in range(config.rounds):
     engine.step(handle)
 engine.metrics(handle)
+{after}
 """
 
 
 @needs_cffi
 def test_compiled_batched_run_loads_no_scipy():
     code = _RUN.format(
-        engine="batched", extra="", compiled="handle.kern_records"
+        engine="batched", kernel="cffi", extra="",
+        compiled="handle.kern_records", after="",
     )
     assert "scipy.sparse" not in _loaded_after(code)
 
@@ -105,11 +107,23 @@ def test_compiled_batched_run_loads_no_scipy():
 @needs_cffi
 def test_compiled_staleness_run_loads_no_scipy():
     code = _RUN.format(
-        engine="staleness",
+        engine="staleness", kernel="cffi",
         extra='latency_model=2, max_skew=3, faults="drop:0.1"',
-        compiled="handle.core.kernel is not None",
+        compiled="handle.core.kernel is not None", after="",
     )
     assert "scipy.sparse" not in _loaded_after(code)
+
+
+def test_numpy_staleness_fault_path_loads_no_numpy_ma():
+    # The numpy step's fault path groups the dropped shipments by landing
+    # slot; np.unique would import numpy.ma on its first call.
+    code = _RUN.format(
+        engine="staleness", kernel="numpy",
+        extra='latency_model=2, max_skew=3, faults="drop:0.1"',
+        compiled="handle.core.kernel is None",
+        after="assert handle.core.bounced_count.sum() > 0",
+    )
+    assert _loaded_after(code, ["numpy.ma"]) == []
 
 
 # -- the staleness send sum against the unit-data CSR matvec -------------
